@@ -17,11 +17,11 @@ use crate::flood::stage_cap;
 use crate::ledger::Ledger;
 use crate::widths::bits_for;
 use qdc_congest::{
-    BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox,
-    RunOptions, RunReport, Simulator, Telemetry,
+    BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
+    RunReport, Simulator, Telemetry,
 };
 use qdc_graph::Graph;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Result of a distributed Disjointness run.
@@ -119,31 +119,16 @@ impl NodeAlgorithm for StreamNode {
 }
 
 /// Runs the classical streaming protocol on a path of `d` hops with
-/// endpoints holding `x` (node 0) and `y` (node `d`).
+/// endpoints holding `x` (node 0) and `y` (node `d`), under execution
+/// [`RunOptions`] and a [`Telemetry`] sink observing every round (pass
+/// `&mut NullTelemetry` for an unobserved run). The outcome and the
+/// [`RunReport`] are bit-for-bit the same at any thread count, observed
+/// or not.
 ///
 /// # Panics
 ///
 /// Panics if `x` and `y` differ in length, are empty, or `d == 0`.
-pub fn classical_disjointness(
-    x: &[bool],
-    y: &[bool],
-    d: usize,
-    cfg: CongestConfig,
-) -> DisjointnessRun {
-    let (run, _) =
-        classical_disjointness_observed(x, y, d, cfg, RunOptions::default(), &mut NullTelemetry);
-    run
-}
-
-/// [`classical_disjointness`] with execution [`RunOptions`] and a
-/// [`Telemetry`] sink observing every round — the campaign-facing entry
-/// point. The outcome and the [`RunReport`] are bit-for-bit those of
-/// the plain run at any thread count.
-///
-/// # Panics
-///
-/// Panics if `x` and `y` differ in length, are empty, or `d == 0`.
-pub fn classical_disjointness_observed<T: Telemetry>(
+pub fn classical_disjointness<T: Telemetry>(
     x: &[bool],
     y: &[bool],
     d: usize,
@@ -162,7 +147,7 @@ pub fn classical_disjointness_observed<T: Telemetry>(
 
     let mut ledger = Ledger::new();
     let sim = Simulator::with_options(&graph, cfg, options);
-    let (nodes, report, _) = sim.run_traced_observed(
+    let (nodes, report) = sim.run_observed(
         |info| {
             let id = info.id.0 as usize;
             let toward_receiver = if id == 0 {
@@ -258,56 +243,24 @@ impl NodeAlgorithm for BounceNode {
 /// Runs the quantum Disjointness protocol: `⌈(π/4)√b⌉` Grover queries,
 /// each a `⌈log₂ b⌉`-qubit round trip over the `d`-hop path, with the
 /// search outcome simulated exactly (for `b ≤ 4096`) by the state-vector
-/// Grover of `qdc-quantum`.
+/// Grover of `qdc-quantum`, under execution [`RunOptions`] and a
+/// [`Telemetry`] sink observing every query round trip.
+///
+/// The Grover measurement stream comes from a [`ChaCha8Rng`] seeded
+/// with `seed`, so two invocations with equal arguments are
+/// byte-identical; the outcome and the [`RunReport`] are the same at
+/// any thread count, observed or not.
 ///
 /// # Panics
 ///
 /// Panics if the inputs mismatch, `d == 0`, or the query register does
 /// not fit the qubit budget.
-pub fn quantum_disjointness<R: Rng + ?Sized>(
-    x: &[bool],
-    y: &[bool],
-    d: usize,
-    cfg: CongestConfig,
-    rng: &mut R,
-) -> DisjointnessRun {
-    let (run, _) =
-        quantum_disjointness_observed(x, y, d, cfg, rng, RunOptions::default(), &mut NullTelemetry);
-    run
-}
-
-/// [`quantum_disjointness`] with a `u64` seed instead of a caller-held
-/// RNG: the Grover measurement stream comes from a [`ChaCha8Rng`]
-/// seeded with `seed`, so two invocations with equal arguments are
-/// byte-identical — the form campaign points use.
-pub fn quantum_disjointness_seeded<T: Telemetry>(
+pub fn quantum_disjointness<T: Telemetry>(
     x: &[bool],
     y: &[bool],
     d: usize,
     cfg: CongestConfig,
     seed: u64,
-    options: RunOptions,
-    telemetry: &mut T,
-) -> (DisjointnessRun, RunReport) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    quantum_disjointness_observed(x, y, d, cfg, &mut rng, options, telemetry)
-}
-
-/// [`quantum_disjointness`] with execution [`RunOptions`] and a
-/// [`Telemetry`] sink observing every query round trip. The outcome and
-/// the [`RunReport`] are bit-for-bit those of the plain run at any
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if the inputs mismatch, `d == 0`, or the query register does
-/// not fit the qubit budget.
-pub fn quantum_disjointness_observed<R: Rng + ?Sized, T: Telemetry>(
-    x: &[bool],
-    y: &[bool],
-    d: usize,
-    cfg: CongestConfig,
-    rng: &mut R,
     options: RunOptions,
     telemetry: &mut T,
 ) -> (DisjointnessRun, RunReport) {
@@ -325,7 +278,8 @@ pub fn quantum_disjointness_observed<R: Rng + ?Sized, T: Telemetry>(
     // the classical evaluation (the *outcome* distribution is what the
     // state-vector simulation establishes; the cost model is the bounce).
     let disjoint = if b <= 4096 {
-        let (intersects, _) = qdc_quantum::grover::disjointness_grover(x, y, 3, rng);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (intersects, _) = qdc_quantum::grover::disjointness_grover(x, y, 3, &mut rng);
         !intersects
     } else {
         !x.iter().zip(y).any(|(&a, &b)| a && b)
@@ -334,7 +288,7 @@ pub fn quantum_disjointness_observed<R: Rng + ?Sized, T: Telemetry>(
     let graph = Graph::path(d + 1);
     let mut ledger = Ledger::new();
     let sim = Simulator::with_options(&graph, cfg, options);
-    let (_, report, _) = sim.run_traced_observed(
+    let (_, report) = sim.run_observed(
         |info| {
             let id = info.id.0 as usize;
             let kind = if id == 0 {
@@ -359,18 +313,26 @@ pub fn quantum_disjointness_observed<R: Rng + ?Sized, T: Telemetry>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use qdc_congest::NullTelemetry;
+
+    fn classical(x: &[bool], y: &[bool], d: usize, cfg: CongestConfig) -> DisjointnessRun {
+        classical_disjointness(x, y, d, cfg, RunOptions::default(), &mut NullTelemetry).0
+    }
+
+    fn quantum(x: &[bool], y: &[bool], d: usize, cfg: CongestConfig, seed: u64) -> DisjointnessRun {
+        let options = RunOptions::default();
+        quantum_disjointness(x, y, d, cfg, seed, options, &mut NullTelemetry).0
+    }
 
     #[test]
     fn classical_protocol_is_correct() {
         let cfg = CongestConfig::classical(8);
         let x: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
         let mut y: Vec<bool> = (0..64).map(|i| i % 3 == 1).collect();
-        let run = classical_disjointness(&x, &y, 5, cfg);
+        let run = classical(&x, &y, 5, cfg);
         assert!(run.disjoint);
         y[33] = true; // 33 % 3 == 0 → intersection
-        let run = classical_disjointness(&x, &y, 5, cfg);
+        let run = classical(&x, &y, 5, cfg);
         assert!(!run.disjoint);
     }
 
@@ -381,7 +343,7 @@ mod tests {
         let d = 10;
         let x = vec![false; b];
         let y = vec![false; b];
-        let run = classical_disjointness(&x, &y, d, cfg);
+        let run = classical(&x, &y, d, cfg);
         let predicted = classical_rounds(b, d, 8); // 10 + 8 - 1 = 17
                                                    // Quiescence adds O(1) slack.
         assert!(
@@ -394,12 +356,11 @@ mod tests {
     #[test]
     fn quantum_protocol_is_correct_and_counts_round_trips() {
         let cfg = CongestConfig::quantum(16);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut x = vec![false; 256];
         let mut y = vec![false; 256];
         x[100] = true;
         y[100] = true;
-        let run = quantum_disjointness(&x, &y, 4, cfg, &mut rng);
+        let run = quantum(&x, &y, 4, cfg, 3);
         assert!(!run.disjoint);
         let trips = qdc_quantum::grover::disjointness_queries(256); // ⌈π/4·16⌉ = 13
         assert_eq!(run.ledger.rounds, 2 * 4 * trips);
@@ -434,10 +395,9 @@ mod tests {
     #[test]
     fn quantum_channel_accounting_is_labeled() {
         let cfg = CongestConfig::quantum(8);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
         let x = vec![true; 16];
         let y = vec![false; 16];
-        let run = quantum_disjointness(&x, &y, 2, cfg, &mut rng);
+        let run = quantum(&x, &y, 2, cfg, 4);
         assert!(run.disjoint);
         assert!(run.ledger.bits > 0, "qubits are accounted in the ledger");
     }

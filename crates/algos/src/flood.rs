@@ -5,8 +5,8 @@
 use crate::ledger::Ledger;
 use crate::widths::id_width;
 use qdc_congest::{
-    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox,
-    RunOptions, RunReport, SimError, Simulator, Telemetry,
+    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
+    RunReport, SimError, Simulator, Telemetry,
 };
 use qdc_graph::{Graph, NodeId};
 
@@ -354,44 +354,13 @@ pub struct RobustBroadcastOutcome {
 /// Requires `B ≥ 2` (messages are 2-bit words) and a
 /// [`max_rounds_watchdog`](ChaosConfig::max_rounds_watchdog) above
 /// `give_up + 1`, or the run cannot wind down before the watchdog.
-pub fn robust_broadcast(
-    graph: &Graph,
-    cfg: CongestConfig,
-    root: NodeId,
-    chaos: &ChaosConfig,
-    give_up: usize,
-) -> Result<RobustBroadcastOutcome, SimError> {
-    robust_broadcast_observed(graph, cfg, root, chaos, give_up, &mut NullTelemetry)
-}
-
-/// [`robust_broadcast`] with a [`Telemetry`] sink observing the run —
-/// per-round deliveries, plus every drop, corruption and crash the fault
-/// plan injects, attributed to the edge it struck. Observation never
-/// perturbs: the outcome is bit-for-bit that of [`robust_broadcast`]
-/// under the same config.
-pub fn robust_broadcast_observed<T: Telemetry>(
-    graph: &Graph,
-    cfg: CongestConfig,
-    root: NodeId,
-    chaos: &ChaosConfig,
-    give_up: usize,
-    telemetry: &mut T,
-) -> Result<RobustBroadcastOutcome, SimError> {
-    robust_broadcast_with(
-        graph,
-        cfg,
-        RunOptions::default(),
-        root,
-        chaos,
-        give_up,
-        telemetry,
-    )
-}
-
-/// [`robust_broadcast_observed`] with explicit simulator [`RunOptions`]
-/// (worker threads for the engine's compute phase). Thread count never
-/// changes the outcome, the report, or the telemetry stream.
-pub fn robust_broadcast_with<T: Telemetry>(
+///
+/// The [`Telemetry`] sink observes per-round deliveries plus every drop,
+/// corruption and crash the fault plan injects, attributed to the edge
+/// it struck (pass `&mut NullTelemetry` for an unobserved run). Neither
+/// observation nor the [`RunOptions`] thread count ever changes the
+/// outcome, the report, or the telemetry stream.
+pub fn robust_broadcast<T: Telemetry>(
     graph: &Graph,
     cfg: CongestConfig,
     options: RunOptions,
@@ -422,10 +391,20 @@ pub fn robust_broadcast_with<T: Telemetry>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qdc_congest::NullTelemetry;
     use qdc_graph::{algorithms, Graph};
 
     fn cfg() -> CongestConfig {
         CongestConfig::classical(32)
+    }
+
+    fn broadcast(
+        g: &Graph,
+        chaos: &ChaosConfig,
+        give_up: usize,
+    ) -> Result<RobustBroadcastOutcome, SimError> {
+        let (root, options) = (NodeId(0), RunOptions::default());
+        robust_broadcast(g, cfg(), options, root, chaos, give_up, &mut NullTelemetry)
     }
 
     #[test]
@@ -505,8 +484,7 @@ mod tests {
     #[test]
     fn chaos_robust_broadcast_fault_free_informs_everyone_quickly() {
         let g = qdc_graph::generate::random_connected(30, 20, 4);
-        let out = robust_broadcast(&g, cfg(), NodeId(0), &chaos(0, 0.0, 200), 200)
-            .expect("fault-free run completes");
+        let out = broadcast(&g, &chaos(0, 0.0, 200), 200).expect("fault-free run completes");
         assert!(out.informed.iter().all(|&i| i));
         assert_eq!(out.report.messages_dropped, 0);
         assert!(out.report.completed);
@@ -517,9 +495,10 @@ mod tests {
         let g = qdc_graph::generate::random_connected(15, 10, 8);
         let give_up = chaos_round_budget(15, 0.2);
         let cc = chaos(21, 0.2, give_up);
-        let plain = robust_broadcast(&g, cfg(), NodeId(0), &cc, give_up).expect("completes");
+        let plain = broadcast(&g, &cc, give_up).expect("completes");
         let mut prof = qdc_congest::RoundProfiler::new(g.node_count(), g.edge_count(), 32);
-        let observed = robust_broadcast_observed(&g, cfg(), NodeId(0), &cc, give_up, &mut prof)
+        let options = RunOptions::default();
+        let observed = robust_broadcast(&g, cfg(), options, NodeId(0), &cc, give_up, &mut prof)
             .expect("completes");
         assert_eq!(plain.informed, observed.informed);
         assert_eq!(plain.report, observed.report);
@@ -536,7 +515,7 @@ mod tests {
         let g = Graph::path(12);
         let give_up = chaos_round_budget(12, 0.3);
         for seed in 0..5 {
-            let out = robust_broadcast(&g, cfg(), NodeId(0), &chaos(seed, 0.3, give_up), give_up)
+            let out = broadcast(&g, &chaos(seed, 0.3, give_up), give_up)
                 .expect("run completes within the chaos budget");
             assert!(
                 out.informed.iter().all(|&i| i),
@@ -558,8 +537,7 @@ mod tests {
         let give_up = chaos_round_budget(11, 0.2);
         let mut cc = chaos(3, 0.2, give_up);
         cc.crash_schedule = vec![(NodeId(10), 2)];
-        let out =
-            robust_broadcast(&g, cfg(), NodeId(0), &cc, give_up).expect("winds down after give_up");
+        let out = broadcast(&g, &cc, give_up).expect("winds down after give_up");
         assert_eq!(out.report.nodes_crashed, 1);
         for v in 0..10 {
             assert!(out.informed[v], "live node {v} was stranded");
@@ -576,7 +554,7 @@ mod tests {
         let give_up = chaos_round_budget(10, 0.2);
         let mut cc = chaos(11, 0.1, give_up);
         cc.corrupt_prob = 0.2;
-        let out = robust_broadcast(&g, cfg(), NodeId(0), &cc, give_up).expect("completes");
+        let out = broadcast(&g, &cc, give_up).expect("completes");
         assert!(out.informed.iter().all(|&i| i));
         assert!(out.report.bits_corrupted > 0);
     }

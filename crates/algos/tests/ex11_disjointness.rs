@@ -8,13 +8,25 @@
 //! round counts against the closed forms, and the crossover ordering.
 
 use qdc_algos::disjointness::{
-    classical_disjointness, classical_rounds, quantum_disjointness, quantum_disjointness_seeded,
-    quantum_rounds,
+    classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds, DisjointnessRun,
 };
 use qdc_congest::{CongestConfig, NullTelemetry, RunOptions};
 use qdc_graph::generate;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+
+/// The bin's Grover measurement seed.
+const SEED: u64 = 11;
+
+/// An unobserved classical run over a `d`-hop path at budget `B`.
+fn classical(x: &[bool], y: &[bool], d: usize, bandwidth: usize) -> DisjointnessRun {
+    let cfg = CongestConfig::classical(bandwidth);
+    classical_disjointness(x, y, d, cfg, RunOptions::default(), &mut NullTelemetry).0
+}
+
+/// An unobserved quantum run over a `d`-hop path at budget `B`.
+fn quantum(x: &[bool], y: &[bool], d: usize, bandwidth: usize) -> DisjointnessRun {
+    let (cfg, options) = (CongestConfig::quantum(bandwidth), RunOptions::default());
+    quantum_disjointness(x, y, d, cfg, SEED, options, &mut NullTelemetry).0
+}
 
 /// The bin's instance family: pseudorandom `x`, complemented `y`
 /// (disjoint by construction), optionally one shared element forced in
@@ -35,19 +47,17 @@ fn instance(b: usize, plant: bool) -> (Vec<bool>, Vec<bool>, bool) {
 fn ex11_both_protocols_decide_planted_and_disjoint_instances() {
     let d = 16;
     let bandwidth = 16;
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
     for b in [64usize, 256, 1024] {
         for plant in [false, true] {
             let (x, y, planted) = instance(b, plant);
 
-            let c_run = classical_disjointness(&x, &y, d, CongestConfig::classical(bandwidth));
+            let c_run = classical(&x, &y, d, bandwidth);
             assert_eq!(
                 c_run.disjoint, !planted,
                 "classical verdict wrong at b = {b}, plant = {plant}"
             );
 
-            let q_run =
-                quantum_disjointness(&x, &y, d, CongestConfig::quantum(bandwidth), &mut rng);
+            let q_run = quantum(&x, &y, d, bandwidth);
             assert_eq!(
                 q_run.disjoint, !planted,
                 "quantum verdict wrong at b = {b}, plant = {plant}"
@@ -60,11 +70,10 @@ fn ex11_both_protocols_decide_planted_and_disjoint_instances() {
 fn ex11_measured_rounds_match_the_closed_forms() {
     let d = 16;
     let bandwidth = 16;
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
     for b in [64usize, 256, 1024] {
         let (x, y, _) = instance(b, b >= 256);
 
-        let c_run = classical_disjointness(&x, &y, d, CongestConfig::classical(bandwidth));
+        let c_run = classical(&x, &y, d, bandwidth);
         let c_pred = classical_rounds(b, d, bandwidth);
         assert!(
             (c_pred..=c_pred + 2).contains(&c_run.ledger.rounds),
@@ -72,7 +81,7 @@ fn ex11_measured_rounds_match_the_closed_forms() {
             c_run.ledger.rounds
         );
 
-        let q_run = quantum_disjointness(&x, &y, d, CongestConfig::quantum(bandwidth), &mut rng);
+        let q_run = quantum(&x, &y, d, bandwidth);
         assert_eq!(
             q_run.ledger.rounds,
             quantum_rounds(b, d),
@@ -85,7 +94,7 @@ fn ex11_measured_rounds_match_the_closed_forms() {
 fn ex11_seeded_entry_point_is_reproducible() {
     let (x, y, _) = instance(256, true);
     let run = |seed| {
-        let (run, report) = quantum_disjointness_seeded(
+        let (run, report) = quantum_disjointness(
             &x,
             &y,
             4,
@@ -106,13 +115,12 @@ fn ex11_crossover_ordering_holds_on_the_measured_curve() {
     // crossover √b ≈ (π/2)·D·B — below it, classical wins.
     let d = 2;
     let bandwidth = 12;
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
     let mut saw_classical_win = false;
     let mut saw_quantum_win = false;
     for b in [64usize, 1024, 4096] {
         let (x, y, _) = instance(b, b >= 256);
-        let c_run = classical_disjointness(&x, &y, d, CongestConfig::classical(bandwidth));
-        let q_run = quantum_disjointness(&x, &y, d, CongestConfig::quantum(bandwidth), &mut rng);
+        let c_run = classical(&x, &y, d, bandwidth);
+        let q_run = quantum(&x, &y, d, bandwidth);
         let predicted_q_wins = quantum_rounds(b, d) < classical_rounds(b, d, bandwidth);
         let measured_q_wins = q_run.ledger.rounds < c_run.ledger.rounds;
         assert_eq!(

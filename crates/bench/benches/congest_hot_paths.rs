@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdc_algos::verify::verify_hamiltonian_cycle;
 use qdc_algos::{flood, Ledger};
-use qdc_congest::{BitString, CongestConfig, RunOptions, Simulator};
+use qdc_congest::{BitString, CongestConfig, NullTelemetry, RoundProfiler, RunOptions, Simulator};
 use qdc_graph::{generate, Graph};
 use qdc_simthm::{SimThmPoint, SimulationNetwork};
 use std::hint::black_box;
@@ -124,11 +124,18 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         l: 17,
         bandwidth: 32,
     };
+    let options = RunOptions::default();
     g.bench_function("run_point/null_sink", |b| {
-        b.iter(|| qdc_simthm::campaign::run_point(black_box(&point)))
+        b.iter(|| qdc_simthm::campaign::run_point(black_box(&point), options, |_| NullTelemetry))
     });
     g.bench_function("run_point/profiler", |b| {
-        b.iter(|| qdc_simthm::campaign::run_point_observed(black_box(&point)))
+        b.iter(|| {
+            qdc_simthm::campaign::run_point(black_box(&point), options, |net| {
+                let graph = net.graph();
+                RoundProfiler::new(graph.node_count(), graph.edge_count(), point.bandwidth)
+                    .with_classes(qdc_simthm::campaign::highway_classes(net))
+            })
+        })
     });
     g.finish();
 }

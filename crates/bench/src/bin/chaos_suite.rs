@@ -12,7 +12,8 @@
 use qdc_algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc_bench::{fmt_f, print_header, print_row};
 use qdc_congest::{
-    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator,
+    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox,
+    RunOptions, Simulator,
 };
 use qdc_graph::{generate, Graph, NodeId};
 
@@ -95,8 +96,10 @@ fn main() {
             let naive_cov =
                 naive.iter().filter(|x| x.informed).count() as f64 / g.node_count() as f64;
 
-            let out = robust_broadcast(g, cfg, NodeId(0), &cc, give_up)
-                .expect("robust flood winds down within the budget");
+            let options = RunOptions::default();
+            let out =
+                robust_broadcast(g, cfg, options, NodeId(0), &cc, give_up, &mut NullTelemetry)
+                    .expect("robust flood winds down within the budget");
             let robust_cov =
                 out.informed.iter().filter(|&&x| x).count() as f64 / g.node_count() as f64;
 

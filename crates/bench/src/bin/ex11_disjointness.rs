@@ -10,15 +10,14 @@ use qdc_algos::disjointness::{
     classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds,
 };
 use qdc_bench::{fmt_f, print_header, print_row};
-use qdc_congest::CongestConfig;
+use qdc_congest::{CongestConfig, NullTelemetry, RunOptions};
 use qdc_graph::generate;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn main() {
     let d = 16; // path length (distance between the input holders)
     let bandwidth = 16;
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    let seed = 11; // the Grover measurement stream
+    let options = RunOptions::default();
 
     println!("=== Example 1.1 (a): measured runs at distance D = {d}, B = {bandwidth} ===\n");
     let widths = [8, 12, 14, 14, 12];
@@ -33,8 +32,11 @@ fn main() {
             y[b / 2] = x[b / 2]; // plant an intersection for larger b
         }
         let planted = x.iter().zip(&y).any(|(&a, &c)| a && c);
-        let c_run = classical_disjointness(&x, &y, d, CongestConfig::classical(bandwidth));
-        let q_run = quantum_disjointness(&x, &y, d, CongestConfig::quantum(bandwidth), &mut rng);
+        let classical = CongestConfig::classical(bandwidth);
+        let (c_run, _) = classical_disjointness(&x, &y, d, classical, options, &mut NullTelemetry);
+        let quantum = CongestConfig::quantum(bandwidth);
+        let (q_run, _) =
+            quantum_disjointness(&x, &y, d, quantum, seed, options, &mut NullTelemetry);
         assert_eq!(c_run.disjoint, !planted);
         assert_eq!(q_run.disjoint, !planted);
         print_row(

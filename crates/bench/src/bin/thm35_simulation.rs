@@ -8,7 +8,9 @@
 //! `O(B log L)`-per-round claim of Theorem 3.5.
 
 use qdc_bench::{print_header, print_row};
-use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
+use qdc_congest::{
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
+};
 use qdc_graph::generate;
 use qdc_simthm::{audit_trace, SimulationNetwork};
 
@@ -81,13 +83,15 @@ fn main() {
         let width = qdc_algos::widths::id_width(net.graph().node_count());
         let cfg = CongestConfig::quantum(bandwidth);
         let sim = Simulator::new(net.graph(), cfg);
-        let (_, report, trace) = sim.run_traced(
+        let mut trace = TrafficTrace::default();
+        let (_, report) = sim.run_observed(
             |info| ComponentFlood {
                 label: info.id.0 as u64,
                 active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
                 width,
             },
             net.horizon(),
+            &mut trace,
         );
         let audit = audit_trace(&net, &trace, bandwidth);
         assert!(audit.within_budget, "Theorem 3.5 budget must hold");

@@ -11,6 +11,7 @@
 
 use crate::{fmt_header, fmt_row};
 use qdc_congest::{RoundProfile, StreamAggregate, TopK};
+use qdc_harness::stream_telemetry_archives;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -98,32 +99,18 @@ impl RoundWindow {
 /// directory to every `point_<i>.telemetry.jsonl` inside it in point
 /// order. `-` is handled by the caller (stdin has no path).
 pub fn expand_input(path: &Path) -> Result<Vec<PathBuf>, String> {
-    if path.is_dir() {
-        let entries = std::fs::read_dir(path)
-            .map_err(|e| format!("cannot list `{}`: {e}", path.display()))?;
-        let mut indexed = Vec::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(i) = name
-                .strip_prefix("point_")
-                .and_then(|s| s.strip_suffix(".telemetry.jsonl"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                indexed.push((i, entry.path()));
-            }
-        }
-        if indexed.is_empty() {
-            return Err(format!(
-                "`{}` holds no point_<i>.telemetry.jsonl archives",
-                path.display()
-            ));
-        }
-        indexed.sort();
-        Ok(indexed.into_iter().map(|(_, p)| p).collect())
-    } else {
-        Ok(vec![path.to_path_buf()])
+    if !path.is_dir() {
+        return Ok(vec![path.to_path_buf()]);
     }
+    let archives = stream_telemetry_archives(path)
+        .map_err(|e| format!("cannot list `{}`: {e}", path.display()))?;
+    if archives.is_empty() {
+        return Err(format!(
+            "`{}` holds no point_<i>.telemetry.jsonl archives",
+            path.display()
+        ));
+    }
+    Ok(archives)
 }
 
 fn top_table(out: &mut String, what: &str, sketch: &TopK, limit: usize) {

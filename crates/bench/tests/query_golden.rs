@@ -65,7 +65,7 @@ fn write_quantum_archive(path: &Path) {
     y[32] = true;
     let mut buf = Vec::new();
     let mut sink = StreamSink::new(&mut buf, 4, 3, 16, 8).with_quantum(true);
-    let _ = qdc_algos::disjointness::quantum_disjointness_seeded(
+    let _ = qdc_algos::disjointness::quantum_disjointness(
         &x,
         &y,
         3,

@@ -11,9 +11,10 @@
 //! delivery order (sender id, then port), two runs with the same config
 //! replay **byte-exactly**: same drops, same corruptions, same
 //! [`RunReport`](crate::RunReport), whether executed in batch
-//! ([`Simulator::try_run`](crate::Simulator::try_run)), traced
-//! ([`try_run_traced`](crate::Simulator::try_run_traced)) or one round
-//! at a time ([`Stepper::with_chaos`](crate::Stepper::with_chaos)).
+//! ([`Simulator::try_run`](crate::Simulator::try_run)), observed by a
+//! trace or any other sink
+//! ([`try_run_observed`](crate::Simulator::try_run_observed)) or one
+//! round at a time ([`Stepper::with_chaos`](crate::Stepper::with_chaos)).
 //!
 //! Faults only ever *remove* information: a dropped message vanishes, a
 //! crashed node stops sending and receiving, and a corrupted payload is

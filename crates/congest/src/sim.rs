@@ -621,8 +621,13 @@ pub struct TracedMessage {
     pub bits: usize,
 }
 
-/// Per-round record of every delivered message, produced by
-/// [`Simulator::run_traced`]. Entry `r` of [`rounds`](TrafficTrace::rounds)
+/// Per-round record of every delivered message: a [`Telemetry`] sink
+/// that keeps the `from`/`to`/`bits` of each
+/// [`on_delivery`](Telemetry::on_delivery) and counts each
+/// [`on_chaos_drop`](Telemetry::on_chaos_drop). Drive it with any
+/// observed entry point ([`Simulator::run_observed`],
+/// [`Simulator::try_run_observed`], [`Stepper::step_observed`]), alone or
+/// paired with other sinks. Entry `r` of [`rounds`](TrafficTrace::rounds)
 /// holds the messages delivered at the start of round `r + 1` of the
 /// unified round loop (sent during round `r`, with round 0 being
 /// `on_start`) — the same delivery schedule [`Stepper::step`] walks one
@@ -636,6 +641,22 @@ pub struct TrafficTrace {
     /// [`rounds`](TrafficTrace::rounds), so trace consumers can line up
     /// delivered and lost traffic per round.
     pub dropped: Vec<u64>,
+}
+
+impl Telemetry for TrafficTrace {
+    fn on_round_start(&mut self, _round: usize) {
+        self.rounds.push(Vec::new());
+        self.dropped.push(0);
+    }
+
+    fn on_delivery(&mut self, _round: usize, _edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        let round = self.rounds.last_mut().expect("span is open");
+        round.push(TracedMessage { from, to, bits });
+    }
+
+    fn on_chaos_drop(&mut self, _round: usize, _edge: EdgeId, _from: NodeId, _to: NodeId) {
+        *self.dropped.last_mut().expect("span is open") += 1;
+    }
 }
 
 /// The lockstep CONGEST simulator over a fixed network graph.
@@ -765,41 +786,31 @@ impl<'g> Simulator<'g> {
         A: NodeAlgorithm,
         F: FnMut(&NodeInfo) -> A,
     {
-        let (nodes, report, _) = self
-            .run_core(init, max_rounds, false, None, true, &mut NullTelemetry)
-            .unwrap_or_else(|_| unreachable!("strict fault-free runs cannot fail"));
-        (nodes, report)
+        self.run_observed(init, max_rounds, &mut NullTelemetry)
     }
 
-    /// Like [`run`](Simulator::run), but also records every delivered
-    /// message per round — used by the Quantum Simulation Theorem
-    /// machinery to audit which messages cross party-ownership boundaries.
-    pub fn run_traced<A, F>(&self, init: F, max_rounds: usize) -> (Vec<A>, RunReport, TrafficTrace)
-    where
-        A: NodeAlgorithm,
-        F: FnMut(&NodeInfo) -> A,
-    {
-        self.run_core(init, max_rounds, true, None, true, &mut NullTelemetry)
-            .unwrap_or_else(|_| unreachable!("strict fault-free runs cannot fail"))
-    }
-
-    /// [`run_traced`](Simulator::run_traced) with a [`Telemetry`] sink
-    /// observing every round: span open/close, one event per delivered
-    /// message (edge, endpoints, exact bit count), and the quiescence
-    /// outcome. Telemetry observes, never perturbs — the states, report
-    /// and trace are bit-for-bit those of the unobserved run.
-    pub fn run_traced_observed<A, F, T>(
+    /// [`run`](Simulator::run) with a [`Telemetry`] sink observing every
+    /// round: span open/close, one event per delivered message (edge,
+    /// endpoints, exact bit count), and the quiescence outcome.
+    /// Telemetry observes, never perturbs — the states and report are
+    /// bit-for-bit those of the unobserved run.
+    ///
+    /// A [`TrafficTrace`] is a sink too: pass `&mut trace` to record
+    /// every delivered message per round (the Quantum Simulation Theorem
+    /// machinery audits it for party-ownership crossings), or a pair such
+    /// as `&mut (&mut trace, &mut profiler)` to trace and profile one run.
+    pub fn run_observed<A, F, T>(
         &self,
         init: F,
         max_rounds: usize,
         telemetry: &mut T,
-    ) -> (Vec<A>, RunReport, TrafficTrace)
+    ) -> (Vec<A>, RunReport)
     where
         A: NodeAlgorithm,
         F: FnMut(&NodeInfo) -> A,
         T: Telemetry,
     {
-        self.run_core(init, max_rounds, true, None, true, telemetry)
+        self.run_core(init, max_rounds, None, true, telemetry)
             .unwrap_or_else(|_| unreachable!("strict fault-free runs cannot fail"))
     }
 
@@ -825,17 +836,7 @@ impl<'g> Simulator<'g> {
         A: NodeAlgorithm,
         F: FnMut(&NodeInfo) -> A,
     {
-        chaos.validate()?;
-        let plan = FaultPlan::new(chaos, self.graph.node_count());
-        let (nodes, report, _) = self.run_core(
-            init,
-            chaos.max_rounds_watchdog,
-            false,
-            Some(plan),
-            false,
-            &mut NullTelemetry,
-        )?;
-        Ok((nodes, report))
+        self.try_run_observed(init, chaos, &mut NullTelemetry)
     }
 
     /// [`try_run`](Simulator::try_run) with a [`Telemetry`] sink
@@ -843,7 +844,9 @@ impl<'g> Simulator<'g> {
     /// faulting edge (drops, in-flight corruption, crash activations).
     /// The [`FaultPlan`] is consulted in exactly the unobserved order,
     /// so the outcome is bit-for-bit that of
-    /// [`try_run`](Simulator::try_run) under the same config.
+    /// [`try_run`](Simulator::try_run) under the same config. A
+    /// [`TrafficTrace`] sink records delivered and dropped messages per
+    /// round.
     #[must_use = "dropping the Result loses both the final states and the SimError diagnosis"]
     pub fn try_run_observed<A, F, T>(
         &self,
@@ -858,38 +861,12 @@ impl<'g> Simulator<'g> {
     {
         chaos.validate()?;
         let plan = FaultPlan::new(chaos, self.graph.node_count());
-        let (nodes, report, _) = self.run_core(
-            init,
-            chaos.max_rounds_watchdog,
-            false,
-            Some(plan),
-            false,
-            telemetry,
-        )?;
-        Ok((nodes, report))
-    }
-
-    /// [`try_run`](Simulator::try_run) with a per-round [`TrafficTrace`]
-    /// of delivered and dropped messages.
-    #[must_use = "dropping the Result loses the states, the trace, and the SimError diagnosis"]
-    pub fn try_run_traced<A, F>(
-        &self,
-        init: F,
-        chaos: &ChaosConfig,
-    ) -> Result<(Vec<A>, RunReport, TrafficTrace), SimError>
-    where
-        A: NodeAlgorithm,
-        F: FnMut(&NodeInfo) -> A,
-    {
-        chaos.validate()?;
-        let plan = FaultPlan::new(chaos, self.graph.node_count());
         self.run_core(
             init,
             chaos.max_rounds_watchdog,
-            true,
             Some(plan),
             false,
-            &mut NullTelemetry,
+            telemetry,
         )
     }
 
@@ -902,42 +879,33 @@ impl<'g> Simulator<'g> {
         &self,
         init: F,
         max_rounds: usize,
-        traced: bool,
         plan: Option<FaultPlan>,
         strict: bool,
         telemetry: &mut T,
-    ) -> Result<(Vec<A>, RunReport, TrafficTrace), SimError>
+    ) -> Result<(Vec<A>, RunReport), SimError>
     where
         A: NodeAlgorithm,
         F: FnMut(&NodeInfo) -> A,
         T: Telemetry,
     {
         let mut engine = self.engine_start(init, plan, strict);
-        let mut trace = TrafficTrace::default();
         loop {
             if let Some(defect) = engine.defect {
                 return Err(defect);
             }
             if engine.is_quiescent() {
                 engine.report.completed = true;
-                return Ok((engine.nodes, engine.report, trace));
+                return Ok((engine.nodes, engine.report));
             }
             if engine.report.rounds >= max_rounds {
                 if strict {
-                    return Ok((engine.nodes, engine.report, trace));
+                    return Ok((engine.nodes, engine.report));
                 }
                 return Err(SimError::WatchdogTripped {
                     rounds: engine.report.rounds,
                 });
             }
-            if traced {
-                let mut round_trace = Vec::new();
-                let summary = self.engine_round(&mut engine, Some(&mut round_trace), telemetry);
-                trace.rounds.push(round_trace);
-                trace.dropped.push(summary.dropped);
-            } else {
-                self.engine_round(&mut engine, None, telemetry);
-            }
+            self.engine_round(&mut engine, telemetry);
         }
     }
 
@@ -1017,7 +985,6 @@ impl<'g> Simulator<'g> {
     fn engine_round<A: NodeAlgorithm, T: Telemetry>(
         &self,
         engine: &mut Engine<A>,
-        mut round_trace: Option<&mut Vec<TracedMessage>>,
         telemetry: &mut T,
     ) -> StepSummary {
         let round = engine.report.rounds + 1;
@@ -1123,13 +1090,6 @@ impl<'g> Simulator<'g> {
                 bits += kept as u64;
                 if T::ENABLED {
                     telemetry.on_delivery(round, info.incident_edges[p], info.id, v, kept);
-                }
-                if let Some(tr) = round_trace.as_deref_mut() {
-                    tr.push(TracedMessage {
-                        from: info.id,
-                        to: v,
-                        bits: kept,
-                    });
                 }
             }
         }
@@ -1518,7 +1478,7 @@ impl<'g, A: NodeAlgorithm> Stepper<'g, A> {
                 dropped: 0,
             };
         }
-        self.sim.engine_round(&mut self.engine, None, telemetry)
+        self.sim.engine_round(&mut self.engine, telemetry)
     }
 
     /// Steps until quiescence or `max_rounds`, whichever comes first.
@@ -2082,7 +2042,10 @@ mod tests {
         };
         let sim = Simulator::new(&g, cfg);
         let (batch, batch_report) = sim.try_run(make, &chaos).expect("completes");
-        let (traced, traced_report, trace) = sim.try_run_traced(make, &chaos).expect("completes");
+        let mut trace = TrafficTrace::default();
+        let (traced, traced_report) = sim
+            .try_run_observed(make, &chaos, &mut trace)
+            .expect("completes");
         assert_eq!(batch_report, traced_report);
         let traced_delivered: usize = trace.rounds.iter().map(Vec::len).sum();
         assert_eq!(traced_delivered as u64, traced_report.messages_sent);
@@ -2239,10 +2202,12 @@ mod tests {
             heard: 0,
             need: info.degree(),
         };
-        let (plain, plain_report, plain_trace) = sim.run_traced(make, 10);
+        let mut plain_trace = TrafficTrace::default();
+        let (plain, plain_report) = sim.run_observed(make, 10, &mut plain_trace);
         let mut prof = RoundProfiler::new(g.node_count(), g.edge_count(), 16);
-        let (observed, observed_report, observed_trace) =
-            sim.run_traced_observed(make, 10, &mut prof);
+        let mut observed_trace = TrafficTrace::default();
+        let (observed, observed_report) =
+            sim.run_observed(make, 10, &mut (&mut observed_trace, &mut prof));
         assert_eq!(plain_report, observed_report);
         assert_eq!(plain_trace.rounds, observed_trace.rounds);
         assert_eq!(plain_trace.dropped, observed_trace.dropped);
@@ -2308,7 +2273,7 @@ mod tests {
         };
         let sim = Simulator::new(&g, cfg);
         let mut batch_prof = RoundProfiler::new(g.node_count(), g.edge_count(), 16);
-        sim.run_traced_observed(make, 10, &mut batch_prof);
+        sim.run_observed(make, 10, &mut batch_prof);
         let batch = batch_prof.finish();
 
         let mut stepper = Stepper::new(&g, cfg, make);

@@ -46,13 +46,12 @@
 
 use crate::jsonl::Cursor;
 use crate::telemetry::{
-    parse_flag, parse_round_line, write_round_line, NodeClass, QubitSplit, RoundProfile, Telemetry,
-    TelemetryParseError,
+    parse_flag, parse_round_line, write_round_line, NodeClass, QubitSplit, RoundFold, RoundProfile,
+    Telemetry, TelemetryParseError,
 };
 use qdc_graph::{EdgeId, NodeId};
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
-use std::time::Instant;
 
 /// The schema tag on the header line of a `qdc-telemetry-stream/v1`
 /// archive.
@@ -416,7 +415,9 @@ fn write_footer_line(out: &mut String, agg: &StreamAggregate) {
     out.push_str("}\n");
 }
 
-/// The O(1)-memory streaming telemetry sink.
+/// The O(1)-memory streaming telemetry sink: the per-round fold it
+/// shares with [`RoundProfiler`](crate::RoundProfiler), plus the top-K
+/// sketches and the line writer.
 ///
 /// Construct with the observed network's dimensions, optionally install
 /// a [`NodeClass`] vector ([`with_classes`](StreamSink::with_classes))
@@ -437,16 +438,9 @@ pub struct StreamSink<W: Write> {
     out: W,
     buf: String,
     flush_bytes: usize,
-    with_wall: bool,
     header_written: bool,
-    classes: Option<Vec<NodeClass>>,
-    /// Quantum accounting mode, mirroring
-    /// [`RoundProfiler::with_quantum`](crate::RoundProfiler::with_quantum):
-    /// `Some(teleport)` makes every round line carry a `qsplit`.
-    quantum: Option<bool>,
-    scratch: RoundProfile,
+    fold: RoundFold,
     agg: StreamAggregate,
-    span_open: Option<Instant>,
     io_error: Option<std::io::Error>,
 }
 
@@ -459,13 +453,9 @@ impl<W: Write> StreamSink<W> {
             out,
             buf: String::new(),
             flush_bytes: STREAM_FLUSH_BYTES,
-            with_wall: false,
             header_written: false,
-            classes: None,
-            quantum: None,
-            scratch: RoundProfile::default(),
+            fold: RoundFold::new(bandwidth_bits, false),
             agg: StreamAggregate::new(nodes, edges, bandwidth_bits, top_k),
-            span_open: None,
             io_error: None,
         }
     }
@@ -485,7 +475,7 @@ impl<W: Write> StreamSink<W> {
             "classification must cover every node"
         );
         self.agg.header.classified = true;
-        self.classes = Some(classes);
+        self.fold.classes = Some(classes);
         self
     }
 
@@ -497,14 +487,14 @@ impl<W: Write> StreamSink<W> {
     /// teleportation (Appendix B). Leave off for classical channels so
     /// the archive stays byte-identical to the pre-quantum grammar.
     pub fn with_quantum(mut self, teleport: bool) -> Self {
-        self.quantum = Some(teleport);
+        self.fold.quantum = Some(teleport);
         self
     }
 
     /// Enables the volatile `wall_ns` field on round lines. Off by
     /// default — the deterministic, byte-identical form.
     pub fn with_wall(mut self, with_wall: bool) -> Self {
-        self.with_wall = with_wall;
+        self.fold.sample_wall = with_wall;
         self
     }
 
@@ -555,74 +545,41 @@ impl<W: Write> StreamSink<W> {
 impl<W: Write> Telemetry for StreamSink<W> {
     fn on_round_start(&mut self, round: usize) {
         self.ensure_header();
-        self.scratch = RoundProfile {
-            round,
-            qsplit: self.quantum.map(|_| QubitSplit::default()),
-            ..RoundProfile::default()
-        };
-        if self.with_wall {
-            self.span_open = Some(Instant::now());
-        }
+        self.fold.on_round_start(round);
     }
 
-    fn on_delivery(&mut self, _round: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
-        let bits64 = bits as u64;
-        let p = &mut self.scratch;
-        p.messages += 1;
-        p.bits += bits64;
-        p.util[crate::telemetry::util_bucket(bits, self.agg.header.bandwidth)] += 1;
-        if let Some(teleport) = self.quantum {
-            let q = p.qsplit.get_or_insert_with(QubitSplit::default);
-            q.qubit_bits += bits64;
-            if teleport {
-                q.classical_bits += 2 * bits64;
-            }
-        }
-        if let Some(classes) = &self.classes {
-            match (classes[from.index()], classes[to.index()]) {
-                (NodeClass::Path, NodeClass::Path) => p.path_bits += bits64,
-                (NodeClass::Highway, NodeClass::Highway) => p.highway_bits += bits64,
-                _ => p.cross_bits += bits64,
-            }
-        }
-        self.agg.top_edges.observe(edge.index(), bits64, 1);
-        self.agg.top_nodes.observe(from.index(), bits64, 1);
-        self.agg.top_nodes.observe(to.index(), bits64, 1);
+    fn on_delivery(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        self.fold.on_delivery(round, edge, from, to, bits);
+        let bits = bits as u64;
+        self.agg.top_edges.observe(edge.index(), bits, 1);
+        self.agg.top_nodes.observe(from.index(), bits, 1);
+        self.agg.top_nodes.observe(to.index(), bits, 1);
     }
 
-    fn on_chaos_drop(&mut self, _round: usize, _edge: EdgeId, _from: NodeId, _to: NodeId) {
-        self.scratch.dropped += 1;
+    fn on_chaos_drop(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId) {
+        self.fold.on_chaos_drop(round, edge, from, to);
     }
 
     fn on_chaos_corrupt(
         &mut self,
-        _round: usize,
-        _edge: EdgeId,
-        _from: NodeId,
-        _to: NodeId,
+        round: usize,
+        edge: EdgeId,
+        from: NodeId,
+        to: NodeId,
         bits_lost: u64,
     ) {
-        self.scratch.corrupted_bits += bits_lost;
+        self.fold.on_chaos_corrupt(round, edge, from, to, bits_lost);
     }
 
-    fn on_crash(&mut self, _round: usize, _node: NodeId) {
-        self.scratch.crashes += 1;
+    fn on_crash(&mut self, round: usize, node: NodeId) {
+        self.fold.on_crash(round, node);
     }
 
     fn on_round_end(&mut self, round: usize, quiescent: bool, live_slots: u64) {
-        debug_assert_eq!(self.scratch.round, round, "round spans nest properly");
-        let p = &mut self.scratch;
-        p.quiescent = quiescent;
-        // Same idle accounting as RoundProfiler: live capacity minus
-        // delivered messages; crashed capacity is dead, not idle.
-        p.util[0] = live_slots.saturating_sub(p.messages);
-        p.wall_ns = self
-            .span_open
-            .take()
-            .map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.agg.totals.absorb(p);
+        self.fold.on_round_end(round, quiescent, live_slots);
+        self.agg.totals.absorb(self.fold.round());
         if self.io_error.is_none() {
-            write_round_line(&mut self.buf, &self.scratch, self.with_wall);
+            write_round_line(&mut self.buf, self.fold.round(), self.fold.sample_wall);
             if self.buf.len() >= self.flush_bytes {
                 self.flush_buf();
             }

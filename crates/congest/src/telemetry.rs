@@ -23,7 +23,12 @@
 //! per-round edge-utilisation histograms against the `B`-bit budget,
 //! cumulative per-node send/receive totals, per-edge totals with fault
 //! attribution, and (via the [`NodeClass`] classification hook) a
-//! highway-vs-path traffic split for the simulation-theorem network.
+//! highway-vs-path traffic split for the simulation-theorem network. Its
+//! per-round fold is shared with the streaming
+//! [`StreamSink`](crate::StreamSink). The per-message
+//! [`TrafficTrace`](crate::TrafficTrace) is a sink too, and sinks
+//! compose: `&mut T` observes as `T` does, and a pair `(A, B)` forwards
+//! every event to `A` then `B`, so several sinks can ride one run.
 //!
 //! Wall-clock time is sampled by the *sink* (not the engine) at span
 //! open/close, and the serialized form keeps it in an omittable final
@@ -127,6 +132,88 @@ pub struct NullTelemetry;
 
 impl Telemetry for NullTelemetry {
     const ENABLED: bool = false;
+}
+
+/// A borrowed sink observes exactly as the sink itself — what lets a
+/// caller keep ownership of the sinks it pairs up.
+impl<T: Telemetry> Telemetry for &mut T {
+    const ENABLED: bool = T::ENABLED;
+
+    fn on_round_start(&mut self, round: usize) {
+        (**self).on_round_start(round);
+    }
+
+    fn on_delivery(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        (**self).on_delivery(round, edge, from, to, bits);
+    }
+
+    fn on_chaos_drop(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId) {
+        (**self).on_chaos_drop(round, edge, from, to);
+    }
+
+    fn on_chaos_corrupt(
+        &mut self,
+        round: usize,
+        edge: EdgeId,
+        from: NodeId,
+        to: NodeId,
+        bits_lost: u64,
+    ) {
+        (**self).on_chaos_corrupt(round, edge, from, to, bits_lost);
+    }
+
+    fn on_crash(&mut self, round: usize, node: NodeId) {
+        (**self).on_crash(round, node);
+    }
+
+    fn on_round_end(&mut self, round: usize, quiescent: bool, live_slots: u64) {
+        (**self).on_round_end(round, quiescent, live_slots);
+    }
+}
+
+/// Two sinks riding one run: every event goes to `A`, then to `B`, so a
+/// trace, a profile and a stream archive can all observe the same run
+/// (nest pairs for more than two). The pair is enabled when either half
+/// is.
+impl<A: Telemetry, B: Telemetry> Telemetry for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    fn on_round_start(&mut self, round: usize) {
+        self.0.on_round_start(round);
+        self.1.on_round_start(round);
+    }
+
+    fn on_delivery(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        self.0.on_delivery(round, edge, from, to, bits);
+        self.1.on_delivery(round, edge, from, to, bits);
+    }
+
+    fn on_chaos_drop(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId) {
+        self.0.on_chaos_drop(round, edge, from, to);
+        self.1.on_chaos_drop(round, edge, from, to);
+    }
+
+    fn on_chaos_corrupt(
+        &mut self,
+        round: usize,
+        edge: EdgeId,
+        from: NodeId,
+        to: NodeId,
+        bits_lost: u64,
+    ) {
+        self.0.on_chaos_corrupt(round, edge, from, to, bits_lost);
+        self.1.on_chaos_corrupt(round, edge, from, to, bits_lost);
+    }
+
+    fn on_crash(&mut self, round: usize, node: NodeId) {
+        self.0.on_crash(round, node);
+        self.1.on_crash(round, node);
+    }
+
+    fn on_round_end(&mut self, round: usize, quiescent: bool, live_slots: u64) {
+        self.0.on_round_end(round, quiescent, live_slots);
+        self.1.on_round_end(round, quiescent, live_slots);
+    }
 }
 
 /// Which side of the simulation-theorem network a node sits on — the
@@ -681,164 +768,117 @@ pub(crate) fn parse_round_line(
     Ok(p)
 }
 
-/// The standard folding sink: accumulates the engine's event stream into
-/// a [`TelemetryReport`].
+/// The per-round fold both folding sinks share: turns one round's events
+/// into its [`RoundProfile`] — message and bit counts, fault counts, the
+/// utilisation histogram against the `B`-bit budget, the
+/// path/highway/cross split (with a [`NodeClass`] vector installed) and,
+/// in quantum mode, the [`QubitSplit`]. [`RoundProfiler`] retains every
+/// folded round; [`StreamSink`](crate::StreamSink) writes each one out
+/// and keeps only running totals.
 ///
-/// Construct it with the observed network's dimensions (the sink cannot
-/// see the graph), optionally install a [`NodeClass`] vector via
-/// [`with_classes`](RoundProfiler::with_classes), drive a run with
-/// [`Simulator::try_run_observed`](crate::Simulator::try_run_observed)
-/// (or the traced / stepped variants), then call
-/// [`finish`](RoundProfiler::finish).
+/// Wall time is stamped only when `sample_wall` is set: the profiler
+/// always samples it, the stream sink only when asked for `wall_ns`.
 #[derive(Clone, Debug)]
-pub struct RoundProfiler {
-    classes: Option<Vec<NodeClass>>,
-    /// Quantum accounting mode: `Some(teleport)` makes every round
-    /// carry a [`QubitSplit`] — delivered bits count as qubits, and
-    /// with `teleport` each qubit also charges 2 classical bits.
-    quantum: Option<bool>,
-    report: TelemetryReport,
+pub(crate) struct RoundFold {
+    bandwidth: usize,
+    pub(crate) classes: Option<Vec<NodeClass>>,
+    /// Quantum accounting mode: `Some(teleport)` makes every round carry
+    /// a [`QubitSplit`] — delivered bits count as qubits, and with
+    /// `teleport` each qubit also charges 2 classical bits.
+    pub(crate) quantum: Option<bool>,
+    pub(crate) sample_wall: bool,
+    round: RoundProfile,
     span_open: Option<Instant>,
 }
 
-impl RoundProfiler {
-    /// A profiler for a network of `nodes` nodes and `edges` edges under
-    /// CONGEST budget `bandwidth_bits`.
-    pub fn new(nodes: usize, edges: usize, bandwidth_bits: usize) -> Self {
-        RoundProfiler {
+impl RoundFold {
+    pub(crate) fn new(bandwidth: usize, sample_wall: bool) -> Self {
+        RoundFold {
+            bandwidth,
             classes: None,
             quantum: None,
-            report: TelemetryReport {
-                nodes,
-                edges,
-                bandwidth: bandwidth_bits,
-                classified: false,
-                rounds: Vec::new(),
-                node_totals: vec![NodeTotals::default(); nodes],
-                edge_totals: vec![EdgeTotals::default(); edges],
-            },
+            sample_wall,
+            round: RoundProfile::default(),
             span_open: None,
         }
     }
 
-    /// Switches the profiler into quantum accounting: every round
-    /// profile carries a [`QubitSplit`] where delivered payload counts
-    /// as qubits, and with `teleport` each qubit additionally charges
-    /// the 2 classical bits of its teleportation (Appendix B). Matches
-    /// [`CongestConfig::quantum`](crate::CongestConfig::quantum) /
-    /// [`quantum_teleport`](crate::CongestConfig::quantum_teleport)
-    /// runs; leave off for classical channels so the serialized report
-    /// carries no `qsplit` fields.
-    pub fn with_quantum(mut self, teleport: bool) -> Self {
-        self.quantum = Some(teleport);
-        self
-    }
-
-    /// Installs a node classification (index = node id), enabling the
-    /// per-round path/highway/cross traffic split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes.len()` differs from the node count.
-    pub fn with_classes(mut self, classes: Vec<NodeClass>) -> Self {
-        assert_eq!(
-            classes.len(),
-            self.report.nodes,
-            "classification must cover every node"
-        );
-        self.report.classified = true;
-        self.classes = Some(classes);
-        self
-    }
-
-    /// Extracts the folded report.
-    pub fn finish(self) -> TelemetryReport {
-        self.report
+    /// The round being folded (complete once
+    /// [`on_round_end`](Telemetry::on_round_end) has run).
+    pub(crate) fn round(&self) -> &RoundProfile {
+        &self.round
     }
 
     fn current(&mut self, round: usize) -> &mut RoundProfile {
         debug_assert_eq!(
-            self.report.rounds.last().map(|p| p.round),
-            Some(round),
+            self.round.round, round,
             "telemetry events must arrive inside the round's span"
         );
-        self.report.rounds.last_mut().expect("span is open")
+        &mut self.round
     }
 }
 
 /// The quarter-of-budget bucket a delivered message falls in (1..=4;
 /// bucket 0 is reserved for idle slots).
-pub(crate) fn util_bucket(bits: usize, budget: usize) -> usize {
+fn util_bucket(bits: usize, budget: usize) -> usize {
     if budget == 0 {
         return 4;
     }
     (4 * bits).div_ceil(budget).clamp(1, 4)
 }
 
-impl Telemetry for RoundProfiler {
+impl Telemetry for RoundFold {
     fn on_round_start(&mut self, round: usize) {
-        debug_assert_eq!(round, self.report.rounds.len() + 1, "rounds are contiguous");
-        self.report.rounds.push(RoundProfile {
+        self.round = RoundProfile {
             round,
             qsplit: self.quantum.map(|_| QubitSplit::default()),
             ..RoundProfile::default()
-        });
-        self.span_open = Some(Instant::now());
+        };
+        if self.sample_wall {
+            self.span_open = Some(Instant::now());
+        }
     }
 
-    fn on_delivery(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
-        let budget = self.report.bandwidth;
-        let split = self.classes.as_ref().map(|classes| {
-            match (classes[from.index()], classes[to.index()]) {
-                (NodeClass::Path, NodeClass::Path) => 0,
-                (NodeClass::Highway, NodeClass::Highway) => 1,
-                _ => 2,
-            }
-        });
+    fn on_delivery(&mut self, round: usize, _edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        let bits64 = bits as u64;
+        let bucket = util_bucket(bits, self.bandwidth);
+        let split = self
+            .classes
+            .as_ref()
+            .map(|classes| (classes[from.index()], classes[to.index()]));
         let quantum = self.quantum;
         let p = self.current(round);
         p.messages += 1;
-        p.bits += bits as u64;
-        p.util[util_bucket(bits, budget)] += 1;
+        p.bits += bits64;
+        p.util[bucket] += 1;
         if let Some(teleport) = quantum {
             let q = p.qsplit.get_or_insert_with(QubitSplit::default);
-            q.qubit_bits += bits as u64;
+            q.qubit_bits += bits64;
             if teleport {
-                q.classical_bits += 2 * bits as u64;
+                q.classical_bits += 2 * bits64;
             }
         }
         match split {
-            Some(0) => p.path_bits += bits as u64,
-            Some(1) => p.highway_bits += bits as u64,
-            Some(_) => p.cross_bits += bits as u64,
+            Some((NodeClass::Path, NodeClass::Path)) => p.path_bits += bits64,
+            Some((NodeClass::Highway, NodeClass::Highway)) => p.highway_bits += bits64,
+            Some(_) => p.cross_bits += bits64,
             None => {}
         }
-        let n = &mut self.report.node_totals[from.index()];
-        n.sent_messages += 1;
-        n.sent_bits += bits as u64;
-        let n = &mut self.report.node_totals[to.index()];
-        n.recv_messages += 1;
-        n.recv_bits += bits as u64;
-        let e = &mut self.report.edge_totals[edge.index()];
-        e.messages += 1;
-        e.bits += bits as u64;
     }
 
-    fn on_chaos_drop(&mut self, round: usize, edge: EdgeId, _from: NodeId, _to: NodeId) {
+    fn on_chaos_drop(&mut self, round: usize, _edge: EdgeId, _from: NodeId, _to: NodeId) {
         self.current(round).dropped += 1;
-        self.report.edge_totals[edge.index()].dropped += 1;
     }
 
     fn on_chaos_corrupt(
         &mut self,
         round: usize,
-        edge: EdgeId,
+        _edge: EdgeId,
         _from: NodeId,
         _to: NodeId,
         bits_lost: u64,
     ) {
         self.current(round).corrupted_bits += bits_lost;
-        self.report.edge_totals[edge.index()].corrupted_bits += bits_lost;
     }
 
     fn on_crash(&mut self, round: usize, _node: NodeId) {
@@ -857,6 +897,124 @@ impl Telemetry for RoundProfiler {
         // the histogram mass always sums to the live capacity.
         p.util[0] = live_slots.saturating_sub(p.messages);
         p.wall_ns = wall_ns;
+    }
+}
+
+/// The exact folding sink: the shared per-round fold, plus the retained
+/// [`RoundProfile`] series and the exact per-node and per-edge totals,
+/// together a [`TelemetryReport`].
+///
+/// Construct it with the observed network's dimensions (the sink cannot
+/// see the graph), optionally install a [`NodeClass`] vector via
+/// [`with_classes`](RoundProfiler::with_classes), drive a run with
+/// [`Simulator::run_observed`](crate::Simulator::run_observed),
+/// [`Simulator::try_run_observed`](crate::Simulator::try_run_observed)
+/// or [`Stepper::step_observed`](crate::Stepper::step_observed), then
+/// call [`finish`](RoundProfiler::finish). It stamps every round's
+/// `wall_ns`.
+#[derive(Clone, Debug)]
+pub struct RoundProfiler {
+    fold: RoundFold,
+    report: TelemetryReport,
+}
+
+impl RoundProfiler {
+    /// A profiler for a network of `nodes` nodes and `edges` edges under
+    /// CONGEST budget `bandwidth_bits`.
+    pub fn new(nodes: usize, edges: usize, bandwidth_bits: usize) -> Self {
+        RoundProfiler {
+            fold: RoundFold::new(bandwidth_bits, true),
+            report: TelemetryReport {
+                nodes,
+                edges,
+                bandwidth: bandwidth_bits,
+                classified: false,
+                rounds: Vec::new(),
+                node_totals: vec![NodeTotals::default(); nodes],
+                edge_totals: vec![EdgeTotals::default(); edges],
+            },
+        }
+    }
+
+    /// Switches the profiler into quantum accounting: every round
+    /// profile carries a [`QubitSplit`] where delivered payload counts
+    /// as qubits, and with `teleport` each qubit additionally charges
+    /// the 2 classical bits of its teleportation (Appendix B). Matches
+    /// [`CongestConfig::quantum`](crate::CongestConfig::quantum) /
+    /// [`quantum_teleport`](crate::CongestConfig::quantum_teleport)
+    /// runs; leave off for classical channels so the serialized report
+    /// carries no `qsplit` fields.
+    pub fn with_quantum(mut self, teleport: bool) -> Self {
+        self.fold.quantum = Some(teleport);
+        self
+    }
+
+    /// Installs a node classification (index = node id), enabling the
+    /// per-round path/highway/cross traffic split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classes.len()` differs from the node count.
+    pub fn with_classes(mut self, classes: Vec<NodeClass>) -> Self {
+        assert_eq!(
+            classes.len(),
+            self.report.nodes,
+            "classification must cover every node"
+        );
+        self.report.classified = true;
+        self.fold.classes = Some(classes);
+        self
+    }
+
+    /// Extracts the folded report.
+    pub fn finish(self) -> TelemetryReport {
+        self.report
+    }
+}
+
+impl Telemetry for RoundProfiler {
+    fn on_round_start(&mut self, round: usize) {
+        debug_assert_eq!(round, self.report.rounds.len() + 1, "rounds are contiguous");
+        self.fold.on_round_start(round);
+    }
+
+    fn on_delivery(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        self.fold.on_delivery(round, edge, from, to, bits);
+        let n = &mut self.report.node_totals[from.index()];
+        n.sent_messages += 1;
+        n.sent_bits += bits as u64;
+        let n = &mut self.report.node_totals[to.index()];
+        n.recv_messages += 1;
+        n.recv_bits += bits as u64;
+        let e = &mut self.report.edge_totals[edge.index()];
+        e.messages += 1;
+        e.bits += bits as u64;
+    }
+
+    fn on_chaos_drop(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId) {
+        self.fold.on_chaos_drop(round, edge, from, to);
+        self.report.edge_totals[edge.index()].dropped += 1;
+    }
+
+    fn on_chaos_corrupt(
+        &mut self,
+        round: usize,
+        edge: EdgeId,
+        from: NodeId,
+        to: NodeId,
+        bits_lost: u64,
+    ) {
+        self.fold.on_chaos_corrupt(round, edge, from, to, bits_lost);
+        self.report.edge_totals[edge.index()].corrupted_bits += bits_lost;
+    }
+
+    fn on_crash(&mut self, round: usize, node: NodeId) {
+        self.fold.on_crash(round, node);
+    }
+
+    fn on_round_end(&mut self, round: usize, quiescent: bool, live_slots: u64) {
+        self.fold.on_round_end(round, quiescent, live_slots);
+        self.report.rounds.push(*self.fold.round());
     }
 }
 

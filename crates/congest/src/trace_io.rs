@@ -279,8 +279,9 @@ mod tests {
             drop_prob: 0.2,
             ..ChaosConfig::fault_free(40)
         };
-        let (_, report, trace) = sim
-            .try_run_traced(|_| Pulse { left: 4 }, &chaos)
+        let mut trace = TrafficTrace::default();
+        let (_, report) = sim
+            .try_run_observed(|_| Pulse { left: 4 }, &chaos, &mut trace)
             .expect("completes");
         let recovered = TrafficTrace::from_jsonl(&trace.to_jsonl()).expect("parses");
         let delivered: usize = recovered.rounds.iter().map(Vec::len).sum();

@@ -19,7 +19,9 @@ use qdc_algos::widths::id_width;
 use qdc_cc::codes::greedy_random_code;
 use qdc_cc::fooling::gap_equality_fooling_set;
 use qdc_cc::norms::ipmod3_server_lower_bound;
-use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
+use qdc_congest::{
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
+};
 use qdc_gadgets::ipmod3_to_ham;
 use qdc_graph::{generate, predicates};
 use qdc_quantum::games::{
@@ -185,13 +187,15 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineReport {
     assert!(width <= cfg.bandwidth, "node id exceeds B");
     let congest = CongestConfig::quantum(cfg.bandwidth);
     let sim = Simulator::new(net.graph(), congest);
-    let (nodes, _report, trace) = sim.run_traced(
+    let mut trace = TrafficTrace::default();
+    let (nodes, _report) = sim.run_observed(
         |info| ComponentFlood {
             label: info.id.0 as u64,
             active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
             width,
         },
         net.horizon(),
+        &mut trace,
     );
     let audit = audit_trace(&net, &trace, cfg.bandwidth);
 

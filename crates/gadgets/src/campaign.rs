@@ -103,12 +103,6 @@ pub fn run_point(point: &GadgetPoint) -> GadgetExperiment {
     }
 }
 
-/// Packages a point as a `FnOnce` experiment closure that can be shipped
-/// to a worker thread.
-pub fn experiment(point: GadgetPoint) -> impl FnOnce() -> GadgetExperiment + Send + 'static {
-    move || run_point(&point)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,17 +160,5 @@ mod tests {
             .collect();
         assert!(verdicts.iter().any(|&v| v));
         assert!(verdicts.iter().any(|&v| !v));
-    }
-
-    #[test]
-    fn gadget_experiment_closure_is_send() {
-        fn assert_send<T: Send>(_: &T) {}
-        let e = experiment(GadgetPoint {
-            family: GadgetFamily::Ipmod3,
-            bits: 3,
-            seed: 0,
-        });
-        assert_send(&e);
-        assert!(e().instance.both_sides_perfect_matchings());
     }
 }

@@ -48,7 +48,7 @@ pub mod spec_io;
 pub use journal::{recover, Journal, RecoveredEntry, Recovery};
 pub use json::Json;
 pub use point::{
-    execute_point, execute_point_with_telemetry, failure_json, record_json, stream_telemetry_path,
+    execute_point, failure_json, record_json, stream_telemetry_archives, stream_telemetry_path,
     validate_failure_line, validate_record_line, PointFailure, PointRecord, StreamTelemetry,
     TelemetryMode,
 };

@@ -19,16 +19,16 @@
 use crate::json::Json;
 use crate::spec::{PointSpec, FAILURE_SCHEMA, POINT_SCHEMA};
 use qdc_algos::disjointness::{
-    classical_disjointness_observed, classical_rounds, quantum_disjointness_seeded, quantum_rounds,
-    DisjointnessRun,
+    classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds,
 };
-use qdc_algos::flood::{chaos_round_budget, robust_broadcast_with};
+use qdc_algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc_algos::verify::verify_hamiltonian_cycle;
 use qdc_congest::{
-    ChaosConfig, CongestConfig, NullTelemetry, RoundProfiler, RunMetrics, RunOptions, RunReport,
+    ChaosConfig, CongestConfig, NodeClass, NullTelemetry, RoundProfiler, RunMetrics, RunOptions,
     SimError, StreamSink, Telemetry, TelemetryReport, TrafficTrace,
 };
 use qdc_graph::{generate, Graph, GraphBuilder, NodeId, Subgraph};
+use std::path::{Path, PathBuf};
 
 /// The Grover measurement stream of every quantum ex11 point comes from
 /// this fixed protocol seed, so records are reproducible grid-wide.
@@ -38,25 +38,6 @@ const EX11_PROTOCOL_SEED: u64 = 11;
 /// spends up to two extra rounds draining the final chunk and observing
 /// global termination beyond the closed-form `D + ⌈b/B⌉ − 1`.
 const EX11_CLASSICAL_SLACK: u64 = 2;
-
-/// Runs one Example 1.1 point's protocol: the classical streaming
-/// pipeline or the seeded Grover round-trip bounce, under the given
-/// telemetry sink.
-fn run_ex11<T: Telemetry>(
-    x: &[bool],
-    y: &[bool],
-    d: usize,
-    cfg: CongestConfig,
-    quantum: bool,
-    options: RunOptions,
-    telemetry: &mut T,
-) -> (DisjointnessRun, RunReport) {
-    if quantum {
-        quantum_disjointness_seeded(x, y, d, cfg, EX11_PROTOCOL_SEED, options, telemetry)
-    } else {
-        classical_disjointness_observed(x, y, d, cfg, options, telemetry)
-    }
-}
 
 /// How the runner observes each point of a campaign.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -103,60 +84,34 @@ impl StreamTelemetry {
     }
 }
 
-/// The archive path of a streamed point — the same naming scheme the
-/// exact-mode committer uses, so downstream consumers (the service's
-/// telemetry endpoints, `profile query`) need not care which sink wrote
-/// the file.
-pub fn stream_telemetry_path(dir: &str, index: usize) -> String {
-    format!("{dir}/point_{index}.telemetry.jsonl")
+/// The archive path of point `index` under `dir`:
+/// `<dir>/point_<index>.telemetry.jsonl`. Every writer of per-point
+/// archives (the stream-mode writer, the exact-mode committer) names them
+/// here, and every reader (the service's telemetry endpoints,
+/// `profile query`) lists them with [`stream_telemetry_archives`], so
+/// none of them cares which sink wrote a file.
+pub fn stream_telemetry_path(dir: impl AsRef<Path>, index: usize) -> PathBuf {
+    dir.as_ref().join(format!("point_{index}.telemetry.jsonl"))
 }
 
-/// Staged write of one streamed archive: bytes go to a `.part` sibling
-/// and are renamed into place only after the footer lands, so a file at
-/// the final path is always a complete archive — a retried or failed
-/// attempt can never leave a torn one behind.
-struct StreamStage {
-    part: String,
-    final_path: String,
-}
-
-impl StreamStage {
-    /// Creates the staging file (and the directory, on demand).
-    fn begin(
-        index: usize,
-        cfg: &StreamTelemetry,
-    ) -> Result<(StreamStage, std::fs::File), PointFailure> {
-        let final_path = stream_telemetry_path(&cfg.dir, index);
-        let part = format!("{final_path}.part");
-        std::fs::create_dir_all(&cfg.dir)
-            .and_then(|()| {
-                // Remove before create so an attempt abandoned by the
-                // deadline watchdog keeps writing its own orphaned
-                // inode instead of interleaving with ours.
-                match std::fs::remove_file(&part) {
-                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-                    _ => std::fs::File::create(&part),
-                }
-            })
-            .map(|file| (StreamStage { part, final_path }, file))
-            .map_err(|e| PointFailure::from_io(index, &e))
+/// Every per-point archive in `dir`, in point order. Files not named by
+/// [`stream_telemetry_path`] (`.part` staging files included) are
+/// skipped.
+pub fn stream_telemetry_archives(dir: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> {
+    let mut indexed = Vec::new();
+    for entry in std::fs::read_dir(dir)?.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(i) = name
+            .strip_prefix("point_")
+            .and_then(|s| s.strip_suffix(".telemetry.jsonl"))
+            .and_then(|s| s.parse::<u64>().ok())
+        {
+            indexed.push((i, entry.path()));
+        }
     }
-
-    /// Finishes the sink (footer + flush) and renames the archive into
-    /// place.
-    fn commit(self, index: usize, sink: StreamSink<std::fs::File>) -> Result<(), PointFailure> {
-        sink.finish()
-            .and_then(|_| std::fs::rename(&self.part, &self.final_path))
-            .map_err(|e| {
-                let _ = std::fs::remove_file(&self.part);
-                PointFailure::from_io(index, &e)
-            })
-    }
-
-    /// Drops the staging file after a failed attempt.
-    fn abandon(self) {
-        let _ = std::fs::remove_file(&self.part);
-    }
+    indexed.sort();
+    Ok(indexed.into_iter().map(|(_, path)| path).collect())
 }
 
 /// The outcome of one executed point, in kind-independent shape.
@@ -305,73 +260,237 @@ pub fn execute_point(
     spec: &PointSpec,
 ) -> Result<(PointRecord, Option<TrafficTrace>), PointFailure> {
     let (record, trace, _) =
-        execute_point_impl(index, spec, &TelemetryMode::Off, RunOptions::default())?;
+        execute_point_sharded(index, spec, &TelemetryMode::Off, RunOptions::default())?;
     Ok((record, trace))
 }
 
 /// [`execute_point`] with explicit simulator [`RunOptions`] and a
-/// [`TelemetryMode`] — the runner's entry point when the campaign asks
-/// for sharded round execution (`--sim-threads`). The record, trace and
+/// [`TelemetryMode`] — the runner's entry point. The record, trace and
 /// telemetry (buffered or streamed) are byte-identical at every thread
-/// count.
+/// count, and observation never perturbs the record (modulo `wall_us`).
+///
+/// Simulation-theorem points are observed with the highway/path node
+/// classification ([`qdc_simthm::campaign::highway_classes`]); chaos and
+/// Example 1.1 points unclassified, quantum ones with the qubit split.
+/// Gadget points compose several simulator stages with no single run to
+/// observe, so they yield no telemetry in any mode. A broadcast that
+/// errors yields a [`PointFailure`], and its partial telemetry is
+/// discarded with the failed attempt.
 pub fn execute_point_sharded(
     index: usize,
     spec: &PointSpec,
     telemetry: &TelemetryMode,
     options: RunOptions,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
-    execute_point_impl(index, spec, telemetry, options)
+    match telemetry {
+        TelemetryMode::Off => execute_observed(index, spec, options, &mut Unobserved),
+        TelemetryMode::Exact => execute_observed(index, spec, options, &mut Profiled),
+        TelemetryMode::Stream(cfg) => execute_observed(
+            index,
+            spec,
+            options,
+            &mut Streamed {
+                cfg,
+                paths: None,
+                file: None,
+            },
+        ),
+    }
 }
 
-/// [`execute_point`] with a [`RoundProfiler`] observing the run.
-///
-/// Simulation-theorem points are profiled with the highway/path node
-/// classification ([`qdc_simthm::campaign::run_point_observed`]); chaos
-/// points are profiled unclassified. Gadget points compose several
-/// simulator stages with no single run to profile, so they yield `None`.
-/// A broadcast that errors yields a [`PointFailure`] (its partial
-/// profile is discarded with the failed attempt).
-///
-/// Telemetry observes, never perturbs: the record is bit-for-bit the
-/// one [`execute_point`] produces (modulo `wall_us`).
-pub fn execute_point_with_telemetry(
-    index: usize,
-    spec: &PointSpec,
-) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
-    execute_point_impl(index, spec, &TelemetryMode::Exact, RunOptions::default())
+/// What a telemetry sink must know about the run it is about to observe.
+struct RunShape {
+    nodes: usize,
+    edges: usize,
+    bandwidth: usize,
+    /// `Some(teleport)` for qubit accounting on a quantum channel.
+    quantum: Option<bool>,
+    /// The node classification behind the traffic split, if any.
+    classes: Option<Vec<NodeClass>>,
 }
 
-fn execute_point_impl(
+/// How one [`TelemetryMode`] observes a point's run: the sink it
+/// installs once the run's shape is known, and what that sink leaves
+/// behind.
+trait Observer {
+    /// The sink riding the run.
+    type Sink: Telemetry;
+
+    /// Readies the mode's output before the run (stream mode stages its
+    /// archive file here, so an I/O error fails the point up front).
+    fn prepare(&mut self, _index: usize) -> Result<(), PointFailure> {
+        Ok(())
+    }
+
+    /// Builds the sink for a run of `shape`.
+    fn install(&mut self, shape: RunShape) -> Self::Sink;
+
+    /// Settles the sink after the run: `ok` keeps its output (committing
+    /// a streamed archive, returning an exact profile), otherwise it is
+    /// discarded. A mode that keeps no output has nothing to settle.
+    fn finish(
+        &mut self,
+        _index: usize,
+        _sink: Self::Sink,
+        _ok: bool,
+    ) -> Result<Option<TelemetryReport>, PointFailure> {
+        Ok(None)
+    }
+}
+
+/// [`TelemetryMode::Off`]: the zero-overhead [`NullTelemetry`] path.
+struct Unobserved;
+
+impl Observer for Unobserved {
+    type Sink = NullTelemetry;
+
+    fn install(&mut self, _shape: RunShape) -> NullTelemetry {
+        NullTelemetry
+    }
+}
+
+/// [`TelemetryMode::Exact`]: a [`RoundProfiler`] whose report comes back
+/// for the committer to archive.
+struct Profiled;
+
+impl Observer for Profiled {
+    type Sink = RoundProfiler;
+
+    fn install(&mut self, shape: RunShape) -> RoundProfiler {
+        let mut profiler = RoundProfiler::new(shape.nodes, shape.edges, shape.bandwidth);
+        if let Some(teleport) = shape.quantum {
+            profiler = profiler.with_quantum(teleport);
+        }
+        if let Some(classes) = shape.classes {
+            profiler = profiler.with_classes(classes);
+        }
+        profiler
+    }
+
+    fn finish(
+        &mut self,
+        _index: usize,
+        profiler: RoundProfiler,
+        _ok: bool,
+    ) -> Result<Option<TelemetryReport>, PointFailure> {
+        Ok(Some(profiler.finish()))
+    }
+}
+
+/// [`TelemetryMode::Stream`]: a [`StreamSink`] writing the point's
+/// archive during the run. Bytes go to a `.part` sibling and are renamed
+/// into place only after the footer lands, so a file at the final path
+/// is always a complete archive — a retried or failed attempt can never
+/// leave a torn one behind.
+struct Streamed<'c> {
+    cfg: &'c StreamTelemetry,
+    /// The `.part` staging path and the final archive path, once prepared.
+    paths: Option<(PathBuf, PathBuf)>,
+    /// The staging file, until `install` hands it to the sink.
+    file: Option<std::fs::File>,
+}
+
+impl Observer for Streamed<'_> {
+    type Sink = StreamSink<std::fs::File>;
+
+    /// Creates the staging file (and the directory, on demand).
+    fn prepare(&mut self, index: usize) -> Result<(), PointFailure> {
+        let final_path = stream_telemetry_path(&self.cfg.dir, index);
+        let mut part = final_path.clone().into_os_string();
+        part.push(".part");
+        let part = PathBuf::from(part);
+        let file = std::fs::create_dir_all(&self.cfg.dir)
+            .and_then(|()| {
+                // Remove before create so an attempt abandoned by the
+                // deadline watchdog keeps writing its own orphaned
+                // inode instead of interleaving with ours.
+                match std::fs::remove_file(&part) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+                    _ => std::fs::File::create(&part),
+                }
+            })
+            .map_err(|e| PointFailure::from_io(index, &e))?;
+        self.paths = Some((part, final_path));
+        self.file = Some(file);
+        Ok(())
+    }
+
+    fn install(&mut self, shape: RunShape) -> StreamSink<std::fs::File> {
+        let file = self.file.take().expect("prepared before install");
+        let mut sink = StreamSink::new(
+            file,
+            shape.nodes,
+            shape.edges,
+            shape.bandwidth,
+            self.cfg.top_k,
+        )
+        .with_wall(self.cfg.with_wall);
+        if let Some(teleport) = shape.quantum {
+            sink = sink.with_quantum(teleport);
+        }
+        if let Some(classes) = shape.classes {
+            sink = sink.with_classes(classes);
+        }
+        sink
+    }
+
+    /// Writes the footer and renames the archive into place, or drops
+    /// the staging file after a failed run.
+    fn finish(
+        &mut self,
+        index: usize,
+        sink: StreamSink<std::fs::File>,
+        ok: bool,
+    ) -> Result<Option<TelemetryReport>, PointFailure> {
+        let (part, final_path) = self.paths.take().expect("prepared before finish");
+        if ok {
+            sink.finish()
+                .and_then(|_| std::fs::rename(&part, &final_path))
+                .map_err(|e| {
+                    let _ = std::fs::remove_file(&part);
+                    PointFailure::from_io(index, &e)
+                })?;
+        } else {
+            let _ = std::fs::remove_file(&part);
+        }
+        Ok(None)
+    }
+}
+
+/// Runs one point under `observer`'s sink: each kind's experiment,
+/// written once for every telemetry mode.
+fn execute_observed<O: Observer>(
     index: usize,
     spec: &PointSpec,
-    telemetry_mode: &TelemetryMode,
     options: RunOptions,
+    observer: &mut O,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
     let start = std::time::Instant::now();
-    let (kind, params, metrics, accept, extra, error, trace, telemetry) = match spec {
+    let record = |kind, params, metrics, accept, extra| PointRecord {
+        index,
+        kind,
+        params,
+        metrics,
+        accept,
+        extra,
+        error: None,
+        wall_us: 0,
+    };
+    let (mut record, trace, telemetry) = match spec {
         PointSpec::SimThm(p) => {
-            let (out, telemetry) = match telemetry_mode {
-                TelemetryMode::Off => (qdc_simthm::campaign::run_point_with(p, options), None),
-                TelemetryMode::Exact => {
-                    let (out, t) = qdc_simthm::campaign::run_point_observed_with(p, options);
-                    (out, Some(t))
-                }
-                TelemetryMode::Stream(scfg) => {
-                    let (stage, file) = StreamStage::begin(index, scfg)?;
-                    let (out, sink) = qdc_simthm::campaign::run_point_sink_with(
-                        p,
-                        options,
-                        |nodes, edges, classes| {
-                            StreamSink::new(file, nodes, edges, p.bandwidth, scfg.top_k)
-                                .with_classes(classes)
-                                .with_wall(scfg.with_wall)
-                        },
-                    );
-                    stage.commit(index, sink)?;
-                    (out, None)
-                }
-            };
-            (
+            observer.prepare(index)?;
+            let (out, sink) = qdc_simthm::campaign::run_point(p, options, |net| {
+                observer.install(RunShape {
+                    nodes: net.graph().node_count(),
+                    edges: net.graph().edge_count(),
+                    bandwidth: p.bandwidth,
+                    quantum: None,
+                    // A disabled sink sees no events: skip the classification.
+                    classes: O::Sink::ENABLED.then(|| qdc_simthm::campaign::highway_classes(net)),
+                })
+            });
+            let telemetry = observer.finish(index, sink, true)?;
+            let record = record(
                 "simthm",
                 vec![
                     ("gamma", Json::Num(p.gamma as u64)),
@@ -388,10 +507,8 @@ fn execute_point_impl(
                     ("max_paid_per_round", Json::Num(out.max_paid_per_round)),
                     ("per_round_budget", Json::Num(out.per_round_budget)),
                 ],
-                None,
-                Some(out.trace),
-                telemetry,
-            )
+            );
+            (record, Some(out.trace), telemetry)
         }
         PointSpec::Chaos {
             nodes,
@@ -410,93 +527,44 @@ fn execute_point_impl(
                 corrupt_prob: 0.0,
                 max_rounds_watchdog: give_up + 5,
             };
-            let params = vec![
-                ("nodes", Json::Num(*nodes as u64)),
-                ("extra_edges", Json::Num(*extra_edges as u64)),
-                ("drop_pm", Json::Num(u64::from(*drop_pm))),
-                ("seed", Json::Num(*seed)),
-                ("bandwidth", Json::Num(*bandwidth as u64)),
-            ];
             let cfg = CongestConfig::classical(*bandwidth);
-            let (result, telemetry) = match telemetry_mode {
-                TelemetryMode::Off => (
-                    robust_broadcast_with(
-                        &graph,
-                        cfg,
-                        options,
-                        NodeId(0),
-                        &chaos,
-                        give_up,
-                        &mut NullTelemetry,
-                    ),
-                    None,
-                ),
-                TelemetryMode::Exact => {
-                    let mut profiler =
-                        RoundProfiler::new(graph.node_count(), graph.edge_count(), *bandwidth);
-                    let result = robust_broadcast_with(
-                        &graph,
-                        cfg,
-                        options,
-                        NodeId(0),
-                        &chaos,
-                        give_up,
-                        &mut profiler,
-                    );
-                    (result, Some(profiler.finish()))
-                }
-                TelemetryMode::Stream(scfg) => {
-                    let (stage, file) = StreamStage::begin(index, scfg)?;
-                    let mut sink = StreamSink::new(
-                        file,
-                        graph.node_count(),
-                        graph.edge_count(),
-                        *bandwidth,
-                        scfg.top_k,
-                    )
-                    .with_wall(scfg.with_wall);
-                    let result = robust_broadcast_with(
-                        &graph,
-                        cfg,
-                        options,
-                        NodeId(0),
-                        &chaos,
-                        give_up,
-                        &mut sink,
-                    );
-                    // A failed attempt commits no archive — the `.part`
-                    // staging file is dropped with it.
-                    match &result {
-                        Ok(_) => stage.commit(index, sink)?,
-                        Err(_) => stage.abandon(),
-                    }
-                    (result, None)
-                }
-            };
-            match result {
-                Ok(out) => {
-                    let informed = out.informed.iter().filter(|&&i| i).count() as u64;
-                    (
-                        "chaos",
-                        params,
-                        out.report.metrics(),
-                        Some(informed == *nodes as u64),
-                        vec![
-                            ("informed", Json::Num(informed)),
-                            ("give_up", Json::Num(give_up as u64)),
-                        ],
-                        None,
-                        None,
-                        telemetry,
-                    )
-                }
-                // A structured simulator error (a watchdog trip under
-                // pathological loss, say) is a *failure*, not a result:
-                // the supervised runner journals it as a
-                // `qdc-campaign-failure/v1` record and the rest of the
-                // grid keeps running.
-                Err(e) => return Err(PointFailure::from_sim_error(index, &e)),
-            }
+            observer.prepare(index)?;
+            let mut sink = observer.install(RunShape {
+                nodes: graph.node_count(),
+                edges: graph.edge_count(),
+                bandwidth: *bandwidth,
+                quantum: None,
+                classes: None,
+            });
+            let result =
+                robust_broadcast(&graph, cfg, options, NodeId(0), &chaos, give_up, &mut sink);
+            // A failed attempt keeps no telemetry (a streamed archive's
+            // `.part` staging file is dropped with it), and its
+            // structured simulator error (a watchdog trip under
+            // pathological loss, say) is a *failure*, not a result: the
+            // supervised runner journals it as a
+            // `qdc-campaign-failure/v1` record and the rest of the grid
+            // keeps running.
+            let telemetry = observer.finish(index, sink, result.is_ok())?;
+            let out = result.map_err(|e| PointFailure::from_sim_error(index, &e))?;
+            let informed = out.informed.iter().filter(|&&i| i).count() as u64;
+            let record = record(
+                "chaos",
+                vec![
+                    ("nodes", Json::Num(*nodes as u64)),
+                    ("extra_edges", Json::Num(*extra_edges as u64)),
+                    ("drop_pm", Json::Num(u64::from(*drop_pm))),
+                    ("seed", Json::Num(*seed)),
+                    ("bandwidth", Json::Num(*bandwidth as u64)),
+                ],
+                out.report.metrics(),
+                Some(informed == *nodes as u64),
+                vec![
+                    ("informed", Json::Num(informed)),
+                    ("give_up", Json::Num(give_up as u64)),
+                ],
+            );
+            (record, None, telemetry)
         }
         PointSpec::Gadget { point, bandwidth } => {
             let exp = qdc_gadgets::campaign::run_point(point);
@@ -512,7 +580,7 @@ fn execute_point_impl(
                 bits_sent: run.ledger.bits,
                 ..RunMetrics::default()
             };
-            (
+            let record = record(
                 "gadget",
                 vec![
                     ("family", Json::Str(point.family.name().to_string())),
@@ -528,10 +596,8 @@ fn execute_point_impl(
                     ("predicted_cycles", Json::Num(exp.predicted_cycles)),
                     ("stages", Json::Num(run.ledger.stages as u64)),
                 ],
-                None,
-                None,
-                None,
-            )
+            );
+            (record, None, None)
         }
         PointSpec::Ex11 {
             bits,
@@ -550,46 +616,25 @@ fn execute_point_impl(
                 y[*bits / 2] = x[*bits / 2];
             }
             let planted = x.iter().zip(&y).any(|(&a, &c)| a && c);
-            let cfg = if *quantum {
-                CongestConfig::quantum(*bandwidth)
+            observer.prepare(index)?;
+            // Path topology: D hops, D + 1 nodes, D edges. Qubits fly
+            // directly on the quantum channel (no teleportation charge).
+            let mut sink = observer.install(RunShape {
+                nodes: *distance + 1,
+                edges: *distance,
+                bandwidth: *bandwidth,
+                quantum: quantum.then_some(false),
+                classes: None,
+            });
+            let (run, report) = if *quantum {
+                let cfg = CongestConfig::quantum(*bandwidth);
+                let seed = EX11_PROTOCOL_SEED;
+                quantum_disjointness(&x, &y, *distance, cfg, seed, options, &mut sink)
             } else {
-                CongestConfig::classical(*bandwidth)
+                let cfg = CongestConfig::classical(*bandwidth);
+                classical_disjointness(&x, &y, *distance, cfg, options, &mut sink)
             };
-            // Path topology: D hops, D + 1 nodes, D edges.
-            let (nodes, edges) = (*distance + 1, *distance);
-            let ((run, report), telemetry) = match telemetry_mode {
-                TelemetryMode::Off => (
-                    run_ex11(
-                        &x,
-                        &y,
-                        *distance,
-                        cfg,
-                        *quantum,
-                        options,
-                        &mut NullTelemetry,
-                    ),
-                    None,
-                ),
-                TelemetryMode::Exact => {
-                    let mut profiler = RoundProfiler::new(nodes, edges, *bandwidth);
-                    if *quantum {
-                        profiler = profiler.with_quantum(false);
-                    }
-                    let out = run_ex11(&x, &y, *distance, cfg, *quantum, options, &mut profiler);
-                    (out, Some(profiler.finish()))
-                }
-                TelemetryMode::Stream(scfg) => {
-                    let (stage, file) = StreamStage::begin(index, scfg)?;
-                    let mut sink = StreamSink::new(file, nodes, edges, *bandwidth, scfg.top_k)
-                        .with_wall(scfg.with_wall);
-                    if *quantum {
-                        sink = sink.with_quantum(false);
-                    }
-                    let out = run_ex11(&x, &y, *distance, cfg, *quantum, options, &mut sink);
-                    stage.commit(index, sink)?;
-                    (out, None)
-                }
-            };
+            let telemetry = observer.finish(index, sink, true)?;
             let metrics = report.metrics();
             // The measured curve must match the closed form: the quantum
             // bounce is exact (2·D rounds per query); the classical
@@ -615,7 +660,7 @@ fn execute_point_impl(
                     Json::Num(qdc_algos::widths::bits_for(bits.saturating_sub(1) as u64) as u64),
                 ));
             }
-            (
+            let record = record(
                 "ex11",
                 vec![
                     ("bits", Json::Num(*bits as u64)),
@@ -629,22 +674,11 @@ fn execute_point_impl(
                 metrics,
                 Some(run.disjoint != planted && rounds_ok),
                 extra,
-                None,
-                None,
-                telemetry,
-            )
+            );
+            (record, None, telemetry)
         }
     };
-    let record = PointRecord {
-        index,
-        kind,
-        params,
-        metrics,
-        accept,
-        extra,
-        error,
-        wall_us: start.elapsed().as_micros() as u64,
-    };
+    record.wall_us = start.elapsed().as_micros() as u64;
     Ok((record, trace, telemetry))
 }
 
@@ -847,6 +881,15 @@ mod tests {
     use crate::json;
     use crate::spec::builtin;
 
+    /// One point under exact profiling.
+    fn exact(
+        index: usize,
+        spec: &PointSpec,
+    ) -> (PointRecord, Option<TrafficTrace>, Option<TelemetryReport>) {
+        execute_point_sharded(index, spec, &TelemetryMode::Exact, RunOptions::default())
+            .expect("point runs")
+    }
+
     #[test]
     fn point_simthm_record_matches_direct_run() {
         let spec = builtin("simthm_smoke").expect("builtin");
@@ -855,7 +898,8 @@ mod tests {
         let PointSpec::SimThm(p) = &points[0] else {
             panic!("smoke grid is simthm");
         };
-        let direct = qdc_simthm::campaign::run_point(p);
+        let (direct, _) =
+            qdc_simthm::campaign::run_point(p, RunOptions::default(), |_| NullTelemetry);
         assert_eq!(rec.metrics, direct.metrics);
         assert_eq!(rec.accept, Some(direct.within_budget));
         assert_eq!(trace.expect("simthm is traced").rounds, direct.trace.rounds);
@@ -903,7 +947,7 @@ mod tests {
         let spec = builtin("simthm_smoke").expect("builtin");
         let point = &spec.points()[0];
         let (plain, _) = execute_point(0, point).expect("point runs");
-        let (observed, _, telemetry) = execute_point_with_telemetry(0, point).expect("point runs");
+        let (observed, _, telemetry) = exact(0, point);
         let telemetry = telemetry.expect("simthm points are profiled");
         assert_eq!(
             record_json("t", &plain, false),
@@ -928,7 +972,7 @@ mod tests {
             bandwidth: 8,
         };
         let (plain, _) = execute_point(7, &spec).expect("point runs");
-        let (rec, _, telemetry) = execute_point_with_telemetry(7, &spec).expect("point runs");
+        let (rec, _, telemetry) = exact(7, &spec);
         let telemetry = telemetry.expect("chaos points are profiled");
         assert_eq!(
             record_json("t", &plain, false),
@@ -949,8 +993,48 @@ mod tests {
             },
             bandwidth: 32,
         };
-        let (_, _, telemetry) = execute_point_with_telemetry(0, &spec).expect("point runs");
+        let (_, _, telemetry) = exact(0, &spec);
         assert!(telemetry.is_none());
+    }
+
+    #[test]
+    fn point_stream_archives_land_whole_or_not_at_all() {
+        let dir = std::env::temp_dir().join(format!("qdc_point_stage_{}", std::process::id()));
+        let cfg = StreamTelemetry::new(dir.to_string_lossy());
+        let mut observer = Streamed {
+            cfg: &cfg,
+            paths: None,
+            file: None,
+        };
+        let shape = || RunShape {
+            nodes: 2,
+            edges: 1,
+            bandwidth: 8,
+            quantum: None,
+            classes: None,
+        };
+        let part = |index| {
+            let mut part = stream_telemetry_path(&dir, index).into_os_string();
+            part.push(".part");
+            PathBuf::from(part)
+        };
+        // A failed run drops its staging file and commits nothing.
+        observer.prepare(0).expect("stages");
+        assert!(part(0).is_file());
+        let sink = observer.install(shape());
+        assert_eq!(observer.finish(0, sink, false), Ok(None));
+        assert!(!part(0).exists());
+        assert!(!stream_telemetry_path(&dir, 0).exists());
+        // A successful one renames a complete archive into place.
+        observer.prepare(1).expect("stages");
+        let sink = observer.install(shape());
+        observer.finish(1, sink, true).expect("commits");
+        assert!(!part(1).exists());
+        let archive = std::fs::read(stream_telemetry_path(&dir, 1)).expect("committed");
+        qdc_congest::read_aggregate(archive.as_slice()).expect("a complete archive");
+        let listed = stream_telemetry_archives(&dir).expect("lists");
+        assert_eq!(listed, vec![stream_telemetry_path(&dir, 1)]);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

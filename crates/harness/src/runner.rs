@@ -53,7 +53,8 @@
 use crate::journal::{self, Journal, RecoveredEntry};
 use crate::json::Json;
 use crate::point::{
-    execute_point_sharded, failure_json, record_json, PointFailure, PointRecord, TelemetryMode,
+    execute_point_sharded, failure_json, record_json, stream_telemetry_path, PointFailure,
+    PointRecord, TelemetryMode,
 };
 use crate::spec::{CampaignError, CampaignSpec, PointSpec, CAMPAIGN_SCHEMA};
 use qdc_congest::{RunMetrics, TelemetryReport, TrafficTrace};
@@ -865,7 +866,7 @@ pub fn run_campaign_journaled(
                 }
                 if let (Some(dir), Some(profile)) = (&config.telemetry_dir, profile) {
                     std::fs::write(
-                        format!("{dir}/point_{i}.telemetry.jsonl"),
+                        stream_telemetry_path(dir, i),
                         profile.to_jsonl(config.with_wall),
                     )?;
                 }

@@ -39,8 +39,8 @@ use crate::scan::{job_doc_json, job_paths, scan_data_dir};
 use crate::wire::{error_json, job_json, status_json, submit_error_json};
 use qdc_harness::json::{self, Json};
 use qdc_harness::{
-    builtin, journal, run_campaign_journaled, spec_from_json, CampaignSpec, CancelToken,
-    JournalConfig, RunOptions, TelemetryMode,
+    builtin, journal, run_campaign_journaled, spec_from_json, stream_telemetry_archives,
+    stream_telemetry_path, CampaignSpec, CancelToken, JournalConfig, RunOptions, TelemetryMode,
 };
 use std::io::{self, BufReader, Read as _, Seek as _, Write};
 use std::net::{TcpListener, TcpStream};
@@ -564,23 +564,10 @@ fn telemetry_all(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result
         Ok(dir) => dir,
         Err(msg) => return not_found(w, &msg),
     };
-    let mut indexed = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(&dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(i) = name
-                .strip_prefix("point_")
-                .and_then(|s| s.strip_suffix(".telemetry.jsonl"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                indexed.push((i, entry.path()));
-            }
-        }
-    }
-    indexed.sort();
+    // No directory yet just means no point has committed an archive.
+    let archives = stream_telemetry_archives(&dir).unwrap_or_default();
     let mut chunks = ChunkedWriter::begin(w, 200, "application/jsonl")?;
-    for (_, path) in indexed {
+    for path in archives {
         stream_archive_file(&mut chunks, &path)?;
     }
     chunks.finish()
@@ -594,7 +581,7 @@ fn telemetry_point(state: &ServiceState, id: u64, index: u64, w: &mut TcpStream)
         Ok(dir) => dir,
         Err(msg) => return not_found(w, &msg),
     };
-    let path = dir.join(format!("point_{index}.telemetry.jsonl"));
+    let path = stream_telemetry_path(&dir, index as usize);
     if !path.is_file() {
         return not_found(w, &format!("job {id} has no archive for point {index}"));
     }

@@ -7,8 +7,7 @@
 //! Hamiltonian-matching subnetwork `M`, run the min-label component
 //! flood (the core of a Ham verifier) traced up to the Theorem 3.5
 //! horizon, and audit the Carol/David-paid traffic against the `6kB`
-//! budget. [`experiment`] wraps the same work as a `FnOnce() + Send`
-//! closure for harnesses that ship work to worker threads.
+//! budget.
 //!
 //! Everything here is deterministic: a point's outcome is a pure
 //! function of `(gamma, l, bandwidth)`, which is what lets the harness
@@ -17,8 +16,8 @@
 use crate::network::SimulationNetwork;
 use crate::simulate::audit_trace;
 use qdc_congest::{
-    CongestConfig, Inbox, Message, NodeAlgorithm, NodeClass, NodeInfo, NullTelemetry, Outbox,
-    RoundProfiler, RunMetrics, RunOptions, Simulator, Telemetry, TelemetryReport, TrafficTrace,
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeClass, NodeInfo, Outbox, RunMetrics,
+    RunOptions, Simulator, Telemetry, TrafficTrace,
 };
 use qdc_graph::generate;
 
@@ -108,6 +107,14 @@ impl NodeAlgorithm for ComponentFlood {
 
 /// Executes one grid point: network, embedding, traced run, audit.
 ///
+/// `install` builds the telemetry sink from the realized network (after
+/// the Γ adjustment), so a sink can size itself and classify nodes with
+/// [`highway_classes`]; the driven sink comes back beside the outcome.
+/// `|_| NullTelemetry` is the unobserved run, and computes no
+/// classification. Neither the sink nor the [`RunOptions`] (worker
+/// threads for the engine's compute phase) ever change the outcome: it
+/// is byte-identical at every thread count, observed or not.
+///
 /// The run is capped at the horizon `L/2 − 2` — Theorem 3.5 only speaks
 /// about runs within it, so `metrics.completed` is usually 0 and that is
 /// the expected shape, not a failure.
@@ -117,63 +124,44 @@ impl NodeAlgorithm for ComponentFlood {
 /// Panics if `gamma == 0` or `l < 3` (the network builder's own
 /// preconditions). Campaign specs are validated before any point runs,
 /// so the harness never reaches this.
-pub fn run_point(point: &SimThmPoint) -> SimThmOutcome {
-    run_point_with(point, RunOptions::default())
-}
-
-/// [`run_point`] with explicit simulator [`RunOptions`] (worker threads
-/// for the engine's compute phase). Options never change outcomes — the
-/// result is byte-identical at every thread count.
-pub fn run_point_with(point: &SimThmPoint, options: RunOptions) -> SimThmOutcome {
-    let net = build_network(point);
-    run_on(&net, point, options, &mut NullTelemetry)
-}
-
-/// [`run_point`] with a [`RoundProfiler`] observing the run, classified
-/// by [`highway_classes`] so the resulting [`TelemetryReport`] carries
-/// the highway-vs-path traffic split of Figs. 8–10. Telemetry observes,
-/// never perturbs: the outcome is bit-for-bit that of [`run_point`].
-pub fn run_point_observed(point: &SimThmPoint) -> (SimThmOutcome, TelemetryReport) {
-    run_point_observed_with(point, RunOptions::default())
-}
-
-/// [`run_point_observed`] with explicit simulator [`RunOptions`]. The
-/// profile and outcome are byte-identical at every thread count.
-pub fn run_point_observed_with(
-    point: &SimThmPoint,
-    options: RunOptions,
-) -> (SimThmOutcome, TelemetryReport) {
-    let (outcome, profiler) = run_point_sink_with(point, options, |nodes, edges, classes| {
-        RoundProfiler::new(nodes, edges, point.bandwidth).with_classes(classes)
-    });
-    (outcome, profiler.finish())
-}
-
-/// The generic observed entry point behind [`run_point_observed_with`]:
-/// realizes the point's network, asks `install` to build the sink from
-/// the realized shape (node count, edge count, [`highway_classes`]
-/// classification), runs observed, and hands the driven sink back.
-///
-/// This is how bounded-memory sinks attach — the campaign harness
-/// installs a `qdc_congest::StreamSink` here for `--telemetry-stream`
-/// runs, and exact mode keeps installing [`RoundProfiler`]. Whatever
-/// the sink, observation never perturbs the outcome.
-pub fn run_point_sink_with<T, F>(
-    point: &SimThmPoint,
-    options: RunOptions,
-    install: F,
-) -> (SimThmOutcome, T)
+pub fn run_point<T, F>(point: &SimThmPoint, options: RunOptions, install: F) -> (SimThmOutcome, T)
 where
     T: Telemetry,
-    F: FnOnce(usize, usize, Vec<NodeClass>) -> T,
+    F: FnOnce(&SimulationNetwork) -> T,
 {
     let net = build_network(point);
-    let mut sink = install(
-        net.graph().node_count(),
-        net.graph().edge_count(),
-        highway_classes(&net),
+    let mut sink = install(&net);
+    let tracks = net.track_count();
+    let (carol, david) = generate::hamiltonian_matching_pair(tracks);
+    let m = net.embed_matchings(&carol, &david);
+    let width = qdc_algos::widths::id_width(net.graph().node_count());
+    let sim = Simulator::with_options(
+        net.graph(),
+        CongestConfig::quantum(point.bandwidth),
+        options,
     );
-    let outcome = run_on(&net, point, options, &mut sink);
+    let mut trace = TrafficTrace::default();
+    let (_, report) = sim.run_observed(
+        |info| ComponentFlood {
+            label: info.id.0 as u64,
+            active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
+            width,
+        },
+        net.horizon(),
+        &mut (&mut trace, &mut sink),
+    );
+    let audit = audit_trace(&net, &trace, point.bandwidth);
+    let outcome = SimThmOutcome {
+        metrics: report.metrics(),
+        node_count: net.graph().node_count() as u64,
+        highways: net.highway_count() as u64,
+        horizon: net.horizon() as u64,
+        paid_bits: audit.total_paid(),
+        max_paid_per_round: audit.max_paid_per_round,
+        per_round_budget: audit.per_round_budget,
+        within_budget: audit.within_budget,
+        trace,
+    };
     (outcome, sink)
 }
 
@@ -205,54 +193,15 @@ fn build_network(point: &SimThmPoint) -> SimulationNetwork {
     }
 }
 
-/// The shared execution path behind the plain and observed entry points.
-fn run_on<T: Telemetry>(
-    net: &SimulationNetwork,
-    point: &SimThmPoint,
-    options: RunOptions,
-    telemetry: &mut T,
-) -> SimThmOutcome {
-    let tracks = net.track_count();
-    let (carol, david) = generate::hamiltonian_matching_pair(tracks);
-    let m = net.embed_matchings(&carol, &david);
-    let width = qdc_algos::widths::id_width(net.graph().node_count());
-    let sim = Simulator::with_options(
-        net.graph(),
-        CongestConfig::quantum(point.bandwidth),
-        options,
-    );
-    let (_, report, trace) = sim.run_traced_observed(
-        |info| ComponentFlood {
-            label: info.id.0 as u64,
-            active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-            width,
-        },
-        net.horizon(),
-        telemetry,
-    );
-    let audit = audit_trace(net, &trace, point.bandwidth);
-    SimThmOutcome {
-        metrics: report.metrics(),
-        node_count: net.graph().node_count() as u64,
-        highways: net.highway_count() as u64,
-        horizon: net.horizon() as u64,
-        paid_bits: audit.total_paid(),
-        max_paid_per_round: audit.max_paid_per_round,
-        per_round_budget: audit.per_round_budget,
-        within_budget: audit.within_budget,
-        trace,
-    }
-}
-
-/// Packages a point as a `FnOnce` experiment closure that can be shipped
-/// to a worker thread — the shape the campaign harness shards.
-pub fn experiment(point: SimThmPoint) -> impl FnOnce() -> SimThmOutcome + Send + 'static {
-    move || run_point(&point)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qdc_congest::{NullTelemetry, RoundProfiler};
+
+    /// The unobserved run of one point.
+    fn plain(point: &SimThmPoint) -> SimThmOutcome {
+        run_point(point, RunOptions::default(), |_| NullTelemetry).0
+    }
 
     #[test]
     fn simthm_point_is_deterministic_and_within_budget() {
@@ -261,8 +210,8 @@ mod tests {
             l: 17,
             bandwidth: 32,
         };
-        let a = run_point(&p);
-        let b = run_point(&p);
+        let a = plain(&p);
+        let b = plain(&p);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.paid_bits, b.paid_bits);
         assert_eq!(a.trace.rounds, b.trace.rounds);
@@ -279,7 +228,7 @@ mod tests {
             l: 17,
             bandwidth: 16,
         };
-        let out = run_point(&p);
+        let out = plain(&p);
         let net = SimulationNetwork::build(12, 17);
         assert_eq!(out.node_count, net.graph().node_count() as u64);
     }
@@ -291,8 +240,16 @@ mod tests {
             l: 9,
             bandwidth: 16,
         };
-        let plain = run_point(&p);
-        let (observed, telemetry) = run_point_observed(&p);
+        let plain = plain(&p);
+        let (observed, profiler) = run_point(&p, RunOptions::default(), |net| {
+            RoundProfiler::new(
+                net.graph().node_count(),
+                net.graph().edge_count(),
+                p.bandwidth,
+            )
+            .with_classes(highway_classes(net))
+        });
+        let telemetry = profiler.finish();
         // Observation never perturbs the run.
         assert_eq!(plain.metrics, observed.metrics);
         assert_eq!(plain.paid_bits, observed.paid_bits);
@@ -326,18 +283,5 @@ mod tests {
         // the same class.
         assert_eq!(paths, net.path_count() * net.length());
         assert!(highways > 0);
-    }
-
-    #[test]
-    fn simthm_experiment_closure_is_send() {
-        fn assert_send<T: Send>(_: &T) {}
-        let e = experiment(SimThmPoint {
-            gamma: 4,
-            l: 9,
-            bandwidth: 8,
-        });
-        assert_send(&e);
-        let out = e();
-        assert!(out.within_budget);
     }
 }

@@ -22,8 +22,8 @@
 //! * [`replay`] — the simulation *performed*: three parties holding only
 //!   their owned node states re-execute the algorithm, exchanging exactly
 //!   the entitled messages, and reproduce the direct run bit for bit;
-//! * [`campaign`] — the grid-sweep adapter: one Γ×L parameter point
-//!   packaged as a deterministic, `Send` experiment for the `qdc-harness`
+//! * [`campaign`] — the grid-sweep adapter: one Γ×L parameter point run
+//!   deterministically, under any telemetry sink, for the `qdc-harness`
 //!   campaign runner.
 
 #![forbid(unsafe_code)]

@@ -10,8 +10,8 @@
 //! round, giving the `O(B log L)`-per-round budget.
 //!
 //! [`audit_trace`] performs this accounting on a *real* run of any
-//! distributed algorithm (captured with
-//! [`qdc_congest::Simulator::run_traced`]), charging each delivered
+//! distributed algorithm (captured by a [`TrafficTrace`] sink riding
+//! [`qdc_congest::Simulator::run_observed`]), charging each delivered
 //! message to the party owning its sender, and checks the per-round paid
 //! traffic against the `6kB` budget the theorem uses.
 
@@ -105,7 +105,9 @@ pub fn audit_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
+    use qdc_congest::{
+        CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
+    };
     use qdc_graph::generate;
 
     /// Event-driven minimum-id flood along subnetwork edges — the kind of
@@ -158,13 +160,15 @@ mod tests {
         let sim = Simulator::new(net.graph(), cfg);
         let width = 20;
         let cap = net.horizon();
-        let (_, report, trace) = sim.run_traced(
+        let mut trace = TrafficTrace::default();
+        let (_, report) = sim.run_observed(
             |info| MinFlood {
                 label: info.id.0 as u64,
                 active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
                 width,
             },
             cap,
+            &mut trace,
         );
         assert!(report.rounds > 0);
         let audit = audit_trace(&net, &trace, bandwidth);
@@ -208,11 +212,13 @@ mod tests {
         let cfg = CongestConfig::quantum(bandwidth);
         let sim = Simulator::new(net.graph(), cfg);
         let horizon = net.horizon();
-        let (_, _, trace) = sim.run_traced(
+        let mut trace = TrafficTrace::default();
+        sim.run_observed(
             |_| Chatter {
                 rounds_left: horizon - 1,
             },
             horizon,
+            &mut trace,
         );
         let audit = audit_trace(&net, &trace, bandwidth);
         assert!(audit.within_horizon);
@@ -230,7 +236,12 @@ mod tests {
         let net = SimulationNetwork::build(3, 9);
         let cfg = CongestConfig::classical(8);
         let sim = Simulator::new(net.graph(), cfg);
-        let (_, _, trace) = sim.run_traced(|_| Chatter { rounds_left: 20 }, net.horizon() + 10);
+        let mut trace = TrafficTrace::default();
+        sim.run_observed(
+            |_| Chatter { rounds_left: 20 },
+            net.horizon() + 10,
+            &mut trace,
+        );
         let audit = audit_trace(&net, &trace, 8);
         assert!(!audit.within_horizon);
     }
@@ -257,11 +268,13 @@ mod tests {
         }
         let cfg = CongestConfig::classical(8);
         let sim = Simulator::new(net.graph(), cfg);
-        let (_, _, trace) = sim.run_traced(
+        let mut trace = TrafficTrace::default();
+        sim.run_observed(
             |info| OneShot {
                 fire: info.id == mid,
             },
             5,
+            &mut trace,
         );
         let audit = audit_trace(&net, &trace, 8);
         assert_eq!(audit.total_paid(), 0);

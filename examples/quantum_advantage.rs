@@ -8,15 +8,11 @@
 use qdc::algos::disjointness::{
     classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds,
 };
-use qdc::congest::CongestConfig;
+use qdc::congest::{CongestConfig, NullTelemetry, RunOptions};
 use qdc::graph::generate;
 use qdc::quantum::grover::{disjointness_queries, success_probability};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn main() {
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
-
     // Grover itself, exactly simulated: quadratically fewer queries.
     println!("Grover search (state-vector simulation):");
     for &bits in &[8usize, 12, 16] {
@@ -34,8 +30,12 @@ fn main() {
     let mut y: Vec<bool> = x.iter().map(|&v| !v).collect();
     y[500] = x[500]; // plant one intersection
 
-    let classical = classical_disjointness(&x, &y, d, CongestConfig::classical(bandwidth));
-    let quantum = quantum_disjointness(&x, &y, d, CongestConfig::quantum(bandwidth), &mut rng);
+    let options = RunOptions::default();
+    let cfg = CongestConfig::classical(bandwidth);
+    let (classical, _) = classical_disjointness(&x, &y, d, cfg, options, &mut NullTelemetry);
+    let cfg = CongestConfig::quantum(bandwidth);
+    let seed = 42; // the Grover measurement stream
+    let (quantum, _) = quantum_disjointness(&x, &y, d, cfg, seed, options, &mut NullTelemetry);
     println!("\ndistributed Disjointness, b = {b}, D = {d}, B = {bandwidth}:");
     println!(
         "  classical streaming: answer disjoint={}, {} rounds ({} bits)",

@@ -7,7 +7,9 @@
 //! ```
 
 use qdc::algos::verify::verify_hamiltonian_cycle;
-use qdc::congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
+use qdc::congest::{
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
+};
 use qdc::graph::generate;
 use qdc::simthm::{audit_trace, Party, SimulationNetwork};
 
@@ -84,13 +86,15 @@ fn main() {
     let width = qdc::algos::widths::id_width(net.graph().node_count());
     let cfg = CongestConfig::quantum(bandwidth);
     let sim = Simulator::new(net.graph(), cfg);
-    let (nodes, report, trace) = sim.run_traced(
+    let mut trace = TrafficTrace::default();
+    let (nodes, report) = sim.run_observed(
         |info| ComponentFlood {
             label: info.id.0 as u64,
             active: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
             width,
         },
         net.horizon(),
+        &mut trace,
     );
     let audit = audit_trace(&net, &trace, bandwidth);
     println!(

@@ -18,8 +18,8 @@
 use proptest::prelude::*;
 use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
-    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
-    Simulator,
+    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox,
+    RunOptions, Simulator,
 };
 use qdc::graph::{generate, Graph, NodeId};
 
@@ -144,7 +144,9 @@ proptest! {
             corrupt_prob: 0.05,
             max_rounds_watchdog: give_up + 5,
         };
-        let out = robust_broadcast(&g, CongestConfig::classical(8), NodeId(0), &chaos, give_up)
+        let cfg = CongestConfig::classical(8);
+        let options = RunOptions::default();
+        let out = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut NullTelemetry)
             .expect("robust flood winds down within its budget");
         for v in g.nodes() {
             if crash_on && v == crashed {

@@ -43,6 +43,7 @@ use qdc::service::{
     job_json, status_json, submit_error_json, validate_error, validate_job, validate_status,
     QuotaConfig, ServiceCore, SubmitError,
 };
+use qdc::simthm::campaign::{highway_classes, run_point};
 use qdc::simthm::SimThmPoint;
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -88,14 +89,15 @@ fn golden_trace() -> TrafficTrace {
         max_rounds_watchdog: 200,
     };
     let sim = qdc::congest::Simulator::new(&g, CongestConfig::classical(8));
-    let (_, _, trace) = sim
-        .try_run_traced(
-            |info| GoldenFlood {
-                label: 100 + info.id.0 as u64,
-            },
-            &chaos,
-        )
-        .expect("fixed workload completes");
+    let mut trace = TrafficTrace::default();
+    sim.try_run_observed(
+        |info| GoldenFlood {
+            label: 100 + info.id.0 as u64,
+        },
+        &chaos,
+        &mut trace,
+    )
+    .expect("fixed workload completes");
     trace
 }
 
@@ -130,12 +132,16 @@ impl qdc::congest::NodeAlgorithm for GoldenFlood {
 /// The fixed telemetry workload: the Γ=4, L=9 simulation-theorem point,
 /// profiled with the highway/path classification (exercises the split).
 fn golden_telemetry() -> TelemetryReport {
-    let (_, profile) = qdc::simthm::campaign::run_point_observed(&SimThmPoint {
+    let point = SimThmPoint {
         gamma: 4,
         l: 9,
         bandwidth: 16,
+    };
+    let (_, profiler) = run_point(&point, qdc::congest::RunOptions::default(), |net| {
+        let g = net.graph();
+        RoundProfiler::new(g.node_count(), g.edge_count(), 16).with_classes(highway_classes(net))
     });
-    profile
+    profiler.finish()
 }
 
 /// The fixed stream-telemetry workload: the same Γ=4, L=9,
@@ -145,17 +151,16 @@ fn golden_telemetry() -> TelemetryReport {
 /// nonzero `err` bounds).
 fn golden_stream_archive() -> (String, StreamAggregate) {
     let mut buf = Vec::new();
-    let (_, sink) = qdc::simthm::campaign::run_point_sink_with(
-        &SimThmPoint {
-            gamma: 4,
-            l: 9,
-            bandwidth: 16,
-        },
-        qdc::congest::RunOptions::default(),
-        |nodes, edges, classes| {
-            StreamSink::new(&mut buf, nodes, edges, 16, 8).with_classes(classes)
-        },
-    );
+    let point = SimThmPoint {
+        gamma: 4,
+        l: 9,
+        bandwidth: 16,
+    };
+    let (_, sink) = run_point(&point, qdc::congest::RunOptions::default(), |net| {
+        let g = net.graph();
+        StreamSink::new(&mut buf, g.node_count(), g.edge_count(), 16, 8)
+            .with_classes(highway_classes(net))
+    });
     let agg = sink.finish().expect("in-memory write");
     (String::from_utf8(buf).expect("utf8 archive"), agg)
 }
@@ -229,7 +234,7 @@ fn golden_quantum_instance() -> (Vec<bool>, Vec<bool>) {
 fn golden_quantum_telemetry() -> TelemetryReport {
     let (x, y) = golden_quantum_instance();
     let mut profiler = RoundProfiler::new(4, 3, 16).with_quantum(true);
-    let _ = qdc::algos::disjointness::quantum_disjointness_seeded(
+    let _ = qdc::algos::disjointness::quantum_disjointness(
         &x,
         &y,
         3,
@@ -248,7 +253,7 @@ fn golden_quantum_stream_archive() -> (String, StreamAggregate) {
     let (x, y) = golden_quantum_instance();
     let mut buf = Vec::new();
     let mut sink = StreamSink::new(&mut buf, 4, 3, 16, 8).with_quantum(true);
-    let _ = qdc::algos::disjointness::quantum_disjointness_seeded(
+    let _ = qdc::algos::disjointness::quantum_disjointness(
         &x,
         &y,
         3,

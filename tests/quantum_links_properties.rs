@@ -25,7 +25,7 @@
 use proptest::prelude::*;
 use qdc::congest::{
     ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, QubitSplit,
-    RoundProfiler, SimError, Simulator,
+    RoundProfiler, SimError, Simulator, TrafficTrace,
 };
 use qdc::graph::generate;
 use std::collections::HashMap;
@@ -129,9 +129,11 @@ proptest! {
         prop_assert_eq!(charge, if teleport { 2 } else { 1 });
 
         let sim = Simulator::new(&g, cfg);
-        let (_, report, trace) = sim.run_traced(
+        let mut trace = TrafficTrace::default();
+        let (_, report) = sim.run_observed(
             |info| MinFlood { label: 1000 + info.id.0 as u64, width: 16 },
             200,
+            &mut trace,
         );
         prop_assert!(report.completed);
         assert_per_edge_cap(&trace, charge, budget)?;
@@ -159,10 +161,12 @@ proptest! {
         let chaos = lossy(seed ^ env_seed().rotate_left(23), drop, 300);
 
         let sim = Simulator::new(&g, cfg);
-        let (_, report, trace) = sim
-            .try_run_traced(
+        let mut trace = TrafficTrace::default();
+        let (_, report) = sim
+            .try_run_observed(
                 |info| MinFlood { label: 1000 + info.id.0 as u64, width: 16 },
                 &chaos,
+                &mut trace,
             )
             .expect("lossy flood reaches quiescence");
         assert_per_edge_cap(&trace, charge, budget)?;
@@ -194,7 +198,7 @@ proptest! {
         let sim = Simulator::new(&g, cfg);
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), cfg.bandwidth_bits)
             .with_quantum(teleport);
-        let (_, report, _) = sim.run_traced_observed(
+        let (_, report) = sim.run_observed(
             |info| MinFlood { label: 1000 + info.id.0 as u64, width: 16 },
             200,
             &mut profiler,
@@ -229,9 +233,11 @@ proptest! {
         let make = |info: &NodeInfo| MinFlood { label: 1000 + info.id.0 as u64, width: 16 };
 
         let classical = Simulator::new(&g, CongestConfig::classical(16));
-        let (c_nodes, c_report, c_trace) = classical.run_traced(make, 200);
+        let mut c_trace = TrafficTrace::default();
+        let (c_nodes, c_report) = classical.run_observed(make, 200, &mut c_trace);
         let quantum = Simulator::new(&g, CongestConfig::quantum(16));
-        let (q_nodes, q_report, q_trace) = quantum.run_traced(make, 200);
+        let mut q_trace = TrafficTrace::default();
+        let (q_nodes, q_report) = quantum.run_observed(make, 200, &mut q_trace);
 
         for (a, b) in c_nodes.iter().zip(&q_nodes) {
             prop_assert_eq!(a.label, b.label);

@@ -2,7 +2,9 @@
 //! ownership, audit and the §9.2 decision.
 
 use proptest::prelude::*;
-use qdc::congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
+use qdc::congest::{
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
+};
 use qdc::core::theorems;
 use qdc::graph::{generate, predicates, GraphBuilder, NodeId};
 use qdc::simthm::{audit_trace, Party, SimulationNetwork};
@@ -88,11 +90,13 @@ fn audit_budget_holds_across_network_sizes() {
         let bandwidth = 8;
         let sim = Simulator::new(net.graph(), CongestConfig::quantum(bandwidth));
         let horizon = net.horizon();
-        let (_, _, trace) = sim.run_traced(
+        let mut trace = TrafficTrace::default();
+        sim.run_observed(
             |_| Saturate {
                 rounds_left: horizon.saturating_sub(1),
             },
             horizon,
+            &mut trace,
         );
         let audit = audit_trace(&net, &trace, bandwidth);
         assert!(audit.within_horizon);

@@ -3,7 +3,7 @@
 //! LE-lists across crates.
 
 use proptest::prelude::*;
-use qdc::congest::{topology, BitString, CongestConfig, Message, Simulator};
+use qdc::congest::{topology, BitString, CongestConfig, Message, Simulator, TrafficTrace};
 use qdc::graph::{algorithms, generate, NodeId};
 use qdc::quantum::density::{entanglement_entropy, DensityMatrix};
 use qdc::quantum::StateVector;
@@ -52,7 +52,8 @@ proptest! {
         }
         let g = generate::random_connected(n, n, seed);
         let sim = Simulator::new(&g, CongestConfig::classical(8));
-        let (_, report, trace) = sim.run_traced(|_| Echo { fired: false }, 10);
+        let mut trace = TrafficTrace::default();
+        let (_, report) = sim.run_observed(|_| Echo { fired: false }, 10, &mut trace);
         let traced_msgs: usize = trace.rounds.iter().map(Vec::len).sum();
         let traced_bits: usize = trace.rounds.iter().flatten().map(|m| m.bits).sum();
         prop_assert_eq!(traced_msgs as u64, report.messages_sent);
@@ -60,11 +61,11 @@ proptest! {
         prop_assert_eq!(report.messages_sent, 2 * g.edge_count() as u64);
     }
 
-    /// Determinism across execution modes: `run`, `run_traced` and a
-    /// `Stepper` driven to quiescence produce identical final states and
-    /// identical `RunReport`s on random connected graphs. All three share
-    /// one round engine, so any divergence would be a routing or
-    /// buffer-reuse bug.
+    /// Determinism across execution modes: `run`, a traced
+    /// `run_observed` and a `Stepper` driven to quiescence produce
+    /// identical final states and identical `RunReport`s on random
+    /// connected graphs. All three share one round engine, so any
+    /// divergence would be a routing or buffer-reuse bug.
     #[test]
     fn run_traced_and_stepper_agree(n in 4usize..24, extra in 0usize..10, seed in 0u64..200) {
         use qdc::congest::{ChaosConfig, Inbox, NodeAlgorithm, NodeInfo, Outbox, Stepper};
@@ -92,7 +93,8 @@ proptest! {
         let make = |info: &NodeInfo| MinFlood { label: 1000 + info.id.0 as u64 };
         let sim = Simulator::new(&g, cfg);
         let (plain, plain_report) = sim.run(make, 100);
-        let (traced, traced_report, trace) = sim.run_traced(make, 100);
+        let mut trace = TrafficTrace::default();
+        let (traced, traced_report) = sim.run_observed(make, 100, &mut trace);
         let mut stepper = Stepper::new(&g, cfg, make);
         while !stepper.is_quiescent() {
             stepper.step();
@@ -109,7 +111,8 @@ proptest! {
         // same engine, so it joins the agreement — states, report, and
         // the traffic trace byte for byte.
         let sharded = Simulator::with_options(&g, cfg, RunOptions { threads: 3 });
-        let (par, par_report, par_trace) = sharded.run_traced(make, 100);
+        let mut par_trace = TrafficTrace::default();
+        let (par, par_report) = sharded.run_observed(make, 100, &mut par_trace);
         prop_assert_eq!(plain_report, par_report);
         prop_assert_eq!(trace.rounds, par_trace.rounds);
         for v in 0..g.node_count() {
@@ -128,8 +131,9 @@ proptest! {
             max_rounds_watchdog: 100,
         };
         let (batch, batch_report) = sim.try_run(make, &chaos).expect("quiesces under faults");
-        let (ctraced, ctraced_report, ctrace) =
-            sim.try_run_traced(make, &chaos).expect("quiesces under faults");
+        let mut ctrace = TrafficTrace::default();
+        let (ctraced, ctraced_report) =
+            sim.try_run_observed(make, &chaos, &mut ctrace).expect("quiesces under faults");
         let mut cstepper = Stepper::with_chaos(&g, cfg, &chaos, make);
         while !cstepper.is_quiescent() {
             cstepper.step();

@@ -2,27 +2,29 @@
 //!
 //! Two contracts on random connected graphs and seeds:
 //!
-//! 1. **Fault-free differential**: `run_traced_observed` with a
-//!    [`RoundProfiler`] produces the same final states, `RunReport` and
-//!    `TrafficTrace` as the unobserved `run_traced`, and folding the
-//!    profile's per-round / per-edge / per-node counters reproduces the
-//!    report's totals exactly.
+//! 1. **Fault-free differential**: `run_observed` with a
+//!    [`TrafficTrace`] and a [`RoundProfiler`] riding together produces
+//!    the same final states, `RunReport` and trace as a run traced
+//!    alone, and folding the profile's per-round / per-edge / per-node
+//!    counters reproduces the report's totals exactly.
 //! 2. **Chaos differential**: the same holds for the fallible path —
-//!    `robust_broadcast_observed` under seeded drops + corruption + a
-//!    crash matches `robust_broadcast` bit for bit, with the profile
-//!    additionally accounting every dropped message and corrupted bit.
+//!    `robust_broadcast` under seeded drops + corruption + a crash,
+//!    observed by a trace, a profile and a stream archive at once,
+//!    matches the unobserved run bit for bit. Each sink's output is
+//!    byte-identical to that sink riding alone, and messages, bits,
+//!    drops and corrupted bits agree exactly across the `RunReport`, the
+//!    trace, the profile and the stream footer.
 //!
 //! The CI chaos job re-runs these under several `QDC_CHAOS_SEED` values;
 //! the seed perturbs every generated case while each individual run stays
 //! fully deterministic.
 
 use proptest::prelude::*;
-use qdc::algos::flood::{
-    chaos_round_budget, robust_broadcast, robust_broadcast_observed, robust_broadcast_with,
-};
+use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
-    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RoundProfiler,
-    RunOptions, Simulator, TelemetryReport,
+    read_aggregate, ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo,
+    NullTelemetry, Outbox, RoundProfiler, RunOptions, Simulator, StreamSink, TelemetryReport,
+    TrafficTrace,
 };
 use qdc::graph::{generate, NodeId};
 
@@ -89,9 +91,11 @@ proptest! {
         let cfg = CongestConfig::classical(16);
         let make = |info: &NodeInfo| MinFlood { label: 1000 + info.id.0 as u64 };
         let sim = Simulator::new(&g, cfg);
-        let (plain, plain_report, plain_trace) = sim.run_traced(make, 100);
+        let mut plain_trace = TrafficTrace::default();
+        let (plain, plain_report) = sim.run_observed(make, 100, &mut plain_trace);
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), 16);
-        let (observed, report, trace) = sim.run_traced_observed(make, 100, &mut profiler);
+        let mut trace = TrafficTrace::default();
+        let (observed, report) = sim.run_observed(make, 100, &mut (&mut trace, &mut profiler));
         let profile = profiler.finish();
 
         prop_assert_eq!(plain, observed);
@@ -109,7 +113,9 @@ proptest! {
     }
 
     /// Under chaos: the observed fallible path matches the plain one bit
-    /// for bit, and the profile accounts every fault.
+    /// for bit, and every sink accounts every fault. A trace, a profile
+    /// and a stream archive ride one run together, each coming out
+    /// byte-identical to the same sink riding alone.
     #[test]
     fn telemetry_observed_chaos_run_accounts_every_fault(
         n in 4usize..16,
@@ -127,16 +133,65 @@ proptest! {
             max_rounds_watchdog: give_up + 5,
         };
         let cfg = CongestConfig::classical(8);
-        let plain = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up);
-        let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let observed =
-            robust_broadcast_observed(&g, cfg, NodeId(0), &chaos, give_up, &mut profiler);
+        let options = RunOptions::default();
+        let (nodes, edges) = (g.node_count(), g.edge_count());
+        let plain =
+            robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut NullTelemetry);
+        let mut archive = Vec::new();
+        let mut sinks = (
+            TrafficTrace::default(),
+            (
+                RoundProfiler::new(nodes, edges, 8),
+                StreamSink::new(&mut archive, nodes, edges, 8, 16),
+            ),
+        );
+        let observed = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut sinks);
+        let (trace, (profiler, stream)) = sinks;
         let profile = profiler.finish();
+        let footer = stream.finish().expect("Vec<u8> writes cannot fail");
+
+        // Riding together changes no sink's output.
+        let mut solo_trace = TrafficTrace::default();
+        let _ = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut solo_trace);
+        prop_assert_eq!(solo_trace.to_jsonl(), trace.to_jsonl());
+        let mut solo_profiler = RoundProfiler::new(nodes, edges, 8);
+        let _ = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut solo_profiler);
+        prop_assert_eq!(solo_profiler.finish().to_jsonl(false), profile.to_jsonl(false));
+        let mut solo_archive = Vec::new();
+        let mut solo_stream = StreamSink::new(&mut solo_archive, nodes, edges, 8, 16);
+        let _ = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut solo_stream);
+        solo_stream.finish().expect("Vec<u8> writes cannot fail");
+        prop_assert_eq!(&solo_archive, &archive);
+
+        // The trace, the profile and the footer read back from the
+        // archive count the same traffic…
+        let read = read_aggregate(archive.as_slice()).expect("the archive parses");
+        prop_assert_eq!(&read, &footer);
+        let totals = read.totals;
+        let traced_messages = trace.rounds.iter().map(Vec::len).sum::<usize>() as u64;
+        let traced_bits: u64 = trace.rounds.iter().flatten().map(|m| m.bits as u64).sum();
+        let traced_dropped: u64 = trace.dropped.iter().sum();
+        let profiled = (
+            profile.rounds.len() as u64,
+            profile.total_messages(),
+            profile.total_bits(),
+            profile.total_dropped(),
+        );
+        prop_assert_eq!(
+            (trace.rounds.len() as u64, traced_messages, traced_bits, traced_dropped),
+            profiled
+        );
+        prop_assert_eq!(
+            (totals.rounds, totals.messages, totals.bits, totals.dropped),
+            profiled
+        );
+        prop_assert_eq!(totals.corrupted_bits, profile.total_corrupted_bits());
 
         match (plain, observed) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a.informed, b.informed);
                 prop_assert_eq!(a.report.clone(), b.report.clone());
+                // …and so does the engine's own report.
                 prop_assert_eq!(profile.rounds.len(), b.report.rounds);
                 prop_assert_eq!(profile.total_messages(), b.report.messages_sent);
                 prop_assert_eq!(profile.total_bits(), b.report.bits_sent);
@@ -177,11 +232,11 @@ proptest! {
         };
         let cfg = CongestConfig::classical(8);
         let mut seq_prof = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let seq = robust_broadcast_with(
+        let seq = robust_broadcast(
             &g, cfg, RunOptions { threads: 1 }, NodeId(0), &chaos, give_up, &mut seq_prof,
         );
         let mut par_prof = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let par = robust_broadcast_with(
+        let par = robust_broadcast(
             &g, cfg, RunOptions { threads: 4 }, NodeId(0), &chaos, give_up, &mut par_prof,
         );
         match (seq, par) {
@@ -226,8 +281,9 @@ proptest! {
             max_rounds_watchdog: give_up + 5,
         };
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let _ = robust_broadcast_observed(
-            &g, CongestConfig::classical(8), NodeId(0), &chaos, give_up, &mut profiler,
+        let _ = robust_broadcast(
+            &g, CongestConfig::classical(8), RunOptions::default(), NodeId(0), &chaos, give_up,
+            &mut profiler,
         );
         let profile = profiler.finish();
         let live_capacity = |round: usize| -> u64 {
@@ -254,27 +310,31 @@ proptest! {
 /// byte-identical whether the round engine runs sequentially or sharded.
 #[test]
 fn telemetry_simthm_gamma_l_is_thread_invariant() {
-    use qdc::simthm::campaign::{
-        run_point, run_point_observed, run_point_observed_with, run_point_with, SimThmPoint,
-    };
+    use qdc::simthm::campaign::{highway_classes, run_point, SimThmPoint};
+    use qdc::simthm::SimulationNetwork;
     for (gamma, l) in [(3, 5), (5, 9)] {
         let point = SimThmPoint {
             gamma,
             l,
             bandwidth: 24,
         };
-        let seq = run_point(&point);
-        let par = run_point_with(&point, RunOptions { threads: 4 });
+        let profiler = |net: &SimulationNetwork| {
+            let g = net.graph();
+            RoundProfiler::new(g.node_count(), g.edge_count(), point.bandwidth)
+                .with_classes(highway_classes(net))
+        };
+        let (seq, _) = run_point(&point, RunOptions::default(), |_| NullTelemetry);
+        let (par, _) = run_point(&point, RunOptions { threads: 4 }, |_| NullTelemetry);
         assert_eq!(seq.metrics, par.metrics, "Γ={gamma} L={l}");
         assert_eq!(seq.within_budget, par.within_budget);
         assert_eq!(seq.paid_bits, par.paid_bits);
         assert_eq!(seq.trace.rounds, par.trace.rounds);
-        let (obs_seq, prof_seq) = run_point_observed(&point);
-        let (obs_par, prof_par) = run_point_observed_with(&point, RunOptions { threads: 3 });
+        let (obs_seq, prof_seq) = run_point(&point, RunOptions::default(), profiler);
+        let (obs_par, prof_par) = run_point(&point, RunOptions { threads: 3 }, profiler);
         assert_eq!(obs_seq.metrics, obs_par.metrics);
         assert_eq!(
-            prof_seq.to_jsonl(false),
-            prof_par.to_jsonl(false),
+            prof_seq.finish().to_jsonl(false),
+            prof_par.finish().to_jsonl(false),
             "Γ={gamma} L={l}: profile bytes must not depend on threads"
         );
     }

@@ -24,10 +24,10 @@
 //! values; each individual case stays fully deterministic.
 
 use proptest::prelude::*;
-use qdc::algos::flood::{chaos_round_budget, robust_broadcast_observed};
+use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
     read_aggregate, ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox,
-    QubitSplit, RoundProfiler, Simulator, StreamAggregate, StreamSink, TelemetryReport,
+    QubitSplit, RoundProfiler, RunOptions, Simulator, StreamAggregate, StreamSink, TelemetryReport,
 };
 use qdc::graph::{generate, Graph, NodeId};
 
@@ -168,13 +168,13 @@ proptest! {
         let sim = Simulator::new(&g, cfg);
 
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), 16);
-        let (exact_nodes, exact_report, _) = sim.run_traced_observed(make, 100, &mut profiler);
+        let (exact_nodes, exact_report) = sim.run_observed(make, 100, &mut profiler);
         let profile = profiler.finish();
 
         let mut sink = StreamSink::new(
             Vec::new(), g.node_count(), g.edge_count(), 16, exact_cap(&g),
         );
-        let (stream_nodes, stream_report, _) = sim.run_traced_observed(make, 100, &mut sink);
+        let (stream_nodes, stream_report) = sim.run_observed(make, 100, &mut sink);
         let agg = sink.finish().expect("Vec<u8> writes cannot fail");
 
         prop_assert_eq!(exact_report, stream_report);
@@ -204,15 +204,16 @@ proptest! {
             max_rounds_watchdog: give_up + 5,
         };
         let cfg = CongestConfig::classical(8);
+        let options = RunOptions::default();
 
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let exact = robust_broadcast_observed(&g, cfg, NodeId(0), &chaos, give_up, &mut profiler);
+        let exact = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut profiler);
         let profile = profiler.finish();
 
         let mut sink = StreamSink::new(
             Vec::new(), g.node_count(), g.edge_count(), 8, exact_cap(&g),
         );
-        let streamed = robust_broadcast_observed(&g, cfg, NodeId(0), &chaos, give_up, &mut sink);
+        let streamed = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut sink);
 
         match (exact, streamed) {
             (Ok(a), Ok(b)) => {
@@ -256,16 +257,17 @@ proptest! {
             CongestConfig::quantum(8)
         };
         let bandwidth = cfg.bandwidth_bits;
+        let options = RunOptions::default();
 
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), bandwidth)
             .with_quantum(teleport);
-        let exact = robust_broadcast_observed(&g, cfg, NodeId(0), &chaos, give_up, &mut profiler);
+        let exact = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut profiler);
         let profile = profiler.finish();
 
         let mut sink = StreamSink::new(
             Vec::new(), g.node_count(), g.edge_count(), bandwidth, exact_cap(&g),
         ).with_quantum(teleport);
-        let streamed = robust_broadcast_observed(&g, cfg, NodeId(0), &chaos, give_up, &mut sink);
+        let streamed = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut sink);
 
         match (exact, streamed) {
             (Ok(a), Ok(b)) => {
@@ -301,7 +303,7 @@ proptest! {
             let mut sink = StreamSink::new(
                 Vec::new(), g.node_count(), g.edge_count(), 16, exact_cap(&g),
             );
-            sim.run_traced_observed(make, 100, &mut sink);
+            sim.run_observed(make, 100, &mut sink);
             sink.finish().expect("Vec<u8> writes cannot fail")
         };
         let a = run(n, seed ^ env_seed());
