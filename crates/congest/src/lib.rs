@@ -32,6 +32,8 @@
 //! emits each round as `qdc-telemetry-stream/v1` JSONL the moment it
 //! commits, keeping only mergeable aggregates (running totals, a fixed
 //! utilisation histogram, and deterministic top-K sketches) in memory.
+//! These archives, and every campaign and service document downstream,
+//! read and write through one strict JSON layer: the [`json`] module.
 //!
 //! # Example
 //!
@@ -74,11 +76,11 @@
 
 mod bits;
 mod chaos;
-mod jsonl;
 mod message;
 mod sim;
 mod trace_io;
 
+pub mod json;
 pub mod stream;
 pub mod telemetry;
 pub mod topology;
@@ -93,7 +95,7 @@ pub use sim::{
 };
 pub use stream::{
     read_aggregate, StreamAggregate, StreamHeader, StreamReader, StreamRecord, StreamSink,
-    StreamTotals, TopEntry, TopK, STREAM_FLUSH_BYTES, STREAM_SCHEMA,
+    StreamTotals, TopEntry, TopK, TotalsOverflow, STREAM_FLUSH_BYTES, STREAM_SCHEMA,
 };
 pub use telemetry::{
     EdgeTotals, NodeClass, NodeTotals, NullTelemetry, QubitSplit, RoundProfile, RoundProfiler,

@@ -44,10 +44,10 @@
 //! it cross-checks the footer's totals against the sum of the round
 //! lines it saw, so a truncated or tampered archive cannot slip through.
 
-use crate::jsonl::Cursor;
+use crate::json::Cursor;
 use crate::telemetry::{
-    parse_flag, parse_round_line, write_round_line, NodeClass, QubitSplit, RoundFold, RoundProfile,
-    Telemetry, TelemetryParseError,
+    parse_header, parse_round_line, write_round_line, NodeClass, QubitSplit, RoundFold,
+    RoundProfile, Telemetry, TelemetryParseError,
 };
 use qdc_graph::{EdgeId, NodeId};
 use std::fmt::Write as _;
@@ -121,25 +121,41 @@ pub struct StreamTotals {
 
 impl StreamTotals {
     /// Folds one committed round into the totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a running total would overflow `u64`; the sink and the
+    /// archive reader use [`try_absorb`](StreamTotals::try_absorb).
     pub fn absorb(&mut self, r: &RoundProfile) {
-        self.rounds += 1;
-        self.messages += r.messages;
-        self.bits += r.bits;
-        self.dropped += r.dropped;
-        self.corrupted_bits += r.corrupted_bits;
-        self.crashes += r.crashes;
-        self.quiescent += u64::from(r.quiescent);
-        for (slot, add) in self.util.iter_mut().zip(r.util) {
-            *slot += add;
+        self.try_absorb(r).expect("stream totals overflow u64");
+    }
+
+    /// Folds one committed round into the totals. A round that would
+    /// push any running total past `u64::MAX` is refused whole: the
+    /// totals stay as they were.
+    pub fn try_absorb(&mut self, r: &RoundProfile) -> Result<(), TotalsOverflow> {
+        let sum = |a: u64, b: u64| a.checked_add(b).ok_or(TotalsOverflow);
+        let mut next = *self;
+        next.rounds = sum(self.rounds, 1)?;
+        next.messages = sum(self.messages, r.messages)?;
+        next.bits = sum(self.bits, r.bits)?;
+        next.dropped = sum(self.dropped, r.dropped)?;
+        next.corrupted_bits = sum(self.corrupted_bits, r.corrupted_bits)?;
+        next.crashes = sum(self.crashes, r.crashes)?;
+        next.quiescent = sum(self.quiescent, u64::from(r.quiescent))?;
+        for (slot, add) in next.util.iter_mut().zip(r.util) {
+            *slot = sum(*slot, add)?;
         }
-        self.path_bits += r.path_bits;
-        self.highway_bits += r.highway_bits;
-        self.cross_bits += r.cross_bits;
+        next.path_bits = sum(self.path_bits, r.path_bits)?;
+        next.highway_bits = sum(self.highway_bits, r.highway_bits)?;
+        next.cross_bits = sum(self.cross_bits, r.cross_bits)?;
         if let Some(q) = r.qsplit {
-            let t = self.qsplit.get_or_insert_with(QubitSplit::default);
-            t.classical_bits += q.classical_bits;
-            t.qubit_bits += q.qubit_bits;
+            let t = next.qsplit.get_or_insert_with(QubitSplit::default);
+            t.classical_bits = sum(t.classical_bits, q.classical_bits)?;
+            t.qubit_bits = sum(t.qubit_bits, q.qubit_bits)?;
         }
+        *self = next;
+        Ok(())
     }
 
     /// Sums `other` into `self` — associative and commutative (every
@@ -165,6 +181,19 @@ impl StreamTotals {
         }
     }
 }
+
+/// [`StreamTotals::try_absorb`] refused a round: some running total
+/// would exceed `u64::MAX`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TotalsOverflow;
+
+impl std::fmt::Display for TotalsOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("a running total would overflow u64")
+    }
+}
+
+impl std::error::Error for TotalsOverflow {}
 
 /// One entry of a [`TopK`] sketch: a key (edge or node index) with its
 /// tracked weight and the sketch's overestimation bound for it.
@@ -430,9 +459,10 @@ fn write_footer_line(out: &mut String, agg: &StreamAggregate) {
 /// opens, each round's line is appended the moment
 /// [`on_round_end`](Telemetry::on_round_end) commits it, and the
 /// pending buffer is pushed to the writer whenever it reaches the flush
-/// window. A write error is latched and re-raised by `finish` (the
-/// [`Telemetry`] methods cannot fail); after an error the sink stops
-/// formatting output but keeps folding aggregates.
+/// window. A write error — or a running total overflowing `u64` — is
+/// latched and re-raised by `finish` (the [`Telemetry`] methods cannot
+/// fail); after an error the sink stops formatting output but keeps
+/// folding aggregates.
 #[derive(Debug)]
 pub struct StreamSink<W: Write> {
     out: W,
@@ -577,7 +607,9 @@ impl<W: Write> Telemetry for StreamSink<W> {
 
     fn on_round_end(&mut self, round: usize, quiescent: bool, live_slots: u64) {
         self.fold.on_round_end(round, quiescent, live_slots);
-        self.agg.totals.absorb(self.fold.round());
+        if let Err(e) = self.agg.totals.try_absorb(self.fold.round()) {
+            self.io_error.get_or_insert(std::io::Error::other(e));
+        }
         if self.io_error.is_none() {
             write_round_line(&mut self.buf, self.fold.round(), self.fold.sample_wall);
             if self.buf.len() >= self.flush_bytes {
@@ -680,27 +712,9 @@ impl<R: BufRead> StreamReader<R> {
         let mut c = Cursor::new(self.line_no, line);
         match self.state {
             ReaderState::AtHeader => {
-                c.expect("{")?;
-                c.expect(&format!("\"schema\":\"{STREAM_SCHEMA}\""))?;
+                let (nodes, edges, bandwidth, classified) = parse_header(&mut c, STREAM_SCHEMA)?;
                 c.expect(",")?;
-                c.expect("\"nodes\"")?;
-                c.expect(":")?;
-                let nodes = c.parse_u64()? as usize;
-                c.expect(",")?;
-                c.expect("\"edges\"")?;
-                c.expect(":")?;
-                let edges = c.parse_u64()? as usize;
-                c.expect(",")?;
-                c.expect("\"bandwidth\"")?;
-                c.expect(":")?;
-                let bandwidth = c.parse_u64()? as usize;
-                c.expect(",")?;
-                c.expect("\"classified\"")?;
-                c.expect(":")?;
-                let classified = parse_flag(&mut c, "classified")?;
-                c.expect(",")?;
-                c.expect("\"top_k\"")?;
-                c.expect(":")?;
+                c.key("top_k")?;
                 let top_k = c.parse_u64()? as usize;
                 c.expect("}")?;
                 c.end()?;
@@ -715,14 +729,16 @@ impl<R: BufRead> StreamReader<R> {
                 Ok(StreamRecord::Header(self.header))
             }
             ReaderState::InRounds => {
-                if c.peeks("{\"totals\"") {
+                if c.opens_with("totals") {
                     let agg = self.parse_footer(&mut c)?;
                     self.state = ReaderState::Done;
                     Ok(StreamRecord::Footer(Box::new(agg)))
                 } else {
                     let expected = (self.running.rounds + 1) as usize;
                     let p = parse_round_line(&mut c, expected)?;
-                    self.running.absorb(&p);
+                    self.running
+                        .try_absorb(&p)
+                        .map_err(|e| self.err(e.to_string()))?;
                     Ok(StreamRecord::Round(p))
                 }
             }
@@ -732,70 +748,32 @@ impl<R: BufRead> StreamReader<R> {
 
     fn parse_footer(&mut self, c: &mut Cursor<'_>) -> Result<StreamAggregate, TelemetryParseError> {
         c.expect("{")?;
-        c.expect("\"totals\"")?;
-        c.expect(":")?;
+        c.key("totals")?;
         c.expect("{")?;
         let mut t = StreamTotals::default();
-        c.expect("\"rounds\"")?;
-        c.expect(":")?;
+        c.key("rounds")?;
         t.rounds = c.parse_u64()?;
-        c.expect(",")?;
-        c.expect("\"messages\"")?;
-        c.expect(":")?;
-        t.messages = c.parse_u64()?;
-        c.expect(",")?;
-        c.expect("\"bits\"")?;
-        c.expect(":")?;
-        t.bits = c.parse_u64()?;
-        c.expect(",")?;
-        c.expect("\"dropped\"")?;
-        c.expect(":")?;
-        t.dropped = c.parse_u64()?;
-        c.expect(",")?;
-        c.expect("\"corrupted\"")?;
-        c.expect(":")?;
-        t.corrupted_bits = c.parse_u64()?;
-        c.expect(",")?;
-        c.expect("\"crashes\"")?;
-        c.expect(":")?;
-        t.crashes = c.parse_u64()?;
-        c.expect(",")?;
-        c.expect("\"quiescent\"")?;
-        c.expect(":")?;
-        t.quiescent = c.parse_u64()?;
-        c.expect(",")?;
-        c.expect("\"util\"")?;
-        c.expect(":")?;
-        c.expect("[")?;
-        for (i, slot) in t.util.iter_mut().enumerate() {
-            if i > 0 {
-                c.expect(",")?;
-            }
+        for (name, slot) in [
+            ("messages", &mut t.messages),
+            ("bits", &mut t.bits),
+            ("dropped", &mut t.dropped),
+            ("corrupted", &mut t.corrupted_bits),
+            ("crashes", &mut t.crashes),
+            ("quiescent", &mut t.quiescent),
+        ] {
+            c.expect(",")?;
+            c.key(name)?;
             *slot = c.parse_u64()?;
         }
-        c.expect("]")?;
         c.expect(",")?;
-        c.expect("\"split\"")?;
-        c.expect(":")?;
-        c.expect("[")?;
-        t.path_bits = c.parse_u64()?;
+        c.key("util")?;
+        t.util = c.u64s()?;
         c.expect(",")?;
-        t.highway_bits = c.parse_u64()?;
-        c.expect(",")?;
-        t.cross_bits = c.parse_u64()?;
-        c.expect("]")?;
-        // Optional trailing `qsplit` (quantum-mode archives only): a
-        // comma here can only introduce it — `}` closes the totals
-        // otherwise.
-        if c.peek() == Some(b',') {
-            c.expect(",")?;
-            c.expect("\"qsplit\"")?;
-            c.expect(":")?;
-            c.expect("[")?;
-            let classical_bits = c.parse_u64()?;
-            c.expect(",")?;
-            let qubit_bits = c.parse_u64()?;
-            c.expect("]")?;
+        c.key("split")?;
+        [t.path_bits, t.highway_bits, t.cross_bits] = c.u64s()?;
+        // Optional trailing `qsplit` (quantum-mode archives only).
+        if c.opt_key("qsplit")? {
+            let [classical_bits, qubit_bits] = c.u64s()?;
             t.qsplit = Some(QubitSplit {
                 classical_bits,
                 qubit_bits,
@@ -803,12 +781,10 @@ impl<R: BufRead> StreamReader<R> {
         }
         c.expect("}")?;
         c.expect(",")?;
-        c.expect("\"top_edges\"")?;
-        c.expect(":")?;
+        c.key("top_edges")?;
         let top_edges = self.parse_top_array(c, self.header.edges, "top_edges")?;
         c.expect(",")?;
-        c.expect("\"top_nodes\"")?;
-        c.expect(":")?;
+        c.key("top_nodes")?;
         let top_nodes = self.parse_top_array(c, self.header.nodes, "top_nodes")?;
         c.expect("}")?;
         c.end()?;
@@ -833,51 +809,36 @@ impl<R: BufRead> StreamReader<R> {
         index_bound: usize,
         what: &str,
     ) -> Result<Vec<TopEntry>, TelemetryParseError> {
-        c.expect("[")?;
         let mut out: Vec<TopEntry> = Vec::new();
-        if c.peek() != Some(b']') {
-            loop {
-                c.expect("[")?;
-                let index = c.parse_u64()? as usize;
-                c.expect(",")?;
-                let bits = c.parse_u64()?;
-                c.expect(",")?;
-                let messages = c.parse_u64()?;
-                c.expect(",")?;
-                let err = c.parse_u64()?;
-                c.expect("]")?;
-                if index >= index_bound {
+        c.seq("[", "]", |c| {
+            let [index, bits, messages, err] = c.u64s()?;
+            let index = index as usize;
+            if index >= index_bound {
+                return Err(self.err(format!(
+                    "{what} index {index} out of range (header bound {index_bound})"
+                )));
+            }
+            if err > bits {
+                return Err(self.err(format!(
+                    "{what} entry {index}: error bound {err} exceeds weight {bits}"
+                )));
+            }
+            if let Some(prev) = out.last() {
+                let in_order = prev.bits > bits || (prev.bits == bits && prev.index < index);
+                if !in_order {
                     return Err(self.err(format!(
-                        "{what} index {index} out of range (header bound {index_bound})"
+                        "{what} not in canonical (bits desc, index asc) order at index {index}"
                     )));
-                }
-                if err > bits {
-                    return Err(self.err(format!(
-                        "{what} entry {index}: error bound {err} exceeds weight {bits}"
-                    )));
-                }
-                if let Some(prev) = out.last() {
-                    let in_order = prev.bits > bits || (prev.bits == bits && prev.index < index);
-                    if !in_order {
-                        return Err(self.err(format!(
-                            "{what} not in canonical (bits desc, index asc) order at index {index}"
-                        )));
-                    }
-                }
-                out.push(TopEntry {
-                    index,
-                    bits,
-                    messages,
-                    err,
-                });
-                if c.peek() == Some(b',') {
-                    c.expect(",")?;
-                } else {
-                    break;
                 }
             }
-        }
-        c.expect("]")?;
+            out.push(TopEntry {
+                index,
+                bits,
+                messages,
+                err,
+            });
+            Ok(())
+        })?;
         if out.len() > self.header.top_k {
             return Err(self.err(format!(
                 "{what} holds {} entries but the header capacity is {}",
@@ -1222,5 +1183,31 @@ mod tests {
         sink.on_round_end(1, false, 4);
         let err = sink.finish().expect_err("the write error surfaces");
         assert_eq!(err.to_string(), "disk full");
+    }
+
+    #[test]
+    fn stream_totals_refuse_overflow_and_the_sink_latches_it() {
+        let round = RoundProfile {
+            corrupted_bits: u64::MAX,
+            ..RoundProfile::default()
+        };
+        let mut totals = StreamTotals::default();
+        totals.try_absorb(&round).expect("one round fits");
+        let before = totals;
+        assert_eq!(totals.try_absorb(&round), Err(TotalsOverflow));
+        assert_eq!(
+            totals, before,
+            "a refused round leaves the totals as they were"
+        );
+
+        let mut buf = Vec::new();
+        let mut sink = StreamSink::new(&mut buf, 2, 1, 8, 4);
+        for r in 1..=2 {
+            sink.on_round_start(r);
+            sink.on_chaos_corrupt(r, EdgeId(0), NodeId(0), NodeId(1), u64::MAX);
+            sink.on_round_end(r, false, 2);
+        }
+        let err = sink.finish().expect_err("the overflow surfaces");
+        assert_eq!(err.to_string(), TotalsOverflow.to_string());
     }
 }

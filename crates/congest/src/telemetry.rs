@@ -36,7 +36,7 @@
 //! legitimately differs between two runs of the same experiment, so it
 //! stays outside the byte-identical determinism contract.
 
-use crate::jsonl::{Cursor, LineError};
+use crate::json::{Cursor, LineError};
 use qdc_graph::{EdgeId, NodeId};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -479,27 +479,9 @@ impl TelemetryReport {
             msg: "empty telemetry archive".into(),
         })?;
         let mut c = Cursor::new(line_no, header);
-        c.expect("{")?;
-        c.expect(&format!("\"schema\":\"{TELEMETRY_SCHEMA}\""))?;
+        let (nodes, edges, bandwidth, classified) = parse_header(&mut c, TELEMETRY_SCHEMA)?;
         c.expect(",")?;
-        c.expect("\"nodes\"")?;
-        c.expect(":")?;
-        let nodes = c.parse_u64()? as usize;
-        c.expect(",")?;
-        c.expect("\"edges\"")?;
-        c.expect(":")?;
-        let edges = c.parse_u64()? as usize;
-        c.expect(",")?;
-        c.expect("\"bandwidth\"")?;
-        c.expect(":")?;
-        let bandwidth = c.parse_u64()? as usize;
-        c.expect(",")?;
-        c.expect("\"classified\"")?;
-        c.expect(":")?;
-        let classified = parse_flag(&mut c, "classified")?;
-        c.expect(",")?;
-        c.expect("\"rounds\"")?;
-        c.expect(":")?;
+        c.key("rounds")?;
         let round_count = c.parse_u64()? as usize;
         c.expect("}")?;
         c.end()?;
@@ -527,97 +509,49 @@ impl TelemetryReport {
             report.rounds.push(p);
         }
 
-        let (line_no, line) = lines.next().ok_or(TelemetryParseError {
-            line: round_count + 2,
-            msg: "missing node_totals line".into(),
-        })?;
-        let mut c = Cursor::new(line_no, line);
-        c.expect("{")?;
-        c.expect("\"node_totals\"")?;
-        c.expect(":")?;
-        c.expect("[")?;
-        if c.peek() != Some(b']') {
-            loop {
-                c.expect("[")?;
-                let sent_messages = c.parse_u64()?;
-                c.expect(",")?;
-                let sent_bits = c.parse_u64()?;
-                c.expect(",")?;
-                let recv_messages = c.parse_u64()?;
-                c.expect(",")?;
-                let recv_bits = c.parse_u64()?;
-                c.expect("]")?;
-                report.node_totals.push(NodeTotals {
+        let mut totals = |name: &str, noun: &str, want: usize, missing_line: usize| {
+            let (line_no, line) = lines.next().ok_or(TelemetryParseError {
+                line: missing_line,
+                msg: format!("missing {name} line"),
+            })?;
+            let mut c = Cursor::new(line_no, line);
+            let mut rows: Vec<[u64; 4]> = Vec::new();
+            c.expect("{")?;
+            c.key(name)?;
+            c.seq("[", "]", |c| {
+                rows.push(c.u64s()?);
+                Ok::<_, LineError>(())
+            })?;
+            c.expect("}")?;
+            c.end()?;
+            if rows.len() != want {
+                return Err(TelemetryParseError {
+                    line: line_no,
+                    msg: format!("header promised {want} {noun}, {name} has {}", rows.len()),
+                });
+            }
+            Ok(rows)
+        };
+        report.node_totals = totals("node_totals", "nodes", nodes, round_count + 2)?
+            .into_iter()
+            .map(
+                |[sent_messages, sent_bits, recv_messages, recv_bits]| NodeTotals {
                     sent_messages,
                     sent_bits,
                     recv_messages,
                     recv_bits,
-                });
-                if c.peek() == Some(b',') {
-                    c.expect(",")?;
-                } else {
-                    break;
-                }
-            }
-        }
-        c.expect("]")?;
-        c.expect("}")?;
-        c.end()?;
-        if report.node_totals.len() != nodes {
-            return Err(TelemetryParseError {
-                line: line_no,
-                msg: format!(
-                    "header promised {nodes} nodes, node_totals has {}",
-                    report.node_totals.len()
-                ),
-            });
-        }
-
-        let (line_no, line) = lines.next().ok_or(TelemetryParseError {
-            line: round_count + 3,
-            msg: "missing edge_totals line".into(),
-        })?;
-        let mut c = Cursor::new(line_no, line);
-        c.expect("{")?;
-        c.expect("\"edge_totals\"")?;
-        c.expect(":")?;
-        c.expect("[")?;
-        if c.peek() != Some(b']') {
-            loop {
-                c.expect("[")?;
-                let messages = c.parse_u64()?;
-                c.expect(",")?;
-                let bits = c.parse_u64()?;
-                c.expect(",")?;
-                let dropped = c.parse_u64()?;
-                c.expect(",")?;
-                let corrupted_bits = c.parse_u64()?;
-                c.expect("]")?;
-                report.edge_totals.push(EdgeTotals {
-                    messages,
-                    bits,
-                    dropped,
-                    corrupted_bits,
-                });
-                if c.peek() == Some(b',') {
-                    c.expect(",")?;
-                } else {
-                    break;
-                }
-            }
-        }
-        c.expect("]")?;
-        c.expect("}")?;
-        c.end()?;
-        if report.edge_totals.len() != edges {
-            return Err(TelemetryParseError {
-                line: line_no,
-                msg: format!(
-                    "header promised {edges} edges, edge_totals has {}",
-                    report.edge_totals.len()
-                ),
-            });
-        }
+                },
+            )
+            .collect();
+        report.edge_totals = totals("edge_totals", "edges", edges, round_count + 3)?
+            .into_iter()
+            .map(|[messages, bits, dropped, corrupted_bits]| EdgeTotals {
+                messages,
+                bits,
+                dropped,
+                corrupted_bits,
+            })
+            .collect();
         if let Some(&(line_no, _)) = lines.peek() {
             return Err(TelemetryParseError {
                 line: line_no,
@@ -629,12 +563,36 @@ impl TelemetryReport {
 }
 
 /// Parses a 0/1 flag field, rejecting any other integer.
-pub(crate) fn parse_flag(c: &mut Cursor<'_>, what: &str) -> Result<bool, TelemetryParseError> {
+fn parse_flag(c: &mut Cursor<'_>, what: &str) -> Result<bool, TelemetryParseError> {
     match c.parse_u64()? {
         0 => Ok(false),
         1 => Ok(true),
         other => Err(c.err(format!("{what} must be 0 or 1, got {other}")).into()),
     }
+}
+
+/// Parses the header prefix both telemetry schemas share —
+/// `{"schema":"<schema>","nodes":N,"edges":E,"bandwidth":B,"classified":0|1`
+/// — as `(nodes, edges, bandwidth, classified)`.
+pub(crate) fn parse_header(
+    c: &mut Cursor<'_>,
+    schema: &str,
+) -> Result<(usize, usize, usize, bool), TelemetryParseError> {
+    c.expect("{")?;
+    c.key("schema")?;
+    c.expect(&format!("\"{schema}\""))?;
+    c.expect(",")?;
+    c.key("nodes")?;
+    let nodes = c.parse_u64()? as usize;
+    c.expect(",")?;
+    c.key("edges")?;
+    let edges = c.parse_u64()? as usize;
+    c.expect(",")?;
+    c.key("bandwidth")?;
+    let bandwidth = c.parse_u64()? as usize;
+    c.expect(",")?;
+    c.key("classified")?;
+    Ok((nodes, edges, bandwidth, parse_flag(c, "classified")?))
 }
 
 /// Serializes one [`RoundProfile`] as the round-line grammar shared by
@@ -677,8 +635,7 @@ pub(crate) fn parse_round_line(
     expected: usize,
 ) -> Result<RoundProfile, TelemetryParseError> {
     c.expect("{")?;
-    c.expect("\"round\"")?;
-    c.expect(":")?;
+    c.key("round")?;
     let round = c.parse_u64()? as usize;
     if round != expected {
         return Err(c
@@ -689,79 +646,38 @@ pub(crate) fn parse_round_line(
         round,
         ..RoundProfile::default()
     };
-    c.expect(",")?;
-    c.expect("\"messages\"")?;
-    c.expect(":")?;
-    p.messages = c.parse_u64()?;
-    c.expect(",")?;
-    c.expect("\"bits\"")?;
-    c.expect(":")?;
-    p.bits = c.parse_u64()?;
-    c.expect(",")?;
-    c.expect("\"dropped\"")?;
-    c.expect(":")?;
-    p.dropped = c.parse_u64()?;
-    c.expect(",")?;
-    c.expect("\"corrupted\"")?;
-    c.expect(":")?;
-    p.corrupted_bits = c.parse_u64()?;
-    c.expect(",")?;
-    c.expect("\"crashes\"")?;
-    c.expect(":")?;
-    p.crashes = c.parse_u64()?;
-    c.expect(",")?;
-    c.expect("\"quiescent\"")?;
-    c.expect(":")?;
-    p.quiescent = parse_flag(c, "quiescent")?;
-    c.expect(",")?;
-    c.expect("\"util\"")?;
-    c.expect(":")?;
-    c.expect("[")?;
-    for (i, slot) in p.util.iter_mut().enumerate() {
-        if i > 0 {
-            c.expect(",")?;
-        }
+    for (name, slot) in [
+        ("messages", &mut p.messages),
+        ("bits", &mut p.bits),
+        ("dropped", &mut p.dropped),
+        ("corrupted", &mut p.corrupted_bits),
+        ("crashes", &mut p.crashes),
+    ] {
+        c.expect(",")?;
+        c.key(name)?;
         *slot = c.parse_u64()?;
     }
-    c.expect("]")?;
     c.expect(",")?;
-    c.expect("\"split\"")?;
-    c.expect(":")?;
-    c.expect("[")?;
-    p.path_bits = c.parse_u64()?;
+    c.key("quiescent")?;
+    p.quiescent = parse_flag(c, "quiescent")?;
     c.expect(",")?;
-    p.highway_bits = c.parse_u64()?;
+    c.key("util")?;
+    p.util = c.u64s()?;
     c.expect(",")?;
-    p.cross_bits = c.parse_u64()?;
-    c.expect("]")?;
+    c.key("split")?;
+    [p.path_bits, p.highway_bits, p.cross_bits] = c.u64s()?;
     // Two optional trailing fields, in fixed order: `qsplit` (emitted
     // only by quantum-mode sinks) then `wall_ns` (emitted only with
     // `with_wall`).
-    if c.peek() == Some(b',') {
-        c.expect(",")?;
-        if c.peeks("\"qsplit\"") {
-            c.expect("\"qsplit\"")?;
-            c.expect(":")?;
-            c.expect("[")?;
-            let classical_bits = c.parse_u64()?;
-            c.expect(",")?;
-            let qubit_bits = c.parse_u64()?;
-            c.expect("]")?;
-            p.qsplit = Some(QubitSplit {
-                classical_bits,
-                qubit_bits,
-            });
-            if c.peek() == Some(b',') {
-                c.expect(",")?;
-                c.expect("\"wall_ns\"")?;
-                c.expect(":")?;
-                p.wall_ns = c.parse_u64()?;
-            }
-        } else {
-            c.expect("\"wall_ns\"")?;
-            c.expect(":")?;
-            p.wall_ns = c.parse_u64()?;
-        }
+    if c.opt_key("qsplit")? {
+        let [classical_bits, qubit_bits] = c.u64s()?;
+        p.qsplit = Some(QubitSplit {
+            classical_bits,
+            qubit_bits,
+        });
+    }
+    if c.opt_key("wall_ns")? {
+        p.wall_ns = c.parse_u64()?;
     }
     c.expect("}")?;
     c.end()?;

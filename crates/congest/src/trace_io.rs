@@ -18,7 +18,7 @@
 //! whitespace, and rejects anything else with a line-numbered
 //! [`TraceParseError`] instead of panicking.
 
-use crate::jsonl::{Cursor, LineError};
+use crate::json::{Cursor, LineError};
 use crate::sim::{TracedMessage, TrafficTrace};
 use qdc_graph::NodeId;
 use std::fmt::Write as _;
@@ -108,12 +108,10 @@ impl TrafficTrace {
         })?;
         let mut c = Cursor::new(line_no, header);
         c.expect("{")?;
-        c.expect("\"schema\"")?;
-        c.expect(":")?;
+        c.key("schema")?;
         c.expect(&format!("\"{TRACE_SCHEMA}\""))?;
         c.expect(",")?;
-        c.expect("\"rounds\"")?;
-        c.expect(":")?;
+        c.key("rounds")?;
         let round_count = c.parse_u64()? as usize;
         c.expect("}")?;
         c.end()?;
@@ -122,8 +120,7 @@ impl TrafficTrace {
         for (line_no, line) in lines {
             let mut c = Cursor::new(line_no, line);
             c.expect("{")?;
-            c.expect("\"round\"")?;
-            c.expect(":")?;
+            c.key("round")?;
             let round = c.parse_u64()? as usize;
             if round != trace.rounds.len() + 1 {
                 return Err(c
@@ -134,46 +131,32 @@ impl TrafficTrace {
                     .into());
             }
             c.expect(",")?;
-            c.expect("\"dropped\"")?;
-            c.expect(":")?;
+            c.key("dropped")?;
             let dropped = c.parse_u64()?;
             c.expect(",")?;
-            c.expect("\"messages\"")?;
-            c.expect(":")?;
-            c.expect("[")?;
+            c.key("messages")?;
             let mut msgs = Vec::new();
-            if c.peek() != Some(b']') {
-                loop {
-                    c.expect("{")?;
-                    c.expect("\"from\"")?;
-                    c.expect(":")?;
-                    let from = c.parse_u64()?;
-                    c.expect(",")?;
-                    c.expect("\"to\"")?;
-                    c.expect(":")?;
-                    let to = c.parse_u64()?;
-                    c.expect(",")?;
-                    c.expect("\"bits\"")?;
-                    c.expect(":")?;
-                    let bits = c.parse_u64()? as usize;
-                    c.expect("}")?;
-                    let narrow = |v: u64, what: &str| -> Result<u32, TraceParseError> {
-                        u32::try_from(v)
-                            .map_err(|_| c.err(format!("{what} id {v} exceeds u32")).into())
-                    };
-                    msgs.push(TracedMessage {
-                        from: NodeId(narrow(from, "sender")?),
-                        to: NodeId(narrow(to, "receiver")?),
-                        bits,
-                    });
-                    if c.peek() == Some(b',') {
-                        c.expect(",")?;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            c.expect("]")?;
+            c.seq("[", "]", |c| {
+                c.expect("{")?;
+                c.key("from")?;
+                let from = c.parse_u64()?;
+                c.expect(",")?;
+                c.key("to")?;
+                let to = c.parse_u64()?;
+                c.expect(",")?;
+                c.key("bits")?;
+                let bits = c.parse_u64()? as usize;
+                c.expect("}")?;
+                let narrow = |v: u64, what: &str| -> Result<u32, TraceParseError> {
+                    u32::try_from(v).map_err(|_| c.err(format!("{what} id {v} exceeds u32")).into())
+                };
+                msgs.push(TracedMessage {
+                    from: NodeId(narrow(from, "sender")?),
+                    to: NodeId(narrow(to, "receiver")?),
+                    bits,
+                });
+                Ok::<_, TraceParseError>(())
+            })?;
             c.expect("}")?;
             c.end()?;
             trace.rounds.push(msgs);

@@ -32,9 +32,9 @@
 //! damage — the caller pointed the runner at the wrong file — and
 //! surfaces as a hard error instead.
 
-use crate::json::Json;
-use crate::point::{validate_failure_line, validate_record_line};
+use crate::point::{FAILURE_TABLE, RECORD_TABLE};
 use crate::spec::{FAILURE_SCHEMA, POINT_SCHEMA};
+use qdc_congest::json::{self, Json};
 use qdc_congest::RunMetrics;
 use std::io::Write;
 
@@ -157,19 +157,15 @@ fn classify_line(
     campaign: &str,
     index: usize,
 ) -> Result<Option<RecoveredEntry>, String> {
-    let Ok(doc) = crate::json::parse(line) else {
+    let Ok(doc) = json::parse(line) else {
         return Ok(None);
     };
-    let schema = match doc.get("schema") {
-        Some(Json::Str(s)) => s.as_str(),
+    let (table, failure) = match doc.get("schema") {
+        Some(Json::Str(s)) if s == POINT_SCHEMA => (&RECORD_TABLE, false),
+        Some(Json::Str(s)) if s == FAILURE_SCHEMA => (&FAILURE_TABLE, true),
         _ => return Ok(None),
     };
-    let valid = match schema {
-        s if s == POINT_SCHEMA => validate_record_line(line).is_ok(),
-        s if s == FAILURE_SCHEMA => validate_failure_line(line).is_ok(),
-        _ => false,
-    };
-    if !valid {
+    if json::check(&doc, table).is_err() {
         return Ok(None);
     }
     // The line is schema-valid: now it must belong to *this* campaign…
@@ -187,7 +183,7 @@ fn classify_line(
     if doc.get("point").and_then(Json::as_u64) != Some(index as u64) {
         return Ok(None);
     }
-    if schema == FAILURE_SCHEMA {
+    if failure {
         let attempts = doc
             .get("attempts")
             .and_then(Json::as_u64)

@@ -14,8 +14,9 @@
 //!   shards the points round-robin across a [`std::thread::scope`]
 //!   worker pool, and folds the per-point records into an
 //!   order-independent [`Aggregate`] ([`runner`]);
-//! * records and summaries serialize through a tiny hand-rolled JSON
-//!   layer ([`json`]) with fixed field order and integer-only metrics,
+//! * records and summaries serialize through the workspace's one strict
+//!   JSON layer ([`qdc_congest::json`]) with fixed field order and
+//!   integer-only metrics, each schema checked against one key table,
 //!   which is what makes the headline guarantee checkable: **the same
 //!   spec produces byte-identical deterministic output on 1 or N
 //!   threads**.
@@ -39,14 +40,16 @@
 #![warn(missing_docs)]
 
 pub mod journal;
-pub mod json;
 pub mod point;
 pub mod runner;
 pub mod spec;
 pub mod spec_io;
 
+/// Re-exported for the benchmark package under `perf/`, which imports
+/// `qdc_harness::json`; code in the workspace uses `qdc_congest::json`.
+pub use qdc_congest::json;
+
 pub use journal::{recover, Journal, RecoveredEntry, Recovery};
-pub use json::Json;
 pub use point::{
     execute_point, failure_json, record_json, stream_telemetry_archives, stream_telemetry_path,
     validate_failure_line, validate_record_line, PointFailure, PointRecord, StreamTelemetry,

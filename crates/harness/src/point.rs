@@ -16,13 +16,13 @@
 //! everything else is covered by the byte-identical determinism
 //! contract.
 
-use crate::json::Json;
 use crate::spec::{PointSpec, FAILURE_SCHEMA, POINT_SCHEMA};
 use qdc_algos::disjointness::{
     classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds,
 };
 use qdc_algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc_algos::verify::verify_hamiltonian_cycle;
+use qdc_congest::json::{self, Json, Shape, Table};
 use qdc_congest::{
     ChaosConfig, CongestConfig, NodeClass, NullTelemetry, RoundProfiler, RunMetrics, RunOptions,
     SimError, StreamSink, Telemetry, TelemetryReport, TrafficTrace,
@@ -700,48 +700,27 @@ pub fn failure_json(campaign: &str, failure: &PointFailure) -> String {
     .to_json()
 }
 
-/// Strict conformance check for one `qdc-campaign-failure/v1` line: the
-/// exact field list in the exact order, the schema tag, a non-empty
-/// kind, a boolean retryability and an attempt count of at least one.
+/// The `qdc-campaign-failure/v1` key table: every field required, a
+/// non-empty kind and an attempt count of at least one (the first try
+/// counts).
+pub(crate) const FAILURE_TABLE: Table = Table {
+    required: &[
+        ("schema", Shape::Tag(FAILURE_SCHEMA)),
+        ("campaign", Shape::Str),
+        ("point", Shape::U64),
+        ("kind", Shape::NonEmptyStr),
+        ("retryable", Shape::Bool),
+        ("attempts", Shape::U64In(1, u64::MAX)),
+        ("error", Shape::Str),
+    ],
+    optional: &[],
+};
+
+/// Strict conformance check for one `qdc-campaign-failure/v1` line
+/// against `FAILURE_TABLE`: the exact field list in the exact order
+/// and every value's shape.
 pub fn validate_failure_line(line: &str) -> Result<(), String> {
-    let doc = crate::json::parse(line)?;
-    crate::json::require_keys(
-        &doc,
-        &[
-            "schema",
-            "campaign",
-            "point",
-            "kind",
-            "retryable",
-            "attempts",
-            "error",
-        ],
-        &[],
-    )?;
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == FAILURE_SCHEMA => {}
-        _ => return Err(format!("schema tag must be `{FAILURE_SCHEMA}`")),
-    }
-    for key in ["campaign", "error"] {
-        if !matches!(doc.get(key), Some(Json::Str(_))) {
-            return Err(format!("`{key}` must be a string"));
-        }
-    }
-    match doc.get("kind") {
-        Some(Json::Str(k)) if !k.is_empty() => {}
-        _ => return Err("`kind` must be a non-empty string".into()),
-    }
-    if doc.get("point").and_then(Json::as_u64).is_none() {
-        return Err("`point` must be an unsigned integer".into());
-    }
-    if !matches!(doc.get("retryable"), Some(Json::Bool(_))) {
-        return Err("`retryable` must be a boolean".into());
-    }
-    match doc.get("attempts").and_then(Json::as_u64) {
-        Some(n) if n >= 1 => {}
-        _ => return Err("`attempts` must be an integer of at least 1".into()),
-    }
-    Ok(())
+    json::check(&json::parse(line)?, &FAILURE_TABLE)
 }
 
 fn metrics_json(m: &RunMetrics) -> Json {
@@ -807,78 +786,48 @@ pub fn record_json(campaign: &str, rec: &PointRecord, with_wall: bool) -> String
     Json::Obj(fields).to_json()
 }
 
-/// Strict conformance check for one `qdc-campaign-point/v1` record line:
-/// the exact field list in the exact order (with `wall_us` as the only
-/// optional, trailing field), the schema tag, integer-only metrics, and
-/// the `accept`/`error` nullability rules. The campaign binary runs
-/// this over every line it writes before declaring success.
+const METRICS_TABLE: Table = Table {
+    required: &[
+        ("rounds", Shape::U64),
+        ("completed", Shape::U64),
+        ("messages_sent", Shape::U64),
+        ("bits_sent", Shape::U64),
+        ("max_bits_per_round", Shape::U64),
+        ("messages_dropped", Shape::U64),
+        ("nodes_crashed", Shape::U64),
+        ("bits_corrupted", Shape::U64),
+    ],
+    optional: &[],
+};
+
+/// The `qdc-campaign-point/v1` key table: `wall_us` is the only
+/// optional, trailing field; `params` and `extra` are open objects,
+/// `metrics` is integer-only, and `accept`/`error` may be null.
+pub(crate) const RECORD_TABLE: Table = Table {
+    required: &[
+        ("schema", Shape::Tag(POINT_SCHEMA)),
+        ("campaign", Shape::Str),
+        ("point", Shape::U64),
+        ("kind", Shape::Str),
+        ("params", Shape::Object),
+        ("metrics", Shape::Table(&METRICS_TABLE)),
+        ("accept", Shape::BoolOrNull),
+        ("extra", Shape::Object),
+        ("error", Shape::StrOrNull),
+    ],
+    optional: &[("wall_us", Shape::U64)],
+};
+
+/// Strict conformance check for one `qdc-campaign-point/v1` record line
+/// against `RECORD_TABLE`. The campaign binary runs this over every
+/// line it writes before declaring success.
 pub fn validate_record_line(line: &str) -> Result<(), String> {
-    let doc = crate::json::parse(line)?;
-    crate::json::require_keys(
-        &doc,
-        &[
-            "schema", "campaign", "point", "kind", "params", "metrics", "accept", "extra", "error",
-        ],
-        &["wall_us"],
-    )?;
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == POINT_SCHEMA => {}
-        _ => return Err(format!("schema tag must be `{POINT_SCHEMA}`")),
-    }
-    for key in ["campaign", "kind"] {
-        if !matches!(doc.get(key), Some(Json::Str(_))) {
-            return Err(format!("`{key}` must be a string"));
-        }
-    }
-    if doc.get("point").and_then(Json::as_u64).is_none() {
-        return Err("`point` must be an unsigned integer".into());
-    }
-    for key in ["params", "extra"] {
-        if !matches!(doc.get(key), Some(Json::Obj(_))) {
-            return Err(format!("`{key}` must be an object"));
-        }
-    }
-    let metrics = doc.get("metrics").expect("checked above");
-    crate::json::require_keys(
-        metrics,
-        &[
-            "rounds",
-            "completed",
-            "messages_sent",
-            "bits_sent",
-            "max_bits_per_round",
-            "messages_dropped",
-            "nodes_crashed",
-            "bits_corrupted",
-        ],
-        &[],
-    )
-    .map_err(|e| format!("metrics: {e}"))?;
-    if let Json::Obj(fields) = metrics {
-        for (k, v) in fields {
-            if v.as_u64().is_none() {
-                return Err(format!("metric `{k}` must be an unsigned integer"));
-            }
-        }
-    }
-    if !matches!(doc.get("accept"), Some(Json::Bool(_) | Json::Null)) {
-        return Err("`accept` must be a boolean or null".into());
-    }
-    if !matches!(doc.get("error"), Some(Json::Str(_) | Json::Null)) {
-        return Err("`error` must be a string or null".into());
-    }
-    if let Some(w) = doc.get("wall_us") {
-        if w.as_u64().is_none() {
-            return Err("`wall_us` must be an unsigned integer".into());
-        }
-    }
-    Ok(())
+    json::check(&json::parse(line)?, &RECORD_TABLE)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use crate::spec::builtin;
 
     /// One point under exact profiling.

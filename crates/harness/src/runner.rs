@@ -51,12 +51,12 @@
 //! `interrupted: true` — the journal is always resumable.
 
 use crate::journal::{self, Journal, RecoveredEntry};
-use crate::json::Json;
 use crate::point::{
     execute_point_sharded, failure_json, record_json, stream_telemetry_path, PointFailure,
     PointRecord, TelemetryMode,
 };
 use crate::spec::{CampaignError, CampaignSpec, PointSpec, CAMPAIGN_SCHEMA};
+use qdc_congest::json::{self, Json, Shape, Table};
 use qdc_congest::{RunMetrics, TelemetryReport, TrafficTrace};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -195,6 +195,29 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
+    /// The key table of the object [`Aggregate::to_json`] writes: the
+    /// fourteen counters, in order, integers only. The campaign summary
+    /// and the service's job documents both nest it.
+    pub const TABLE: Table = Table {
+        required: &[
+            ("points", Shape::U64),
+            ("ok", Shape::U64),
+            ("errors", Shape::U64),
+            ("accepted", Shape::U64),
+            ("rejected", Shape::U64),
+            ("rounds", Shape::U64),
+            ("messages", Shape::U64),
+            ("bits", Shape::U64),
+            ("max_bits_per_round", Shape::U64),
+            ("dropped", Shape::U64),
+            ("crashed", Shape::U64),
+            ("corrupted", Shape::U64),
+            ("points_failed", Shape::U64),
+            ("points_retried", Shape::U64),
+        ],
+        optional: &[],
+    };
+
     /// Folds one successful point into the counters.
     pub fn add_point(&mut self, metrics: &RunMetrics, accept: Option<bool>, errored: bool) {
         self.points += 1;
@@ -380,68 +403,25 @@ fn summary_doc(
     Json::Obj(fields).to_json()
 }
 
-/// Strict conformance check for one `qdc-campaign/v1` summary document:
-/// the exact field list in the exact order, the schema tag, and an
-/// integer-only aggregate with the exact counter list. The one optional
-/// field is a trailing boolean `interrupted` marker (present only on
-/// the partial summary of an interrupted journaled run). A trailing
-/// newline (as written by the campaign binary) is accepted.
+/// The `qdc-campaign/v1` key table. The one optional field is a
+/// trailing boolean `interrupted` marker (present only on the partial
+/// summary of an interrupted journaled run).
+const SUMMARY_TABLE: Table = Table {
+    required: &[
+        ("schema", Shape::Tag(CAMPAIGN_SCHEMA)),
+        ("campaign", Shape::Str),
+        ("threads", Shape::U64),
+        ("wall_ms", Shape::U64),
+        ("aggregate", Shape::Table(&Aggregate::TABLE)),
+    ],
+    optional: &[("interrupted", Shape::Bool)],
+};
+
+/// Strict conformance check for one `qdc-campaign/v1` summary document
+/// against `SUMMARY_TABLE`. A trailing newline (as written by the
+/// campaign binary) is accepted.
 pub fn validate_summary(text: &str) -> Result<(), String> {
-    let doc = crate::json::parse(text.strip_suffix('\n').unwrap_or(text))?;
-    crate::json::require_keys(
-        &doc,
-        &["schema", "campaign", "threads", "wall_ms", "aggregate"],
-        &["interrupted"],
-    )?;
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == CAMPAIGN_SCHEMA => {}
-        _ => return Err(format!("schema tag must be `{CAMPAIGN_SCHEMA}`")),
-    }
-    if !matches!(doc.get("campaign"), Some(Json::Str(_))) {
-        return Err("`campaign` must be a string".into());
-    }
-    for key in ["threads", "wall_ms"] {
-        if doc.get(key).and_then(Json::as_u64).is_none() {
-            return Err(format!("`{key}` must be an unsigned integer"));
-        }
-    }
-    if let Some(marker) = doc.get("interrupted") {
-        if !matches!(marker, Json::Bool(_)) {
-            return Err("`interrupted` must be a boolean".into());
-        }
-    }
-    let agg = doc.get("aggregate").expect("checked above");
-    crate::json::require_keys(
-        agg,
-        &[
-            "points",
-            "ok",
-            "errors",
-            "accepted",
-            "rejected",
-            "rounds",
-            "messages",
-            "bits",
-            "max_bits_per_round",
-            "dropped",
-            "crashed",
-            "corrupted",
-            "points_failed",
-            "points_retried",
-        ],
-        &[],
-    )
-    .map_err(|e| format!("aggregate: {e}"))?;
-    if let Json::Obj(fields) = agg {
-        for (k, v) in fields {
-            if v.as_u64().is_none() {
-                return Err(format!(
-                    "aggregate counter `{k}` must be an unsigned integer"
-                ));
-            }
-        }
-    }
-    Ok(())
+    json::check(&json::parse(text)?, &SUMMARY_TABLE)
 }
 
 /// One point's fully executed slot: the record plus its optional
@@ -897,7 +877,6 @@ pub fn run_campaign_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use crate::spec::{builtin, CampaignGrid};
 
     fn opts(threads: usize) -> RunOptions {

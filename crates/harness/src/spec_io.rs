@@ -2,10 +2,10 @@
 //!
 //! The campaign service accepts [`CampaignSpec`]s over the wire, so the
 //! declarative grid needs a canonical JSON form next to its Rust one.
-//! The dialect is the workspace's usual hand-rolled one ([`crate::json`]):
-//! objects with a fixed field order, integer-only numbers, no floats —
-//! drop probabilities stay in per-mille, exactly as [`CampaignGrid`]
-//! stores them.
+//! The dialect is the workspace's usual hand-rolled one
+//! ([`qdc_congest::json`]): objects with a fixed field order,
+//! integer-only numbers, no floats — drop probabilities stay in
+//! per-mille, exactly as [`CampaignGrid`] stores them.
 //!
 //! ```text
 //! {"name":"smoke","grid":{"kind":"simthm","gammas":[4],"lengths":[9],"bandwidth":16}}
@@ -20,8 +20,8 @@
 //! stays with [`CampaignSpec::validate`], so the service can map shape
 //! errors and semantic errors to distinct structured responses.
 
-use crate::json::{self, Json};
 use crate::spec::{CampaignGrid, CampaignSpec};
+use qdc_congest::json::{self, Json};
 
 fn num_array(items: &[u64]) -> Json {
     Json::Arr(items.iter().map(|&n| Json::Num(n)).collect())

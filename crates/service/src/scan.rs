@@ -17,7 +17,7 @@
 //! records file without a service in sight.
 
 use crate::core::{Job, JobState};
-use qdc_harness::json::{self, Json};
+use qdc_congest::json::{self, Json};
 use qdc_harness::{journal, spec_from_json, spec_to_json, Aggregate, CampaignSpec};
 use std::io;
 use std::path::{Path, PathBuf};

@@ -37,7 +37,7 @@ use crate::core::{JobState, QuotaConfig, ServiceCore, SubmitError};
 use crate::http::{read_request, write_json_response, ChunkedWriter, HttpError, Request};
 use crate::scan::{job_doc_json, job_paths, scan_data_dir};
 use crate::wire::{error_json, job_json, status_json, submit_error_json};
-use qdc_harness::json::{self, Json};
+use qdc_congest::json::{self, Json};
 use qdc_harness::{
     builtin, journal, run_campaign_journaled, spec_from_json, stream_telemetry_archives,
     stream_telemetry_path, CampaignSpec, CancelToken, JournalConfig, RunOptions, TelemetryMode,

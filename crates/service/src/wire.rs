@@ -9,12 +9,14 @@
 //!   queue to an unknown path.
 //!
 //! Like the campaign schemas, each document has a fixed field order,
-//! integer-only counters, and a validator that rejects unknown or
-//! reordered fields; `tests/golden_schemas.rs` at the workspace root
+//! integer-only counters, and one key table, checked by
+//! [`qdc_congest::json::check`], that rejects unknown, reordered or
+//! mistyped fields; `tests/golden_schemas.rs` at the workspace root
 //! pins example bytes for all three.
 
 use crate::core::{Job, JobState, ServiceCore, SubmitError};
-use qdc_harness::json::{self, Json};
+use qdc_congest::json::{self, Json, Shape, Table};
+use qdc_harness::Aggregate;
 
 /// Schema tag of a job receipt/status document.
 pub const JOB_SCHEMA: &str = "qdc-job/v1";
@@ -114,156 +116,83 @@ pub fn submit_error_json(err: &SubmitError) -> (u16, String) {
     (status, error_json(status, slug, &err.to_string()))
 }
 
-const AGGREGATE_KEYS: [&str; 14] = [
-    "points",
-    "ok",
-    "errors",
-    "accepted",
-    "rejected",
-    "rounds",
-    "messages",
-    "bits",
-    "max_bits_per_round",
-    "dropped",
-    "crashed",
-    "corrupted",
-    "points_failed",
-    "points_retried",
-];
-
-fn check_aggregate(agg: &Json) -> Result<(), String> {
-    json::require_keys(agg, &AGGREGATE_KEYS, &[]).map_err(|e| format!("aggregate: {e}"))?;
-    if let Json::Obj(fields) = agg {
-        for (k, v) in fields {
-            if v.as_u64().is_none() {
-                return Err(format!(
-                    "aggregate counter `{k}` must be an unsigned integer"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_schema_tag(doc: &Json, want: &str) -> Result<(), String> {
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == want => Ok(()),
-        _ => Err(format!("schema tag must be `{want}`")),
-    }
-}
-
-/// Strict conformance check for one `qdc-job/v1` document: exact field
-/// list and order, a known `state` word, integer counters, and — when
-/// present — a full integer aggregate. A trailing newline is accepted.
-pub fn validate_job(text: &str) -> Result<(), String> {
-    let doc = json::parse(text.strip_suffix('\n').unwrap_or(text))?;
-    json::require_keys(
-        &doc,
-        &[
-            "schema",
-            "id",
-            "campaign",
-            "client",
-            "telemetry",
-            "points",
+/// The `qdc-job/v1` key table: a known `state` word, integer counters,
+/// and — on jobs with committed results — the campaign aggregate.
+const JOB_TABLE: Table = Table {
+    required: &[
+        ("schema", Shape::Tag(JOB_SCHEMA)),
+        ("id", Shape::U64),
+        ("campaign", Shape::Str),
+        ("client", Shape::Str),
+        ("telemetry", Shape::Bool),
+        ("points", Shape::U64),
+        (
             "state",
-            "committed",
-        ],
-        &["aggregate"],
-    )?;
-    check_schema_tag(&doc, JOB_SCHEMA)?;
-    for key in ["id", "points", "committed"] {
-        if doc.get(key).and_then(Json::as_u64).is_none() {
-            return Err(format!("`{key}` must be an unsigned integer"));
-        }
-    }
-    for key in ["campaign", "client"] {
-        if !matches!(doc.get(key), Some(Json::Str(_))) {
-            return Err(format!("`{key}` must be a string"));
-        }
-    }
-    if !matches!(doc.get("telemetry"), Some(Json::Bool(_))) {
-        return Err("`telemetry` must be a boolean".into());
-    }
-    match doc.get("state") {
-        Some(Json::Str(s))
-            if ["queued", "running", "completed", "interrupted"].contains(&s.as_str()) => {}
-        _ => return Err("`state` must be one of queued/running/completed/interrupted".into()),
-    }
-    if let Some(agg) = doc.get("aggregate") {
-        check_aggregate(agg)?;
-    }
-    Ok(())
+            Shape::OneOf(&["queued", "running", "completed", "interrupted"]),
+        ),
+        ("committed", Shape::U64),
+    ],
+    optional: &[("aggregate", Shape::Table(&Aggregate::TABLE))],
+};
+
+const CLIENT_TABLE: Table = Table {
+    required: &[
+        ("submitted", Shape::U64),
+        ("rejected", Shape::U64),
+        ("completed", Shape::U64),
+    ],
+    optional: &[],
+};
+
+/// The `qdc-service-status/v1` key table: job counts by state, then
+/// per-client counters keyed by client.
+const STATUS_TABLE: Table = Table {
+    required: &[
+        ("schema", Shape::Tag(STATUS_SCHEMA)),
+        ("jobs", Shape::U64),
+        ("queued", Shape::U64),
+        ("running", Shape::U64),
+        ("completed", Shape::U64),
+        ("interrupted", Shape::U64),
+        ("clients", Shape::MapOf(&CLIENT_TABLE)),
+    ],
+    optional: &[],
+};
+
+/// The `qdc-service-error/v1` key table: `status` is an HTTP status.
+const ERROR_TABLE: Table = Table {
+    required: &[
+        ("schema", Shape::Tag(ERROR_SCHEMA)),
+        ("status", Shape::U64In(100, 599)),
+        ("error", Shape::Str),
+        ("message", Shape::Str),
+    ],
+    optional: &[],
+};
+
+/// Strict conformance check for one `qdc-job/v1` document against
+/// `JOB_TABLE`. A trailing newline is accepted.
+pub fn validate_job(text: &str) -> Result<(), String> {
+    json::check(&json::parse(text)?, &JOB_TABLE)
 }
 
-/// Strict conformance check for one `qdc-service-status/v1` document.
-/// A trailing newline is accepted.
+/// Strict conformance check for one `qdc-service-status/v1` document
+/// against `STATUS_TABLE`. A trailing newline is accepted.
 pub fn validate_status(text: &str) -> Result<(), String> {
-    let doc = json::parse(text.strip_suffix('\n').unwrap_or(text))?;
-    json::require_keys(
-        &doc,
-        &[
-            "schema",
-            "jobs",
-            "queued",
-            "running",
-            "completed",
-            "interrupted",
-            "clients",
-        ],
-        &[],
-    )?;
-    check_schema_tag(&doc, STATUS_SCHEMA)?;
-    for key in ["jobs", "queued", "running", "completed", "interrupted"] {
-        if doc.get(key).and_then(Json::as_u64).is_none() {
-            return Err(format!("`{key}` must be an unsigned integer"));
-        }
-    }
-    let Some(Json::Obj(clients)) = doc.get("clients") else {
-        return Err("`clients` must be an object".into());
-    };
-    for (key, stats) in clients {
-        json::require_keys(stats, &["submitted", "rejected", "completed"], &[])
-            .map_err(|e| format!("client `{key}`: {e}"))?;
-        if let Json::Obj(fields) = stats {
-            for (k, v) in fields {
-                if v.as_u64().is_none() {
-                    return Err(format!(
-                        "client `{key}` counter `{k}` must be an unsigned integer"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
+    json::check(&json::parse(text)?, &STATUS_TABLE)
 }
 
-/// Strict conformance check for one `qdc-service-error/v1` document.
-/// A trailing newline is accepted.
+/// Strict conformance check for one `qdc-service-error/v1` document
+/// against `ERROR_TABLE`. A trailing newline is accepted.
 pub fn validate_error(text: &str) -> Result<(), String> {
-    let doc = json::parse(text.strip_suffix('\n').unwrap_or(text))?;
-    json::require_keys(&doc, &["schema", "status", "error", "message"], &[])?;
-    check_schema_tag(&doc, ERROR_SCHEMA)?;
-    let status = doc
-        .get("status")
-        .and_then(Json::as_u64)
-        .ok_or("`status` must be an unsigned integer")?;
-    if !(100..=599).contains(&status) {
-        return Err("`status` must be an HTTP status code".into());
-    }
-    for key in ["error", "message"] {
-        if !matches!(doc.get(key), Some(Json::Str(_))) {
-            return Err(format!("`{key}` must be a string"));
-        }
-    }
-    Ok(())
+    json::check(&json::parse(text)?, &ERROR_TABLE)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::core::{QuotaConfig, ServiceCore};
-    use qdc_harness::{builtin, Aggregate, CampaignError};
+    use qdc_harness::{builtin, CampaignError};
 
     fn filled_core() -> ServiceCore {
         let mut core = ServiceCore::new(QuotaConfig::default());

@@ -18,6 +18,14 @@
 //!    version tag, a non-integer value and a leading-zero integer are
 //!    each rejected with an error.
 //!
+//! Across all fixtures, two more properties hold every reader to the
+//! one strict JSON layer (`qdc::congest::json`): a copy of each fixture
+//! with a space after every `{`, `[`, `:` and `,` reads to the same
+//! value, and a seeded mutation fuzz (bit flips, truncation, duplicated,
+//! deleted and spliced slices, out-of-range integers) never panics a
+//! reader — every mutant is either rejected with a line number and a
+//! message, or accepted and re-emitted to text that reads back equal.
+//!
 //! The telemetry and campaign-point schemas additionally pin
 //! quantum-channel fixtures (`telemetry_v1_quantum.jsonl`,
 //! `telemetry_stream_v1_quantum.jsonl`, `campaign_point_ex11_v1.jsonl`)
@@ -30,9 +38,11 @@
 //! QDC_UPDATE_GOLDEN=1 cargo test --test golden_schemas
 //! ```
 
+use proptest::prelude::*;
+use qdc::congest::json;
 use qdc::congest::{
-    read_aggregate, ChaosConfig, CongestConfig, RoundProfiler, StreamAggregate, StreamSink,
-    TelemetryReport, TrafficTrace,
+    read_aggregate, ChaosConfig, CongestConfig, RoundProfiler, StreamAggregate, StreamReader,
+    StreamSink, TelemetryReport, TrafficTrace,
 };
 use qdc::harness::{
     builtin, execute_point, failure_json, record_json, run_campaign, summary_json,
@@ -184,12 +194,27 @@ fn golden_telemetry_stream_v1_rejection_corpus() {
         let cut = body.rfind('\n').expect("multi-line archive");
         body[..=cut].to_string()
     };
+    // The first two round lines each claim u64::MAX drops: their running
+    // total overflows, which the reader must reject rather than wrap (or
+    // panic on) before it ever reaches the footer cross-check.
+    let overflow: String = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| match i {
+            1 | 2 => line.replacen("\"dropped\":0", "\"dropped\":18446744073709551615", 1) + "\n",
+            _ => format!("{line}\n"),
+        })
+        .collect();
+    assert_eq!(overflow.matches("18446744073709551615").count(), 2);
+    let err = read_aggregate(overflow.as_bytes()).expect_err("overflowing running totals");
+    assert_eq!(err.line, 3, "rejected at the round that overflows: {err}");
     let cases = [
         (
             text.trim_end_matches('\n').to_string(),
             "truncated (missing final newline)",
         ),
         (without_footer, "archive ends before the footer"),
+        (overflow, "running totals overflowing u64"),
         (text.replacen("\"bits\"", "\"bitz\"", 1), "unknown field"),
         (
             text.replace("qdc-telemetry-stream/v1", "qdc-telemetry-stream/v9"),
@@ -855,5 +880,220 @@ fn golden_campaign_v1_rejection_corpus() {
     for (bad, why) in cases {
         let err = validate_summary(&bad).expect_err(why);
         assert!(!err.is_empty(), "{why} must explain itself");
+    }
+}
+
+/// The strict reader a golden fixture belongs to.
+#[derive(Clone, Copy)]
+enum Reader {
+    Trace,
+    Telemetry,
+    Stream,
+    /// One tree document per line, checked by its schema's validator.
+    Tree(fn(&str) -> Result<(), String>),
+}
+
+/// Every fixture under `tests/golden/`, with its reader.
+const FIXTURES: [(&str, Reader); 13] = [
+    ("trace_v1.jsonl", Reader::Trace),
+    ("telemetry_v1.jsonl", Reader::Telemetry),
+    ("telemetry_v1_quantum.jsonl", Reader::Telemetry),
+    ("telemetry_v1_wall.jsonl", Reader::Telemetry),
+    ("telemetry_stream_v1.jsonl", Reader::Stream),
+    ("telemetry_stream_v1_quantum.jsonl", Reader::Stream),
+    (
+        "campaign_point_v1.jsonl",
+        Reader::Tree(validate_record_line),
+    ),
+    (
+        "campaign_point_ex11_v1.jsonl",
+        Reader::Tree(validate_record_line),
+    ),
+    (
+        "campaign_failure_v1.jsonl",
+        Reader::Tree(validate_failure_line),
+    ),
+    ("campaign_v1.json", Reader::Tree(validate_summary)),
+    ("job_v1.jsonl", Reader::Tree(validate_job)),
+    ("service_status_v1.json", Reader::Tree(validate_status)),
+    ("service_error_v1.jsonl", Reader::Tree(validate_error)),
+];
+
+fn fixture(name: &str) -> Vec<u8> {
+    std::fs::read(golden_path(name)).unwrap_or_else(|e| panic!("fixture {name}: {e}"))
+}
+
+/// Reads `bytes` with `reader`. Accepted input comes back as its value
+/// in canonical text: the re-emitted archive or documents (for a stream
+/// archive, which has no whole-archive writer, the record list). A
+/// rejection comes back as `(line, message)`.
+fn read(reader: Reader, bytes: &[u8]) -> Result<String, (usize, String)> {
+    let text = String::from_utf8_lossy(bytes);
+    match reader {
+        Reader::Trace => TrafficTrace::from_jsonl(&text)
+            .map(|t| t.to_jsonl())
+            .map_err(|e| (e.line, e.msg)),
+        Reader::Telemetry => TelemetryReport::from_jsonl(&text)
+            .map(|r| r.to_jsonl(true))
+            .map_err(|e| (e.line, e.msg)),
+        Reader::Stream => {
+            let mut stream = StreamReader::new(bytes);
+            let mut records = Vec::new();
+            while let Some(record) = stream.next_record().map_err(|e| (e.line, e.msg))? {
+                records.push(record);
+            }
+            Ok(format!("{records:?}"))
+        }
+        Reader::Tree(validate) => text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| {
+                validate(line)
+                    .and_then(|()| json::parse(line))
+                    .map(|doc| doc.to_json() + "\n")
+                    .map_err(|e| (i + 1, e))
+            })
+            .collect(),
+    }
+}
+
+/// One space after every `{`, `[`, `:` and `,` outside strings.
+fn spaced(text: &str) -> String {
+    let mut out = String::new();
+    let (mut in_string, mut escaped) = (false, false);
+    for ch in text.chars() {
+        out.push(ch);
+        if in_string {
+            match ch {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+        } else if ch == '"' {
+            in_string = true;
+        } else if matches!(ch, '{' | '[' | ':' | ',') {
+            out.push(' ');
+        }
+    }
+    out
+}
+
+#[test]
+fn golden_fixtures_share_one_whitespace_rule() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(golden_path(""))
+        .expect("golden dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    on_disk.sort();
+    let mut listed: Vec<&str> = FIXTURES.iter().map(|&(name, _)| name).collect();
+    listed.sort();
+    assert_eq!(on_disk, listed, "every fixture has a reader");
+    for (name, reader) in FIXTURES {
+        let text = String::from_utf8(fixture(name)).expect("utf8 fixture");
+        let want = read(reader, text.as_bytes()).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let spaced = spaced(&text);
+        assert!(spaced.len() > text.len());
+        assert_eq!(
+            read(reader, spaced.as_bytes()),
+            Ok(want),
+            "{name} with a space after each structural token"
+        );
+    }
+}
+
+/// CI-provided seed perturbation (defaults to 0 for local runs).
+fn env_seed() -> u64 {
+    std::env::var("QDC_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
+/// SplitMix64: the mutation stream's position source.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Applies one mutation, chosen and placed by `next(bound)` (a draw
+/// below `bound`), splicing from `donor` when it picks a splice.
+fn mutate(bytes: &mut Vec<u8>, donor: &[u8], next: &mut impl FnMut(usize) -> usize) {
+    let n = bytes.len();
+    let lo = next(n + 1);
+    let hi = (lo + next(64)).min(n);
+    match next(6) {
+        0 if n > 0 => bytes[lo.min(n - 1)] ^= 1 << next(8),
+        1 => bytes.truncate(lo),
+        2 => {
+            let slice = bytes[lo..hi].to_vec();
+            bytes.splice(hi..hi, slice);
+        }
+        3 => {
+            bytes.drain(lo..hi);
+        }
+        4 => {
+            let from = next(donor.len() + 1);
+            let to = (from + next(64)).min(donor.len());
+            bytes.splice(lo..lo, donor[from..to].iter().copied());
+        }
+        _ => {
+            let runs: Vec<(usize, usize)> = bytes
+                .iter()
+                .enumerate()
+                .filter(|&(i, b)| b.is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
+                .map(|(i, _)| {
+                    (
+                        i,
+                        i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count(),
+                    )
+                })
+                .collect();
+            if !runs.is_empty() {
+                let (start, end) = runs[next(runs.len())];
+                let big: &[u8] = if next(2) == 0 {
+                    b"18446744073709551615"
+                } else {
+                    b"18446744073709551616"
+                };
+                bytes.splice(start..end, big.iter().copied());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// Mutants of every fixture never panic their reader; each is
+    /// rejected with a line number and a message, or accepted and
+    /// re-emitted to text that reads back to the same value.
+    #[test]
+    fn golden_fixtures_survive_mutation_fuzz(seed in any::<u64>()) {
+        let mut state = seed ^ env_seed().wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let mut next = |bound: usize| (splitmix(&mut state) % bound.max(1) as u64) as usize;
+        let (name, reader) = FIXTURES[next(FIXTURES.len())];
+        let donor = fixture(FIXTURES[next(FIXTURES.len())].0);
+        let mut mutant = fixture(name);
+        for _ in 0..1 + next(2) {
+            mutate(&mut mutant, &donor, &mut next);
+        }
+        let shown = String::from_utf8_lossy(&mutant).into_owned();
+        let verdict = std::panic::catch_unwind(|| read(reader, &mutant));
+        prop_assert!(verdict.is_ok(), "{} reader panicked on {:?}", name, shown);
+        match verdict.expect("checked") {
+            Err((line, msg)) => {
+                prop_assert!(line >= 1, "{}: rejection without a line: {}", name, msg);
+                prop_assert!(!msg.is_empty(), "{}: rejection without a message", name);
+            }
+            Ok(canonical) if !matches!(reader, Reader::Stream) => {
+                let back = read(reader, canonical.as_bytes());
+                prop_assert_eq!(back, Ok(canonical.clone()), "{} re-emission of {:?}", name, shown);
+            }
+            Ok(_) => {}
+        }
     }
 }

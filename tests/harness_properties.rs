@@ -121,8 +121,8 @@ proptest! {
             four.aggregate.to_json().to_json()
         );
         // Both summaries are valid JSON documents.
-        qdc::harness::json::parse(&summary_json(&one)).expect("summary parses");
-        qdc::harness::json::parse(&summary_json(&four)).expect("summary parses");
+        qdc::congest::json::parse(&summary_json(&one)).expect("summary parses");
+        qdc::congest::json::parse(&summary_json(&four)).expect("summary parses");
     }
 
     /// Contract 2: a sharded record equals a direct single-run record.
