@@ -33,6 +33,25 @@ pub struct DisjointnessRun {
     pub ledger: Ledger,
 }
 
+/// The Grover measurement seed of every quantum run on the
+/// [`ex11_instance`] family, so its results are reproducible.
+pub const EX11_PROTOCOL_SEED: u64 = 11;
+
+/// The deterministic Example 1.1 instance with `b`-bit sets: a
+/// pseudorandom `x` (seed `100 + b`) and its complement as `y`, so the
+/// sets are disjoint; for `b ≥ 256`, bit `b/2` of `y` is copied from
+/// `x`, planting an intersection when that bit is set. Returns
+/// `(x, y, planted)`, where `planted` is whether the sets intersect.
+pub fn ex11_instance(b: usize) -> (Vec<bool>, Vec<bool>, bool) {
+    let x = qdc_graph::generate::random_bits(b, 100 + b as u64);
+    let mut y: Vec<bool> = x.iter().map(|&v| !v).collect();
+    if b >= 256 {
+        y[b / 2] = x[b / 2];
+    }
+    let planted = x.iter().zip(&y).any(|(&a, &c)| a && c);
+    (x, y, planted)
+}
+
 /// Closed-form round count of the classical streaming protocol.
 pub fn classical_rounds(b: usize, d: usize, bandwidth: usize) -> usize {
     d + b.div_ceil(bandwidth).saturating_sub(1)

@@ -94,12 +94,8 @@ fn bench_verification_gamma13_l17(c: &mut Criterion) {
     let mut g = c.benchmark_group("verification");
     g.sample_size(10);
     // Γ=13, L=17 has 13 + log₂(16) = 17 tracks; the Hamiltonian matching
-    // pair needs an even track count, so pad Γ by one (same convention
-    // as the `simulator` bench and the paper's even-Γ assumption).
-    let mut net = SimulationNetwork::build(13, 17);
-    if net.track_count() % 2 == 1 {
-        net = SimulationNetwork::build(14, 17);
-    }
+    // pair needs an even track count, so the network realizes Γ = 14.
+    let net = SimulationNetwork::build_even_tracks(13, 17);
     let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
     let m = net.embed_matchings(&carol, &david);
     let cfg = CongestConfig::classical(64);

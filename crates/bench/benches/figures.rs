@@ -16,10 +16,7 @@ use std::hint::black_box;
 fn bench_fig3_mst(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig3_mst");
     g.sample_size(10);
-    let mut net = SimulationNetwork::build(8, 17);
-    if net.track_count() % 2 == 1 {
-        net = SimulationNetwork::build(9, 17);
-    }
+    let net = SimulationNetwork::build_even_tracks(8, 17);
     let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
     let m = net.embed_matchings(&carol, &david);
     let cfg = CongestConfig::classical(64);

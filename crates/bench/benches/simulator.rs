@@ -36,10 +36,7 @@ fn bench_verification(c: &mut Criterion) {
     let mut g = c.benchmark_group("verification");
     g.sample_size(10);
     for &(gamma, l) in &[(6usize, 9usize), (12, 17)] {
-        let mut net = SimulationNetwork::build(gamma, l);
-        if net.track_count() % 2 == 1 {
-            net = SimulationNetwork::build(gamma + 1, l);
-        }
+        let net = SimulationNetwork::build_even_tracks(gamma, l);
         let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
         let m = net.embed_matchings(&carol, &david);
         let n = net.graph().node_count();

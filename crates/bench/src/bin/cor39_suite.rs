@@ -22,10 +22,7 @@ use qdc_simthm::SimulationNetwork;
 
 fn main() {
     let bandwidth = 64;
-    let mut net = SimulationNetwork::build(11, 17);
-    if net.track_count() % 2 == 1 {
-        net = SimulationNetwork::build(12, 17);
-    }
+    let net = SimulationNetwork::build_even_tracks(11, 17);
     let g = net.graph().clone();
     let n = g.node_count();
     let weights = generate::random_weights(&g, 32, 5);

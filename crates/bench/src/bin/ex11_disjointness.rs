@@ -7,16 +7,16 @@
 //! abandon Disjointness-based lower bounds.
 
 use qdc_algos::disjointness::{
-    classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds,
+    classical_disjointness, classical_rounds, ex11_instance, quantum_disjointness, quantum_rounds,
+    EX11_PROTOCOL_SEED,
 };
 use qdc_bench::{fmt_f, print_header, print_row};
 use qdc_congest::{CongestConfig, NullTelemetry, RunOptions};
-use qdc_graph::generate;
 
 fn main() {
     let d = 16; // path length (distance between the input holders)
     let bandwidth = 16;
-    let seed = 11; // the Grover measurement stream
+    let seed = EX11_PROTOCOL_SEED;
     let options = RunOptions::default();
 
     println!("=== Example 1.1 (a): measured runs at distance D = {d}, B = {bandwidth} ===\n");
@@ -26,12 +26,7 @@ fn main() {
         &widths,
     );
     for &b in &[64usize, 256, 1024, 4096] {
-        let x = generate::random_bits(b, 100 + b as u64);
-        let mut y: Vec<bool> = x.iter().map(|&v| !v).collect();
-        if b >= 256 {
-            y[b / 2] = x[b / 2]; // plant an intersection for larger b
-        }
-        let planted = x.iter().zip(&y).any(|(&a, &c)| a && c);
+        let (x, y, planted) = ex11_instance(b);
         let classical = CongestConfig::classical(bandwidth);
         let (c_run, _) = classical_disjointness(&x, &y, d, classical, options, &mut NullTelemetry);
         let quantum = CongestConfig::quantum(bandwidth);

@@ -51,10 +51,7 @@ fn main() {
         &widths,
     );
     for &(gamma, l) in &[(6usize, 9usize), (9, 17), (13, 17), (19, 33), (27, 33)] {
-        let mut net = SimulationNetwork::build(gamma, l);
-        if net.track_count() % 2 == 1 {
-            net = SimulationNetwork::build(gamma + 1, l);
-        }
+        let net = SimulationNetwork::build_even_tracks(gamma, l);
         let tracks = net.track_count();
         let (carol, david) = generate::hamiltonian_matching_pair(tracks);
         let m = net.embed_matchings(&carol, &david);

@@ -21,10 +21,7 @@ fn main() {
     let alpha = 2.0;
 
     // A fixed Theorem 3.8-style network (scaled down for the simulator).
-    let mut net = SimulationNetwork::build(13, 17);
-    if net.track_count() % 2 == 1 {
-        net = SimulationNetwork::build(14, 17);
-    }
+    let net = SimulationNetwork::build_even_tracks(13, 17);
     let n = net.graph().node_count();
     let diam = qdc_graph::algorithms::diameter(net.graph()).unwrap() as usize;
     let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());

@@ -78,12 +78,7 @@ fn main() {
     let mut seed = 0u64;
     while shown < 6 {
         seed += 1;
-        let net = SimulationNetwork::build(13, 17); // 13 + 4 = 17 … odd
-        let net = if net.track_count() % 2 == 1 {
-            SimulationNetwork::build(14, 17)
-        } else {
-            net
-        };
+        let net = SimulationNetwork::build_even_tracks(13, 17); // 13 + 4 = 17 → Γ = 14
         let tracks = net.track_count();
         let carol = generate::random_perfect_matching(tracks, seed);
         let david = generate::random_perfect_matching(tracks, seed + 1000);

@@ -43,8 +43,9 @@
 //! path/highway/cross split of each round's bits is shown as well.
 //!
 //! Exit codes: `0` success, `2` usage, `4` an input cannot be read,
-//! `5` an archive is empty, truncated, or otherwise malformed (the
-//! parsers report structured errors — they never panic on bad input).
+//! `5` an archive is empty, truncated, or otherwise malformed, or
+//! `--merge` would push a total past `u64::MAX` (the parsers and the
+//! merge report structured errors — they never panic on bad input).
 
 use qdc_bench::query::{expand_input, metric_value, render_summary, RoundWindow, METRICS};
 use qdc_bench::{print_header, print_row};
@@ -213,7 +214,12 @@ fn query_main(args: &[String]) -> ! {
         folded += 1;
         if q.merge {
             match merged.as_mut() {
-                Some(m) => m.merge(&agg),
+                Some(m) => {
+                    if let Err(e) = m.merge(&agg) {
+                        eprintln!("profile query: cannot merge `{label}`: {e}");
+                        std::process::exit(5);
+                    }
+                }
                 None => merged = Some(agg),
             }
         } else if q.metric.is_none() {

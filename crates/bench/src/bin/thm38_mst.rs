@@ -45,10 +45,7 @@ fn main() {
     }
 
     println!("\n=== §9.2 decision procedure, executed (α-approx MST ⇒ Gap-Ham decision) ===\n");
-    let mut net = SimulationNetwork::build(13, 17);
-    if net.track_count() % 2 == 1 {
-        net = SimulationNetwork::build(14, 17);
-    }
+    let net = SimulationNetwork::build_even_tracks(13, 17);
     let tracks = net.track_count();
     let n = net.graph().node_count();
     let alpha = 2.0;

@@ -281,7 +281,7 @@ mod tests {
 
         // A poisoned merge renders the bandwidth as mixed.
         let b = StreamAggregate::new(4, 6, 32, 2);
-        a.merge(&b);
+        a.merge(&b).expect("no overflow");
         let text = render_summary(&a, 2, 10);
         assert!(text.contains("B = mixed"), "{text}");
         assert!(!text.contains("classified,"), "{text}");

@@ -135,3 +135,33 @@ fn profile_query_summary_series_and_merge_match_goldens() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn profile_query_merge_refuses_an_overflowing_total() {
+    let dir = std::env::temp_dir().join(format!("qdc_query_overflow_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_archives(&dir);
+    // Raise the hottest edge's weight to u64::MAX: the archive still
+    // reads, but a self-merge would overflow that weight.
+    let text = std::fs::read_to_string(dir.join("point_0.telemetry.jsonl")).expect("archive");
+    let at = text.find("\"top_edges\":[[").expect("footer sketch") + "\"top_edges\":[[".len();
+    let bits = at + text[at..].find(',').expect("entry index") + 1;
+    let end = bits + text[bits..].find(',').expect("entry bits");
+    let hostile = dir.join("hostile.telemetry.jsonl");
+    std::fs::write(
+        &hostile,
+        format!("{}18446744073709551615{}", &text[..bits], &text[end..]),
+    )
+    .expect("write hostile archive");
+    let hostile_arg = hostile.to_string_lossy().into_owned();
+    assert!(profile_query(&[&hostile_arg]).contains("1 archive(s):"));
+
+    let out = Command::new(env!("CARGO_BIN_EXE_profile"))
+        .args(["query", &hostile_arg, &hostile_arg, "--merge"])
+        .output()
+        .expect("profile runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(5), "{stderr}");
+    assert!(stderr.contains("hostile.telemetry.jsonl"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -134,22 +134,43 @@ impl StreamTotals {
     /// push any running total past `u64::MAX` is refused whole: the
     /// totals stay as they were.
     pub fn try_absorb(&mut self, r: &RoundProfile) -> Result<(), TotalsOverflow> {
+        self.merge(&StreamTotals {
+            rounds: 1,
+            messages: r.messages,
+            bits: r.bits,
+            dropped: r.dropped,
+            corrupted_bits: r.corrupted_bits,
+            crashes: r.crashes,
+            quiescent: u64::from(r.quiescent),
+            util: r.util,
+            path_bits: r.path_bits,
+            highway_bits: r.highway_bits,
+            cross_bits: r.cross_bits,
+            qsplit: r.qsplit,
+        })
+    }
+
+    /// Sums `other` into `self` — associative and commutative (every
+    /// field is a `+`-fold, with `None` as the `qsplit` identity). A
+    /// merge that would push any total past `u64::MAX` is refused whole:
+    /// the totals stay as they were.
+    pub fn merge(&mut self, other: &StreamTotals) -> Result<(), TotalsOverflow> {
         let sum = |a: u64, b: u64| a.checked_add(b).ok_or(TotalsOverflow);
         let mut next = *self;
-        next.rounds = sum(self.rounds, 1)?;
-        next.messages = sum(self.messages, r.messages)?;
-        next.bits = sum(self.bits, r.bits)?;
-        next.dropped = sum(self.dropped, r.dropped)?;
-        next.corrupted_bits = sum(self.corrupted_bits, r.corrupted_bits)?;
-        next.crashes = sum(self.crashes, r.crashes)?;
-        next.quiescent = sum(self.quiescent, u64::from(r.quiescent))?;
-        for (slot, add) in next.util.iter_mut().zip(r.util) {
+        next.rounds = sum(self.rounds, other.rounds)?;
+        next.messages = sum(self.messages, other.messages)?;
+        next.bits = sum(self.bits, other.bits)?;
+        next.dropped = sum(self.dropped, other.dropped)?;
+        next.corrupted_bits = sum(self.corrupted_bits, other.corrupted_bits)?;
+        next.crashes = sum(self.crashes, other.crashes)?;
+        next.quiescent = sum(self.quiescent, other.quiescent)?;
+        for (slot, add) in next.util.iter_mut().zip(other.util) {
             *slot = sum(*slot, add)?;
         }
-        next.path_bits = sum(self.path_bits, r.path_bits)?;
-        next.highway_bits = sum(self.highway_bits, r.highway_bits)?;
-        next.cross_bits = sum(self.cross_bits, r.cross_bits)?;
-        if let Some(q) = r.qsplit {
+        next.path_bits = sum(self.path_bits, other.path_bits)?;
+        next.highway_bits = sum(self.highway_bits, other.highway_bits)?;
+        next.cross_bits = sum(self.cross_bits, other.cross_bits)?;
+        if let Some(q) = other.qsplit {
             let t = next.qsplit.get_or_insert_with(QubitSplit::default);
             t.classical_bits = sum(t.classical_bits, q.classical_bits)?;
             t.qubit_bits = sum(t.qubit_bits, q.qubit_bits)?;
@@ -157,33 +178,11 @@ impl StreamTotals {
         *self = next;
         Ok(())
     }
-
-    /// Sums `other` into `self` — associative and commutative (every
-    /// field is a `+`-fold, with `None` as the `qsplit` identity).
-    pub fn merge(&mut self, other: &StreamTotals) {
-        self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.bits += other.bits;
-        self.dropped += other.dropped;
-        self.corrupted_bits += other.corrupted_bits;
-        self.crashes += other.crashes;
-        self.quiescent += other.quiescent;
-        for (slot, add) in self.util.iter_mut().zip(other.util) {
-            *slot += add;
-        }
-        self.path_bits += other.path_bits;
-        self.highway_bits += other.highway_bits;
-        self.cross_bits += other.cross_bits;
-        if let Some(q) = other.qsplit {
-            let t = self.qsplit.get_or_insert_with(QubitSplit::default);
-            t.classical_bits += q.classical_bits;
-            t.qubit_bits += q.qubit_bits;
-        }
-    }
 }
 
-/// [`StreamTotals::try_absorb`] refused a round: some running total
-/// would exceed `u64::MAX`.
+/// A checked fold refused its input ([`StreamTotals::try_absorb`], or a
+/// merge of totals, sketches or aggregates): some total would exceed
+/// `u64::MAX`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TotalsOverflow;
 
@@ -291,20 +290,25 @@ impl TopK {
     /// error bounds, then the canonical (bits desc, index asc) cut at
     /// the larger of the two capacities. Always commutative; exact (and
     /// associative) when the union of distinct keys fits the capacity.
-    pub fn merge(&mut self, other: &TopK) {
-        self.cap = self.cap.max(other.cap);
+    /// A merge that would push any sum past `u64::MAX` is refused whole:
+    /// the sketch stays as it was.
+    pub fn merge(&mut self, other: &TopK) -> Result<(), TotalsOverflow> {
+        let sum = |a: u64, b: u64| a.checked_add(b).ok_or(TotalsOverflow);
+        let mut entries = self.entries.clone();
         for e in &other.entries {
-            if let Some(m) = self.entries.iter_mut().find(|m| m.index == e.index) {
-                m.bits += e.bits;
-                m.messages += e.messages;
-                m.err += e.err;
+            if let Some(m) = entries.iter_mut().find(|m| m.index == e.index) {
+                m.bits = sum(m.bits, e.bits)?;
+                m.messages = sum(m.messages, e.messages)?;
+                m.err = sum(m.err, e.err)?;
             } else {
-                self.entries.push(*e);
+                entries.push(*e);
             }
         }
-        self.entries
-            .sort_by(|a, b| b.bits.cmp(&a.bits).then(a.index.cmp(&b.index)));
-        self.entries.truncate(self.cap);
+        entries.sort_by(|a, b| b.bits.cmp(&a.bits).then(a.index.cmp(&b.index)));
+        self.cap = self.cap.max(other.cap);
+        entries.truncate(self.cap);
+        self.entries = entries;
+        Ok(())
     }
 
     /// Rebuilds a sketch from ranked entries (a parsed footer array).
@@ -360,18 +364,24 @@ impl StreamAggregate {
     /// `nodes`/`edges`/`top_k` by `max`, `classified` by AND, and
     /// `bandwidth` by "equal or poison" (mixed budgets merge to 0, and
     /// 0 absorbs — a zero budget marks a composite of unlike runs).
-    /// Commutative always; associative on the exact regime.
-    pub fn merge(&mut self, other: &StreamAggregate) {
-        self.header.nodes = self.header.nodes.max(other.header.nodes);
-        self.header.edges = self.header.edges.max(other.header.edges);
-        self.header.top_k = self.header.top_k.max(other.header.top_k);
-        self.header.classified = self.header.classified && other.header.classified;
-        if self.header.bandwidth != other.header.bandwidth {
-            self.header.bandwidth = 0;
+    /// Commutative always; associative on the exact regime. A merge
+    /// that would push any total or sketch weight past `u64::MAX` is
+    /// refused whole: the aggregate stays as it was.
+    pub fn merge(&mut self, other: &StreamAggregate) -> Result<(), TotalsOverflow> {
+        let mut next = self.clone();
+        next.totals.merge(&other.totals)?;
+        next.top_edges.merge(&other.top_edges)?;
+        next.top_nodes.merge(&other.top_nodes)?;
+        let h = &mut next.header;
+        h.nodes = h.nodes.max(other.header.nodes);
+        h.edges = h.edges.max(other.header.edges);
+        h.top_k = h.top_k.max(other.header.top_k);
+        h.classified = h.classified && other.header.classified;
+        if h.bandwidth != other.header.bandwidth {
+            h.bandwidth = 0;
         }
-        self.totals.merge(&other.totals);
-        self.top_edges.merge(&other.top_edges);
-        self.top_nodes.merge(&other.top_nodes);
+        *self = next;
+        Ok(())
     }
 
     /// Serializes the header line (with trailing newline).
@@ -1057,13 +1067,13 @@ mod tests {
         };
         let classical = StreamTotals::default();
         let mut a = quantum;
-        a.merge(&classical);
+        a.merge(&classical).expect("no overflow");
         assert_eq!(a.qsplit, quantum.qsplit, "None is the right identity");
         let mut b = classical;
-        b.merge(&quantum);
+        b.merge(&quantum).expect("no overflow");
         assert_eq!(b.qsplit, quantum.qsplit, "None is the left identity");
         let mut doubled = quantum;
-        doubled.merge(&quantum);
+        doubled.merge(&quantum).expect("no overflow");
         assert_eq!(
             doubled.qsplit,
             Some(QubitSplit {
@@ -1099,9 +1109,9 @@ mod tests {
         b.observe(2, 1, 1);
         b.observe(3, 9, 1);
         let mut ab = a.clone();
-        ab.merge(&b);
+        ab.merge(&b).expect("no overflow");
         let mut ba = b.clone();
-        ba.merge(&a);
+        ba.merge(&a).expect("no overflow");
         assert_eq!(ab.ranked(), ba.ranked(), "merge is commutative");
         let ranked = ab.ranked();
         // Per-key sums: 2 → 10, 3 → 9, 0 → 5; canonical order.
@@ -1119,9 +1129,9 @@ mod tests {
         b.header.bandwidth = 16;
         b.header.classified = false;
         let mut ab = a.clone();
-        ab.merge(&b);
+        ab.merge(&b).expect("no overflow");
         let mut ba = b.clone();
-        ba.merge(&a);
+        ba.merge(&a).expect("no overflow");
         assert_eq!(ab, ba, "aggregate merge is commutative");
         assert_eq!(ab.totals.bits, 2 * a.totals.bits);
         assert_eq!(ab.totals.rounds, 4);
@@ -1130,11 +1140,11 @@ mod tests {
         // Poison absorbs: merging the mixed composite with anything
         // keeps bandwidth 0.
         let mut abc = ab.clone();
-        abc.merge(&a);
+        abc.merge(&a).expect("no overflow");
         assert_eq!(abc.header.bandwidth, 0);
         // Self-merge doubles every counter and keeps the header.
         let mut aa = a.clone();
-        aa.merge(&a);
+        aa.merge(&a).expect("no overflow");
         assert_eq!(aa.header, a.header);
         assert_eq!(
             aa.top_edges.ranked()[0].bits,
@@ -1209,5 +1219,42 @@ mod tests {
         }
         let err = sink.finish().expect_err("the overflow surfaces");
         assert_eq!(err.to_string(), TotalsOverflow.to_string());
+    }
+
+    #[test]
+    fn stream_merges_refuse_overflow_whole() {
+        let (_, mut a) = streamed();
+        let heavy = TopEntry {
+            index: 9,
+            bits: u64::MAX - 1,
+            messages: 1,
+            err: 0,
+        };
+        a.top_edges
+            .merge(&TopK::from_ranked(4, vec![heavy]))
+            .expect("fits");
+        // A self-merge would double the u64::MAX − 1 weight: refused, and
+        // nothing else (totals, header) moves either.
+        let mut aa = a.clone();
+        assert_eq!(aa.merge(&a), Err(TotalsOverflow));
+        assert_eq!(aa, a, "a refused merge leaves the aggregate as it was");
+        let mut top = a.top_edges.clone();
+        assert_eq!(top.merge(&a.top_edges), Err(TotalsOverflow));
+        assert_eq!(top, a.top_edges);
+
+        let mut totals = StreamTotals {
+            bits: u64::MAX,
+            ..StreamTotals::default()
+        };
+        let one = StreamTotals {
+            rounds: 1,
+            bits: 1,
+            ..StreamTotals::default()
+        };
+        assert_eq!(totals.merge(&one), Err(TotalsOverflow));
+        assert_eq!(
+            totals.rounds, 0,
+            "a refused merge leaves the totals as they were"
+        );
     }
 }

@@ -19,15 +19,13 @@ use qdc_algos::widths::id_width;
 use qdc_cc::codes::greedy_random_code;
 use qdc_cc::fooling::gap_equality_fooling_set;
 use qdc_cc::norms::ipmod3_server_lower_bound;
-use qdc_congest::{
-    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
-};
+use qdc_congest::{NullTelemetry, RunOptions};
 use qdc_gadgets::ipmod3_to_ham;
 use qdc_graph::{generate, predicates};
 use qdc_quantum::games::{
     abort_statistics, chsh_optimal_strategy, AbortStats, InnerProductStreaming, XorGame,
 };
-use qdc_simthm::{audit_trace, SimulationNetwork, ThreePartyAudit};
+use qdc_simthm::{audited_flood, SimulationNetwork, ThreePartyAudit};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -91,47 +89,6 @@ pub struct PipelineReport {
     pub verification_bound_rounds: f64,
 }
 
-/// Event-driven component labeling along `M` — the distributed step a Ham
-/// verifier performs, used here as the audited workload.
-struct ComponentFlood {
-    label: u64,
-    active_ports: Vec<bool>,
-    width: usize,
-}
-
-impl NodeAlgorithm for ComponentFlood {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        for p in 0..self.active_ports.len() {
-            if self.active_ports[p] {
-                out.send(p, Message::from_uint(self.label, self.width));
-            }
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        let mut improved = false;
-        for (port, msg) in inbox.iter() {
-            if self.active_ports[port] {
-                if let Some(v) = msg.as_uint(self.width) {
-                    if v < self.label {
-                        self.label = v;
-                        improved = true;
-                    }
-                }
-            }
-        }
-        if improved {
-            for p in 0..self.active_ports.len() {
-                if self.active_ports[p] {
-                    out.send(p, Message::from_uint(self.label, self.width));
-                }
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
-}
-
 /// Runs the full Figure 1 pipeline on one deterministic instance.
 ///
 /// # Panics
@@ -171,10 +128,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineReport {
         && inst.both_sides_perfect_matchings();
 
     // --- Column 3: the distributed network -----------------------------
-    let mut net = SimulationNetwork::build(cfg.gamma, cfg.l);
-    if net.track_count() % 2 == 1 {
-        net = SimulationNetwork::build(cfg.gamma + 1, cfg.l);
-    }
+    let net = SimulationNetwork::build_even_tracks(cfg.gamma, cfg.l);
     let tracks = net.track_count();
     let carol = generate::random_perfect_matching(tracks, cfg.seed + 3);
     let david = generate::random_perfect_matching(tracks, cfg.seed + 4);
@@ -183,29 +137,25 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineReport {
     let network_diameter =
         qdc_graph::algorithms::diameter(net.graph()).expect("network is connected") as usize;
 
-    let width = id_width(network_nodes);
-    assert!(width <= cfg.bandwidth, "node id exceeds B");
-    let congest = CongestConfig::quantum(cfg.bandwidth);
-    let sim = Simulator::new(net.graph(), congest);
-    let mut trace = TrafficTrace::default();
-    let (nodes, _report) = sim.run_observed(
-        |info| ComponentFlood {
-            label: info.id.0 as u64,
-            active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-            width,
-        },
-        net.horizon(),
-        &mut trace,
+    assert!(
+        id_width(network_nodes) <= cfg.bandwidth,
+        "node id exceeds B"
     );
-    let audit = audit_trace(&net, &trace, cfg.bandwidth);
+    let flood = audited_flood(
+        &net,
+        &m,
+        cfg.bandwidth,
+        RunOptions::default(),
+        NullTelemetry,
+    );
 
     // Distributed decision: M is one cycle iff all labels agree (M is
     // 2-regular by construction). Compare against the predicate.
-    let all_same = nodes.windows(2).all(|w| w[0].label == w[1].label);
+    let all_same = flood.nodes.windows(2).all(|w| w[0].label() == w[1].label());
     let truth = predicates::is_hamiltonian_cycle(net.graph(), &m);
     // The flood may not have finished if the horizon cut it short; the
     // decision check is best-effort within the horizon.
-    let distributed_decision_ok = if trace.rounds.len() < net.horizon() {
+    let distributed_decision_ok = if flood.trace.rounds.len() < net.horizon() {
         all_same == truth
     } else {
         true
@@ -220,7 +170,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineReport {
         gadget_ok,
         network_nodes,
         network_diameter,
-        audit,
+        audit: flood.audit,
         distributed_decision_ok,
         verification_bound_rounds: crate::bounds::verification_lower_bound(
             network_nodes,

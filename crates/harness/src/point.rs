@@ -18,7 +18,8 @@
 
 use crate::spec::{PointSpec, FAILURE_SCHEMA, POINT_SCHEMA};
 use qdc_algos::disjointness::{
-    classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds,
+    classical_disjointness, classical_rounds, ex11_instance, quantum_disjointness, quantum_rounds,
+    EX11_PROTOCOL_SEED,
 };
 use qdc_algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc_algos::verify::verify_hamiltonian_cycle;
@@ -28,11 +29,8 @@ use qdc_congest::{
     SimError, StreamSink, Telemetry, TelemetryReport, TrafficTrace,
 };
 use qdc_graph::{generate, Graph, GraphBuilder, NodeId, Subgraph};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-
-/// The Grover measurement stream of every quantum ex11 point comes from
-/// this fixed protocol seed, so records are reproducible grid-wide.
-const EX11_PROTOCOL_SEED: u64 = 11;
 
 /// Quiescence slack on the classical streaming pipeline: the engine
 /// spends up to two extra rounds draining the final chunk and observing
@@ -291,7 +289,7 @@ pub fn execute_point_sharded(
             options,
             &mut Streamed {
                 cfg,
-                paths: None,
+                staged: None,
                 file: None,
             },
         ),
@@ -377,15 +375,64 @@ impl Observer for Profiled {
     }
 }
 
+/// An archive written to a `.part` sibling of its final path and renamed
+/// into place only once complete, so a file at the final path is always
+/// a whole archive. Every archive writer goes through it: the
+/// [`Streamed`] sink and the journaled runner's committer.
+pub(crate) struct Staged {
+    part: PathBuf,
+    path: PathBuf,
+}
+
+impl Staged {
+    /// Creates the staging file for the archive at `path`.
+    pub(crate) fn create(path: PathBuf) -> std::io::Result<(Staged, std::fs::File)> {
+        let mut part = path.clone().into_os_string();
+        part.push(".part");
+        let part = PathBuf::from(part);
+        // Remove before create so an attempt abandoned by the deadline
+        // watchdog keeps writing its own orphaned inode instead of
+        // interleaving with ours.
+        match std::fs::remove_file(&part) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+        let file = std::fs::File::create(&part)?;
+        Ok((Staged { part, path }, file))
+    }
+
+    /// Renames the staging file into place if `written` (the outcome of
+    /// writing it) is `Ok`; otherwise, or if the rename fails, removes it.
+    pub(crate) fn commit(self, written: std::io::Result<()>) -> std::io::Result<()> {
+        let result = written.and_then(|()| std::fs::rename(&self.part, &self.path));
+        if result.is_err() {
+            self.abandon();
+        }
+        result
+    }
+
+    /// Removes the staging file, committing nothing.
+    pub(crate) fn abandon(&self) {
+        let _ = std::fs::remove_file(&self.part);
+    }
+
+    /// Writes `bytes` as the whole archive at `path`.
+    pub(crate) fn write(path: PathBuf, bytes: &[u8]) -> std::io::Result<()> {
+        let (staged, mut file) = Staged::create(path)?;
+        let written = file.write_all(bytes);
+        drop(file);
+        staged.commit(written)
+    }
+}
+
 /// [`TelemetryMode::Stream`]: a [`StreamSink`] writing the point's
-/// archive during the run. Bytes go to a `.part` sibling and are renamed
-/// into place only after the footer lands, so a file at the final path
-/// is always a complete archive — a retried or failed attempt can never
-/// leave a torn one behind.
+/// archive during the run into a [`Staged`] file, committed only after
+/// the footer lands — a retried or failed attempt can never leave a
+/// torn archive behind.
 struct Streamed<'c> {
     cfg: &'c StreamTelemetry,
-    /// The `.part` staging path and the final archive path, once prepared.
-    paths: Option<(PathBuf, PathBuf)>,
+    /// The staged archive, once prepared.
+    staged: Option<Staged>,
     /// The staging file, until `install` hands it to the sink.
     file: Option<std::fs::File>,
 }
@@ -395,22 +442,10 @@ impl Observer for Streamed<'_> {
 
     /// Creates the staging file (and the directory, on demand).
     fn prepare(&mut self, index: usize) -> Result<(), PointFailure> {
-        let final_path = stream_telemetry_path(&self.cfg.dir, index);
-        let mut part = final_path.clone().into_os_string();
-        part.push(".part");
-        let part = PathBuf::from(part);
-        let file = std::fs::create_dir_all(&self.cfg.dir)
-            .and_then(|()| {
-                // Remove before create so an attempt abandoned by the
-                // deadline watchdog keeps writing its own orphaned
-                // inode instead of interleaving with ours.
-                match std::fs::remove_file(&part) {
-                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-                    _ => std::fs::File::create(&part),
-                }
-            })
+        let (staged, file) = std::fs::create_dir_all(&self.cfg.dir)
+            .and_then(|()| Staged::create(stream_telemetry_path(&self.cfg.dir, index)))
             .map_err(|e| PointFailure::from_io(index, &e))?;
-        self.paths = Some((part, final_path));
+        self.staged = Some(staged);
         self.file = Some(file);
         Ok(())
     }
@@ -442,16 +477,13 @@ impl Observer for Streamed<'_> {
         sink: StreamSink<std::fs::File>,
         ok: bool,
     ) -> Result<Option<TelemetryReport>, PointFailure> {
-        let (part, final_path) = self.paths.take().expect("prepared before finish");
+        let staged = self.staged.take().expect("prepared before finish");
         if ok {
-            sink.finish()
-                .and_then(|_| std::fs::rename(&part, &final_path))
-                .map_err(|e| {
-                    let _ = std::fs::remove_file(&part);
-                    PointFailure::from_io(index, &e)
-                })?;
+            staged
+                .commit(sink.finish().map(drop))
+                .map_err(|e| PointFailure::from_io(index, &e))?;
         } else {
-            let _ = std::fs::remove_file(&part);
+            staged.abandon();
         }
         Ok(None)
     }
@@ -605,17 +637,9 @@ fn execute_observed<O: Observer>(
             distance,
             quantum,
         } => {
-            // The same deterministic instance family as the
-            // `ex11_disjointness` bin: a pseudorandom `x`, its
-            // complement as `y` (disjoint by construction), with one
-            // planted intersection for b ≥ 256 so both verdicts occur
-            // across the grid.
-            let x = generate::random_bits(*bits, 100 + *bits as u64);
-            let mut y: Vec<bool> = x.iter().map(|&v| !v).collect();
-            if *bits >= 256 {
-                y[*bits / 2] = x[*bits / 2];
-            }
-            let planted = x.iter().zip(&y).any(|(&a, &c)| a && c);
+            // An intersection is planted for b ≥ 256, so both verdicts
+            // occur across the grid.
+            let (x, y, planted) = ex11_instance(*bits);
             observer.prepare(index)?;
             // Path topology: D hops, D + 1 nodes, D edges. Qubits fly
             // directly on the quantum channel (no teleportation charge).
@@ -952,7 +976,7 @@ mod tests {
         let cfg = StreamTelemetry::new(dir.to_string_lossy());
         let mut observer = Streamed {
             cfg: &cfg,
-            paths: None,
+            staged: None,
             file: None,
         };
         let shape = || RunShape {
@@ -983,6 +1007,27 @@ mod tests {
         qdc_congest::read_aggregate(archive.as_slice()).expect("a complete archive");
         let listed = stream_telemetry_archives(&dir).expect("lists");
         assert_eq!(listed, vec![stream_telemetry_path(&dir, 1)]);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn point_staged_writes_commit_whole_or_nothing() {
+        let dir = std::env::temp_dir().join(format!("qdc_point_staged_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("a.jsonl");
+        Staged::write(path.clone(), b"whole\n").expect("writes");
+        assert_eq!(std::fs::read(&path).expect("committed"), b"whole\n");
+        // A failed write removes its staging file and leaves the
+        // committed archive untouched.
+        let (staged, _file) = Staged::create(path.clone()).expect("stages");
+        let failed = std::io::Error::other("injected");
+        assert!(staged.commit(Err(failed)).is_err());
+        assert_eq!(std::fs::read(&path).expect("still there"), b"whole\n");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("lists")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("a.jsonl")]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -53,7 +53,7 @@
 use crate::journal::{self, Journal, RecoveredEntry};
 use crate::point::{
     execute_point_sharded, failure_json, record_json, stream_telemetry_path, PointFailure,
-    PointRecord, TelemetryMode,
+    PointRecord, Staged, TelemetryMode,
 };
 use crate::spec::{CampaignError, CampaignSpec, PointSpec, CAMPAIGN_SCHEMA};
 use qdc_congest::json::{self, Json, Shape, Table};
@@ -842,13 +842,12 @@ pub fn run_campaign_journaled(
                 // record implies its archives exist, and a crash in the
                 // gap simply re-runs the point into identical bytes.
                 if let (Some(dir), Some(trace)) = (&config.trace_dir, trace) {
-                    std::fs::write(format!("{dir}/point_{i}.trace.jsonl"), trace.to_jsonl())?;
+                    let path = format!("{dir}/point_{i}.trace.jsonl").into();
+                    Staged::write(path, trace.to_jsonl().as_bytes())?;
                 }
                 if let (Some(dir), Some(profile)) = (&config.telemetry_dir, profile) {
-                    std::fs::write(
-                        stream_telemetry_path(dir, i),
-                        profile.to_jsonl(config.with_wall),
-                    )?;
+                    let archive = profile.to_jsonl(config.with_wall);
+                    Staged::write(stream_telemetry_path(dir, i), archive.as_bytes())?;
                 }
                 journal.append_line(&record_json(&spec.name, rec, config.with_wall))?;
                 aggregate.add_point(&rec.metrics, rec.accept, rec.error.is_some());

@@ -535,9 +535,10 @@ fn telemetry_dir_for(state: &ServiceState, id: u64) -> Result<PathBuf, String> {
 const TELEMETRY_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Copies one committed archive through the chunked writer with a
-/// bounded buffer. Archives land atomically (the committer's single
-/// write, or the stream sink's `.part` rename), so a file visible at
-/// its final path is complete and can be streamed without coordination.
+/// bounded buffer. Archives land atomically (every writer, committer
+/// and stream sink alike, stages a `.part` file and renames it into
+/// place), so a file visible at its final path is complete and can be
+/// streamed without coordination.
 fn stream_archive_file(
     chunks: &mut ChunkedWriter<&mut TcpStream>,
     path: &std::path::Path,

@@ -4,29 +4,23 @@
 //! simulation-theorem networks; this module is the bridge it uses. A
 //! [`SimThmPoint`] is plain `Send` data naming one grid cell; and
 //! [`run_point`] executes it: build `N(Γ, L)`, embed a
-//! Hamiltonian-matching subnetwork `M`, run the min-label component
-//! flood (the core of a Ham verifier) traced up to the Theorem 3.5
-//! horizon, and audit the Carol/David-paid traffic against the `6kB`
-//! budget.
+//! Hamiltonian-matching subnetwork `M`, and run the Theorem 3.5 audit
+//! on it ([`audited_flood`]).
 //!
 //! Everything here is deterministic: a point's outcome is a pure
 //! function of `(gamma, l, bandwidth)`, which is what lets the harness
 //! promise bit-identical aggregates regardless of thread count.
 
 use crate::network::SimulationNetwork;
-use crate::simulate::audit_trace;
-use qdc_congest::{
-    CongestConfig, Inbox, Message, NodeAlgorithm, NodeClass, NodeInfo, Outbox, RunMetrics,
-    RunOptions, Simulator, Telemetry, TrafficTrace,
-};
+use crate::simulate::audited_flood;
+use qdc_congest::{NodeClass, RunMetrics, RunOptions, Telemetry, TrafficTrace};
 use qdc_graph::generate;
 
 /// One cell of a Γ×L campaign grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SimThmPoint {
-    /// Requested number of paths Γ (bumped by one internally when the
-    /// track count `Γ + k` would be odd — the matching embedding needs
-    /// an even number of tracks, exactly as the suite binaries do).
+    /// Requested number of paths Γ (raised by one when the track count
+    /// `Γ + k` would be odd, by [`SimulationNetwork::build_even_tracks`]).
     pub gamma: usize,
     /// Requested path length L (rounded up to `2^k + 1` by the network
     /// builder).
@@ -61,50 +55,6 @@ pub struct SimThmOutcome {
     pub trace: TrafficTrace,
 }
 
-/// Event-driven min-label flood along the embedded subnetwork `M` — the
-/// component-labeling core of a Ham verifier, the same workload the
-/// Theorem 3.5 suite binaries audit.
-struct ComponentFlood {
-    label: u64,
-    active_ports: Vec<bool>,
-    width: usize,
-}
-
-impl ComponentFlood {
-    fn send_all(&self, out: &mut Outbox) {
-        for p in 0..self.active_ports.len() {
-            if self.active_ports[p] {
-                out.send(p, Message::from_uint(self.label, self.width));
-            }
-        }
-    }
-}
-
-impl NodeAlgorithm for ComponentFlood {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.send_all(out);
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        let mut improved = false;
-        for (port, msg) in inbox.iter() {
-            if self.active_ports[port] {
-                if let Some(v) = msg.as_uint(self.width) {
-                    if v < self.label {
-                        self.label = v;
-                        improved = true;
-                    }
-                }
-            }
-        }
-        if improved {
-            self.send_all(out);
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
-}
-
 /// Executes one grid point: network, embedding, traced run, audit.
 ///
 /// `install` builds the telemetry sink from the realized network (after
@@ -129,38 +79,21 @@ where
     T: Telemetry,
     F: FnOnce(&SimulationNetwork) -> T,
 {
-    let net = build_network(point);
+    let net = SimulationNetwork::build_even_tracks(point.gamma, point.l);
     let mut sink = install(&net);
-    let tracks = net.track_count();
-    let (carol, david) = generate::hamiltonian_matching_pair(tracks);
+    let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
     let m = net.embed_matchings(&carol, &david);
-    let width = qdc_algos::widths::id_width(net.graph().node_count());
-    let sim = Simulator::with_options(
-        net.graph(),
-        CongestConfig::quantum(point.bandwidth),
-        options,
-    );
-    let mut trace = TrafficTrace::default();
-    let (_, report) = sim.run_observed(
-        |info| ComponentFlood {
-            label: info.id.0 as u64,
-            active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-            width,
-        },
-        net.horizon(),
-        &mut (&mut trace, &mut sink),
-    );
-    let audit = audit_trace(&net, &trace, point.bandwidth);
+    let run = audited_flood(&net, &m, point.bandwidth, options, &mut sink);
     let outcome = SimThmOutcome {
-        metrics: report.metrics(),
+        metrics: run.report.metrics(),
         node_count: net.graph().node_count() as u64,
         highways: net.highway_count() as u64,
         horizon: net.horizon() as u64,
-        paid_bits: audit.total_paid(),
-        max_paid_per_round: audit.max_paid_per_round,
-        per_round_budget: audit.per_round_budget,
-        within_budget: audit.within_budget,
-        trace,
+        paid_bits: run.audit.total_paid(),
+        max_paid_per_round: run.audit.max_paid_per_round,
+        per_round_budget: run.audit.per_round_budget,
+        within_budget: run.audit.within_budget,
+        trace: run.trace,
     };
     (outcome, sink)
 }
@@ -179,18 +112,6 @@ pub fn highway_classes(net: &SimulationNetwork) -> Vec<NodeClass> {
             }
         })
         .collect()
-}
-
-/// Realizes a point's network, bumping Γ by one when the track count
-/// `Γ + k` would be odd (the matching embedding needs an even number of
-/// tracks, exactly as the suite binaries do).
-fn build_network(point: &SimThmPoint) -> SimulationNetwork {
-    let net = SimulationNetwork::build(point.gamma, point.l);
-    if net.track_count() % 2 == 1 {
-        SimulationNetwork::build(point.gamma + 1, point.l)
-    } else {
-        net
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 //!   (Equations 36–38) and a traffic **audit**: every message of a real
 //!   simulator run is charged to the party owning its sender, verifying
 //!   that the Carol/David-paid traffic stays within the `6kB`-per-round
-//!   budget the proof of Theorem 3.5 uses;
+//!   budget the proof of Theorem 3.5 uses. [`audited_flood`] is the one
+//!   audited workload every Theorem 3.5 experiment runs;
 //! * [`replay`] — the simulation *performed*: three parties holding only
 //!   their owned node states re-execute the algorithm, exchanging exactly
 //!   the entitled messages, and reproduce the direct run bit for bit;
@@ -36,4 +37,4 @@ pub mod simulate;
 
 pub use campaign::{SimThmOutcome, SimThmPoint};
 pub use network::{Party, SimulationNetwork};
-pub use simulate::{audit_trace, ThreePartyAudit};
+pub use simulate::{audit_trace, audited_flood, AuditedFlood, ComponentFlood, ThreePartyAudit};

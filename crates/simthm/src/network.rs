@@ -147,6 +147,27 @@ impl SimulationNetwork {
         }
     }
 
+    /// Builds `N(Γ, L)`, or `N(Γ + 1, L)` when the track count `Γ + k`
+    /// would be odd: [`embed_matchings`](Self::embed_matchings) takes a
+    /// pair of perfect matchings on the tracks, so it needs an even
+    /// number of them.
+    ///
+    /// The odd case builds twice rather than deriving `k` up front, so
+    /// the allocations a realized network costs stay those of the
+    /// original build-then-rebuild.
+    ///
+    /// # Panics
+    ///
+    /// As [`build`](Self::build).
+    pub fn build_even_tracks(gamma: usize, l: usize) -> Self {
+        let net = SimulationNetwork::build(gamma, l);
+        if net.track_count() % 2 == 1 {
+            SimulationNetwork::build(gamma + 1, l)
+        } else {
+            net
+        }
+    }
+
     /// The network graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -272,6 +293,16 @@ mod tests {
     }
 
     #[test]
+    fn even_tracks_raise_gamma_only_when_odd() {
+        // 13 + 4 = 17 tracks: `build` keeps the paper's N(13, 17).
+        assert_eq!(SimulationNetwork::build(13, 17).track_count(), 17);
+        let net = SimulationNetwork::build_even_tracks(13, 17);
+        assert_eq!((net.path_count(), net.track_count()), (14, 18));
+        let net = SimulationNetwork::build_even_tracks(12, 17);
+        assert_eq!((net.path_count(), net.track_count()), (12, 16));
+    }
+
+    #[test]
     fn l_is_rounded_up() {
         let net = SimulationNetwork::build(2, 10);
         assert_eq!(net.length(), 17); // 2^4 + 1
@@ -364,13 +395,7 @@ mod tests {
     fn observation_8_1_cycle_counts_match() {
         // cycles(M) == cycles(G) for random matchings.
         for seed in 0..6 {
-            let net = SimulationNetwork::build(6, 9);
-            let tracks = net.track_count(); // 6 + 3 = 9 … odd; pad Γ to even.
-            let net = if tracks % 2 == 1 {
-                SimulationNetwork::build(7, 9)
-            } else {
-                net
-            };
+            let net = SimulationNetwork::build_even_tracks(6, 9); // 6 + 3 = 9 → Γ = 7
             let tracks = net.track_count();
             let carol = generate::random_perfect_matching(tracks, 100 + seed);
             let david = generate::random_perfect_matching(tracks, 200 + seed);

@@ -12,6 +12,7 @@
 //! `O(B log L)` per round.
 
 use crate::network::{Party, SimulationNetwork};
+use crate::simulate::payer;
 use qdc_congest::{
     ChaosConfig, CongestConfig, FaultPlan, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox,
     Simulator,
@@ -171,13 +172,11 @@ where
                     continue;
                 }
                 let back = sim.back_port(u, p);
-                let sender = net.owner(u, t);
-                let receiver = net.owner(v, t + 1);
                 // Paid bits meter the message as delivered (a corrupted
                 // payload may have been truncated in flight).
-                match sender {
-                    Party::Carol if receiver != Party::Carol => carol_paid += msg.bit_len() as u64,
-                    Party::David if receiver != Party::David => david_paid += msg.bit_len() as u64,
+                match payer(net, u, v, t) {
+                    Some(Party::Carol) => carol_paid += msg.bit_len() as u64,
+                    Some(Party::David) => david_paid += msg.bit_len() as u64,
                     _ => {}
                 }
                 inboxes[v.index()].put(back, msg);
@@ -221,48 +220,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::ComponentFlood;
     use qdc_graph::generate;
-
-    /// The component-label flood used across the Theorem 3.5 experiments.
-    #[derive(Clone, PartialEq, Eq, Debug)]
-    struct MinFlood {
-        label: u64,
-        active: Vec<bool>,
-        width: usize,
-    }
-
-    impl NodeAlgorithm for MinFlood {
-        fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-            for p in 0..self.active.len() {
-                if self.active[p] {
-                    out.send(p, Message::from_uint(self.label, self.width));
-                }
-            }
-        }
-        fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-            let mut improved = false;
-            for (port, msg) in inbox.iter() {
-                if self.active[port] {
-                    if let Some(v) = msg.as_uint(self.width) {
-                        if v < self.label {
-                            self.label = v;
-                            improved = true;
-                        }
-                    }
-                }
-            }
-            if improved {
-                for p in 0..self.active.len() {
-                    if self.active[p] {
-                        out.send(p, Message::from_uint(self.label, self.width));
-                    }
-                }
-            }
-        }
-        fn is_terminated(&self) -> bool {
-            true
-        }
-    }
 
     #[test]
     fn replay_matches_direct_run_exactly() {
@@ -274,11 +233,7 @@ mod tests {
         let width = 16;
         let horizon = net.horizon();
 
-        let make = |info: &NodeInfo| MinFlood {
-            label: info.id.0 as u64,
-            active: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-            width,
-        };
+        let make = |info: &NodeInfo| ComponentFlood::along(info, &m, width);
 
         // Direct run, capped at the horizon.
         let sim = Simulator::new(net.graph(), cfg);
@@ -289,8 +244,8 @@ mod tests {
         assert_eq!(replay.rounds, horizon);
         for v in net.graph().nodes() {
             assert_eq!(
-                direct[v.index()].label,
-                replay.nodes[v.index()].label,
+                direct[v.index()].label(),
+                replay.nodes[v.index()].label(),
                 "node {v} diverged between direct run and three-party replay"
             );
         }
@@ -320,11 +275,7 @@ mod tests {
         let width = 16;
         let rounds = net.horizon();
 
-        let make = |info: &NodeInfo| MinFlood {
-            label: info.id.0 as u64,
-            active: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-            width,
-        };
+        let make = |info: &NodeInfo| ComponentFlood::along(info, &m, width);
         let chaos = ChaosConfig {
             seed: 99,
             drop_prob: 0.2,
@@ -348,8 +299,8 @@ mod tests {
         );
         for v in net.graph().nodes() {
             assert_eq!(
-                stepper.nodes()[v.index()].label,
-                replay.nodes[v.index()].label,
+                stepper.nodes()[v.index()].label(),
+                replay.nodes[v.index()].label(),
                 "node {v} diverged under fault injection"
             );
         }
@@ -359,14 +310,11 @@ mod tests {
     fn fault_free_wrapper_reports_zero_drops() {
         let net = SimulationNetwork::build(3, 9);
         let cfg = CongestConfig::classical(8);
+        let everywhere = net.graph().full_subgraph();
         let out = three_party_replay(
             &net,
             cfg,
-            |info| MinFlood {
-                label: info.id.0 as u64,
-                active: vec![true; info.degree()],
-                width: 8,
-            },
+            |info| ComponentFlood::along(info, &everywhere, 8),
             net.horizon(),
         );
         assert_eq!(out.messages_dropped, 0);
@@ -377,14 +325,11 @@ mod tests {
     fn replay_beyond_horizon_rejected() {
         let net = SimulationNetwork::build(3, 9);
         let cfg = CongestConfig::classical(8);
+        let nowhere = net.graph().empty_subgraph();
         three_party_replay(
             &net,
             cfg,
-            |info| MinFlood {
-                label: info.id.0 as u64,
-                active: vec![false; info.degree()],
-                width: 8,
-            },
+            |info| ComponentFlood::along(info, &nowhere, 8),
             net.horizon() + 1,
         );
     }

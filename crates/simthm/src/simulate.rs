@@ -14,9 +14,83 @@
 //! [`qdc_congest::Simulator::run_observed`]), charging each delivered
 //! message to the party owning its sender, and checks the per-round paid
 //! traffic against the `6kB` budget the theorem uses.
+//!
+//! [`audited_flood`] is the audit every Theorem 3.5 experiment runs: the
+//! [`ComponentFlood`] along an embedded subnetwork `M`, traced up to the
+//! horizon and audited.
 
 use crate::network::{Party, SimulationNetwork};
-use qdc_congest::TrafficTrace;
+use qdc_algos::widths::id_width;
+use qdc_congest::{
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions, RunReport,
+    Simulator, Telemetry, TrafficTrace,
+};
+use qdc_graph::{NodeId, Subgraph};
+
+/// Event-driven minimum-label flood along a subnetwork `M`: the
+/// component-labeling core of a Hamiltonian-cycle verifier, and the
+/// workload of every Theorem 3.5 audit.
+///
+/// Each node starts with its own id as its label and sends it on every
+/// port whose edge lies in `M`. A node that hears a smaller label on
+/// such a port adopts it and sends it on again; traffic on other ports
+/// is ignored. On a 2-regular `M` the labels agree iff `M` is one cycle.
+#[derive(Clone, Debug)]
+pub struct ComponentFlood {
+    label: u64,
+    active_ports: Vec<bool>,
+    width: usize,
+}
+
+impl ComponentFlood {
+    /// The initial state of node `info` for a flood along `m`, sending
+    /// labels as `width`-bit integers.
+    pub fn along(info: &NodeInfo, m: &Subgraph, width: usize) -> Self {
+        ComponentFlood {
+            label: info.id.0 as u64,
+            active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
+            width,
+        }
+    }
+
+    /// The smallest label this node has heard (its own id at first).
+    pub fn label(&self) -> u64 {
+        self.label
+    }
+
+    fn send_all(&self, out: &mut Outbox) {
+        for p in 0..self.active_ports.len() {
+            if self.active_ports[p] {
+                out.send(p, Message::from_uint(self.label, self.width));
+            }
+        }
+    }
+}
+
+impl NodeAlgorithm for ComponentFlood {
+    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
+        self.send_all(out);
+    }
+    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
+        let mut improved = false;
+        for (port, msg) in inbox.iter() {
+            if self.active_ports[port] {
+                if let Some(v) = msg.as_uint(self.width) {
+                    if v < self.label {
+                        self.label = v;
+                        improved = true;
+                    }
+                }
+            }
+        }
+        if improved {
+            self.send_all(out);
+        }
+    }
+    fn is_terminated(&self) -> bool {
+        true
+    }
+}
 
 /// The result of auditing one traced run against the Theorem 3.5 cost
 /// model.
@@ -54,14 +128,22 @@ impl ThreePartyAudit {
     }
 }
 
+/// The party that pays for a message sent at time `t` from `from` to
+/// `to`: the sender's owner at `t`, when the receiver's owner at `t + 1`
+/// differs (it must be told the message to keep simulating). Messages
+/// inside one party are free, and so is everything the server sends
+/// (Definition 3.1), so the answer is Carol, David or `None`.
+pub(crate) fn payer(net: &SimulationNetwork, from: NodeId, to: NodeId, t: usize) -> Option<Party> {
+    let sender = net.owner(from, t);
+    (sender != Party::Server && sender != net.owner(to, t + 1)).then_some(sender)
+}
+
 /// Audits a traced run on the simulation network against the Theorem 3.5
 /// cost model. `bandwidth` is the CONGEST `B` used for the run.
 ///
 /// A message sent at the end of round `r` (delivered in `r + 1`) is paid
-/// by Carol iff its sender is Carol-owned at time `r` and its receiver is
-/// not Carol-owned at time `r + 1` (the receiver's owner must be told the
-/// message to keep simulating); symmetrically for David. Server-sent
-/// messages are free (Definition 3.1).
+/// by its sender's owner at time `r` when the receiver's owner at time
+/// `r + 1` differs; server-sent messages are free (Definition 3.1).
 pub fn audit_trace(
     net: &SimulationNetwork,
     trace: &TrafficTrace,
@@ -74,19 +156,13 @@ pub fn audit_trace(
     for (r, msgs) in trace.rounds.iter().enumerate() {
         let mut paid = 0u64;
         for m in msgs {
-            let sender = net.owner(m.from, r);
-            let receiver = net.owner(m.to, r + 1);
-            match sender {
-                Party::Carol if receiver != Party::Carol => {
-                    carol_bits += m.bits as u64;
-                    paid += m.bits as u64;
-                }
-                Party::David if receiver != Party::David => {
-                    david_bits += m.bits as u64;
-                    paid += m.bits as u64;
-                }
-                _ => {}
+            let bits = m.bits as u64;
+            match payer(net, m.from, m.to, r) {
+                Some(Party::Carol) => carol_bits += bits,
+                Some(Party::David) => david_bits += bits,
+                _ => continue,
             }
+            paid += bits;
         }
         max_paid = max_paid.max(paid);
     }
@@ -102,52 +178,59 @@ pub fn audit_trace(
     }
 }
 
+/// What [`audited_flood`] produced.
+#[derive(Clone, Debug)]
+pub struct AuditedFlood {
+    /// Final node states, in node order.
+    pub nodes: Vec<ComponentFlood>,
+    /// The run's report.
+    pub report: RunReport,
+    /// The per-round message trace the audit read.
+    pub trace: TrafficTrace,
+    /// The Theorem 3.5 audit of the trace.
+    pub audit: ThreePartyAudit,
+}
+
+/// Runs the [`ComponentFlood`] along `m` on the quantum channel with
+/// budget `bandwidth` and audits it: the Theorem 3.5 experiment.
+///
+/// Labels are node ids of [`id_width`] bits. The run is traced, capped
+/// at the horizon `L/2 − 2` (Theorem 3.5 speaks only about runs within
+/// it, so `report.completed` is usually false), and `sink` observes it
+/// beside the trace. Neither the sink nor `options` changes the result.
+///
+/// # Panics
+///
+/// Panics if the id width exceeds `bandwidth` (the engine's budget
+/// check).
+pub fn audited_flood<T: Telemetry>(
+    net: &SimulationNetwork,
+    m: &Subgraph,
+    bandwidth: usize,
+    options: RunOptions,
+    sink: T,
+) -> AuditedFlood {
+    let width = id_width(net.graph().node_count());
+    let sim = Simulator::with_options(net.graph(), CongestConfig::quantum(bandwidth), options);
+    let mut trace = TrafficTrace::default();
+    let (nodes, report) = sim.run_observed(
+        |info| ComponentFlood::along(info, m, width),
+        net.horizon(),
+        &mut (&mut trace, sink),
+    );
+    let audit = audit_trace(net, &trace, bandwidth);
+    AuditedFlood {
+        nodes,
+        report,
+        trace,
+        audit,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdc_congest::{
-        CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
-    };
     use qdc_graph::generate;
-
-    /// Event-driven minimum-id flood along subnetwork edges — the kind of
-    /// component-labeling step a Ham verifier performs on `M`.
-    struct MinFlood {
-        label: u64,
-        active_ports: Vec<bool>,
-        width: usize,
-    }
-
-    impl NodeAlgorithm for MinFlood {
-        fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-            for p in 0..self.active_ports.len() {
-                if self.active_ports[p] {
-                    out.send(p, Message::from_uint(self.label, self.width));
-                }
-            }
-        }
-        fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-            let mut improved = false;
-            for (port, msg) in inbox.iter() {
-                if let Some(v) = msg.as_uint(self.width) {
-                    if v < self.label && self.active_ports[port] {
-                        self.label = v;
-                        improved = true;
-                    }
-                }
-            }
-            if improved {
-                for p in 0..self.active_ports.len() {
-                    if self.active_ports[p] {
-                        out.send(p, Message::from_uint(self.label, self.width));
-                    }
-                }
-            }
-        }
-        fn is_terminated(&self) -> bool {
-            true
-        }
-    }
 
     #[test]
     fn paid_traffic_stays_within_theorem_budget() {
@@ -162,11 +245,7 @@ mod tests {
         let cap = net.horizon();
         let mut trace = TrafficTrace::default();
         let (_, report) = sim.run_observed(
-            |info| MinFlood {
-                label: info.id.0 as u64,
-                active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-                width,
-            },
+            |info| ComponentFlood::along(info, &m, width),
             cap,
             &mut trace,
         );

@@ -7,52 +7,9 @@
 //! ```
 
 use qdc::algos::verify::verify_hamiltonian_cycle;
-use qdc::congest::{
-    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
-};
+use qdc::congest::{CongestConfig, NullTelemetry, RunOptions};
 use qdc::graph::generate;
-use qdc::simthm::{audit_trace, Party, SimulationNetwork};
-
-/// Minimum-label flood along M — the component-labeling heart of a
-/// Hamiltonian-cycle verifier.
-struct ComponentFlood {
-    label: u64,
-    active: Vec<bool>,
-    width: usize,
-}
-
-impl NodeAlgorithm for ComponentFlood {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        for p in 0..self.active.len() {
-            if self.active[p] {
-                out.send(p, Message::from_uint(self.label, self.width));
-            }
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        let mut improved = false;
-        for (port, msg) in inbox.iter() {
-            if self.active[port] {
-                if let Some(v) = msg.as_uint(self.width) {
-                    if v < self.label {
-                        self.label = v;
-                        improved = true;
-                    }
-                }
-            }
-        }
-        if improved {
-            for p in 0..self.active.len() {
-                if self.active[p] {
-                    out.send(p, Message::from_uint(self.label, self.width));
-                }
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
-}
+use qdc::simthm::{audited_flood, Party, SimulationNetwork};
 
 fn main() {
     let net = SimulationNetwork::build(11, 33); // 11 paths + 5 highways
@@ -83,20 +40,8 @@ fn main() {
     }
 
     // Run the component flood on the quantum channel and audit it.
-    let width = qdc::algos::widths::id_width(net.graph().node_count());
-    let cfg = CongestConfig::quantum(bandwidth);
-    let sim = Simulator::new(net.graph(), cfg);
-    let mut trace = TrafficTrace::default();
-    let (nodes, report) = sim.run_observed(
-        |info| ComponentFlood {
-            label: info.id.0 as u64,
-            active: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-            width,
-        },
-        net.horizon(),
-        &mut trace,
-    );
-    let audit = audit_trace(&net, &trace, bandwidth);
+    let run = audited_flood(&net, &m, bandwidth, RunOptions::default(), NullTelemetry);
+    let (report, audit) = (run.report, run.audit);
     println!(
         "\nflood ran {} rounds ({} qubits total on the network)",
         report.rounds, report.bits_sent
@@ -109,7 +54,7 @@ fn main() {
         "Theorem 3.5 budget 6kB = {} per round → within budget: {}",
         audit.per_round_budget, audit.within_budget
     );
-    let all_same = nodes.windows(2).all(|w| w[0].label == w[1].label);
+    let all_same = run.nodes.windows(2).all(|w| w[0].label() == w[1].label());
     println!(
         "labels converged within the horizon: {all_same} — {}",
         if all_same {

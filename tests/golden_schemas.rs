@@ -25,6 +25,8 @@
 //! deleted and spliced slices, out-of-range integers) never panics a
 //! reader — every mutant is either rejected with a line number and a
 //! message, or accepted and re-emitted to text that reads back equal.
+//! An accepted stream archive must also merge with itself and with its
+//! fixture without a panic or a wrapped total.
 //!
 //! The telemetry and campaign-point schemas additionally pin
 //! quantum-channel fixtures (`telemetry_v1_quantum.jsonl`,
@@ -239,6 +241,27 @@ fn golden_telemetry_stream_v1_rejection_corpus() {
     for (bad, why) in cases {
         let err = read_aggregate(bad.as_bytes()).expect_err(why);
         assert!(!err.to_string().is_empty(), "{why} must explain itself");
+    }
+}
+
+/// The stream fixture with its hottest edge's weight raised to
+/// `u64::MAX`: the ranking still holds, so the reader accepts it.
+fn hostile_stream_archive(text: &str) -> String {
+    let at = text.find("\"top_edges\":[[").expect("footer sketch") + "\"top_edges\":[[".len();
+    let bits = at + text[at..].find(',').expect("entry index") + 1;
+    let end = bits + text[bits..].find(',').expect("entry bits");
+    format!("{}18446744073709551615{}", &text[..bits], &text[end..])
+}
+
+#[test]
+fn golden_telemetry_stream_v1_merge_refuses_overflow() {
+    let (text, fixture) = golden_stream_archive();
+    let agg = read_aggregate(hostile_stream_archive(&text).as_bytes()).expect("accepted");
+    assert_eq!(agg.top_edges.ranked()[0].bits, u64::MAX);
+    for other in [&agg, &fixture] {
+        let mut merged = agg.clone();
+        assert!(merged.merge(other).is_err(), "the weight would overflow");
+        assert_eq!(merged, agg, "a refused merge changes nothing");
     }
 }
 
@@ -1070,7 +1093,8 @@ proptest! {
 
     /// Mutants of every fixture never panic their reader; each is
     /// rejected with a line number and a message, or accepted and
-    /// re-emitted to text that reads back to the same value.
+    /// re-emitted to text that reads back to the same value. Accepted
+    /// stream archives also merge with themselves and their fixture.
     #[test]
     fn golden_fixtures_survive_mutation_fuzz(seed in any::<u64>()) {
         let mut state = seed ^ env_seed().wrapping_mul(0xD1B5_4A32_D192_ED03);
@@ -1093,7 +1117,30 @@ proptest! {
                 let back = read(reader, canonical.as_bytes());
                 prop_assert_eq!(back, Ok(canonical.clone()), "{} re-emission of {:?}", name, shown);
             }
-            Ok(_) => {}
+            Ok(_) => {
+                // An accepted archive merges with itself and with its
+                // fixture: the sums are exact, or the merge is refused
+                // whole — never a panic or a wrapped total.
+                let agg = read_aggregate(&mutant[..]).expect("accepted above");
+                let original = read_aggregate(&fixture(name)[..]).expect("fixture parses");
+                for other in [&agg, &original] {
+                    let outcome = std::panic::catch_unwind(|| {
+                        let mut merged = agg.clone();
+                        let result = merged.merge(other);
+                        (merged, result)
+                    });
+                    prop_assert!(outcome.is_ok(), "{} merge panicked on {:?}", name, shown);
+                    let (merged, result) = outcome.expect("checked");
+                    if result.is_ok() {
+                        prop_assert_eq!(
+                            Some(merged.totals.bits),
+                            agg.totals.bits.checked_add(other.totals.bits)
+                        );
+                    } else {
+                        prop_assert_eq!(&merged, &agg, "a refused merge changes nothing");
+                    }
+                }
+            }
         }
     }
 }

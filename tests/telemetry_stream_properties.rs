@@ -317,9 +317,9 @@ proptest! {
         let b = run(n + 1, (seed ^ env_seed()).wrapping_mul(31) + 7);
 
         let mut ab = a.clone();
-        ab.merge(&b);
+        ab.merge(&b).expect("no overflow");
         let mut ba = b.clone();
-        ba.merge(&a);
+        ba.merge(&a).expect("no overflow");
         prop_assert_eq!(&ab, &ba, "merge must be commutative");
 
         // Counters compose additively under the merge.
@@ -332,7 +332,7 @@ proptest! {
             a.header.nodes, a.header.edges, a.header.bandwidth, a.header.top_k,
         );
         let mut a_id = a.clone();
-        a_id.merge(&empty);
+        a_id.merge(&empty).expect("no overflow");
         prop_assert_eq!(a_id, a, "the empty aggregate is the merge identity");
     }
 }
