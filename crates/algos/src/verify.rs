@@ -1,19 +1,21 @@
 //! Distributed verification of subnetwork properties (Section 2.2).
 //!
 //! Every verifier follows the same recipe the upper bounds of Das Sarma
-//! et al. use: elect a leader, build a BFS tree of the *network* `N`,
-//! compute connected components of the *subnetwork* `M` with the fragment
-//! engine, and combine O(1) aggregates over the BFS tree. The round cost
-//! is dominated by the fragment engine's Õ(√n + D); the paper's
-//! Theorem 3.6 shows this is optimal up to polylog factors **even for
-//! quantum algorithms**.
+//! et al. use, written once as the crate-private `Recipe`: run the
+//! fragment engine on the *subnetwork* `M` (which elects a leader and
+//! builds a BFS tree of the *network* `N` on the way), combine O(1)
+//! aggregates over that tree, and broadcast the decision down it. The
+//! round cost is dominated by the fragment engine's Õ(√n + D); the
+//! paper's Theorem 3.6 shows this is optimal up to polylog factors
+//! **even for quantum algorithms**.
 
+use crate::flood::{build_bfs_tree, elect_leader, BfsTreeInfo};
 use crate::fragments::{count_components, FragmentOutcome};
 use crate::ledger::Ledger;
 use crate::tree::{aggregate_to_root, broadcast_from_root, Agg};
 use crate::widths::bits_for;
 use qdc_congest::CongestConfig;
-use qdc_graph::{Graph, Subgraph};
+use qdc_graph::{Graph, NodeId, Subgraph};
 
 /// Result of a distributed verification run.
 #[derive(Clone, Debug)]
@@ -24,18 +26,82 @@ pub struct VerificationRun {
     pub ledger: Ledger,
 }
 
-fn finish(
-    graph: &Graph,
+/// The verification recipe: a BFS tree of the network, O(1) aggregates
+/// over it, and the decision broadcast down it. Every stage charges the
+/// one ledger the recipe owns.
+pub(crate) struct Recipe<'g> {
+    graph: &'g Graph,
     cfg: CongestConfig,
-    out: &FragmentOutcome,
-    accept: bool,
-    ledger: &mut Ledger,
-) -> bool {
-    // Broadcast the decision so every node knows the answer, as the
-    // problem statement requires.
-    let got = broadcast_from_root(graph, cfg, &out.bfs, u64::from(accept), 1, ledger);
-    debug_assert!(got.iter().all(|&v| v == Some(u64::from(accept))));
-    accept
+    bfs: BfsTreeInfo,
+    ledger: Ledger,
+}
+
+impl<'g> Recipe<'g> {
+    /// Runs the component engine on `active` and reuses its BFS tree;
+    /// also hands back the engine's outcome.
+    pub(crate) fn components(
+        graph: &'g Graph,
+        cfg: CongestConfig,
+        active: &Subgraph,
+    ) -> (Self, FragmentOutcome) {
+        let mut ledger = Ledger::new();
+        let out = count_components(graph, cfg, active, &mut ledger);
+        let bfs = out.bfs.clone();
+        (
+            Recipe {
+                graph,
+                cfg,
+                bfs,
+                ledger,
+            },
+            out,
+        )
+    }
+
+    /// Elects a leader and builds its BFS tree after a verifier's own
+    /// first stages, whose cost `ledger` already holds.
+    pub(crate) fn elect(graph: &'g Graph, cfg: CongestConfig, mut ledger: Ledger) -> Self {
+        let leader = elect_leader(graph, cfg, &mut ledger);
+        let bfs = build_bfs_tree(graph, cfg, leader, &mut ledger);
+        Recipe {
+            graph,
+            cfg,
+            bfs,
+            ledger,
+        }
+    }
+
+    /// Combines `value(u)` over every node at the root, in `width`-bit
+    /// messages.
+    pub(crate) fn aggregate(
+        &mut self,
+        agg: Agg,
+        width: usize,
+        value: impl Fn(NodeId) -> u64,
+    ) -> u64 {
+        let values: Vec<u64> = self.graph.nodes().map(value).collect();
+        let (graph, cfg) = (self.graph, self.cfg);
+        aggregate_to_root(graph, cfg, &self.bfs, &values, agg, width, &mut self.ledger)
+    }
+
+    /// `|E(M)|`, from the aggregate sum of `M`-degrees.
+    pub(crate) fn edge_count(&mut self, m: &Subgraph) -> u64 {
+        let graph = self.graph;
+        let width = bits_for(2 * graph.edge_count().max(1) as u64);
+        self.aggregate(Agg::Sum, width, |u| m.degree_in(graph, u) as u64) / 2
+    }
+
+    /// Broadcasts the decision so every node knows the answer, as the
+    /// problem statement requires.
+    pub(crate) fn decide(mut self, accept: bool) -> VerificationRun {
+        let (graph, cfg, bit) = (self.graph, self.cfg, u64::from(accept));
+        let got = broadcast_from_root(graph, cfg, &self.bfs, bit, 1, &mut self.ledger);
+        debug_assert!(got.iter().all(|&v| v == Some(bit)));
+        VerificationRun {
+            accept,
+            ledger: self.ledger,
+        }
+    }
 }
 
 /// **Hamiltonian cycle verification**: `M` is a spanning simple cycle.
@@ -47,64 +113,27 @@ pub fn verify_hamiltonian_cycle(
     cfg: CongestConfig,
     m: &Subgraph,
 ) -> VerificationRun {
-    let mut ledger = Ledger::new();
-    let out = count_components(graph, cfg, m, &mut ledger);
-    let deg_ok: Vec<u64> = graph
-        .nodes()
-        .map(|u| u64::from(m.degree_in(graph, u) == 2))
-        .collect();
-    let all_deg2 = aggregate_to_root(graph, cfg, &out.bfs, &deg_ok, Agg::And, 1, &mut ledger) == 1;
-    let accept = graph.node_count() >= 3 && all_deg2 && out.fragment_count == 1;
-    let accept = finish(graph, cfg, &out, accept, &mut ledger);
-    VerificationRun { accept, ledger }
+    let (mut recipe, out) = Recipe::components(graph, cfg, m);
+    let all_deg2 = recipe.aggregate(Agg::And, 1, |u| u64::from(m.degree_in(graph, u) == 2)) == 1;
+    recipe.decide(graph.node_count() >= 3 && all_deg2 && out.fragment_count == 1)
 }
 
 /// **Spanning tree verification**: `M` is connected over all nodes and has
 /// exactly `n − 1` edges.
 pub fn verify_spanning_tree(graph: &Graph, cfg: CongestConfig, m: &Subgraph) -> VerificationRun {
-    let mut ledger = Ledger::new();
-    let out = count_components(graph, cfg, m, &mut ledger);
-    let n = graph.node_count();
-    let degrees: Vec<u64> = graph
-        .nodes()
-        .map(|u| m.degree_in(graph, u) as u64)
-        .collect();
-    let degree_sum = aggregate_to_root(
-        graph,
-        cfg,
-        &out.bfs,
-        &degrees,
-        Agg::Sum,
-        bits_for(2 * graph.edge_count().max(1) as u64),
-        &mut ledger,
-    );
-    let accept = out.fragment_count == 1 && degree_sum == 2 * (n as u64 - 1);
-    let accept = finish(graph, cfg, &out, accept, &mut ledger);
-    VerificationRun { accept, ledger }
+    let (mut recipe, out) = Recipe::components(graph, cfg, m);
+    let edges = recipe.edge_count(m);
+    recipe.decide(out.fragment_count == 1 && edges == graph.node_count() as u64 - 1)
 }
 
 /// **Connectivity verification**: all `M`-edges lie in one component
 /// (isolated nodes ignored, matching
 /// [`qdc_graph::predicates::is_connected`]).
 pub fn verify_connectivity(graph: &Graph, cfg: CongestConfig, m: &Subgraph) -> VerificationRun {
-    let mut ledger = Ledger::new();
-    let out = count_components(graph, cfg, m, &mut ledger);
-    let isolated: Vec<u64> = graph
-        .nodes()
-        .map(|u| u64::from(m.degree_in(graph, u) == 0))
-        .collect();
-    let isolated_count = aggregate_to_root(
-        graph,
-        cfg,
-        &out.bfs,
-        &isolated,
-        Agg::Sum,
-        bits_for(graph.node_count() as u64),
-        &mut ledger,
-    );
-    let accept = out.fragment_count as u64 - isolated_count <= 1;
-    let accept = finish(graph, cfg, &out, accept, &mut ledger);
-    VerificationRun { accept, ledger }
+    let (mut recipe, out) = Recipe::components(graph, cfg, m);
+    let width = bits_for(graph.node_count() as u64);
+    let isolated = recipe.aggregate(Agg::Sum, width, |u| u64::from(m.degree_in(graph, u) == 0));
+    recipe.decide(out.fragment_count as u64 - isolated <= 1)
 }
 
 /// **Connected spanning subgraph verification**: `M` is connected and
@@ -114,11 +143,8 @@ pub fn verify_spanning_connected(
     cfg: CongestConfig,
     m: &Subgraph,
 ) -> VerificationRun {
-    let mut ledger = Ledger::new();
-    let out = count_components(graph, cfg, m, &mut ledger);
-    let accept = out.fragment_count == 1;
-    let accept = finish(graph, cfg, &out, accept, &mut ledger);
-    VerificationRun { accept, ledger }
+    let (recipe, out) = Recipe::components(graph, cfg, m);
+    recipe.decide(out.fragment_count == 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -190,13 +216,9 @@ pub fn check_indicator_consistency(
         crate::flood::stage_cap(graph.node_count()),
     );
     ledger.absorb(&report);
-    let leader = crate::flood::elect_leader(graph, cfg, &mut ledger);
-    let bfs = crate::flood::build_bfs_tree(graph, cfg, leader, &mut ledger);
-    let flags: Vec<u64> = nodes.iter().map(|s| u64::from(s.mismatch)).collect();
-    let bad = aggregate_to_root(graph, cfg, &bfs, &flags, Agg::Or, 1, &mut ledger) == 1;
-    let accept = !bad;
-    let _ = broadcast_from_root(graph, cfg, &bfs, u64::from(accept), 1, &mut ledger);
-    VerificationRun { accept, ledger }
+    let mut recipe = Recipe::elect(graph, cfg, ledger);
+    let bad = recipe.aggregate(Agg::Or, 1, |u| u64::from(nodes[u.index()].mismatch)) == 1;
+    recipe.decide(!bad)
 }
 
 /// Builds the consistent per-node claim rows for a subgraph `M` (the

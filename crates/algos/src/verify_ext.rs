@@ -2,15 +2,14 @@
 //! problems: cycle containment, e-cycle containment, bipartiteness,
 //! s-t connectivity, cut, s-t cut, edge-on-all-paths and simple path.
 //!
-//! All follow the same fragment-engine + aggregate recipe as
-//! [`crate::verify`]; bipartiteness additionally runs a parity-carrying
-//! label flood and a one-round conflict exchange.
+//! All follow the same recipe as [`crate::verify`] (its crate-private
+//! `Recipe`); bipartiteness first runs a parity-carrying label flood and
+//! a one-round conflict exchange, then elects the recipe's leader.
 
 use crate::flood::stage_cap;
-use crate::fragments::count_components;
 use crate::ledger::Ledger;
-use crate::tree::{aggregate_to_root, broadcast_from_root, Agg};
-use crate::verify::VerificationRun;
+use crate::tree::Agg;
+use crate::verify::{Recipe, VerificationRun};
 use crate::widths::{bits_for, id_width};
 use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
 use qdc_graph::{EdgeId, Graph, NodeId, Subgraph};
@@ -24,25 +23,9 @@ pub fn verify_cycle_containment(
     cfg: CongestConfig,
     m: &Subgraph,
 ) -> VerificationRun {
-    let mut ledger = Ledger::new();
-    let out = count_components(graph, cfg, m, &mut ledger);
-    let degrees: Vec<u64> = graph
-        .nodes()
-        .map(|u| m.degree_in(graph, u) as u64)
-        .collect();
-    let degree_sum = aggregate_to_root(
-        graph,
-        cfg,
-        &out.bfs,
-        &degrees,
-        Agg::Sum,
-        bits_for(2 * graph.edge_count().max(1) as u64),
-        &mut ledger,
-    );
-    let edges = degree_sum / 2;
-    let accept = edges > graph.node_count() as u64 - out.fragment_count as u64;
-    let _ = broadcast_from_root(graph, cfg, &out.bfs, u64::from(accept), 1, &mut ledger);
-    VerificationRun { accept, ledger }
+    let (mut recipe, out) = Recipe::components(graph, cfg, m);
+    let edges = recipe.edge_count(m);
+    recipe.decide(edges > (graph.node_count() - out.fragment_count) as u64)
 }
 
 /// **e-cycle containment verification**: does `M` contain a cycle through
@@ -56,30 +39,24 @@ pub fn verify_e_cycle_containment(
     m: &Subgraph,
     e: EdgeId,
 ) -> VerificationRun {
-    let mut ledger = Ledger::new();
     if !m.contains(e) {
         return VerificationRun {
             accept: false,
-            ledger,
+            ledger: Ledger::new(),
         };
     }
     let mut without = m.clone();
     without.remove(e);
     let (u, v) = graph.endpoints(e);
-    let run = verify_st_connectivity(graph, cfg, &without, u, v);
-    ledger.merge(&run.ledger);
-    VerificationRun {
-        accept: run.accept,
-        ledger,
-    }
+    verify_st_connectivity(graph, cfg, &without, u, v)
 }
 
 /// **s-t connectivity verification**: are `s` and `t` in the same
 /// component of `M`?
 ///
 /// Component labels from the fragment engine; `s` and `t` inject their
-/// labels into two MIN-aggregates (everyone else contributes the identity
-/// `u64::MAX`), and the root compares.
+/// labels into two MIN-aggregates (everyone else contributes
+/// `2^width − 1`, which exceeds every label), and the root compares.
 pub fn verify_st_connectivity(
     graph: &Graph,
     cfg: CongestConfig,
@@ -87,53 +64,27 @@ pub fn verify_st_connectivity(
     s: NodeId,
     t: NodeId,
 ) -> VerificationRun {
-    let mut ledger = Ledger::new();
-    let out = count_components(graph, cfg, m, &mut ledger);
+    let (mut recipe, out) = Recipe::components(graph, cfg, m);
     let width = id_width(graph.node_count()) + 1;
-    let inject = |who: NodeId| -> Vec<u64> {
-        graph
-            .nodes()
-            .map(|u| {
-                if u == who {
-                    out.fragment_of[u.index()]
-                } else {
-                    (1 << width) - 1
-                }
-            })
-            .collect()
+    let mut label_of = |who: NodeId| {
+        recipe.aggregate(Agg::Min, width, |u| {
+            if u == who {
+                out.fragment_of[u.index()]
+            } else {
+                (1 << width) - 1
+            }
+        })
     };
-    let s_label = aggregate_to_root(
-        graph,
-        cfg,
-        &out.bfs,
-        &inject(s),
-        Agg::Min,
-        width,
-        &mut ledger,
-    );
-    let t_label = aggregate_to_root(
-        graph,
-        cfg,
-        &out.bfs,
-        &inject(t),
-        Agg::Min,
-        width,
-        &mut ledger,
-    );
-    let accept = s_label == t_label;
-    let _ = broadcast_from_root(graph, cfg, &out.bfs, u64::from(accept), 1, &mut ledger);
-    VerificationRun { accept, ledger }
+    let same = label_of(s) == label_of(t);
+    recipe.decide(same)
 }
 
 /// **Cut verification**: does removing `E(M)` disconnect `N`?
 ///
 /// Runs the component engine on the complement subgraph.
 pub fn verify_cut(graph: &Graph, cfg: CongestConfig, m: &Subgraph) -> VerificationRun {
-    let mut ledger = Ledger::new();
-    let out = count_components(graph, cfg, &m.complement(), &mut ledger);
-    let accept = out.fragment_count > 1;
-    let _ = broadcast_from_root(graph, cfg, &out.bfs, u64::from(accept), 1, &mut ledger);
-    VerificationRun { accept, ledger }
+    let (recipe, out) = Recipe::components(graph, cfg, &m.complement());
+    recipe.decide(out.fragment_count > 1)
 }
 
 /// **s-t cut verification**: does removing `E(M)` separate `s` from `t`?
@@ -147,7 +98,7 @@ pub fn verify_st_cut(
     let run = verify_st_connectivity(graph, cfg, &m.complement(), s, t);
     VerificationRun {
         accept: !run.accept,
-        ledger: run.ledger,
+        ..run
     }
 }
 
@@ -166,45 +117,22 @@ pub fn verify_edge_on_all_paths(
     let run = verify_st_connectivity(graph, cfg, &without, u, v);
     VerificationRun {
         accept: !run.accept,
-        ledger: run.ledger,
+        ..run
     }
 }
 
 /// **Simple path verification**: degrees in `{0, 1, 2}` with exactly two
 /// degree-1 nodes, and no cycle.
 pub fn verify_simple_path(graph: &Graph, cfg: CongestConfig, m: &Subgraph) -> VerificationRun {
-    let mut ledger = Ledger::new();
-    let out = count_components(graph, cfg, m, &mut ledger);
-    let deg_ok: Vec<u64> = graph
-        .nodes()
-        .map(|n| u64::from(m.degree_in(graph, n) <= 2))
-        .collect();
+    let (mut recipe, out) = Recipe::components(graph, cfg, m);
+    let n = graph.node_count();
     let degrees_fine =
-        aggregate_to_root(graph, cfg, &out.bfs, &deg_ok, Agg::And, 1, &mut ledger) == 1;
-    let deg1: Vec<u64> = graph
-        .nodes()
-        .map(|n| u64::from(m.degree_in(graph, n) == 1))
-        .collect();
-    let sw = bits_for(graph.node_count() as u64);
-    let deg1_count = aggregate_to_root(graph, cfg, &out.bfs, &deg1, Agg::Sum, sw, &mut ledger);
-    let degrees_all: Vec<u64> = graph
-        .nodes()
-        .map(|n| m.degree_in(graph, n) as u64)
-        .collect();
-    let degree_sum = aggregate_to_root(
-        graph,
-        cfg,
-        &out.bfs,
-        &degrees_all,
-        Agg::Sum,
-        bits_for(2 * graph.edge_count().max(1) as u64),
-        &mut ledger,
-    );
-    let edges = degree_sum / 2;
-    let acyclic = edges == graph.node_count() as u64 - out.fragment_count as u64;
-    let accept = degrees_fine && deg1_count == 2 && acyclic;
-    let _ = broadcast_from_root(graph, cfg, &out.bfs, u64::from(accept), 1, &mut ledger);
-    VerificationRun { accept, ledger }
+        recipe.aggregate(Agg::And, 1, |u| u64::from(m.degree_in(graph, u) <= 2)) == 1;
+    let deg1_count = recipe.aggregate(Agg::Sum, bits_for(n as u64), |u| {
+        u64::from(m.degree_in(graph, u) == 1)
+    });
+    let acyclic = recipe.edge_count(m) == (n - out.fragment_count) as u64;
+    recipe.decide(degrees_fine && deg1_count == 2 && acyclic)
 }
 
 // ---------------------------------------------------------------------------
@@ -343,13 +271,9 @@ pub fn verify_bipartiteness(graph: &Graph, cfg: CongestConfig, m: &Subgraph) -> 
     ledger.absorb(&report);
 
     // OR-aggregate the conflicts over a BFS tree and broadcast back.
-    let leader = crate::flood::elect_leader(graph, cfg, &mut ledger);
-    let bfs = crate::flood::build_bfs_tree(graph, cfg, leader, &mut ledger);
-    let flags: Vec<u64> = checked.iter().map(|s| u64::from(s.conflict)).collect();
-    let any_conflict = aggregate_to_root(graph, cfg, &bfs, &flags, Agg::Or, 1, &mut ledger) == 1;
-    let accept = !any_conflict;
-    let _ = broadcast_from_root(graph, cfg, &bfs, u64::from(accept), 1, &mut ledger);
-    VerificationRun { accept, ledger }
+    let mut recipe = Recipe::elect(graph, cfg, ledger);
+    let conflict = recipe.aggregate(Agg::Or, 1, |u| u64::from(checked[u.index()].conflict)) == 1;
+    recipe.decide(!conflict)
 }
 
 #[cfg(test)]

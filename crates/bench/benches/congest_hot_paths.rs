@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdc_algos::verify::verify_hamiltonian_cycle;
 use qdc_algos::{flood, Ledger};
 use qdc_congest::{BitString, CongestConfig, NullTelemetry, RoundProfiler, RunOptions, Simulator};
-use qdc_graph::{generate, Graph};
+use qdc_graph::Graph;
 use qdc_simthm::{SimThmPoint, SimulationNetwork};
 use std::hint::black_box;
 
@@ -96,8 +96,7 @@ fn bench_verification_gamma13_l17(c: &mut Criterion) {
     // Γ=13, L=17 has 13 + log₂(16) = 17 tracks; the Hamiltonian matching
     // pair needs an even track count, so the network realizes Γ = 14.
     let net = SimulationNetwork::build_even_tracks(13, 17);
-    let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-    let m = net.embed_matchings(&carol, &david);
+    let m = net.hamiltonian_m();
     let cfg = CongestConfig::classical(64);
     g.bench_with_input(
         BenchmarkId::new("distributed_ham", format!("n{}", net.graph().node_count())),

@@ -35,19 +35,9 @@ fn bench_network(c: &mut Criterion) {
             b.iter(|| SimulationNetwork::build(black_box(16), black_box(l)))
         });
     }
-    let net = SimulationNetwork::build(16, 33);
-    let tracks = net.track_count();
-    let (carol, david) = if tracks.is_multiple_of(2) {
-        generate::hamiltonian_matching_pair(tracks)
-    } else {
-        let net2 = SimulationNetwork::build(17, 33);
-        generate::hamiltonian_matching_pair(net2.track_count())
-    };
-    let net = if tracks.is_multiple_of(2) {
-        net
-    } else {
-        SimulationNetwork::build(17, 33)
-    };
+    // Times the embedding alone, so the pair is built outside the loop.
+    let net = SimulationNetwork::build_even_tracks(16, 33);
+    let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
     g.bench_function("embed_matchings", |b| {
         b.iter(|| net.embed_matchings(black_box(&carol), black_box(&david)))
     });

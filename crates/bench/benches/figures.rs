@@ -17,8 +17,7 @@ fn bench_fig3_mst(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig3_mst");
     g.sample_size(10);
     let net = SimulationNetwork::build_even_tracks(8, 17);
-    let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-    let m = net.embed_matchings(&carol, &david);
+    let m = net.hamiltonian_m();
     let cfg = CongestConfig::classical(64);
     for &w in &[8u64, 128] {
         let weights = theorems::weight_gadget(net.graph(), &m, w);

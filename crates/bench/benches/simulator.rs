@@ -37,8 +37,7 @@ fn bench_verification(c: &mut Criterion) {
     g.sample_size(10);
     for &(gamma, l) in &[(6usize, 9usize), (12, 17)] {
         let net = SimulationNetwork::build_even_tracks(gamma, l);
-        let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-        let m = net.embed_matchings(&carol, &david);
+        let m = net.hamiltonian_m();
         let n = net.graph().node_count();
         let cfg = CongestConfig::classical(64);
         g.bench_with_input(BenchmarkId::new("distributed_ham", n), &n, |b, _| {

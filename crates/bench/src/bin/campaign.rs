@@ -94,12 +94,13 @@
 //! `4` I/O failure, `5` corrupt journal or failed self-check, `130`
 //! interrupted by signal.
 
-use qdc_bench::{print_header, print_row};
+use qdc_bench::{cli, print_header, print_row};
 use qdc_harness::{
     builtin, builtin_names, journal_summary_json, run_campaign_journaled, validate_output_paths,
     CampaignRunError, CancelToken, JournalConfig, JournalOutcome, RunOptions, StreamTelemetry,
     TelemetryMode,
 };
+use std::num::NonZeroUsize;
 
 /// Signal plumbing: SIGINT/SIGTERM flip the shared [`CancelToken`] and
 /// nothing else — the handler is a single atomic store, which is
@@ -199,53 +200,22 @@ fn parse_args() -> Args {
                 }
                 std::process::exit(0);
             }
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => args.threads = n,
-                None => usage(),
-            },
-            "--sim-threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => args.sim_threads = n,
-                None => usage(),
-            },
+            "--threads" => args.threads = cli::value(&mut it, usage),
+            "--sim-threads" => args.sim_threads = cli::value(&mut it, usage),
             "--deterministic" => args.deterministic = true,
             "--resume" => args.resume = true,
-            "--max-attempts" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => args.max_attempts = n,
-                None => usage(),
-            },
-            "--deadline-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => args.deadline_ms = Some(ms),
-                None => usage(),
-            },
-            "--backoff-seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => args.backoff_seed = n,
-                None => usage(),
-            },
-            "--throttle-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => args.throttle_ms = ms,
-                None => usage(),
-            },
-            "--out" => match it.next() {
-                Some(v) => args.out = Some(v),
-                None => usage(),
-            },
-            "--summary" => match it.next() {
-                Some(v) => args.summary = Some(v),
-                None => usage(),
-            },
-            "--trace-dir" => match it.next() {
-                Some(v) => args.trace_dir = Some(v),
-                None => usage(),
-            },
-            "--telemetry-dir" => match it.next() {
-                Some(v) => args.telemetry_dir = Some(v),
-                None => usage(),
-            },
+            "--max-attempts" => args.max_attempts = cli::value(&mut it, usage),
+            "--deadline-ms" => args.deadline_ms = Some(cli::value(&mut it, usage)),
+            "--backoff-seed" => args.backoff_seed = cli::value(&mut it, usage),
+            "--throttle-ms" => args.throttle_ms = cli::value(&mut it, usage),
+            "--out" => args.out = Some(cli::value(&mut it, usage)),
+            "--summary" => args.summary = Some(cli::value(&mut it, usage)),
+            "--trace-dir" => args.trace_dir = Some(cli::value(&mut it, usage)),
+            "--telemetry-dir" => args.telemetry_dir = Some(cli::value(&mut it, usage)),
             "--telemetry-stream" => args.telemetry_stream = true,
-            "--telemetry-top-k" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(k) if k > 0 => args.telemetry_top_k = k,
-                _ => usage(),
-            },
+            "--telemetry-top-k" => {
+                args.telemetry_top_k = cli::value::<NonZeroUsize>(&mut it, usage).get()
+            }
             "--help" | "-h" => usage(),
             s if s.starts_with('-') => {
                 eprintln!("unknown flag `{s}`");
@@ -306,50 +276,28 @@ fn self_check(
 /// `campaign serve` — bind, recover the data dir, run until a signal.
 fn serve_main(args: &[String]) -> ! {
     fn usage() -> ! {
-        eprintln!(
+        cli::fail(
+            2,
             "usage: campaign serve [--addr HOST:PORT] [--data-dir DIR] [--workers N] \
              [--job-threads N] [--max-queue N] [--max-client-jobs N] \
-             [--max-client-points N] [--throttle-ms MS]"
-        );
-        std::process::exit(2);
+             [--max-client-points N] [--throttle-ms MS]",
+        )
     }
     let mut addr = "127.0.0.1:7411".to_string();
     let mut config = qdc_service::ServiceConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => usage(),
-            },
-            "--data-dir" => match it.next() {
-                Some(v) => config.data_dir = v.into(),
-                None => usage(),
-            },
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.workers = n,
-                None => usage(),
-            },
-            "--job-threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.job_threads = n,
-                None => usage(),
-            },
-            "--max-queue" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.quotas.max_queue = n,
-                None => usage(),
-            },
-            "--max-client-jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.quotas.max_queued_per_client = n,
-                None => usage(),
-            },
-            "--max-client-points" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.quotas.max_points_per_client = n,
-                None => usage(),
-            },
-            "--throttle-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => config.throttle_ms = ms,
-                None => usage(),
-            },
+            "--addr" => addr = cli::value(&mut it, usage),
+            "--data-dir" => config.data_dir = cli::value(&mut it, usage),
+            "--workers" => config.workers = cli::value(&mut it, usage),
+            "--job-threads" => config.job_threads = cli::value(&mut it, usage),
+            "--max-queue" => config.quotas.max_queue = cli::value(&mut it, usage),
+            "--max-client-jobs" => config.quotas.max_queued_per_client = cli::value(&mut it, usage),
+            "--max-client-points" => {
+                config.quotas.max_points_per_client = cli::value(&mut it, usage)
+            }
+            "--throttle-ms" => config.throttle_ms = cli::value(&mut it, usage),
             _ => usage(),
         }
     }
@@ -357,13 +305,8 @@ fn serve_main(args: &[String]) -> ! {
     let cancel = CancelToken::new();
     signals::install(cancel.clone());
     let data_dir = config.data_dir.clone();
-    let server = match qdc_service::Server::bind(&addr, config, cancel.clone()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("campaign serve: cannot start on `{addr}`: {e}");
-            std::process::exit(4);
-        }
-    };
+    let server = qdc_service::Server::bind(&addr, config, cancel.clone())
+        .unwrap_or_else(|e| cli::fail(4, format!("campaign serve: cannot start on `{addr}`: {e}")));
     for warning in server.scan_warnings() {
         eprintln!("campaign serve: {warning}");
     }
@@ -379,12 +322,13 @@ fn serve_main(args: &[String]) -> ! {
         let _ = out.flush();
     }
     if let Err(e) = server.run() {
-        eprintln!("campaign serve: {e}");
-        std::process::exit(4);
+        cli::fail(4, format!("campaign serve: {e}"));
     }
     if cancel.is_cancelled() {
-        eprintln!("campaign serve: interrupted — journals flushed, queue preserved on disk");
-        std::process::exit(130);
+        cli::fail(
+            130,
+            "campaign serve: interrupted — journals flushed, queue preserved on disk",
+        );
     }
     std::process::exit(0);
 }
@@ -392,18 +336,17 @@ fn serve_main(args: &[String]) -> ! {
 /// `campaign verify` — dry-run journal triage, no writes.
 fn verify_main(args: &[String]) -> ! {
     fn usage() -> ! {
-        eprintln!("usage: campaign verify <records.jsonl> [--campaign NAME]");
-        std::process::exit(2);
+        cli::fail(
+            2,
+            "usage: campaign verify <records.jsonl> [--campaign NAME]",
+        )
     }
     let mut path = String::new();
     let mut campaign: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--campaign" => match it.next() {
-                Some(v) => campaign = Some(v.clone()),
-                None => usage(),
-            },
+            "--campaign" => campaign = Some(cli::value(&mut it, usage)),
             "--help" | "-h" => usage(),
             s if s.starts_with('-') => {
                 eprintln!("unknown flag `{s}`");
@@ -416,13 +359,8 @@ fn verify_main(args: &[String]) -> ! {
     if path.is_empty() {
         usage();
     }
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("campaign verify: cannot read `{path}`: {e}");
-            std::process::exit(4);
-        }
-    };
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| cli::fail(4, format!("campaign verify: cannot read `{path}`: {e}")));
     match qdc_service::classify_journal(&text, campaign.as_deref()) {
         qdc_service::JournalClass::Clean { entries } => {
             println!("{path}: clean — {entries} committed record(s), every byte accounted for");
@@ -439,10 +377,10 @@ fn verify_main(args: &[String]) -> ! {
             );
             std::process::exit(0);
         }
-        qdc_service::JournalClass::Foreign { reason } => {
-            eprintln!("campaign verify: `{path}` is not this campaign's journal: {reason}");
-            std::process::exit(5);
-        }
+        qdc_service::JournalClass::Foreign { reason } => cli::fail(
+            5,
+            format!("campaign verify: `{path}` is not this campaign's journal: {reason}"),
+        ),
     }
 }
 
@@ -454,14 +392,16 @@ fn main() {
         _ => {}
     }
     let args = parse_args();
-    let spec = match builtin(&args.spec) {
-        Some(s) => s,
-        None => {
-            eprintln!("campaign: unknown spec `{}`", args.spec);
-            eprintln!("built-in specs: {}", builtin_names().join(", "));
-            std::process::exit(2);
-        }
-    };
+    let spec = builtin(&args.spec).unwrap_or_else(|| {
+        let names = builtin_names().join(", ");
+        cli::fail(
+            2,
+            format!(
+                "campaign: unknown spec `{}`\nbuilt-in specs: {names}",
+                args.spec
+            ),
+        )
+    });
     let out_path = args
         .out
         .clone()
@@ -471,12 +411,10 @@ fn main() {
         .clone()
         .unwrap_or_else(|| format!("BENCH_{}.json", spec.name));
     if let Err(e) = validate_output_paths(&out_path, &summary_path) {
-        eprintln!("campaign: {e}");
-        std::process::exit(3);
+        cli::fail(3, format!("campaign: {e}"));
     }
     if args.telemetry_stream && args.telemetry_dir.is_none() {
-        eprintln!("campaign: --telemetry-stream requires --telemetry-dir");
-        std::process::exit(3);
+        cli::fail(3, "campaign: --telemetry-stream requires --telemetry-dir");
     }
 
     // Stream mode: the workers write `qdc-telemetry-stream/v1` archives
@@ -495,7 +433,6 @@ fn main() {
     };
     let options = RunOptions {
         threads: args.threads,
-        keep_traces: args.trace_dir.is_some(),
         telemetry,
         sim_threads: args.sim_threads,
         max_attempts: args.max_attempts,
@@ -513,36 +450,23 @@ fn main() {
     let cancel = CancelToken::new();
     signals::install(cancel.clone());
 
-    let outcome = match run_campaign_journaled(&spec, &options, &config, &cancel) {
-        Ok(o) => o,
-        Err(CampaignRunError::Spec(e)) => {
-            eprintln!("campaign: {e}");
-            std::process::exit(3);
-        }
-        Err(CampaignRunError::Io(e)) => {
-            eprintln!("campaign: journal I/O failed: {e}");
-            std::process::exit(4);
-        }
-        Err(CampaignRunError::Corrupt(msg)) => {
-            eprintln!("campaign: corrupt journal `{out_path}`: {msg}");
-            std::process::exit(5);
-        }
-    };
+    let outcome =
+        run_campaign_journaled(&spec, &options, &config, &cancel).unwrap_or_else(|e| match e {
+            CampaignRunError::Spec(e) => cli::fail(3, format!("campaign: {e}")),
+            CampaignRunError::Io(e) => cli::fail(4, format!("campaign: journal I/O failed: {e}")),
+            CampaignRunError::Corrupt(msg) => {
+                cli::fail(5, format!("campaign: corrupt journal `{out_path}`: {msg}"))
+            }
+        });
 
     // The summary is written even for an interrupted run — marked, so
     // downstream tooling can tell the partial fold from a complete one.
     if let Err(e) = std::fs::write(&summary_path, journal_summary_json(&outcome) + "\n") {
-        eprintln!("campaign: writing summary failed: {e}");
-        std::process::exit(4);
+        cli::fail(4, format!("campaign: writing summary failed: {e}"));
     }
 
-    let validated = match self_check(&out_path, &summary_path, &outcome) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("campaign: self-check failed: {e}");
-            std::process::exit(5);
-        }
-    };
+    let validated = self_check(&out_path, &summary_path, &outcome)
+        .unwrap_or_else(|e| cli::fail(5, format!("campaign: self-check failed: {e}")));
 
     let agg = &outcome.aggregate;
     if outcome.recovered > 0 {
@@ -578,10 +502,12 @@ fn main() {
     println!("summary: {summary_path}");
 
     if outcome.interrupted {
-        eprintln!(
-            "campaign: interrupted after {} of {} points — run `campaign resume {}` to finish",
-            agg.points, outcome.total_points, outcome.spec_name
+        cli::fail(
+            130,
+            format!(
+                "campaign: interrupted after {} of {} points — run `campaign resume {}` to finish",
+                agg.points, outcome.total_points, outcome.spec_name
+            ),
         );
-        std::process::exit(130);
     }
 }

@@ -17,14 +17,13 @@ use qdc_algos::verify_ext::{
 use qdc_bench::{fmt_f, print_header, print_row};
 use qdc_congest::CongestConfig;
 use qdc_core::bounds;
-use qdc_graph::{generate, predicates, NodeId};
+use qdc_graph::{predicates, NodeId};
 use qdc_simthm::SimulationNetwork;
 
 fn main() {
     let bandwidth = 64;
     let net = SimulationNetwork::build_even_tracks(11, 17);
-    let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-    let m = net.embed_matchings(&carol, &david);
+    let m = net.hamiltonian_m();
     let g = net.graph();
     let n = g.node_count();
     let cfg = CongestConfig::classical(bandwidth);

@@ -10,7 +10,6 @@ use qdc_algos::verify::{verify_hamiltonian_cycle, verify_spanning_tree};
 use qdc_bench::{fmt_f, print_header, print_row};
 use qdc_congest::CongestConfig;
 use qdc_core::bounds;
-use qdc_graph::generate;
 use qdc_simthm::SimulationNetwork;
 
 fn main() {
@@ -52,9 +51,7 @@ fn main() {
     );
     for &(gamma, l) in &[(6usize, 9usize), (9, 17), (13, 17), (19, 33), (27, 33)] {
         let net = SimulationNetwork::build_even_tracks(gamma, l);
-        let tracks = net.track_count();
-        let (carol, david) = generate::hamiltonian_matching_pair(tracks);
-        let m = net.embed_matchings(&carol, &david);
+        let m = net.hamiltonian_m();
         let n = net.graph().node_count();
         let cfg = CongestConfig::classical(bandwidth);
         let ham = verify_hamiltonian_cycle(net.graph(), cfg, &m);

@@ -13,7 +13,6 @@ use qdc_algos::mst::{mst_approx_sweep, mst_exact};
 use qdc_bench::{fmt_f, print_header, print_row};
 use qdc_congest::CongestConfig;
 use qdc_core::{bounds, theorems};
-use qdc_graph::generate;
 use qdc_simthm::SimulationNetwork;
 
 fn main() {
@@ -24,8 +23,7 @@ fn main() {
     let net = SimulationNetwork::build_even_tracks(13, 17);
     let n = net.graph().node_count();
     let diam = qdc_graph::algorithms::diameter(net.graph()).unwrap() as usize;
-    let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-    let m = net.embed_matchings(&carol, &david);
+    let m = net.hamiltonian_m();
 
     println!("=== Figure 3: T(n, W) for n = {n}, α = {alpha}, B = {bandwidth}, D = {diam} ===\n");
     println!(

@@ -48,16 +48,16 @@
 //! merge report structured errors — they never panic on bad input).
 
 use qdc_bench::query::{expand_input, metric_value, render_summary, RoundWindow, METRICS};
-use qdc_bench::{print_header, print_row};
+use qdc_bench::{cli, print_header, print_row};
 use qdc_congest::{StreamAggregate, StreamReader, StreamRecord, TelemetryReport};
 use std::io::BufRead;
 
 fn usage() -> ! {
-    eprintln!(
+    cli::fail(
+        2,
         "usage: profile <telemetry.jsonl> [--top K]\n       \
-         profile query <path|dir|->... [--merge] [--metric NAME] [--rounds A..B] [--top-k K]"
-    );
-    std::process::exit(2);
+         profile query <path|dir|->... [--merge] [--metric NAME] [--rounds A..B] [--top-k K]",
+    )
 }
 
 /// One resolved `profile query` input.
@@ -93,28 +93,23 @@ fn parse_query_args(args: &[String]) -> QueryArgs {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--merge" => merge = true,
-            "--top-k" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(k) => top_k = k,
-                None => usage(),
-            },
-            "--rounds" => match it.next().map(|v| RoundWindow::parse(v)) {
-                Some(Ok(w)) => rounds = w,
-                Some(Err(e)) => {
+            "--top-k" => top_k = cli::value(&mut it, usage),
+            "--rounds" => match RoundWindow::parse(&cli::value::<String>(&mut it, usage)) {
+                Ok(w) => rounds = w,
+                Err(e) => {
                     eprintln!("profile query: bad --rounds: {e}");
                     usage();
                 }
-                None => usage(),
             },
-            "--metric" => match it.next() {
-                Some(name) if METRICS.contains(&name.as_str()) => metric = Some(name.clone()),
-                Some(name) => {
+            "--metric" => match cli::value::<String>(&mut it, usage) {
+                name if METRICS.contains(&name.as_str()) => metric = Some(name),
+                name => {
                     eprintln!(
                         "profile query: unknown metric `{name}` (one of: {})",
                         METRICS.join(", ")
                     );
                     usage();
                 }
-                None => usage(),
             },
             "--help" | "-h" => usage(),
             "-" => inputs.push("-".to_string()),
@@ -138,13 +133,9 @@ fn parse_query_args(args: &[String]) -> QueryArgs {
             sources.push(Source::Stdin);
             continue;
         }
-        match expand_input(std::path::Path::new(input)) {
-            Ok(paths) => sources.extend(paths.into_iter().map(Source::File)),
-            Err(e) => {
-                eprintln!("profile query: {e}");
-                std::process::exit(4);
-            }
-        }
+        let paths = expand_input(std::path::Path::new(input))
+            .unwrap_or_else(|e| cli::fail(4, format!("profile query: {e}")));
+        sources.extend(paths.into_iter().map(Source::File));
     }
     QueryArgs {
         sources,
@@ -194,30 +185,25 @@ fn query_main(args: &[String]) -> ! {
         }
         let result = match source {
             Source::Stdin => drain_archive(std::io::stdin().lock(), q.metric.as_deref(), q.rounds),
-            Source::File(path) => match std::fs::File::open(path) {
-                Ok(file) => {
-                    drain_archive(std::io::BufReader::new(file), q.metric.as_deref(), q.rounds)
-                }
-                Err(e) => {
-                    eprintln!("profile query: cannot read `{label}`: {e}");
-                    std::process::exit(4);
-                }
-            },
-        };
-        let agg = match result {
-            Ok(agg) => agg,
-            Err(e) => {
-                eprintln!("profile query: `{label}` is not a valid stream archive: {e}");
-                std::process::exit(5);
+            Source::File(path) => {
+                let file = std::fs::File::open(path).unwrap_or_else(|e| {
+                    cli::fail(4, format!("profile query: cannot read `{label}`: {e}"))
+                });
+                drain_archive(std::io::BufReader::new(file), q.metric.as_deref(), q.rounds)
             }
         };
+        let agg = result.unwrap_or_else(|e| {
+            cli::fail(
+                5,
+                format!("profile query: `{label}` is not a valid stream archive: {e}"),
+            )
+        });
         folded += 1;
         if q.merge {
             match merged.as_mut() {
                 Some(m) => {
                     if let Err(e) = m.merge(&agg) {
-                        eprintln!("profile query: cannot merge `{label}`: {e}");
-                        std::process::exit(5);
+                        cli::fail(5, format!("profile query: cannot merge `{label}`: {e}"));
                     }
                 }
                 None => merged = Some(agg),
@@ -238,10 +224,7 @@ fn parse_args() -> (String, usize) {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--top" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(k) => top = k,
-                None => usage(),
-            },
+            "--top" => top = cli::value(&mut it, usage),
             "--help" | "-h" => usage(),
             // A bare `-` is the stdin pseudo-path, not a flag.
             "-" if path.is_empty() => path = "-".to_string(),
@@ -266,31 +249,18 @@ fn main() {
     }
     let (path, top) = parse_args();
     let text = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = String::new();
-        match std::io::stdin().read_to_string(&mut buf) {
-            Ok(_) => buf,
-            Err(e) => {
-                eprintln!("profile: cannot read stdin: {e}");
-                std::process::exit(4);
-            }
-        }
+        std::io::read_to_string(std::io::stdin())
+            .unwrap_or_else(|e| cli::fail(4, format!("profile: cannot read stdin: {e}")))
     } else {
-        match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("profile: cannot read `{path}`: {e}");
-                std::process::exit(4);
-            }
-        }
+        std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| cli::fail(4, format!("profile: cannot read `{path}`: {e}")))
     };
-    let report = match TelemetryReport::from_jsonl(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("profile: `{path}` is not a valid telemetry archive: {e}");
-            std::process::exit(5);
-        }
-    };
+    let report = TelemetryReport::from_jsonl(&text).unwrap_or_else(|e| {
+        cli::fail(
+            5,
+            format!("profile: `{path}` is not a valid telemetry archive: {e}"),
+        )
+    });
 
     println!(
         "profile `{path}`: {} nodes, {} edges, B = {} bits, {} round(s){}",

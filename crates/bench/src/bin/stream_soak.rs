@@ -29,12 +29,14 @@
 //!
 //! Exit codes: `0` success, `2` usage, `4` I/O failure.
 
+use qdc_bench::cli;
 use qdc_congest::{
     CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox, RoundProfiler,
     Stepper, StreamSink, Telemetry,
 };
 use qdc_graph::generate;
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 
 /// Gossip that never terminates: a fresh 16-bit broadcast every round.
 struct Chatter {
@@ -65,11 +67,11 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    cli::fail(
+        2,
         "usage: stream_soak [--rounds N] [--nodes N] [--seed S] \
-         [--sink stream|exact|null] [--out PATH] [--top-k K]"
-    );
-    std::process::exit(2);
+         [--sink stream|exact|null] [--out PATH] [--top-k K]",
+    )
 }
 
 fn parse_args() -> Args {
@@ -84,30 +86,18 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--rounds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => args.rounds = n,
+            "--rounds" => args.rounds = cli::value::<NonZeroUsize>(&mut it, usage).get(),
+            "--nodes" => match cli::value(&mut it, usage) {
+                n if n >= 2 => args.nodes = n,
                 _ => usage(),
             },
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 2 => args.nodes = n,
+            "--seed" => args.seed = cli::value(&mut it, usage),
+            "--sink" => match cli::value::<String>(&mut it, usage) {
+                s if ["stream", "exact", "null"].contains(&s.as_str()) => args.sink = s,
                 _ => usage(),
             },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => args.seed = s,
-                None => usage(),
-            },
-            "--sink" => match it.next() {
-                Some(s) if ["stream", "exact", "null"].contains(&s.as_str()) => args.sink = s,
-                _ => usage(),
-            },
-            "--out" => match it.next() {
-                Some(v) => args.out = Some(v),
-                None => usage(),
-            },
-            "--top-k" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(k) if k > 0 => args.top_k = k,
-                _ => usage(),
-            },
+            "--out" => args.out = Some(cli::value(&mut it, usage)),
+            "--top-k" => args.top_k = cli::value::<NonZeroUsize>(&mut it, usage).get(),
             _ => usage(),
         }
     }
@@ -134,8 +124,7 @@ fn peak_rss_kb() -> u64 {
 }
 
 fn die_io(e: &dyn std::fmt::Display) -> ! {
-    eprintln!("stream_soak: {e}");
-    std::process::exit(4);
+    cli::fail(4, format!("stream_soak: {e}"))
 }
 
 fn main() {

@@ -9,7 +9,6 @@
 
 use qdc_bench::{print_header, print_row};
 use qdc_congest::{NullTelemetry, RunOptions};
-use qdc_graph::generate;
 use qdc_simthm::{audited_flood, SimulationNetwork};
 
 fn main() {
@@ -33,8 +32,7 @@ fn main() {
     );
     for &(gamma, l) in &[(11usize, 17usize), (11, 33), (11, 65), (27, 33), (59, 33)] {
         let net = SimulationNetwork::build_even_tracks(gamma, l);
-        let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-        let m = net.embed_matchings(&carol, &david);
+        let m = net.hamiltonian_m();
         let run = audited_flood(&net, &m, bandwidth, RunOptions::default(), NullTelemetry);
         let audit = run.audit;
         assert!(audit.within_budget, "Theorem 3.5 budget must hold");

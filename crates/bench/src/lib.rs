@@ -3,12 +3,14 @@
 //! Each paper artifact (Figures 1–3, Example 1.1, the constructions of
 //! Figures 4–13, Theorems 3.5–3.8) has a binary in `src/bin/` that prints
 //! the corresponding rows/series, plus a Criterion bench where wall-clock
-//! matters. This crate holds the tiny formatting and sweep helpers they
-//! share. See EXPERIMENTS.md for the index and recorded outputs.
+//! matters. This crate holds the tiny formatting helpers they share and
+//! the tools' command-line plumbing ([`cli`]). See EXPERIMENTS.md for the
+//! index and recorded outputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod query;
 
 /// Formats one table row with columns padded to `widths` (no trailing
@@ -52,35 +54,9 @@ pub fn fmt_f(x: f64) -> String {
     }
 }
 
-/// Geometric sweep: `count` values from `lo` to `hi` inclusive.
-pub fn geometric_sweep(lo: f64, hi: f64, count: usize) -> Vec<f64> {
-    assert!(count >= 2 && lo > 0.0 && hi > lo, "bad sweep");
-    let r = (hi / lo).powf(1.0 / (count - 1) as f64);
-    (0..count).map(|i| lo * r.powi(i as i32)).collect()
-}
-
-/// Doubling sweep of integers from `lo` to at most `hi`.
-pub fn doubling_sweep(lo: usize, hi: usize) -> Vec<usize> {
-    let mut v = Vec::new();
-    let mut x = lo;
-    while x <= hi {
-        v.push(x);
-        x *= 2;
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweeps() {
-        let g = geometric_sweep(1.0, 16.0, 5);
-        assert_eq!(g.len(), 5);
-        assert!((g[4] - 16.0).abs() < 1e-9);
-        assert_eq!(doubling_sweep(4, 32), vec![4, 8, 16, 32]);
-    }
 
     #[test]
     fn formatting() {

@@ -1,0 +1,165 @@
+//! Pins the error paths of the command-line tools `campaign`, `profile`
+//! and `stream_soak`: each case runs the real binary
+//! (`CARGO_BIN_EXE_<name>`) and checks its exit code and the first line
+//! it writes to stderr.
+//!
+//! Every case runs from a temporary directory of its own tool, so anything
+//! a rejected run might write lands there and is removed afterwards.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+const CAMPAIGN_USAGE: &str = "usage: campaign [resume] <spec> [--threads N] [--sim-threads N] \
+     [--deterministic] [--max-attempts N] [--deadline-ms MS] [--backoff-seed N] \
+     [--throttle-ms MS] [--resume] [--out FILE.jsonl] [--summary FILE.json] [--trace-dir DIR] \
+     [--telemetry-dir DIR] [--telemetry-stream] [--telemetry-top-k K] [--list]";
+const PROFILE_USAGE: &str = "usage: profile <telemetry.jsonl> [--top K]";
+const SOAK_USAGE: &str = "usage: stream_soak [--rounds N] [--nodes N] [--seed S] \
+     [--sink stream|exact|null] [--out PATH] [--top-k K]";
+const NOT_FOUND: &str = "No such file or directory (os error 2)";
+
+/// (arguments, exit code, first stderr line).
+type Case<'a> = (&'a [&'a str], i32, String);
+
+/// Runs every case of one tool from a fresh temporary directory holding a
+/// file `not_an_archive.txt`.
+fn run_cases(tool: &str, exe: &str, cases: &[Case<'_>]) {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("qdc_cli_exit_codes_{tool}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("not_an_archive.txt"), "not an archive\n").expect("fixture");
+    for (args, code, first_line) in cases {
+        let out = Command::new(exe)
+            .args(*args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            (out.status.code(), stderr.lines().next().unwrap_or("")),
+            (Some(*code), first_line.as_str()),
+            "{tool} {args:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn campaign_error_paths() {
+    let cases: &[Case<'_>] = &[
+        (
+            &["simthm_smoke", "--threads", "x"],
+            2,
+            CAMPAIGN_USAGE.into(),
+        ),
+        (
+            &["simthm_smoke", "--bogus"],
+            2,
+            "unknown flag `--bogus`".into(),
+        ),
+        (&[], 2, CAMPAIGN_USAGE.into()),
+        (
+            &["nope_spec"],
+            2,
+            "campaign: unknown spec `nope_spec`".into(),
+        ),
+        (
+            &["simthm_smoke", "--threads", "0"],
+            3,
+            "campaign: thread count must be at least 1".into(),
+        ),
+        (
+            &["simthm_smoke", "--telemetry-stream"],
+            3,
+            "campaign: --telemetry-stream requires --telemetry-dir".into(),
+        ),
+        (
+            &["simthm_smoke", "--telemetry-top-k", "0"],
+            2,
+            CAMPAIGN_USAGE.into(),
+        ),
+        (
+            &[
+                "simthm_smoke",
+                "--out",
+                "same.json",
+                "--summary",
+                "same.json",
+            ],
+            3,
+            "campaign: records and summary would both be written to `same.json`".into(),
+        ),
+        (
+            &["verify", "missing.jsonl"],
+            4,
+            format!("campaign verify: cannot read `missing.jsonl`: {NOT_FOUND}"),
+        ),
+        (
+            &["verify"],
+            2,
+            "usage: campaign verify <records.jsonl> [--campaign NAME]".into(),
+        ),
+        (
+            &["serve", "--workers", "x"],
+            2,
+            "usage: campaign serve [--addr HOST:PORT] [--data-dir DIR] [--workers N] \
+             [--job-threads N] [--max-queue N] [--max-client-jobs N] \
+             [--max-client-points N] [--throttle-ms MS]"
+                .into(),
+        ),
+    ];
+    run_cases("campaign", env!("CARGO_BIN_EXE_campaign"), cases);
+}
+
+#[test]
+fn profile_error_paths() {
+    let cases: &[Case<'_>] = &[
+        (&[], 2, PROFILE_USAGE.into()),
+        (&["--top", "x", "f"], 2, PROFILE_USAGE.into()),
+        (
+            &["missing.jsonl"],
+            4,
+            format!("profile: cannot read `missing.jsonl`: {NOT_FOUND}"),
+        ),
+        (
+            &["not_an_archive.txt"],
+            5,
+            "profile: `not_an_archive.txt` is not a valid telemetry archive: \
+             telemetry line 1: expected `{`, found `not an archive`"
+                .into(),
+        ),
+        (
+            &["query", "--rounds", "5..2", "x"],
+            2,
+            "profile query: bad --rounds: empty window 5..2".into(),
+        ),
+        (
+            &["query", "--metric", "nope", "x"],
+            2,
+            "profile query: unknown metric `nope` (one of: messages, bits, dropped, \
+             corrupted, crashes, path, highway, cross)"
+                .into(),
+        ),
+        (
+            &["query", "--merge", "--metric", "bits", "x"],
+            2,
+            "profile query: --merge combines footers; --metric streams rounds — pick one".into(),
+        ),
+        (
+            &["query", "missing.jsonl"],
+            4,
+            format!("profile query: cannot read `missing.jsonl`: {NOT_FOUND}"),
+        ),
+    ];
+    run_cases("profile", env!("CARGO_BIN_EXE_profile"), cases);
+}
+
+#[test]
+fn stream_soak_error_paths() {
+    let cases: &[Case<'_>] = &[
+        (&["--nodes", "1"], 2, SOAK_USAGE.into()),
+        (&["--sink", "bogus"], 2, SOAK_USAGE.into()),
+        (&["--rounds", "0"], 2, SOAK_USAGE.into()),
+    ];
+    run_cases("stream_soak", env!("CARGO_BIN_EXE_stream_soak"), cases);
+}

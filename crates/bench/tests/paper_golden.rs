@@ -4,9 +4,15 @@
 //!
 //! Every binary is seeded, and its debug output equals its release
 //! output, so the test runs in either profile. `thm61_server_hardness`
-//! is left out: it takes seconds in release and minutes in debug.
+//! takes about 11 s in release and nearly 5 minutes in debug, so its
+//! test is `#[ignore]`d; run it in release:
 //!
-//! Regenerate after a deliberate output change with:
+//! ```text
+//! cargo test --release -p qdc-bench --test paper_golden -- --ignored
+//! ```
+//!
+//! Regenerate after a deliberate output change with (add
+//! `--release -- --ignored` for `thm61_server_hardness`):
 //!
 //! ```text
 //! QDC_UPDATE_GOLDEN=1 cargo test -p qdc-bench --test paper_golden
@@ -80,3 +86,12 @@ paper_goldens!(
     thm38_mst,
     thm_certificates,
 );
+
+#[test]
+#[ignore = "about 5 minutes in debug; run with --release -- --ignored"]
+fn thm61_server_hardness() {
+    check(
+        "thm61_server_hardness",
+        env!("CARGO_BIN_EXE_thm61_server_hardness"),
+    );
+}

@@ -284,17 +284,9 @@ impl Inbox {
     /// # Panics
     ///
     /// Panics if `port >= degree` (an out-of-range port is a programming
-    /// error, not an empty slot). Use [`get_checked`](Inbox::get_checked)
-    /// to fold both cases into `None`.
+    /// error, not an empty slot).
     pub fn get(&self, port: usize) -> Option<&Message> {
         self.msgs[port].as_ref()
-    }
-
-    /// The message received on `port` this round — `None` both when the
-    /// slot is empty and when `port` is out of range. The non-panicking
-    /// twin of [`get`](Inbox::get).
-    pub fn get_checked(&self, port: usize) -> Option<&Message> {
-        self.msgs.get(port).and_then(Option::as_ref)
     }
 
     /// Iterates over `(port, message)` pairs received this round.
@@ -342,25 +334,9 @@ impl Inbox {
     ///
     /// # Panics
     ///
-    /// Panics if `port >= degree`. Use [`try_put`](Inbox::try_put) for a
-    /// fallible variant.
+    /// Panics if `port >= degree`.
     pub fn put(&mut self, port: usize, msg: Message) {
         self.msgs[port] = Some(msg);
-    }
-
-    /// Fallible [`put`](Inbox::put): returns
-    /// [`SimError::PortOutOfRange`] instead of panicking. Keeps `put`'s
-    /// replace-on-occupied semantics.
-    #[must_use = "an ignored Err means the message was silently not placed in any slot"]
-    pub fn try_put(&mut self, port: usize, msg: Message) -> Result<(), SimError> {
-        let ports = self.msgs.len();
-        match self.msgs.get_mut(port) {
-            Some(slot) => {
-                *slot = Some(msg);
-                Ok(())
-            }
-            None => Err(SimError::PortOutOfRange { port, ports }),
-        }
     }
 }
 
@@ -2119,22 +2095,6 @@ mod tests {
         let sim = Simulator::new(&isolated, CongestConfig::classical(4));
         let (_, report) = sim.run(|_| Broadcaster, 5);
         assert_eq!(report.messages_sent, 0);
-    }
-
-    #[test]
-    fn inbox_checked_accessors_never_panic() {
-        let mut inbox = Inbox::new(2);
-        assert!(inbox.get_checked(0).is_none());
-        assert!(inbox.get_checked(7).is_none()); // out of range folds to None
-        assert_eq!(inbox.try_put(0, Message::from_bit(true)), Ok(()));
-        assert_eq!(inbox.get_checked(0).and_then(Message::as_bit), Some(true));
-        assert_eq!(
-            inbox.try_put(2, Message::from_bit(true)),
-            Err(SimError::PortOutOfRange { port: 2, ports: 2 })
-        );
-        // try_put keeps put's replace semantics in range.
-        assert_eq!(inbox.try_put(0, Message::from_bit(false)), Ok(()));
-        assert_eq!(inbox.get_checked(0).and_then(Message::as_bit), Some(false));
     }
 
     #[test]

@@ -147,9 +147,7 @@ mod tests {
     #[test]
     fn weight_gadget_assigns_and_separates() {
         let net = SimulationNetwork::build(5, 9);
-        let tracks = net.track_count();
-        let (carol, david) = qdc_graph::generate::hamiltonian_matching_pair(tracks);
-        let m = net.embed_matchings(&carol, &david);
+        let m = net.hamiltonian_m();
         let w = 1000;
         let weights = weight_gadget(net.graph(), &m, w);
         assert_eq!(weights.aspect_ratio(), w as f64);
@@ -167,9 +165,7 @@ mod tests {
     #[test]
     fn weight_gadget_rejects_disconnected_m() {
         let net = SimulationNetwork::build(5, 9);
-        let tracks = net.track_count();
-        let (carol, david) = qdc_graph::generate::hamiltonian_matching_pair(tracks);
-        let mut m = net.embed_matchings(&carol, &david);
+        let mut m = net.hamiltonian_m();
         // M is a single cycle; removing ONE edge still leaves it
         // connected, so drop TWO edges far apart to split it.
         let victims: Vec<_> = m.edges().collect();

@@ -81,18 +81,6 @@ impl Subgraph {
         s
     }
 
-    /// Number of nodes of the host graph (subgraphs always span all nodes).
-    #[inline]
-    pub fn host_node_count(&self) -> usize {
-        self.host_nodes
-    }
-
-    /// Number of indicator slots, i.e. host edges.
-    #[inline]
-    pub fn host_edge_count(&self) -> usize {
-        self.bits.len()
-    }
-
     /// Whether edge `e` participates in the subgraph.
     ///
     /// # Panics
@@ -143,18 +131,6 @@ impl Subgraph {
             .iter()
             .filter(|&&(e, _)| self.contains(e))
             .count()
-    }
-
-    /// Neighbors of `u` through participating edges.
-    pub fn neighbors_in<'a>(
-        &'a self,
-        host: &'a Graph,
-        u: NodeId,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        host.incident(u)
-            .iter()
-            .filter(|&&(e, _)| self.contains(e))
-            .map(|&(_, v)| v)
     }
 
     /// The complement subgraph (participating ↔ not participating).

@@ -69,9 +69,6 @@ use std::time::Duration;
 pub struct RunOptions {
     /// Worker thread count (must be ≥ 1).
     pub threads: usize,
-    /// Whether to keep per-point traffic traces in the outcome (they
-    /// can be large; the CLI only asks for them when archiving).
-    pub keep_traces: bool,
     /// How each point is observed: [`TelemetryMode::Off`] (the default
     /// — the null-sink path is the zero-overhead one),
     /// [`TelemetryMode::Exact`] (buffered [`TelemetryReport`] per
@@ -112,7 +109,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             threads: 1,
-            keep_traces: false,
             telemetry: TelemetryMode::Off,
             sim_threads: 1,
             max_attempts: 1,
@@ -309,9 +305,6 @@ pub struct CampaignOutcome {
     /// Failures of the points whose every attempt failed, in
     /// point-index order.
     pub failures: Vec<PointFailure>,
-    /// Per-point traffic traces, indexed by grid point (`None` for
-    /// untraced kinds, failed points, or when `keep_traces` was off).
-    pub traces: Vec<Option<TrafficTrace>>,
     /// Per-point telemetry profiles, indexed by grid point (`None` for
     /// unprofiled kinds, failed points, streamed runs — whose archives
     /// live on disk, not in memory — or when [`TelemetryMode::Off`] was
@@ -657,8 +650,6 @@ pub fn run_campaign(
 
     let mut records = Vec::with_capacity(points.len());
     let mut failures = Vec::new();
-    let mut traces: Vec<Option<TrafficTrace>> = Vec::new();
-    traces.resize_with(points.len(), || None);
     let mut telemetry: Vec<Option<TelemetryReport>> = Vec::new();
     telemetry.resize_with(points.len(), || None);
 
@@ -666,10 +657,7 @@ pub fn run_campaign(
     execute_grid(&points, 0, options, &cancel, |i, out| {
         match out {
             PointOutcome::Done(slot) => {
-                let (rec, trace, profile) = *slot;
-                if options.keep_traces {
-                    traces[i] = trace;
-                }
+                let (rec, _, profile) = *slot;
                 telemetry[i] = profile;
                 records.push(rec);
             }
@@ -684,7 +672,6 @@ pub fn run_campaign(
         spec_name: spec.name.clone(),
         records,
         failures,
-        traces,
         telemetry,
         aggregate,
         wall_ms: start.elapsed().as_millis() as u64,
@@ -917,25 +904,12 @@ mod tests {
     #[test]
     fn runner_records_are_in_point_order_with_complete_coverage() {
         let spec = builtin("simthm_smoke").expect("builtin");
-        let out = run_campaign(
-            &spec,
-            &RunOptions {
-                threads: 3,
-                keep_traces: true,
-                ..RunOptions::default()
-            },
-        )
-        .expect("runs");
+        let out = run_campaign(&spec, &opts(3)).expect("runs");
         assert_eq!(out.records.len(), spec.points().len());
         for (i, rec) in out.records.iter().enumerate() {
             assert_eq!(rec.index, i);
         }
         assert!(out.failures.is_empty());
-        assert_eq!(out.traces.len(), out.records.len());
-        assert!(
-            out.traces.iter().all(Option::is_some),
-            "simthm runs are traced"
-        );
         assert_eq!(out.aggregate.points, out.records.len() as u64);
         assert_eq!(out.aggregate.accepted, out.records.len() as u64);
         assert_eq!(out.aggregate.errors, 0);
@@ -1167,6 +1141,50 @@ mod tests {
             backoff_ms(2, 0, 1),
             "seed moves the jitter"
         );
+    }
+
+    #[test]
+    fn runner_journaled_trace_dir_archives_every_simthm_point() {
+        let spec = builtin("simthm_smoke").expect("builtin");
+        let dir = std::env::temp_dir().join(format!("qdc_runner_trace_{}", std::process::id()));
+        let out_path = dir.join("records.jsonl").to_string_lossy().into_owned();
+        let trace_dir = dir.join("traces").to_string_lossy().into_owned();
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let config = JournalConfig {
+            out_path: out_path.clone(),
+            trace_dir: Some(trace_dir.clone()),
+            ..JournalConfig::default()
+        };
+        run_campaign_journaled(&spec, &opts(2), &config, &CancelToken::new()).expect("runs");
+        let journal = std::fs::read_to_string(&out_path).expect("journal exists");
+        assert_eq!(journal.lines().count(), spec.points().len());
+        for (i, line) in journal.lines().enumerate() {
+            let record = json::parse(line).expect("record parses");
+            let metrics = record.get("metrics").expect("metrics");
+            let path = format!("{trace_dir}/point_{i}.trace.jsonl");
+            let text = std::fs::read_to_string(&path).expect("simthm runs are traced");
+            let trace = TrafficTrace::from_jsonl(&text).expect("archive parses");
+            let delivered = trace.rounds.iter().flatten();
+            let bits: u64 = delivered.clone().map(|m| m.bits as u64).sum();
+            assert_eq!(
+                (Some(delivered.count() as u64), Some(bits)),
+                (
+                    metrics.get("messages_sent").and_then(Json::as_u64),
+                    metrics.get("bits_sent").and_then(Json::as_u64)
+                ),
+                "{path}"
+            );
+        }
+        let archives: Vec<String> = std::fs::read_dir(&trace_dir)
+            .expect("trace dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            !archives.iter().any(|n| n.ends_with(".part")),
+            "{archives:?}"
+        );
+        assert_eq!(archives.len(), spec.points().len());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

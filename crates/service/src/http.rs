@@ -207,26 +207,6 @@ pub fn write_json_response(w: &mut impl Write, status: u16, body: &str) -> io::R
     w.flush()
 }
 
-/// Writes a fixed-length response with the given content type and the
-/// body bytes exactly as given (no newline appended — used for serving
-/// archived files, where byte-fidelity matters).
-pub fn write_raw_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    let reason = status_text(status);
-    write!(
-        w,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    w.write_all(body)?;
-    w.flush()
-}
-
 /// An in-progress chunked response: the streaming endpoint writes the
 /// headers once, then any number of byte chunks, then the terminator.
 /// Each chunk is flushed immediately — a tailing client sees lines as

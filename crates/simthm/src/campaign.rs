@@ -14,7 +14,6 @@
 use crate::network::SimulationNetwork;
 use crate::simulate::audited_flood;
 use qdc_congest::{NodeClass, RunMetrics, RunOptions, Telemetry, TrafficTrace};
-use qdc_graph::generate;
 
 /// One cell of a Γ×L campaign grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -81,8 +80,7 @@ where
 {
     let net = SimulationNetwork::build_even_tracks(point.gamma, point.l);
     let mut sink = install(&net);
-    let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-    let m = net.embed_matchings(&carol, &david);
+    let m = net.hamiltonian_m();
     let run = audited_flood(&net, &m, point.bandwidth, options, &mut sink);
     let outcome = SimThmOutcome {
         metrics: run.report.metrics(),

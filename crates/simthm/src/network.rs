@@ -1,6 +1,6 @@
 //! The Section 8 network `N`: paths, boundary cliques and highways.
 
-use qdc_graph::{Graph, GraphBuilder, NodeId, Subgraph};
+use qdc_graph::{generate, Graph, GraphBuilder, NodeId, Subgraph};
 
 /// Which party owns a node at a given simulation time (Equations 36–38).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -275,12 +275,26 @@ impl SimulationNetwork {
         }
         m
     }
+
+    /// The hard instance of Theorems 3.5–3.6: Carol's and David's
+    /// matchings from
+    /// [`hamiltonian_matching_pair`](generate::hamiltonian_matching_pair),
+    /// embedded so that `M` is one Hamiltonian cycle (Figure 9).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the track count is odd or below 4, as the pair does;
+    /// [`build_even_tracks`](Self::build_even_tracks) makes it even.
+    pub fn hamiltonian_m(&self) -> Subgraph {
+        let (carol, david) = generate::hamiltonian_matching_pair(self.track_count());
+        self.embed_matchings(&carol, &david)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdc_graph::{algorithms, generate, predicates, GraphBuilder};
+    use qdc_graph::{algorithms, predicates, GraphBuilder};
 
     #[test]
     fn shape_matches_formulas() {
@@ -384,11 +398,11 @@ mod tests {
     #[test]
     fn embedded_hamiltonian_matchings_give_hamiltonian_m() {
         let net = SimulationNetwork::build(5, 9); // 5 paths + 3 highways
-        let tracks = net.track_count();
-        assert_eq!(tracks % 2, 0, "test assumes even track count");
-        let (carol, david) = generate::hamiltonian_matching_pair(tracks);
-        let m = net.embed_matchings(&carol, &david);
-        assert!(predicates::is_hamiltonian_cycle(net.graph(), &m));
+        assert_eq!(net.track_count() % 2, 0, "test assumes even track count");
+        assert!(predicates::is_hamiltonian_cycle(
+            net.graph(),
+            &net.hamiltonian_m()
+        ));
     }
 
     #[test]

@@ -221,14 +221,11 @@ where
 mod tests {
     use super::*;
     use crate::simulate::ComponentFlood;
-    use qdc_graph::generate;
 
     #[test]
     fn replay_matches_direct_run_exactly() {
         let net = SimulationNetwork::build(12, 17);
-        let tracks = net.track_count();
-        let (carol, david) = generate::hamiltonian_matching_pair(tracks);
-        let m = net.embed_matchings(&carol, &david);
+        let m = net.hamiltonian_m();
         let cfg = CongestConfig::quantum(32);
         let width = 16;
         let horizon = net.horizon();
@@ -268,9 +265,7 @@ mod tests {
         use qdc_graph::NodeId;
 
         let net = SimulationNetwork::build(12, 17);
-        let tracks = net.track_count();
-        let (carol, david) = generate::hamiltonian_matching_pair(tracks);
-        let m = net.embed_matchings(&carol, &david);
+        let m = net.hamiltonian_m();
         let cfg = CongestConfig::quantum(32);
         let width = 16;
         let rounds = net.horizon();

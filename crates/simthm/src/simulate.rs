@@ -230,14 +230,11 @@ pub fn audited_flood<T: Telemetry>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdc_graph::generate;
 
     #[test]
     fn paid_traffic_stays_within_theorem_budget() {
         let net = SimulationNetwork::build(11, 33); // 11 + 5 = 16 tracks
-        let tracks = net.track_count();
-        let (carol, david) = generate::hamiltonian_matching_pair(tracks);
-        let m = net.embed_matchings(&carol, &david);
+        let m = net.hamiltonian_m();
         let bandwidth = 32;
         let cfg = CongestConfig::quantum(bandwidth);
         let sim = Simulator::new(net.graph(), cfg);

@@ -8,7 +8,6 @@
 use qdc::algos::mst::{mst_approx_sweep, mst_exact};
 use qdc::congest::CongestConfig;
 use qdc::core::{bounds, theorems};
-use qdc::graph::generate;
 use qdc::simthm::SimulationNetwork;
 
 fn main() {
@@ -25,8 +24,7 @@ fn main() {
 
     // 2. Embed a Server-model instance: two perfect matchings on the
     //    track labels form the subnetwork M (a Hamiltonian cycle here).
-    let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-    let m = net.embed_matchings(&carol, &david);
+    let m = net.hamiltonian_m();
     println!(
         "embedded M: {} edges, Hamiltonian = {}",
         m.edge_count(),

@@ -8,13 +8,11 @@
 
 use qdc::algos::verify::verify_hamiltonian_cycle;
 use qdc::congest::{CongestConfig, NullTelemetry, RunOptions};
-use qdc::graph::generate;
 use qdc::simthm::{audited_flood, Party, SimulationNetwork};
 
 fn main() {
     let net = SimulationNetwork::build(11, 33); // 11 paths + 5 highways
-    let (carol_m, david_m) = generate::hamiltonian_matching_pair(net.track_count());
-    let m = net.embed_matchings(&carol_m, &david_m);
+    let m = net.hamiltonian_m();
     let bandwidth = 32;
 
     println!(

@@ -92,8 +92,7 @@ fn verification_rounds_scale_like_sqrt_n_on_hard_networks() {
     let mut sizes = Vec::new();
     for &(gamma, l) in &[(6usize, 9usize), (13, 17), (27, 33)] {
         let net = SimulationNetwork::build_even_tracks(gamma, l);
-        let (carol, david) = generate::hamiltonian_matching_pair(net.track_count());
-        let m = net.embed_matchings(&carol, &david);
+        let m = net.hamiltonian_m();
         let run = verify_hamiltonian_cycle(net.graph(), cfg(), &m);
         assert!(run.accept);
         rounds.push(run.ledger.rounds as f64);
