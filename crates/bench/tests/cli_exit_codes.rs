@@ -1,7 +1,8 @@
 //! Pins the error paths of the command-line tools `campaign`, `profile`
 //! and `stream_soak`: each case runs the real binary
 //! (`CARGO_BIN_EXE_<name>`) and checks its exit code and the first line
-//! it writes to stderr.
+//! it writes to stderr. `campaign verify`'s verdicts on a real journal
+//! are pinned the same way, with their stdout line.
 //!
 //! Every case runs from a temporary directory of its own tool, so anything
 //! a rejected run might write lands there and is removed afterwards.
@@ -100,6 +101,13 @@ fn campaign_error_paths() {
             "usage: campaign verify <records.jsonl> [--campaign NAME]".into(),
         ),
         (
+            &["verify", "not_an_archive.txt"],
+            5,
+            "campaign verify: `not_an_archive.txt` is not this campaign's journal: \
+             first line is not a campaign record"
+                .into(),
+        ),
+        (
             &["serve", "--workers", "x"],
             2,
             "usage: campaign serve [--addr HOST:PORT] [--data-dir DIR] [--workers N] \
@@ -109,6 +117,84 @@ fn campaign_error_paths() {
         ),
     ];
     run_cases("campaign", env!("CARGO_BIN_EXE_campaign"), cases);
+}
+
+/// `campaign verify`'s three verdicts on a journal the binary wrote
+/// itself: the exit code and the first line of stdout (verdicts) or
+/// stderr (refusals).
+#[test]
+fn campaign_verify_verdicts() {
+    let exe = env!("CARGO_BIN_EXE_campaign");
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("qdc_cli_exit_codes_verify_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |args: &[&str]| {
+        let out = Command::new(exe)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let first = |bytes: &[u8]| {
+            let text = String::from_utf8_lossy(bytes);
+            text.lines().next().unwrap_or("").to_string()
+        };
+        (out.status.code(), first(&out.stdout), first(&out.stderr))
+    };
+    let written = run(&[
+        "simthm_smoke",
+        "--deterministic",
+        "--out",
+        "journal.jsonl",
+        "--summary",
+        "summary.json",
+    ]);
+    assert_eq!(written.0, Some(0), "{written:?}");
+    let journal = std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal");
+    std::fs::write(dir.join("torn.jsonl"), &journal[..journal.len() - 40]).expect("torn");
+    std::fs::write(dir.join("empty.jsonl"), "").expect("empty");
+    std::fs::write(
+        dir.join("foreign.jsonl"),
+        journal.replace("simthm_smoke", "someone_elses"),
+    )
+    .expect("foreign");
+
+    let cases: &[(&[&str], i32, &str, &str)] = &[
+        (
+            &["verify", "journal.jsonl"],
+            0,
+            "journal.jsonl: clean — 4 committed record(s), every byte accounted for",
+            "",
+        ),
+        (
+            &["verify", "torn.jsonl"],
+            0,
+            "torn.jsonl: recoverable — 3 committed record(s) in 1282 bytes, \
+             torn tail of 391 byte(s) would be truncated on resume",
+            "",
+        ),
+        (
+            &["verify", "empty.jsonl"],
+            0,
+            "empty.jsonl: clean — 0 committed record(s), every byte accounted for",
+            "",
+        ),
+        (
+            &["verify", "foreign.jsonl", "--campaign", "simthm_smoke"],
+            5,
+            "",
+            "campaign verify: `foreign.jsonl` is not this campaign's journal: \
+             journal line 0 belongs to campaign `someone_elses`, not `simthm_smoke` \
+             — refusing to truncate another campaign's results",
+        ),
+    ];
+    for (args, code, stdout, stderr) in cases {
+        assert_eq!(
+            run(args),
+            (Some(*code), stdout.to_string(), stderr.to_string()),
+            "campaign {args:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! deterministic run of the same spec produces — plus the structured
 //! rejection and recovery behaviours that need an actual socket.
 
-use qdc_harness::{builtin, run_campaign, CancelToken, RunOptions};
+use qdc_harness::json::{self, Json};
+use qdc_harness::{builtin, run_campaign, Aggregate, CancelToken, RunOptions};
 use qdc_service::{
     validate_error, validate_job, validate_status, QuotaConfig, Server, ServiceConfig,
 };
@@ -199,6 +200,60 @@ fn loopback_streamed_records_match_a_direct_deterministic_run() {
         body.contains("\"alice\":{\"submitted\":1,\"rejected\":0,\"completed\":1}"),
         "{body}"
     );
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loopback_live_progress_folds_the_committed_prefix() {
+    let dir = temp_dir("progress");
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        throttle_ms: 150,
+        ..ServiceConfig::default()
+    });
+    let (status, receipt) = post(
+        &server.addr,
+        "/jobs",
+        "alice",
+        "{\"builtin\":\"simthm_smoke\"}",
+    );
+    assert_eq!(status, 201, "{receipt}");
+
+    // Whatever prefix a poll happens to see, a running job's aggregate
+    // is the fold of exactly that many records of a direct run.
+    let direct = run_campaign(
+        &builtin("simthm_smoke").expect("builtin"),
+        &RunOptions::default(),
+    )
+    .expect("runs");
+    let mut observed = 0;
+    for _ in 0..400 {
+        let (status, body) = get(&server.addr, "/jobs/1");
+        assert_eq!(status, 200, "{body}");
+        let doc = json::parse(body.trim_end()).expect("job document parses");
+        match doc.get("state") {
+            Some(Json::Str(s)) if s == "completed" => break,
+            Some(Json::Str(s)) if s == "running" => {}
+            _ => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                continue;
+            }
+        }
+        let k = doc
+            .get("committed")
+            .and_then(Json::as_u64)
+            .expect("committed") as usize;
+        if k > 0 {
+            let expected = Aggregate::fold_full(&direct.records[..k], &[]);
+            assert_eq!(doc.get("aggregate"), Some(&expected.to_json()), "{body}");
+            observed += 1;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(observed > 0, "no running document with committed records");
+    wait_terminal(&server.addr, 1);
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
