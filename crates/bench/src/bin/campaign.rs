@@ -74,31 +74,33 @@
 //! on disk, and a restart with the same `--data-dir` re-enqueues and
 //! resumes them byte-identically.
 //!
-//! `campaign verify` is the dry-run journal classifier the service's
-//! startup scan uses: `clean` (every byte committed), `recoverable`
-//! (valid prefix plus a torn tail that resume would truncate), or
-//! `foreign` (not this campaign's journal at all). Exit 0 for the first
-//! two, 5 for foreign, 4 if the file cannot be read.
+//! `campaign verify` runs the recovery pass of resume and the service's
+//! startup scan, dry, on one file: `clean` (every byte committed),
+//! `recoverable` (valid prefix plus a torn tail that resume would
+//! truncate), or `foreign` (not this campaign's journal; without
+//! `--campaign`, the campaign is the one its first line names). Exit 0
+//! for the first two, 5 for foreign, 4 if the file cannot be read.
 //!
 //! On SIGINT/SIGTERM the runner drains in-flight points, flushes the
 //! journal, writes a partial summary marked `"interrupted": true`, and
 //! exits 130; `campaign resume <spec>` finishes the grid later.
 //!
-//! After running, the binary re-reads the JSONL journal and runs the
-//! strict conformance validator over every line — point records and
-//! failure records alike — plus the summary, so a zero exit status
-//! certifies the output is schema-conformant (CI's smoke jobs rely on
-//! this).
+//! After running, the binary re-reads the JSONL journal and recovers
+//! it: every line must be a strict, in-order record of this campaign
+//! (point and failure records alike), one per committed point. With the
+//! summary validated too, a zero exit status certifies the output is
+//! schema-conformant (CI's smoke jobs rely on this).
 //!
 //! Exit codes: `0` success, `2` usage, `3` invalid spec or options,
 //! `4` I/O failure, `5` corrupt journal or failed self-check, `130`
 //! interrupted by signal.
 
 use qdc_bench::{cli, print_header, print_row};
+use qdc_congest::json::{self, Json};
 use qdc_harness::{
-    builtin, builtin_names, journal_summary_json, run_campaign_journaled, validate_output_paths,
-    CampaignRunError, CancelToken, JournalConfig, JournalOutcome, RunOptions, StreamTelemetry,
-    TelemetryMode,
+    builtin, builtin_names, journal, journal_summary_json, run_campaign_journaled,
+    validate_output_paths, CampaignRunError, CancelToken, JournalConfig, JournalOutcome,
+    RunOptions, StreamTelemetry, TelemetryMode,
 };
 use std::num::NonZeroUsize;
 
@@ -235,20 +237,8 @@ fn parse_args() -> Args {
     args
 }
 
-/// Validates one journal line against the strict schema for its kind:
-/// failure records carry the `qdc-campaign-failure/v1` tag (always as
-/// the leading `schema` field), everything else must be a point record.
-fn validate_journal_line(line: &str) -> Result<(), String> {
-    if line.starts_with("{\"schema\":\"qdc-campaign-failure/v1\"") {
-        qdc_harness::validate_failure_line(line)
-    } else {
-        qdc_harness::validate_record_line(line)
-    }
-}
-
-/// Re-reads the journal and summary from disk and runs the strict
-/// conformance validators over every byte the campaign claims to have
-/// written. Returns the number of validated journal lines.
+/// Re-reads the journal and summary from disk and checks every byte the
+/// campaign claims to have written. Returns the number of journal lines.
 fn self_check(
     out_path: &str,
     summary_path: &str,
@@ -256,10 +246,13 @@ fn self_check(
 ) -> Result<usize, String> {
     let written =
         std::fs::read_to_string(out_path).map_err(|e| format!("cannot re-read journal: {e}"))?;
-    let mut n = 0;
-    for (lineno, line) in written.lines().enumerate() {
-        validate_journal_line(line).map_err(|e| format!("journal line {}: {e}", lineno + 1))?;
-        n += 1;
+    let recovery = journal::recover(&written, &outcome.spec_name)?;
+    let n = recovery.entries.len();
+    if recovery.truncated_bytes > 0 {
+        return Err(format!(
+            "journal line {n} is not a valid record of point {n} of `{}`",
+            outcome.spec_name
+        ));
     }
     let expected = outcome.recovered + outcome.executed;
     if n != expected {
@@ -361,27 +354,38 @@ fn verify_main(args: &[String]) -> ! {
     }
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| cli::fail(4, format!("campaign verify: cannot read `{path}`: {e}")));
-    match qdc_service::classify_journal(&text, campaign.as_deref()) {
-        qdc_service::JournalClass::Clean { entries } => {
-            println!("{path}: clean — {entries} committed record(s), every byte accounted for");
-            std::process::exit(0);
+    // Without `--campaign`, the journal names its campaign on line 0.
+    let campaign = campaign.or_else(|| {
+        let first = json::parse(text.lines().next()?).ok()?;
+        match first.get("campaign")? {
+            Json::Str(name) => Some(name.clone()),
+            _ => None,
         }
-        qdc_service::JournalClass::Recoverable {
-            entries,
-            kept_bytes,
-            truncated_bytes,
-        } => {
-            println!(
-                "{path}: recoverable — {entries} committed record(s) in {kept_bytes} bytes, \
-                 torn tail of {truncated_bytes} byte(s) would be truncated on resume"
-            );
-            std::process::exit(0);
-        }
-        qdc_service::JournalClass::Foreign { reason } => cli::fail(
+    });
+    let verdict = match campaign {
+        Some(name) => journal::recover(&text, &name),
+        // An empty file is the empty journal of any campaign.
+        None if text.is_empty() => journal::recover(&text, ""),
+        None => Err("first line is not a campaign record".to_string()),
+    };
+    match verdict {
+        Err(reason) => cli::fail(
             5,
             format!("campaign verify: `{path}` is not this campaign's journal: {reason}"),
         ),
+        Ok(r) if r.truncated_bytes == 0 => println!(
+            "{path}: clean — {} committed record(s), every byte accounted for",
+            r.entries.len()
+        ),
+        Ok(r) => println!(
+            "{path}: recoverable — {} committed record(s) in {} bytes, \
+             torn tail of {} byte(s) would be truncated on resume",
+            r.entries.len(),
+            r.kept_bytes,
+            r.truncated_bytes
+        ),
     }
+    std::process::exit(0);
 }
 
 fn main() {

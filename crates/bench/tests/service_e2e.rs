@@ -7,7 +7,7 @@
 //! clean record-boundary prefix, and a restart on the same data dir
 //! resumes it to bytes identical to an uninterrupted in-process run.
 
-use qdc_harness::{builtin, run_campaign, RunOptions};
+use qdc_harness::{builtin, journal, run_campaign, RunOptions};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -141,10 +141,12 @@ fn e2e_sigkill_midjob_then_restart_resumes_byte_identically() {
         "kill landed mid-grid ({partial_lines} of 4 lines)"
     );
     assert!(partial.ends_with('\n'), "prefix ends on a record boundary");
-    match qdc_service::classify_journal(&partial, Some("simthm_smoke")) {
-        qdc_service::JournalClass::Clean { entries } => assert_eq!(entries, partial_lines),
-        other => panic!("journal after SIGKILL should be clean, got {other:?}"),
-    }
+    let recovery = journal::recover(&partial, "simthm_smoke").expect("own journal");
+    assert_eq!(
+        (recovery.entries.len(), recovery.truncated_bytes),
+        (partial_lines, 0),
+        "journal after SIGKILL should be clean"
+    );
 
     // Restart on the same data dir: the scan re-enqueues job 1 and a
     // worker finishes the missing tail.
@@ -189,13 +191,8 @@ fn e2e_sigterm_drains_and_exits_130() {
 
     // Whatever the drain committed is a clean prefix on disk.
     let journal = std::fs::read_to_string(dir.join("job_1.records.jsonl")).unwrap_or_default();
-    assert!(
-        matches!(
-            qdc_service::classify_journal(&journal, Some("simthm_smoke")),
-            qdc_service::JournalClass::Clean { .. }
-        ),
-        "drained journal is clean"
-    );
+    let recovery = journal::recover(&journal, "simthm_smoke").expect("own journal");
+    assert_eq!(recovery.truncated_bytes, 0, "drained journal is clean");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,5 +1,6 @@
 //! Crash-safe campaign journaling: append-only record durability and
-//! the startup recovery pass behind `campaign resume`.
+//! the one recovery pass behind `campaign resume`, the service's startup
+//! scan, live job progress and `campaign verify`.
 //!
 //! # Journal format
 //!
@@ -31,12 +32,18 @@
 //! that is valid but names a *different campaign* is not truncatable
 //! damage — the caller pointed the runner at the wrong file — and
 //! surfaces as a hard error instead.
+//!
+//! [`resume`] is that pass for a writer: it also refuses more records
+//! than the grid has points, and it is the only code that truncates a
+//! journal. Read-only callers use [`recover`].
 
 use crate::point::{FAILURE_TABLE, RECORD_TABLE};
-use crate::spec::{FAILURE_SCHEMA, POINT_SCHEMA};
+use crate::runner::Aggregate;
+use crate::spec::{CampaignSpec, FAILURE_SCHEMA, POINT_SCHEMA};
 use qdc_congest::json::{self, Json};
 use qdc_congest::RunMetrics;
-use std::io::Write;
+use std::io::{self, Write};
+use std::path::Path;
 
 /// Append-only journal writer with the one-line-per-write + fsync
 /// discipline described in the module docs.
@@ -115,6 +122,60 @@ pub struct Recovery {
     /// journal). The caller truncates the file to `kept_bytes` before
     /// appending.
     pub truncated_bytes: usize,
+}
+
+impl Recovery {
+    /// The fold of the recovered entries: exactly the aggregate a live
+    /// run had when it committed the same prefix.
+    pub fn aggregate(&self) -> Aggregate {
+        let mut agg = Aggregate::default();
+        for entry in &self.entries {
+            match entry {
+                RecoveredEntry::Point {
+                    metrics,
+                    accept,
+                    errored,
+                } => agg.add_point(metrics, *accept, *errored),
+                RecoveredEntry::Failure { attempts } => agg.add_failure(*attempts),
+            }
+        }
+        agg
+    }
+}
+
+/// Recovers the journal at `path` for `spec` and truncates its torn
+/// tail on the last record boundary (`set_len`, then `sync_all`), so
+/// the file is ready to append to. A missing file is an empty journal.
+///
+/// # Errors
+///
+/// The outer `Err` is an I/O failure. The inner `Err` means the file is
+/// not this campaign's journal: a line names another campaign, or it
+/// holds more records than the grid has points. Such a file is left
+/// untouched.
+pub fn resume(path: &Path, spec: &CampaignSpec) -> io::Result<Result<Recovery, String>> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
+    };
+    let recovery = match recover(&text, &spec.name) {
+        Ok(recovery) => recovery,
+        Err(reason) => return Ok(Err(reason)),
+    };
+    let points = spec.point_count();
+    if recovery.entries.len() as u64 > points {
+        return Ok(Err(format!(
+            "journal holds {} records but the grid has only {points} points",
+            recovery.entries.len()
+        )));
+    }
+    if recovery.truncated_bytes > 0 {
+        let file = std::fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(recovery.kept_bytes as u64)?;
+        file.sync_all()?;
+    }
+    Ok(Ok(recovery))
 }
 
 /// Scans journal `text` for campaign `campaign` and returns the

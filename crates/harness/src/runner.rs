@@ -45,12 +45,12 @@
 //! [`Journal::append_line`](crate::journal::Journal::append_line)
 //! (single-write + fsync per line) instead of holding the campaign in
 //! memory, and on resume replays the surviving journal prefix via
-//! [`journal::recover`](crate::journal::recover) before executing only
+//! [`journal::resume`](crate::journal::resume) before executing only
 //! the missing tail. Cancellation ([`CancelToken`]) drains in-flight
 //! points, commits the contiguous prefix, and reports
 //! `interrupted: true` — the journal is always resumable.
 
-use crate::journal::{self, Journal, RecoveredEntry};
+use crate::journal::{self, Journal};
 use crate::point::{
     execute_point_sharded, failure_json, record_json, stream_telemetry_path, PointFailure,
     PointRecord, Staged, TelemetryMode,
@@ -60,6 +60,7 @@ use qdc_congest::json::{self, Json, Shape, Table};
 use qdc_congest::{RunMetrics, TelemetryReport, TrafficTrace};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -241,23 +242,6 @@ impl Aggregate {
         self.points += 1;
         self.points_failed += 1;
         self.points_retried += attempts.saturating_sub(1);
-    }
-
-    /// Folds one recovered journal entry into the counters.
-    pub fn add_entry(&mut self, entry: &RecoveredEntry) {
-        match entry {
-            RecoveredEntry::Point {
-                metrics,
-                accept,
-                errored,
-            } => self.add_point(metrics, *accept, *errored),
-            RecoveredEntry::Failure { attempts } => self.add_failure(*attempts),
-        }
-    }
-
-    /// Folds a record list (in any order — the result is the same).
-    pub fn fold(records: &[PointRecord]) -> Aggregate {
-        Aggregate::fold_full(records, &[])
     }
 
     /// Folds records and failures together (in any order).
@@ -778,36 +762,13 @@ pub fn run_campaign_journaled(
     let points = spec.points();
     let start = std::time::Instant::now();
 
-    let mut aggregate = Aggregate::default();
-    let mut recovered = 0usize;
-    if config.resume {
-        let text = match std::fs::read_to_string(&config.out_path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(CampaignRunError::Io(e)),
-        };
-        let recovery = journal::recover(&text, &spec.name).map_err(CampaignRunError::Corrupt)?;
-        if recovery.entries.len() > points.len() {
-            return Err(CampaignRunError::Corrupt(format!(
-                "journal holds {} records but the grid has only {} points",
-                recovery.entries.len(),
-                points.len()
-            )));
-        }
-        if recovery.truncated_bytes > 0 {
-            // Drop the torn tail on its record-boundary fence before
-            // appending; the truncated point re-runs below.
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&config.out_path)?;
-            file.set_len(recovery.kept_bytes as u64)?;
-            file.sync_all()?;
-        }
-        for entry in &recovery.entries {
-            aggregate.add_entry(entry);
-        }
-        recovered = recovery.entries.len();
-    }
+    let (mut aggregate, recovered) = if config.resume {
+        let recovery = journal::resume(Path::new(&config.out_path), spec)?
+            .map_err(CampaignRunError::Corrupt)?;
+        (recovery.aggregate(), recovery.entries.len())
+    } else {
+        (Aggregate::default(), 0)
+    };
 
     let mut journal = if config.resume {
         Journal::append(&config.out_path)
@@ -922,7 +883,7 @@ mod tests {
         let out = run_campaign(&spec, &opts(2)).expect("runs");
         let mut reversed = out.records.clone();
         reversed.reverse();
-        assert_eq!(Aggregate::fold(&reversed), out.aggregate);
+        assert_eq!(Aggregate::fold_full(&reversed, &[]), out.aggregate);
     }
 
     #[test]

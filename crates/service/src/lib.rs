@@ -11,10 +11,11 @@
 //!   per-client quotas ([`QuotaConfig`]), job lifecycle
 //!   ([`JobState`]), structured rejections ([`SubmitError`]). A plain
 //!   library; property tests drive it directly.
-//! * [`scan`] — journal triage ([`classify_journal`], shared with the
-//!   `campaign verify` subcommand) and the startup data-dir scan that
-//!   makes the service SIGKILL-durable: re-enqueue incomplete jobs,
-//!   truncate torn tails on record boundaries, restore completed ones.
+//! * [`scan`] — the startup data-dir scan that makes the service
+//!   SIGKILL-durable: each journal goes through
+//!   [`qdc_harness::journal::resume`], the reader `campaign resume`
+//!   uses, which truncates torn tails on record boundaries; incomplete
+//!   jobs are re-enqueued and completed ones restored.
 //! * [`wire`] — the three service schemas (`qdc-job/v1`,
 //!   `qdc-service-status/v1`, `qdc-service-error/v1`), writers and
 //!   strict validators, golden-locked at the workspace root.
@@ -42,7 +43,7 @@ pub mod server;
 pub mod wire;
 
 pub use crate::core::{ClientStats, Job, JobState, QuotaConfig, ServiceCore, SubmitError};
-pub use scan::{classify_journal, scan_data_dir, JournalClass, ScanReport};
+pub use scan::{scan_data_dir, ScanReport};
 pub use server::{Server, ServiceConfig};
 pub use wire::{
     error_json, job_json, status_json, submit_error_json, validate_error, validate_job,

@@ -1,4 +1,4 @@
-//! Journal classification and service data-dir recovery.
+//! Service data-dir recovery.
 //!
 //! The service keeps one directory with three kinds of entries per job:
 //!
@@ -11,86 +11,15 @@
 //! On startup the service scans this directory and rebuilds its queue:
 //! a job whose journal holds every grid point is restored as completed;
 //! anything less — a missing journal, a clean prefix, or a torn tail —
-//! is re-enqueued and resumes at the first missing index. The journal
-//! triage lives in [`classify_journal`] so the `campaign verify`
-//! subcommand can run exactly the same dry-run classification on any
-//! records file without a service in sight.
+//! is re-enqueued and resumes at the first missing index. Each journal
+//! goes through [`journal::resume`], the same reader `campaign resume`
+//! uses, so the scan and a resumed run agree on every file.
 
 use crate::core::{Job, JobState};
 use qdc_congest::json::{self, Json};
-use qdc_harness::{journal, spec_from_json, spec_to_json, Aggregate, CampaignSpec};
+use qdc_harness::{journal, spec_from_json, spec_to_json, CampaignSpec};
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// The verdict on one journal file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JournalClass {
-    /// Every byte belongs to a committed record (an empty file counts:
-    /// zero records is a valid prefix).
-    Clean {
-        /// Committed records in the journal.
-        entries: usize,
-    },
-    /// A torn tail follows a valid record prefix — the crash-recovery
-    /// path truncates the tail on its record boundary and resumes.
-    Recoverable {
-        /// Committed records in the valid prefix.
-        entries: usize,
-        /// Bytes of the valid prefix.
-        kept_bytes: usize,
-        /// Bytes of the torn tail that truncation would drop.
-        truncated_bytes: usize,
-    },
-    /// The file is not a prefix of the expected campaign at all — a
-    /// different campaign's journal, or no recognizable record on the
-    /// first line. Resuming over it would destroy someone else's data,
-    /// so this is a hard stop.
-    Foreign {
-        /// What disqualified the file.
-        reason: String,
-    },
-}
-
-/// Classifies a journal. When `expected_campaign` is `None` the
-/// campaign name is taken from the journal's own first record (the
-/// `verify` use case: "is this file internally consistent?"); passing
-/// `Some(name)` additionally pins the campaign (the service use case,
-/// where the submission says which campaign the journal must belong to).
-pub fn classify_journal(text: &str, expected_campaign: Option<&str>) -> JournalClass {
-    if text.is_empty() {
-        return JournalClass::Clean { entries: 0 };
-    }
-    let campaign = match expected_campaign {
-        Some(name) => name.to_string(),
-        None => {
-            let first = text.lines().next().unwrap_or("");
-            match json::parse(first).ok().as_ref().and_then(|doc| {
-                doc.get("campaign").and_then(|v| match v {
-                    Json::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-            }) {
-                Some(name) => name,
-                None => {
-                    return JournalClass::Foreign {
-                        reason: "first line is not a campaign record".into(),
-                    }
-                }
-            }
-        }
-    };
-    match journal::recover(text, &campaign) {
-        Err(reason) => JournalClass::Foreign { reason },
-        Ok(recovery) if recovery.truncated_bytes == 0 => JournalClass::Clean {
-            entries: recovery.entries.len(),
-        },
-        Ok(recovery) => JournalClass::Recoverable {
-            entries: recovery.entries.len(),
-            kept_bytes: recovery.kept_bytes,
-            truncated_bytes: recovery.truncated_bytes,
-        },
-    }
-}
 
 /// The submission document persisted as `job_<id>.json`. Internal to
 /// the service (it is not served), but written in the same strict
@@ -138,17 +67,17 @@ pub struct ScanReport {
     /// Jobs rebuilt from disk, in id order, ready for
     /// [`ServiceCore::restore`](crate::core::ServiceCore::restore).
     pub jobs: Vec<Job>,
-    /// Entries that could not be recovered (foreign journals, unreadable
-    /// submission documents). The scan skips them rather than failing:
-    /// one damaged job must not take the service down.
+    /// Entries that could not be recovered (journals that
+    /// [`journal::resume`] refuses, unreadable submission documents).
+    /// The scan skips them rather than failing: one damaged job must not
+    /// take the service down.
     pub warnings: Vec<String>,
 }
 
 /// Scans a service data dir and rebuilds every job from its submission
-/// document and journal. Torn journal tails are truncated on their
-/// record boundary here (exactly what a resumed run would do), so
-/// everything the service later streams from these files is committed
-/// bytes only.
+/// document and journal. Each journal goes through [`journal::resume`],
+/// which truncates a torn tail on its record boundary, so everything
+/// the service later streams from these files is committed bytes only.
 pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
     let mut report = ScanReport::default();
     let mut doc_paths = Vec::new();
@@ -177,44 +106,18 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
         };
         let total_points = spec.point_count();
         let (_, records_path, _) = job_paths(data_dir, id);
-        let journal_text = match std::fs::read_to_string(&records_path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let (entries, kept_bytes, truncate) =
-            match classify_journal(&journal_text, Some(&spec.name)) {
-                JournalClass::Clean { entries } => (entries, journal_text.len(), false),
-                JournalClass::Recoverable {
-                    entries,
-                    kept_bytes,
-                    ..
-                } => (entries, kept_bytes, true),
-                JournalClass::Foreign { reason } => {
-                    report.warnings.push(format!(
-                        "{}: foreign journal, job {id} skipped: {reason}",
-                        records_path.display()
-                    ));
-                    continue;
-                }
-            };
-        if truncate {
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&records_path)?;
-            file.set_len(kept_bytes as u64)?;
-            file.sync_all()?;
-        }
-        let mut aggregate = Aggregate::default();
-        if entries > 0 {
-            // Re-fold the kept prefix; classify_journal proved it valid.
-            let recovery = journal::recover(&journal_text[..kept_bytes], &spec.name)
-                .expect("classified as recoverable");
-            for entry in &recovery.entries {
-                aggregate.add_entry(entry);
+        let recovery = match journal::resume(&records_path, &spec)? {
+            Ok(recovery) => recovery,
+            Err(reason) => {
+                report.warnings.push(format!(
+                    "{}: foreign journal, job {id} skipped: {reason}",
+                    records_path.display()
+                ));
+                continue;
             }
-        }
-        let state = if entries as u64 >= total_points {
+        };
+        let committed = recovery.entries.len() as u64;
+        let state = if committed == total_points {
             JobState::Completed
         } else {
             JobState::Interrupted
@@ -226,8 +129,8 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
             telemetry,
             total_points,
             state,
-            committed: entries as u64,
-            aggregate,
+            committed,
+            aggregate: recovery.aggregate(),
         });
     }
     report.jobs.sort_by_key(|j| j.id);
@@ -244,42 +147,6 @@ mod tests {
         run_campaign(&spec, &RunOptions::default())
             .expect("runs")
             .deterministic_jsonl()
-    }
-
-    #[test]
-    fn scan_classifies_clean_torn_and_foreign_journals() {
-        let clean = smoke_jsonl();
-        assert_eq!(
-            classify_journal(&clean, None),
-            JournalClass::Clean { entries: 4 }
-        );
-        assert_eq!(
-            classify_journal("", Some("simthm_smoke")),
-            JournalClass::Clean { entries: 0 }
-        );
-
-        let torn = format!("{}{}", clean, &clean.lines().next().expect("line")[..40]);
-        match classify_journal(&torn, None) {
-            JournalClass::Recoverable {
-                entries,
-                kept_bytes,
-                truncated_bytes,
-            } => {
-                assert_eq!(entries, 4);
-                assert_eq!(kept_bytes, clean.len());
-                assert_eq!(truncated_bytes, 40);
-            }
-            other => panic!("expected recoverable, got {other:?}"),
-        }
-
-        assert!(matches!(
-            classify_journal(&clean, Some("another_campaign")),
-            JournalClass::Foreign { .. }
-        ));
-        assert!(matches!(
-            classify_journal("not json at all\n", None),
-            JournalClass::Foreign { .. }
-        ));
     }
 
     #[test]
@@ -306,8 +173,9 @@ mod tests {
         let jsonl = smoke_jsonl();
 
         // Job 1: complete journal. Job 2: half a journal plus a torn
-        // tail. Job 3: no journal yet. Job 4: a foreign journal.
-        for (id, client) in [(1, "a"), (2, "b"), (3, "c"), (4, "d")] {
+        // tail. Job 3: no journal yet. Job 4: a foreign journal. Job 5:
+        // one record more than its grid has points.
+        for (id, client) in [(1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e")] {
             std::fs::write(
                 dir.join(format!("job_{id}.json")),
                 job_doc_json(id, client, false, &spec),
@@ -326,10 +194,17 @@ mod tests {
             jsonl.replace("simthm_smoke", "someone_elses"),
         )
         .expect("write");
+        let last = jsonl.lines().last().expect("line");
+        let over_long = format!("{jsonl}{}\n", last.replace("\"point\":3", "\"point\":4"));
+        std::fs::write(dir.join("job_5.records.jsonl"), &over_long).expect("write");
 
         let report = scan_data_dir(&dir).expect("scans");
-        assert_eq!(report.jobs.len(), 3, "foreign job 4 is skipped");
-        assert_eq!(report.warnings.len(), 1, "and warned about");
+        assert_eq!(
+            report.jobs.len(),
+            3,
+            "foreign job 4 and over-long job 5 are skipped"
+        );
+        assert_eq!(report.warnings.len(), 2, "and warned about");
         let by_id: Vec<_> = report
             .jobs
             .iter()
@@ -346,6 +221,9 @@ mod tests {
         // The torn tail was truncated on its record boundary.
         let kept = std::fs::read_to_string(dir.join("job_2.records.jsonl")).expect("read");
         assert_eq!(kept, two_lines);
+        // A refused journal is left as it was.
+        let refused = std::fs::read_to_string(dir.join("job_5.records.jsonl")).expect("read");
+        assert_eq!(refused, over_long);
 
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

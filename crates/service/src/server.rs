@@ -45,7 +45,7 @@ use qdc_harness::{
 use std::io::{self, BufReader, Read as _, Seek as _, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// How the service runs: storage location, worker sizing, quotas.
@@ -82,6 +82,16 @@ struct ServiceState {
     wake: Condvar,
     config: ServiceConfig,
     cancel: CancelToken,
+}
+
+/// Locks the core. A thread that panicked while holding the lock leaves
+/// the mutex poisoned; the guard is recovered instead of propagating
+/// the panic, so one failed request cannot make every later request and
+/// every worker panic too. The core stays valid through such a panic:
+/// it changes only inside `ServiceCore` methods, whose one-step updates
+/// panic only on an invariant that was already broken.
+fn lock_core(state: &ServiceState) -> MutexGuard<'_, ServiceCore> {
+    state.core.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A bound, recovered, not-yet-serving campaign service.
@@ -173,7 +183,7 @@ impl Server {
 fn worker_loop(state: &ServiceState) {
     loop {
         let job = {
-            let mut core = state.core.lock().expect("core lock");
+            let mut core = lock_core(state);
             loop {
                 if state.cancel.is_cancelled() {
                     return;
@@ -184,7 +194,7 @@ fn worker_loop(state: &ServiceState) {
                 let (guard, _) = state
                     .wake
                     .wait_timeout(core, Duration::from_millis(100))
-                    .expect("core lock");
+                    .unwrap_or_else(PoisonError::into_inner);
                 core = guard;
             }
         };
@@ -211,7 +221,7 @@ fn worker_loop(state: &ServiceState) {
         };
         let result = run_campaign_journaled(&job.spec, &options, &journal_config, &state.cancel);
 
-        let mut core = state.core.lock().expect("core lock");
+        let mut core = lock_core(state);
         match result {
             Ok(outcome) => core.finish(
                 job.id,
@@ -308,7 +318,7 @@ fn route(
         (Route::TelemetryPoint(id, i), "GET") => telemetry_point(state, id, i, w),
         (Route::Status, "GET") => {
             let body = {
-                let core = state.core.lock().expect("core lock");
+                let core = lock_core(state);
                 status_json(&core)
             };
             write_json_response(w, 200, &body)
@@ -382,7 +392,7 @@ fn submit(
     };
 
     let outcome: Result<String, Rejection> = {
-        let mut core = state.core.lock().expect("core lock");
+        let mut core = lock_core(state);
         match core.submit(&client, spec, telemetry) {
             Err(e) => Err(Rejection::Submit(e)),
             Ok(id) => {
@@ -440,7 +450,7 @@ fn persist_job_doc(path: &std::path::Path, job: &crate::core::Job) -> io::Result
 /// the journal while it runs.
 fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
     let job = {
-        let core = state.core.lock().expect("core lock");
+        let core = lock_core(state);
         core.job(id).cloned()
     };
     let Some(mut job) = job else {
@@ -448,14 +458,12 @@ fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()
     };
     if job.state == JobState::Running {
         let (_, records_path, _) = job_paths(&state.config.data_dir, id);
+        // Read-only: a worker is appending to this file, so never
+        // truncate it (`journal::resume` would).
         if let Ok(text) = std::fs::read_to_string(&records_path) {
             if let Ok(recovery) = journal::recover(&text, &job.spec.name) {
-                let mut agg = qdc_harness::Aggregate::default();
-                for entry in &recovery.entries {
-                    agg.add_entry(entry);
-                }
                 job.committed = recovery.entries.len() as u64;
-                job.aggregate = agg;
+                job.aggregate = recovery.aggregate();
             }
         }
     }
@@ -470,7 +478,7 @@ fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()
 /// *this* thread at the socket, nothing else.
 fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
     let exists = {
-        let core = state.core.lock().expect("core lock");
+        let core = lock_core(state);
         core.job(id).is_some()
     };
     if !exists {
@@ -484,7 +492,7 @@ fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Resul
         // check are caught on the next loop, and once terminal the file
         // can only be complete.
         let terminal = {
-            let core = state.core.lock().expect("core lock");
+            let core = lock_core(state);
             matches!(
                 core.job(id).map(|j| j.state),
                 Some(JobState::Completed | JobState::Interrupted) | None
@@ -522,7 +530,7 @@ fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Resul
 }
 
 fn telemetry_dir_for(state: &ServiceState, id: u64) -> Result<PathBuf, String> {
-    let core = state.core.lock().expect("core lock");
+    let core = lock_core(state);
     match core.job(id) {
         None => Err(format!("no job {id}")),
         Some(job) if !job.telemetry => Err(format!("job {id} was submitted without telemetry")),
@@ -589,4 +597,39 @@ fn telemetry_point(state: &ServiceState, id: u64, index: u64, w: &mut TcpStream)
     let mut chunks = ChunkedWriter::begin(w, 200, "application/jsonl")?;
     stream_archive_file(&mut chunks, &path)?;
     chunks.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn server_survives_a_poisoned_core_lock() {
+        let state = ServiceState {
+            core: Mutex::new(ServiceCore::new(QuotaConfig::default())),
+            wake: Condvar::new(),
+            config: ServiceConfig::default(),
+            cancel: CancelToken::new(),
+        };
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _core = state.core.lock();
+                panic!("a handler panics while it holds the core");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(state.core.is_poisoned());
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let mut client =
+            TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+        client
+            .write_all(b"GET /status HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("sends");
+        let (stream, peer) = listener.accept().expect("accepts");
+        handle_connection(&state, stream, peer).expect("serves");
+        let mut response = String::new();
+        client.read_to_string(&mut response).expect("reads");
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    }
 }

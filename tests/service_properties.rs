@@ -11,16 +11,18 @@
 //!    never run backwards).
 //! 3. **Spec round-trip**: any shape-valid spec survives
 //!    `spec_to_json → parse_spec` structurally and byte-exactly.
-//! 4. **Journal triage**: cutting a real journal at *any* byte yields
-//!    `Clean` exactly on record boundaries and `Recoverable` with the
-//!    right prefix everywhere else — the classifier can never call a
-//!    torn file clean or a clean file torn.
+//! 4. **Journal triage**: cutting a real journal at *any* byte and
+//!    recovering it (`journal::recover`, what the startup scan and
+//!    `campaign verify` run) yields a clean recovery exactly on record
+//!    boundaries and a torn tail after the right prefix everywhere else —
+//!    recovery can never call a torn file clean or a clean file torn.
 
 use proptest::prelude::*;
+use qdc::harness::journal;
 use qdc::harness::{
     builtin, parse_spec, run_campaign, spec_to_json, CampaignGrid, CampaignSpec, RunOptions,
 };
-use qdc::service::{JobState, JournalClass, QuotaConfig, ServiceCore, SubmitError};
+use qdc::service::{JobState, QuotaConfig, ServiceCore, SubmitError};
 
 /// One scripted operation against the core.
 fn apply_op(
@@ -230,17 +232,17 @@ proptest! {
         let prefix = &jsonl[..cut];
         let full_lines = prefix.matches('\n').count();
         let boundary = cut == 0 || prefix.ends_with('\n');
-        match qdc::service::classify_journal(prefix, Some("telemetry_smoke")) {
-            JournalClass::Clean { entries } => {
+        match journal::recover(prefix, "telemetry_smoke") {
+            Ok(clean) if clean.truncated_bytes == 0 => {
                 prop_assert!(boundary, "clean verdicts only on record boundaries");
-                prop_assert_eq!(entries, full_lines);
+                prop_assert_eq!(clean.entries.len(), full_lines);
             }
-            JournalClass::Recoverable { entries, kept_bytes, truncated_bytes } => {
+            Ok(torn) => {
                 prop_assert!(!boundary, "boundary cuts must be clean");
-                prop_assert_eq!(entries, full_lines);
-                prop_assert_eq!(kept_bytes + truncated_bytes, cut, "every byte accounted for");
+                prop_assert_eq!(torn.entries.len(), full_lines);
+                prop_assert_eq!(torn.kept_bytes + torn.truncated_bytes, cut, "every byte accounted for");
             }
-            JournalClass::Foreign { reason } => {
+            Err(reason) => {
                 return Err(TestCaseError::fail(format!(
                     "a self-journal prefix can never be foreign: {reason}"
                 )));
