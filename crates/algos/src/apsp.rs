@@ -94,16 +94,12 @@ pub fn distributed_apsp(graph: &Graph, cfg: CongestConfig) -> ApspRun {
     assert!(idw + dw <= cfg.bandwidth_bits, "APSP message exceeds B");
     let mut ledger = Ledger::new();
     let sim = Simulator::new(graph, cfg);
-    let (nodes, report) = sim.run(
-        |_info| ApspNode {
-            dist: vec![u64::MAX; n],
-            outbound: VecDeque::new(),
-            idw,
-            dw,
-        },
-        stage_cap(n) + n * n,
-    );
-    ledger.absorb(&report);
+    let nodes = ledger.run(&sim, stage_cap(n) + n * n, |_info| ApspNode {
+        dist: vec![u64::MAX; n],
+        outbound: VecDeque::new(),
+        idw,
+        dw,
+    });
     let dist: Vec<Vec<u64>> = nodes.into_iter().map(|s| s.dist).collect();
     let eccentricity: Vec<u64> = dist
         .iter()

@@ -3,6 +3,7 @@
 //! corrupts, or crash-loses messages.
 
 use crate::ledger::Ledger;
+use crate::tree::exchange;
 use crate::widths::id_width;
 use qdc_congest::{
     ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
@@ -15,9 +16,9 @@ pub(crate) fn stage_cap(n: usize) -> usize {
     20 * n + 100
 }
 
-/// Chaos-aware round budget: [`stage_cap`] stretched by the expected
-/// number of retransmissions per delivery, `1 / (1 − drop_prob)`, plus
-/// slack. A retry-until-ack discipline (e.g. [`robust_broadcast`])
+/// Chaos-aware round budget: the strict stages' round cap `20n + 100`
+/// stretched by the expected number of retransmissions per delivery,
+/// `1 / (1 − drop_prob)`, plus slack. A retry-until-ack discipline (e.g. [`robust_broadcast`])
 /// running within this budget succeeds with overwhelming probability
 /// for any `drop_prob < 1` bounded away from 1 — at `p = 0.3` the
 /// budget leaves hundreds of retries per edge, and a single edge
@@ -78,14 +79,10 @@ pub fn elect_leader(graph: &Graph, cfg: CongestConfig, ledger: &mut Ledger) -> N
         "node id ({width} bits) exceeds B"
     );
     let sim = Simulator::new(graph, cfg);
-    let (nodes, report) = sim.run(
-        |info| MaxFlood {
-            best: info.id.0 as u64,
-            width,
-        },
-        stage_cap(n),
-    );
-    ledger.absorb(&report);
+    let nodes = ledger.run(&sim, stage_cap(n), |info| MaxFlood {
+        best: info.id.0 as u64,
+        width,
+    });
     let max = nodes
         .iter()
         .map(|s| s.best)
@@ -157,54 +154,25 @@ impl NodeAlgorithm for BfsWave {
     }
 }
 
-struct ChildReport {
-    parent_port: Option<usize>,
-    in_tree: bool,
-    children: Vec<usize>,
-    sent: bool,
-}
-
-impl NodeAlgorithm for ChildReport {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.sent = true;
-        if self.in_tree {
-            if let Some(p) = self.parent_port {
-                out.send(p, Message::from_bit(true));
-            }
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, _out: &mut Outbox) {
-        for (port, _) in inbox.iter() {
-            self.children.push(port);
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        self.sent
-    }
-}
-
-/// One-round child discovery: every in-tree non-root node sends a bit to
+/// One-round child discovery: every node with a parent sends a bit to
 /// its parent port; each node records the ports it heard from. Reused by
 /// the fragment engine after each relabeling.
 pub(crate) fn discover_children(
-    graph: &Graph,
-    cfg: CongestConfig,
+    sim: &Simulator,
     parent_port: &[Option<usize>],
-    in_tree: &[bool],
     ledger: &mut Ledger,
 ) -> Vec<Vec<usize>> {
-    let sim = Simulator::new(graph, cfg);
-    let (nodes, report) = sim.run(
-        |info| ChildReport {
-            parent_port: parent_port[info.id.index()],
-            in_tree: in_tree[info.id.index()],
-            children: Vec::new(),
-            sent: false,
-        },
-        stage_cap(graph.node_count()),
-    );
-    ledger.absorb(&report);
-    nodes.into_iter().map(|s| s.children).collect()
+    let heard = exchange(sim, ledger, |info| {
+        let parent = parent_port[info.id.index()];
+        parent
+            .map(|p| (p, Message::from_bit(true)))
+            .into_iter()
+            .collect()
+    });
+    heard
+        .iter()
+        .map(|h| (0..h.len()).filter(|&p| h[p].is_some()).collect())
+        .collect()
 }
 
 /// Builds a BFS tree from `root` by wave flooding (0-bit messages; the
@@ -218,25 +186,19 @@ pub fn build_bfs_tree(
 ) -> BfsTreeInfo {
     let n = graph.node_count();
     let sim = Simulator::new(graph, cfg);
-    let (nodes, report) = sim.run(
-        |info| BfsWave {
-            is_root: info.id == root,
-            adopted: false,
-            parent_port: None,
-            round: 0,
-            depth: u64::MAX,
-        },
-        stage_cap(n),
-    );
-    ledger.absorb(&report);
+    let nodes = ledger.run(&sim, stage_cap(n), |info| BfsWave {
+        is_root: info.id == root,
+        adopted: false,
+        parent_port: None,
+        round: 0,
+        depth: u64::MAX,
+    });
     let parent_port: Vec<Option<usize>> = nodes.iter().map(|s| s.parent_port).collect();
     let depth: Vec<u64> = nodes
         .iter()
         .map(|s| if s.adopted { s.depth } else { u64::MAX })
         .collect();
-
-    let in_tree: Vec<bool> = nodes.iter().map(|s| s.adopted).collect();
-    let children_ports = discover_children(graph, cfg, &parent_port, &in_tree, ledger);
+    let children_ports = discover_children(&sim, &parent_port, ledger);
     let height = depth
         .iter()
         .copied()

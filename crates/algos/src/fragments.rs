@@ -25,7 +25,7 @@
 
 use crate::flood::{build_bfs_tree, discover_children, elect_leader, stage_cap, BfsTreeInfo};
 use crate::ledger::Ledger;
-use crate::tree::{aggregate_to_root, broadcast_from_root, Agg};
+use crate::tree::{aggregate_to_root, broadcast, broadcast_from_root, converge, exchange, Agg};
 use crate::widths::{bits_for, edge_width, id_width};
 use qdc_congest::{
     BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator,
@@ -100,234 +100,45 @@ impl Candidate {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Stage: fragment-id exchange across active edges.
-// ---------------------------------------------------------------------------
-
-struct Exchange {
-    frag: u64,
-    width: usize,
-    active_ports: Vec<bool>,
-    nbr: Vec<Option<u64>>,
-}
-
-impl NodeAlgorithm for Exchange {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        for p in 0..self.active_ports.len() {
-            if self.active_ports[p] {
-                out.send(p, Message::from_uint(self.frag, self.width));
-            }
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, _out: &mut Outbox) {
-        for (port, msg) in inbox.iter() {
-            self.nbr[port] = msg.as_uint(self.width);
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
-}
-
-/// Runs the exchange and computes each node's local outgoing candidate.
+/// Exchanges fragment ids across active edges and computes each node's
+/// local minimum outgoing candidate.
 fn local_candidates(
-    graph: &Graph,
-    cfg: CongestConfig,
+    sim: &Simulator,
     state: &EngineState,
     weights: &EdgeWeights,
     active: &Subgraph,
     ledger: &mut Ledger,
 ) -> Vec<Option<Candidate>> {
-    let width = id_width(graph.node_count());
-    assert!(width <= cfg.bandwidth_bits, "fragment id exceeds B");
-    let sim = Simulator::new(graph, cfg);
-    let (nodes, report) = sim.run(
-        |info| {
-            let i = info.id.index();
-            Exchange {
-                frag: state.frag[i],
-                width,
-                active_ports: info
-                    .incident_edges
-                    .iter()
-                    .map(|&e| active.contains(e))
-                    .collect(),
-                nbr: vec![None; info.degree()],
-            }
-        },
-        stage_cap(graph.node_count()),
+    let width = id_width(sim.graph().node_count());
+    assert!(
+        width <= sim.config().bandwidth_bits,
+        "fragment id exceeds B"
     );
-    ledger.absorb(&report);
-
-    graph
+    let heard = exchange(sim, ledger, |info| {
+        let msg = Message::from_uint(state.frag[info.id.index()], width);
+        let ports = info.incident_edges.iter().enumerate();
+        ports
+            .filter(|&(_, &e)| active.contains(e))
+            .map(|(p, _)| (p, msg.clone()))
+            .collect()
+    });
+    sim.graph()
         .nodes()
         .map(|u| {
             let i = u.index();
-            let mut best: Option<Candidate> = None;
-            for (port, &(e, _)) in graph.incident(u).iter().enumerate() {
-                if !active.contains(e) {
-                    continue;
-                }
-                if let Some(nf) = nodes[i].nbr[port] {
-                    if nf != state.frag[i] {
-                        let cand = Candidate {
-                            weight: weights.weight(e),
-                            edge: e.0,
-                            to_frag: nf,
-                        };
-                        if cand.better_than(&best) {
-                            best = Some(cand);
-                        }
-                    }
-                }
-            }
-            best
+            let edges = &sim.info(u).incident_edges;
+            // Only active edges carry a fragment id.
+            let outgoing = heard[i].iter().zip(edges).filter_map(|(msg, &e)| {
+                let nf = msg.as_ref()?.as_uint(width)?;
+                (nf != state.frag[i]).then(|| Candidate {
+                    weight: weights.weight(e),
+                    edge: e.0,
+                    to_frag: nf,
+                })
+            });
+            outgoing.min_by_key(|c| (c.weight, c.edge))
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Stage: fragment-tree convergecast of (min candidate, size).
-// ---------------------------------------------------------------------------
-
-struct FragConverge {
-    parent_port: Option<usize>,
-    pending: Vec<usize>,
-    best: Option<(u64, u32)>,
-    size: u64,
-    ww: usize,
-    ew: usize,
-    sw: usize,
-    sent: bool,
-}
-
-impl FragConverge {
-    fn try_send(&mut self, out: &mut Outbox) {
-        if self.sent || !self.pending.is_empty() {
-            return;
-        }
-        self.sent = true;
-        if let Some(p) = self.parent_port {
-            let mut bits = BitString::new();
-            bits.push_uint(self.size, self.sw);
-            match self.best {
-                Some((w, e)) => {
-                    bits.push_bit(true);
-                    bits.push_uint(w, self.ww);
-                    bits.push_uint(e as u64, self.ew);
-                }
-                None => {
-                    bits.push_bit(false);
-                    bits.push_uint(0, self.ww);
-                    bits.push_uint(0, self.ew);
-                }
-            }
-            out.send(p, Message::from_bits(bits));
-        }
-    }
-}
-
-impl NodeAlgorithm for FragConverge {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.try_send(out);
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        for (port, msg) in inbox.iter() {
-            if let Some(pos) = self.pending.iter().position(|&c| c == port) {
-                self.pending.swap_remove(pos);
-                let mut r = msg.reader();
-                let size = r.read_uint(self.sw).expect("size field");
-                let present = r.read_bit().expect("flag field");
-                let w = r.read_uint(self.ww).expect("weight field");
-                let e = r.read_uint(self.ew).expect("edge field");
-                self.size += size;
-                if present {
-                    let cand = (w, e as u32);
-                    if self.best.is_none_or(|b| cand < b) {
-                        self.best = Some(cand);
-                    }
-                }
-            }
-        }
-        self.try_send(out);
-    }
-    fn is_terminated(&self) -> bool {
-        self.sent
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stage: decision broadcast down the fragment tree.
-// ---------------------------------------------------------------------------
-
-struct DecisionBroadcast {
-    decided: Option<u64>, // chosen edge id (roots that merge)
-    children: Vec<usize>,
-    incident: Vec<(usize, u32)>, // (port, edge id)
-    merge_port: Option<usize>,
-    ew: usize,
-    started: bool,
-}
-
-impl DecisionBroadcast {
-    fn forward(&mut self, out: &mut Outbox) {
-        if let Some(e) = self.decided {
-            for &c in &self.children {
-                out.send(c, Message::from_uint(e, self.ew));
-            }
-            if let Some(&(port, _)) = self.incident.iter().find(|&&(_, eid)| eid as u64 == e) {
-                self.merge_port = Some(port);
-            }
-        }
-    }
-}
-
-impl NodeAlgorithm for DecisionBroadcast {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.started = true;
-        self.forward(out);
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        if self.decided.is_none() {
-            if let Some((_, msg)) = inbox.iter().next() {
-                self.decided = msg.as_uint(self.ew);
-                self.forward(out);
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        self.started
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stage: notify the other endpoint of each chosen merge edge.
-// ---------------------------------------------------------------------------
-
-struct MergeNotify {
-    announce: Option<usize>, // my merge port, if my fragment chose it
-    merge_ports: Vec<usize>,
-    started: bool,
-}
-
-impl NodeAlgorithm for MergeNotify {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.started = true;
-        if let Some(p) = self.announce {
-            self.merge_ports.push(p);
-            out.send(p, Message::from_bit(true));
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, _out: &mut Outbox) {
-        for (port, _) in inbox.iter() {
-            if !self.merge_ports.contains(&port) {
-                self.merge_ports.push(port);
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        self.started
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,106 +410,94 @@ pub fn spanning_forest(
 
     // ---------------- Phase 1: local controlled merging ----------------
     for _phase in 0..fc.max_phases {
-        let cands = local_candidates(graph, cfg, &state, weights, active, ledger);
+        let cands = local_candidates(&sim, &state, weights, active, ledger);
 
-        // Convergecast (min candidate, size) within each fragment.
+        // Convergecast (size, min candidate) within each fragment.
         assert!(
             sw + 1 + ww + ew <= cfg.bandwidth_bits,
             "converge width exceeds B"
         );
-        let (conv, report) = sim.run(
-            |info| {
-                let i = info.id.index();
-                FragConverge {
-                    parent_port: state.fparent[i],
-                    pending: state.fchildren[i].clone(),
-                    best: cands[i].map(|c| (c.weight, c.edge)),
-                    size: 1,
-                    ww,
-                    ew,
-                    sw,
-                    sent: false,
+        let conv = converge(
+            &sim,
+            ledger,
+            &state.fparent,
+            &state.fchildren,
+            |i| (1u64, cands[i].map(|c| (c.weight, c.edge))),
+            |&(size, best)| {
+                let (w, e) = best.unwrap_or((0, 0));
+                let mut bits = BitString::new();
+                bits.push_uint(size, sw);
+                bits.push_bit(best.is_some());
+                bits.push_uint(w, ww);
+                bits.push_uint(e as u64, ew);
+                Message::from_bits(bits)
+            },
+            |(size, best), msg| {
+                let mut r = msg.reader();
+                *size += r.read_uint(sw).expect("size field");
+                let present = r.read_bit().expect("flag field");
+                let w = r.read_uint(ww).expect("weight field");
+                let e = r.read_uint(ew).expect("edge field") as u32;
+                if present && best.is_none_or(|b| (w, e) < b) {
+                    *best = Some((w, e));
                 }
             },
-            stage_cap(n),
         );
-        ledger.absorb(&report);
 
         // Roots decide; decision flows down the fragment tree.
-        let decisions: Vec<Option<u64>> = graph
-            .nodes()
-            .map(|u| {
-                let i = u.index();
-                if state.fparent[i].is_none() && (conv[i].size as usize) < fc.size_threshold {
-                    conv[i].best.map(|(_, e)| e as u64)
-                } else {
-                    None
-                }
+        let decisions: Vec<Option<u64>> = conv
+            .iter()
+            .zip(&state.fparent)
+            .map(|(&(size, best), parent)| {
+                let decides = parent.is_none() && (size as usize) < fc.size_threshold;
+                best.filter(|_| decides).map(|(_, e)| e as u64)
             })
             .collect();
         let any_decision = decisions.iter().any(Option::is_some);
         assert!(ew <= cfg.bandwidth_bits, "edge id exceeds B");
-        let (dec, report) = sim.run(
-            |info| {
-                let i = info.id.index();
-                DecisionBroadcast {
-                    decided: decisions[i],
-                    children: state.fchildren[i].clone(),
-                    incident: info
-                        .incident_edges
-                        .iter()
-                        .enumerate()
-                        .map(|(p, &e)| (p, e.0))
-                        .collect(),
-                    merge_port: None,
-                    ew,
-                    started: false,
-                }
-            },
-            stage_cap(n),
-        );
-        ledger.absorb(&report);
+        let decided = broadcast(&sim, ledger, &state.fchildren, |i| decisions[i], ew);
 
-        // Mark chosen edges and notify across them.
+        // The merge port is the one carrying the chosen edge; mark it
+        // chosen and notify across it.
+        let merge_port: Vec<Option<usize>> = graph
+            .nodes()
+            .map(|u| {
+                let e = decided[u.index()]?;
+                let edges = &sim.info(u).incident_edges;
+                edges.iter().position(|&eid| eid.0 as u64 == e)
+            })
+            .collect();
         for u in graph.nodes() {
-            let i = u.index();
-            if let Some(p) = dec[i].merge_port {
+            if let Some(p) = merge_port[u.index()] {
                 state.chosen[graph.incident(u)[p].0.index()] = true;
             }
         }
-        let (notif, report) = sim.run(
-            |info| MergeNotify {
-                announce: dec[info.id.index()].merge_port,
-                merge_ports: Vec::new(),
-                started: false,
-            },
-            stage_cap(n),
-        );
-        ledger.absorb(&report);
+        let notified = exchange(&sim, ledger, |info| {
+            let port = merge_port[info.id.index()];
+            port.map(|p| (p, Message::from_bit(true)))
+                .into_iter()
+                .collect()
+        });
 
         // Relabel by minimum-id flooding over tree + merge edges.
-        let (rel, report) = sim.run(
-            |info| {
-                let i = info.id.index();
-                let mut structure: Vec<usize> = state.fchildren[i].clone();
-                if let Some(p) = state.fparent[i] {
+        let rel = ledger.run(&sim, stage_cap(n), |info| {
+            let i = info.id.index();
+            let mut structure: Vec<usize> = state.fchildren[i].clone();
+            structure.extend(state.fparent[i]);
+            let heard = &notified[i];
+            let notifiers = (0..heard.len()).filter(|&p| heard[p].is_some());
+            for p in merge_port[i].into_iter().chain(notifiers) {
+                if !structure.contains(&p) {
                     structure.push(p);
                 }
-                for &p in &notif[i].merge_ports {
-                    if !structure.contains(&p) {
-                        structure.push(p);
-                    }
-                }
-                Relabel {
-                    cur: state.frag[i],
-                    parent_port: state.fparent[i],
-                    structure,
-                    width: idw,
-                }
-            },
-            stage_cap(n),
-        );
-        ledger.absorb(&report);
+            }
+            Relabel {
+                cur: state.frag[i],
+                parent_port: state.fparent[i],
+                structure,
+                width: idw,
+            }
+        });
         for u in graph.nodes() {
             let i = u.index();
             state.frag[i] = rel[i].cur;
@@ -708,8 +507,7 @@ pub fn spanning_forest(
                 rel[i].parent_port
             };
         }
-        let in_tree = vec![true; n];
-        state.fchildren = discover_children(graph, cfg, &state.fparent, &in_tree, ledger);
+        state.fchildren = discover_children(&sim, &state.fparent, ledger);
 
         // Global control: did any fragment initiate a merge this phase?
         let flags: Vec<u64> = decisions.iter().map(|d| u64::from(d.is_some())).collect();
@@ -731,27 +529,23 @@ pub fn spanning_forest(
         "downcast width exceeds B"
     );
     for _phase in 0..fc.max_phases {
-        let cands = local_candidates(graph, cfg, &state, weights, active, ledger);
-        let (up, report) = sim.run(
-            |info| {
-                let i = info.id.index();
-                let mut table = BTreeMap::new();
-                if let Some(c) = cands[i] {
-                    table.insert(state.frag[i], c);
-                }
-                PipedUpcast {
-                    parent_port: bfs.parent_port[i],
-                    pending_children: bfs.children_ports[i].clone(),
-                    table,
-                    done: false,
-                    idw,
-                    ww,
-                    ew,
-                }
-            },
-            stage_cap(n) + n,
-        );
-        ledger.absorb(&report);
+        let cands = local_candidates(&sim, &state, weights, active, ledger);
+        let up = ledger.run(&sim, stage_cap(n) + n, |info| {
+            let i = info.id.index();
+            let mut table = BTreeMap::new();
+            if let Some(c) = cands[i] {
+                table.insert(state.frag[i], c);
+            }
+            PipedUpcast {
+                parent_port: bfs.parent_port[i],
+                pending_children: bfs.children_ports[i].clone(),
+                table,
+                done: false,
+                idw,
+                ww,
+                ew,
+            }
+        });
         let root_table = &up[bfs.root.index()].table;
         if root_table.is_empty() {
             break;
@@ -796,34 +590,30 @@ pub fn spanning_forest(
         }
         stream.push_back(DownEntry::End);
 
-        let (down, report) = sim.run(
-            |info| {
-                let i = info.id.index();
-                let is_root = info.id == bfs.root;
-                Downcast {
-                    queue: if is_root {
-                        stream.clone()
-                    } else {
-                        VecDeque::new()
-                    },
-                    children: bfs.children_ports[i].clone(),
-                    frag: state.frag[i],
-                    incident: info
-                        .incident_edges
-                        .iter()
-                        .enumerate()
-                        .map(|(p, &e)| (p, e.0))
-                        .collect(),
-                    chosen_here: Vec::new(),
-                    is_root,
-                    ended: false,
-                    idw,
-                    ew,
-                }
-            },
-            stage_cap(n) + n,
-        );
-        ledger.absorb(&report);
+        let down = ledger.run(&sim, stage_cap(n) + n, |info| {
+            let i = info.id.index();
+            let is_root = info.id == bfs.root;
+            Downcast {
+                queue: if is_root {
+                    stream.clone()
+                } else {
+                    VecDeque::new()
+                },
+                children: bfs.children_ports[i].clone(),
+                frag: state.frag[i],
+                incident: info
+                    .incident_edges
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &e)| (p, e.0))
+                    .collect(),
+                chosen_here: Vec::new(),
+                is_root,
+                ended: false,
+                idw,
+                ew,
+            }
+        });
         for u in graph.nodes() {
             let i = u.index();
             state.frag[i] = down[i].frag;

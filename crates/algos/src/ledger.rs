@@ -1,6 +1,6 @@
 //! Cost accounting across composed simulation stages.
 
-use qdc_congest::RunReport;
+use qdc_congest::{NodeAlgorithm, NodeInfo, RunReport, Simulator};
 
 /// Accumulated cost of a multi-stage distributed algorithm.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,17 +38,21 @@ impl Ledger {
         self.stages += 1;
     }
 
-    /// Adds a fixed number of silent rounds (e.g. idealized waiting).
-    pub fn add_rounds(&mut self, rounds: usize) {
-        self.rounds += rounds;
-    }
-
-    /// Merges another ledger (e.g. a sub-algorithm's costs).
-    pub fn merge(&mut self, other: &Ledger) {
-        self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.bits += other.bits;
-        self.stages += other.stages;
+    /// Runs one stage on `sim` (at most `cap` rounds), charges it, and
+    /// hands back the final node states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stage hits `cap` without reaching quiescence.
+    pub(crate) fn run<A: NodeAlgorithm>(
+        &mut self,
+        sim: &Simulator,
+        cap: usize,
+        init: impl FnMut(&NodeInfo) -> A,
+    ) -> Vec<A> {
+        let (nodes, report) = sim.run(init, cap);
+        self.absorb(&report);
+        nodes
     }
 }
 
@@ -86,17 +90,5 @@ mod tests {
     #[should_panic(expected = "round cap")]
     fn incomplete_stage_rejected() {
         Ledger::new().absorb(&report(3, 1, 1, false));
-    }
-
-    #[test]
-    fn merge_combines_ledgers() {
-        let mut a = Ledger::new();
-        a.absorb(&report(1, 1, 1, true));
-        let mut b = Ledger::new();
-        b.absorb(&report(2, 2, 2, true));
-        b.add_rounds(7);
-        a.merge(&b);
-        assert_eq!(a.rounds, 10);
-        assert_eq!(a.stages, 2);
     }
 }

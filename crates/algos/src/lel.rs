@@ -135,22 +135,18 @@ pub fn distributed_le_lists(
     );
     let mut ledger = Ledger::new();
     let sim = Simulator::new(graph, cfg);
-    let (nodes, report) = sim.run(
-        |info| LeFlood {
-            accepted: vec![(0, ranks[info.id.index()], info.id.0)],
-            outbound: std::collections::VecDeque::new(),
-            port_weight: info
-                .incident_edges
-                .iter()
-                .map(|&e| weights.weight(e))
-                .collect(),
-            rank_width,
-            dist_width,
-            id_width,
-        },
-        stage_cap(n) + n * n,
-    );
-    ledger.absorb(&report);
+    let nodes = ledger.run(&sim, stage_cap(n) + n * n, |info| LeFlood {
+        accepted: vec![(0, ranks[info.id.index()], info.id.0)],
+        outbound: std::collections::VecDeque::new(),
+        port_weight: info
+            .incident_edges
+            .iter()
+            .map(|&e| weights.weight(e))
+            .collect(),
+        rank_width,
+        dist_width,
+        id_width,
+    });
     let lists = nodes
         .into_iter()
         .map(|s| {

@@ -142,20 +142,16 @@ pub fn mst_approx_sweep(
     let mut adopted: Vec<Option<usize>> = vec![None; n];
     let sim = Simulator::new(graph, cfg);
     for c in 1..=classes {
-        let (nodes, report) = sim.run(
-            |info| {
-                let i = info.id.index();
-                SweepNode {
-                    label: labels[i],
-                    port_class: info.incident_edges.iter().map(|&e| class_of(e)).collect(),
-                    current_class: c,
-                    adopted_port: adopted[i],
-                    width,
-                }
-            },
-            stage_cap(n),
-        );
-        ledger.absorb(&report);
+        let nodes = ledger.run(&sim, stage_cap(n), |info| {
+            let i = info.id.index();
+            SweepNode {
+                label: labels[i],
+                port_class: info.incident_edges.iter().map(|&e| class_of(e)).collect(),
+                current_class: c,
+                adopted_port: adopted[i],
+                width,
+            }
+        });
         for (i, s) in nodes.iter().enumerate() {
             labels[i] = s.label;
             adopted[i] = s.adopted_port;

@@ -87,20 +87,16 @@ pub fn distributed_sssp(
     );
     let mut ledger = Ledger::new();
     let sim = Simulator::new(graph, cfg);
-    let (nodes, report) = sim.run(
-        |info| BellmanFord {
-            dist: if info.id == source { 0 } else { u64::MAX },
-            parent_port: None,
-            port_weight: info
-                .incident_edges
-                .iter()
-                .map(|&e| weights.weight(e))
-                .collect(),
-            width,
-        },
-        stage_cap(n) + n,
-    );
-    ledger.absorb(&report);
+    let nodes = ledger.run(&sim, stage_cap(n) + n, |info| BellmanFord {
+        dist: if info.id == source { 0 } else { u64::MAX },
+        parent_port: None,
+        port_weight: info
+            .incident_edges
+            .iter()
+            .map(|&e| weights.weight(e))
+            .collect(),
+        width,
+    });
     SsspRun {
         dist: nodes.iter().map(|s| s.dist).collect(),
         parent_port: nodes.iter().map(|s| s.parent_port).collect(),

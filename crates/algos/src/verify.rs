@@ -12,9 +12,9 @@
 use crate::flood::{build_bfs_tree, elect_leader, BfsTreeInfo};
 use crate::fragments::{count_components, FragmentOutcome};
 use crate::ledger::Ledger;
-use crate::tree::{aggregate_to_root, broadcast_from_root, Agg};
+use crate::tree::{aggregate_to_root, broadcast_from_root, exchange, Agg};
 use crate::widths::bits_for;
-use qdc_congest::CongestConfig;
+use qdc_congest::{CongestConfig, Message, Simulator};
 use qdc_graph::{Graph, NodeId, Subgraph};
 
 /// Result of a distributed verification run.
@@ -147,40 +147,6 @@ pub fn verify_spanning_connected(
     recipe.decide(out.fragment_count == 1)
 }
 
-// ---------------------------------------------------------------------------
-// Indicator-variable consistency (Appendix A.2's one-round precheck).
-// ---------------------------------------------------------------------------
-
-struct IndicatorExchange {
-    claims: Vec<bool>,
-    mismatch: bool,
-    started: bool,
-}
-
-impl qdc_congest::NodeAlgorithm for IndicatorExchange {
-    fn on_start(&mut self, _info: &qdc_congest::NodeInfo, out: &mut qdc_congest::Outbox) {
-        self.started = true;
-        for (p, &bit) in self.claims.iter().enumerate() {
-            out.send(p, qdc_congest::Message::from_bit(bit));
-        }
-    }
-    fn on_round(
-        &mut self,
-        _info: &qdc_congest::NodeInfo,
-        inbox: &qdc_congest::Inbox,
-        _out: &mut qdc_congest::Outbox,
-    ) {
-        for (port, msg) in inbox.iter() {
-            if msg.as_bit() != Some(self.claims[port]) {
-                self.mismatch = true;
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        self.started
-    }
-}
-
 /// The Appendix A.2 consistency precheck: each node announces, per port,
 /// whether it believes the incident edge is in `M`; the two endpoints'
 /// claims must agree (`x_{u,v} = x_{v,u}`). One communication round plus
@@ -206,18 +172,25 @@ pub fn check_indicator_consistency(
         );
     }
     let mut ledger = Ledger::new();
-    let sim = qdc_congest::Simulator::new(graph, cfg);
-    let (nodes, report) = sim.run(
-        |info| IndicatorExchange {
-            claims: claims[info.id.index()].clone(),
-            mismatch: false,
-            started: false,
-        },
-        crate::flood::stage_cap(graph.node_count()),
-    );
-    ledger.absorb(&report);
+    let sim = Simulator::new(graph, cfg);
+    let heard = exchange(&sim, &mut ledger, |info| {
+        let mine = &claims[info.id.index()];
+        mine.iter()
+            .map(|&bit| Message::from_bit(bit))
+            .enumerate()
+            .collect()
+    });
+    // Every port hears its neighbour's claim on the shared edge.
+    let mismatch = |u: NodeId| {
+        let theirs = heard[u.index()]
+            .iter()
+            .map(|m| m.as_ref().and_then(Message::as_bit));
+        theirs
+            .zip(&claims[u.index()])
+            .any(|(bit, &mine)| bit != Some(mine))
+    };
     let mut recipe = Recipe::elect(graph, cfg, ledger);
-    let bad = recipe.aggregate(Agg::Or, 1, |u| u64::from(nodes[u.index()].mismatch)) == 1;
+    let bad = recipe.aggregate(Agg::Or, 1, |u| u64::from(mismatch(u))) == 1;
     recipe.decide(!bad)
 }
 

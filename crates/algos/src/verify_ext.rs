@@ -8,7 +8,7 @@
 
 use crate::flood::stage_cap;
 use crate::ledger::Ledger;
-use crate::tree::Agg;
+use crate::tree::{exchange, Agg};
 use crate::verify::{Recipe, VerificationRun};
 use crate::widths::{bits_for, id_width};
 use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
@@ -190,47 +190,6 @@ impl NodeAlgorithm for ParityFlood {
     }
 }
 
-struct ParityCheck {
-    origin: u64,
-    parity: bool,
-    active: Vec<bool>,
-    conflict: bool,
-    width: usize,
-    started: bool,
-}
-
-impl NodeAlgorithm for ParityCheck {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.started = true;
-        let mut bits = qdc_congest::BitString::new();
-        bits.push_uint(self.origin, self.width);
-        bits.push_bit(self.parity);
-        for p in 0..self.active.len() {
-            if self.active[p] {
-                out.send(p, Message::from_bits(bits.clone()));
-            }
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, _out: &mut Outbox) {
-        for (port, msg) in inbox.iter() {
-            if !self.active[port] {
-                continue;
-            }
-            let mut r = msg.reader();
-            let origin = r.read_uint(self.width).expect("origin");
-            let parity = r.read_bit().expect("parity");
-            // Same BFS-layer origin with equal parity across an M-edge ⇒
-            // an odd cycle.
-            if origin == self.origin && parity == self.parity {
-                self.conflict = true;
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        self.started
-    }
-}
-
 /// **Bipartiteness verification**: is `M` bipartite?
 ///
 /// Each `M`-component is 2-colored by a parity-carrying minimum-origin
@@ -243,36 +202,33 @@ pub fn verify_bipartiteness(graph: &Graph, cfg: CongestConfig, m: &Subgraph) -> 
     let mut ledger = Ledger::new();
     let sim = Simulator::new(graph, cfg);
 
-    let (flooded, report) = sim.run(
-        |info| ParityFlood {
-            origin: info.id.0 as u64,
-            parity: false,
-            active: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-            width,
-        },
-        stage_cap(n),
-    );
-    ledger.absorb(&report);
+    let flooded = ledger.run(&sim, stage_cap(n), |info| ParityFlood {
+        origin: info.id.0 as u64,
+        parity: false,
+        active: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
+        width,
+    });
 
-    let (checked, report) = sim.run(
-        |info| {
-            let i = info.id.index();
-            ParityCheck {
-                origin: flooded[i].origin,
-                parity: flooded[i].parity,
-                active: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-                conflict: false,
-                width,
-                started: false,
-            }
-        },
-        stage_cap(n),
-    );
-    ledger.absorb(&report);
+    let heard = exchange(&sim, &mut ledger, |info| {
+        let label = &flooded[info.id.index()];
+        let ports = (0..label.active.len()).filter(|&p| label.active[p]);
+        ports.map(|p| (p, label.encode())).collect()
+    });
+    // Same BFS-layer origin with equal parity across an M-edge ⇒ an odd
+    // cycle (only M-edges carry a label).
+    let conflict = |u: NodeId| {
+        let mine = &flooded[u.index()];
+        heard[u.index()].iter().flatten().any(|msg| {
+            let mut r = msg.reader();
+            let origin = r.read_uint(width).expect("origin");
+            let parity = r.read_bit().expect("parity");
+            origin == mine.origin && parity == mine.parity
+        })
+    };
 
     // OR-aggregate the conflicts over a BFS tree and broadcast back.
     let mut recipe = Recipe::elect(graph, cfg, ledger);
-    let conflict = recipe.aggregate(Agg::Or, 1, |u| u64::from(checked[u.index()].conflict)) == 1;
+    let conflict = recipe.aggregate(Agg::Or, 1, |u| u64::from(conflict(u))) == 1;
     recipe.decide(!conflict)
 }
 

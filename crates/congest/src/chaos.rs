@@ -57,10 +57,10 @@ pub struct ChaosConfig {
     /// Probability that a delivered message is dropped in flight.
     pub drop_prob: f64,
     /// Crash-stop schedule: `(v, r)` crashes node `v` at the start of
-    /// round `r` (1-based, matching [`StepSummary::round`]
-    /// (crate::StepSummary::round)). From round `r` on, `v` neither
-    /// sends nor receives — messages it queued in round `r − 1` are
-    /// still in flight and die with it.
+    /// round `r` (1-based, matching
+    /// [`StepSummary::round`](crate::StepSummary::round)). From round
+    /// `r` on, `v` neither sends nor receives — messages it queued in
+    /// round `r − 1` are still in flight and die with it.
     pub crash_schedule: Vec<(NodeId, usize)>,
     /// Probability that a surviving non-empty message is corrupted (one
     /// random bit flipped, or the payload truncated — never extended, so
@@ -149,13 +149,13 @@ pub enum FaultAction {
 /// per-node crash state, consulted by the round engine (and by the
 /// three-party replay in `qdc-simthm`) at delivery time.
 ///
-/// Determinism contract: callers must (1) call [`begin_round`]
-/// (FaultPlan::begin_round) exactly once per synchronous round before
-/// any delivery, and (2) call [`filter`](FaultPlan::filter) for every
-/// in-flight message in the engine's fixed delivery order (ascending
-/// sender id, then ascending port). Any harness that follows the same
-/// discipline stays in lockstep with the simulator under the same
-/// config.
+/// Determinism contract: callers must (1) call
+/// [`begin_round`](FaultPlan::begin_round) exactly once per synchronous
+/// round before any delivery, and (2) call
+/// [`filter`](FaultPlan::filter) for every in-flight message in the
+/// engine's fixed delivery order (ascending sender id, then ascending
+/// port). Any harness that follows the same discipline stays in
+/// lockstep with the simulator under the same config.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     rng: ChaCha8Rng,
@@ -223,8 +223,8 @@ impl FaultPlan {
         &self.fresh_crashes
     }
 
-    /// The current round (0 before the first [`begin_round`]
-    /// (FaultPlan::begin_round)).
+    /// The current round (0 before the first
+    /// [`begin_round`](FaultPlan::begin_round)).
     pub fn round(&self) -> usize {
         self.round
     }

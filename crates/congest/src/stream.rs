@@ -83,7 +83,7 @@ pub struct StreamHeader {
 }
 
 /// Running totals over every committed round — the O(1) replacement for
-/// the full [`RoundProfile`](crate::RoundProfile) series. All fields
+/// the full [`RoundProfile`] series. All fields
 /// merge by `+`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamTotals {

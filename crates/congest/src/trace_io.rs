@@ -84,12 +84,12 @@ impl TrafficTrace {
         out
     }
 
-    /// Parses a JSONL archive produced by [`to_jsonl`]
-    /// (TrafficTrace::to_jsonl). Insignificant whitespace is tolerated;
-    /// a wrong schema tag, a wrong round number, a missing final newline
-    /// (the writer always emits one — the parser demands it, keeping the
-    /// round-trip contract symmetric), or any malformed line is rejected
-    /// with a [`TraceParseError`].
+    /// Parses a JSONL archive produced by
+    /// [`to_jsonl`](TrafficTrace::to_jsonl). Insignificant whitespace is
+    /// tolerated; a wrong schema tag, a wrong round number, a missing
+    /// final newline (the writer always emits one — the parser demands
+    /// it, keeping the round-trip contract symmetric), or any malformed
+    /// line is rejected with a [`TraceParseError`].
     pub fn from_jsonl(text: &str) -> Result<TrafficTrace, TraceParseError> {
         if !text.is_empty() && !text.ends_with('\n') {
             return Err(TraceParseError {

@@ -2,7 +2,7 @@
 //!
 //! This crate provides the graph machinery that the rest of the
 //! reproduction of Elkin–Klauck–Nanongkai–Pandurangan (PODC 2014) is built
-//! on: an undirected [`Graph`] type, weighted graphs with aspect-ratio
+//! on: an undirected [`Graph`] type, [`EdgeWeights`] with aspect-ratio
 //! tracking, [`Subgraph`] indicators (the "subnetwork M of N" of the paper's
 //! Section 2.2), every verification predicate from Appendix A.2, sequential
 //! reference algorithms (BFS, Dijkstra, Kruskal, Stoer–Wagner, …) used as
@@ -37,4 +37,4 @@ pub mod predicates;
 pub use dsu::DisjointSets;
 pub use graph::{EdgeId, Graph, GraphBuilder, NodeId};
 pub use subgraph::Subgraph;
-pub use weighted::{EdgeWeights, WeightedGraph};
+pub use weighted::EdgeWeights;

@@ -1,4 +1,4 @@
-//! Weighted graphs and the weight aspect ratio `W` of Section 2.2.
+//! Edge weights and the weight aspect ratio `W` of Section 2.2.
 
 use crate::{EdgeId, Graph};
 
@@ -85,69 +85,6 @@ impl EdgeWeights {
     }
 }
 
-/// A graph bundled with its edge weights.
-///
-/// # Example
-///
-/// ```
-/// use qdc_graph::{Graph, WeightedGraph};
-///
-/// let wg = WeightedGraph::uniform(Graph::cycle(4));
-/// assert_eq!(wg.weights().aspect_ratio(), 1.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct WeightedGraph {
-    graph: Graph,
-    weights: EdgeWeights,
-}
-
-impl WeightedGraph {
-    /// Bundles `graph` with `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight vector does not match the graph.
-    pub fn new(graph: Graph, weights: EdgeWeights) -> Self {
-        assert_eq!(
-            weights.len(),
-            graph.edge_count(),
-            "weights must cover every edge"
-        );
-        WeightedGraph { graph, weights }
-    }
-
-    /// Bundles `graph` with uniform unit weights.
-    pub fn uniform(graph: Graph) -> Self {
-        let weights = EdgeWeights::uniform(&graph);
-        WeightedGraph { graph, weights }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The edge weights.
-    pub fn weights(&self) -> &EdgeWeights {
-        &self.weights
-    }
-
-    /// Mutable access to the edge weights.
-    pub fn weights_mut(&mut self) -> &mut EdgeWeights {
-        &mut self.weights
-    }
-
-    /// Weight of edge `e`.
-    pub fn weight(&self, e: EdgeId) -> u64 {
-        self.weights.weight(e)
-    }
-
-    /// Splits into parts.
-    pub fn into_parts(self) -> (Graph, EdgeWeights) {
-        (self.graph, self.weights)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,16 +119,6 @@ mod tests {
     fn wrong_length_rejected() {
         let g = Graph::path(3);
         EdgeWeights::from_vec(&g, vec![1]);
-    }
-
-    #[test]
-    fn weighted_graph_accessors() {
-        let mut wg = WeightedGraph::uniform(Graph::path(4));
-        wg.weights_mut().set(EdgeId(2), 5);
-        assert_eq!(wg.weight(EdgeId(2)), 5);
-        assert_eq!(wg.graph().node_count(), 4);
-        let (g, w) = wg.into_parts();
-        assert_eq!(g.edge_count(), w.len());
     }
 
     #[test]

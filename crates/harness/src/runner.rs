@@ -45,10 +45,10 @@
 //! [`Journal::append_line`](crate::journal::Journal::append_line)
 //! (single-write + fsync per line) instead of holding the campaign in
 //! memory, and on resume replays the surviving journal prefix via
-//! [`journal::resume`](crate::journal::resume) before executing only
-//! the missing tail. Cancellation ([`CancelToken`]) drains in-flight
-//! points, commits the contiguous prefix, and reports
-//! `interrupted: true` — the journal is always resumable.
+//! [`journal::resume`] before executing only the missing tail.
+//! Cancellation ([`CancelToken`]) drains in-flight points, commits the
+//! contiguous prefix, and reports `interrupted: true` — the journal is
+//! always resumable.
 
 use crate::journal::{self, Journal};
 use crate::point::{

@@ -76,9 +76,10 @@ where
 /// `begin_round` per synchronous round, then one `filter` per message
 /// in the simulator's delivery order (ascending sender id, then port) —
 /// so under the same config it observes **exactly** the drops,
-/// corruptions and crashes that [`Stepper::with_chaos`]
-/// (qdc_congest::Stepper::with_chaos) produces on the same network,
-/// and the replayed states still coincide with the direct run's. Paid
+/// corruptions and crashes that
+/// [`Stepper::with_chaos`](qdc_congest::Stepper::with_chaos) produces on
+/// the same network, and the replayed states still coincide with the
+/// direct run's. Paid
 /// bits are metered only for messages that survive the plan (a dropped
 /// message never crosses a party boundary); nodes that crash-stop are
 /// no longer stepped by their owner.
