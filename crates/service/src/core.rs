@@ -309,6 +309,12 @@ impl ServiceCore {
         Ok(requested)
     }
 
+    /// Never hands out an id at or below `id`: the startup scan passes
+    /// the largest id the data dir names, skipped damaged jobs included.
+    pub fn reserve_ids_through(&mut self, id: u64) {
+        self.next_id = self.next_id.max(id.saturating_add(1));
+    }
+
     /// Re-inserts a job recovered from the service data dir at startup.
     /// Incomplete jobs (`Queued`/`Running`/`Interrupted` on disk) are
     /// re-enqueued as [`JobState::Queued`]; completed ones keep their

@@ -72,6 +72,11 @@ pub struct ScanReport {
     /// The scan skips them rather than failing: one damaged job must not
     /// take the service down.
     pub warnings: Vec<String>,
+    /// The largest id that any `job_<id>.*` entry names, skipped jobs
+    /// included (0 when there is none). New jobs must be numbered past
+    /// it: a skipped job's id handed out again would have its document
+    /// overwritten and its journal resumed by a stranger.
+    pub max_id: u64,
 }
 
 /// Scans a service data dir and rebuilds every job from its submission
@@ -86,7 +91,13 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        if name.starts_with("job_") && name.ends_with(".json") {
+        let Some((id, _)) = name.strip_prefix("job_").and_then(|n| n.split_once('.')) else {
+            continue;
+        };
+        if let Ok(id) = id.parse::<u64>() {
+            report.max_id = report.max_id.max(id);
+        }
+        if name.ends_with(".json") {
             doc_paths.push(path);
         }
     }
@@ -199,6 +210,7 @@ mod tests {
         std::fs::write(dir.join("job_5.records.jsonl"), &over_long).expect("write");
 
         let report = scan_data_dir(&dir).expect("scans");
+        assert_eq!(report.max_id, 5, "skipped jobs count toward the largest id");
         assert_eq!(
             report.jobs.len(),
             3,

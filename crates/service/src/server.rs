@@ -43,7 +43,7 @@ use qdc_harness::{
     stream_telemetry_path, CampaignSpec, CancelToken, JournalConfig, RunOptions, TelemetryMode,
 };
 use std::io::{self, BufReader, Read as _, Seek as _, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -82,6 +82,9 @@ struct ServiceState {
     wake: Condvar,
     config: ServiceConfig,
     cancel: CancelToken,
+    /// The bound address, an unspecified IP mapped to loopback: where a
+    /// worker connects to wake the blocked accept loop for shutdown.
+    addr: SocketAddr,
 }
 
 /// Locks the core. A thread that panicked while holding the lock leaves
@@ -105,16 +108,26 @@ impl Server {
     /// Binds the listener, creates the data dir, and replays it: torn
     /// journals are truncated on record boundaries, completed jobs are
     /// restored as completed, and every incomplete job goes back on the
-    /// queue. Port `0` binds an ephemeral port (see
-    /// [`local_addr`](Server::local_addr)).
+    /// queue. New job ids start past every id the data dir names, so a
+    /// skipped damaged job's files are never reused. Port `0` binds an
+    /// ephemeral port (see [`local_addr`](Server::local_addr)).
     pub fn bind(addr: &str, config: ServiceConfig, cancel: CancelToken) -> io::Result<Server> {
         std::fs::create_dir_all(&config.data_dir)?;
         let report = scan_data_dir(&config.data_dir)?;
         let mut core = ServiceCore::new(config.quotas);
+        core.reserve_ids_through(report.max_id);
         for job in report.jobs {
             core.restore(job);
         }
         let listener = TcpListener::bind(addr)?;
+        let mut addr = listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(if addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
         Ok(Server {
             listener,
             state: Arc::new(ServiceState {
@@ -122,13 +135,14 @@ impl Server {
                 wake: Condvar::new(),
                 config,
                 cancel,
+                addr,
             }),
             scan_warnings: report.warnings,
         })
     }
 
     /// The address actually bound (resolves an ephemeral port).
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -138,13 +152,19 @@ impl Server {
     }
 
     /// Serves until the cancel token fires: accepts connections (one
-    /// thread each), runs the worker pool, then drains. Shutdown order
+    /// thread each), runs the worker pool, then drains.
+    ///
+    /// The accept blocks, so a request is served the moment it arrives.
+    /// The cancel token is an atomic flag that a signal handler sets and
+    /// that therefore cannot wake anything, so the wake-up comes from a
+    /// worker: once its wait sees the cancel it connects to the bound
+    /// address, and the accept loop, which re-checks the token after
+    /// every accept, drops that connection and stops. Shutdown order
     /// matters — stop accepting, let in-flight jobs reach their next
     /// journal flush (the cancel token interrupts them between points),
     /// join the workers, return. Queued jobs stay queued on disk; a
     /// restart re-enqueues them.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let workers: Vec<_> = (0..self.state.config.workers.max(1))
             .map(|_| {
                 let state = Arc::clone(&self.state);
@@ -154,6 +174,8 @@ impl Server {
 
         while !self.state.cancel.is_cancelled() {
             match self.listener.accept() {
+                // A worker's wake-up, or a client too late to be served.
+                Ok(_) if self.state.cancel.is_cancelled() => break,
                 Ok((stream, peer)) => {
                     let state = Arc::clone(&self.state);
                     std::thread::spawn(move || {
@@ -161,9 +183,7 @@ impl Server {
                         let _ = handle_connection(&state, stream, peer);
                     });
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
+                // A real accept error (EMFILE, ...): back off, don't spin.
                 Err(_) => std::thread::sleep(Duration::from_millis(15)),
             }
         }
@@ -186,6 +206,10 @@ fn worker_loop(state: &ServiceState) {
             let mut core = lock_core(state);
             loop {
                 if state.cancel.is_cancelled() {
+                    drop(core);
+                    // Wake the accept loop; if it has already stopped,
+                    // the refused connection is just as good.
+                    let _ = TcpStream::connect(state.addr);
                     return;
                 }
                 if let Some(job) = core.take_next() {
@@ -240,11 +264,7 @@ fn worker_loop(state: &ServiceState) {
 }
 
 /// One request per connection: parse, route, answer, close.
-fn handle_connection(
-    state: &ServiceState,
-    stream: TcpStream,
-    peer: std::net::SocketAddr,
-) -> io::Result<()> {
+fn handle_connection(state: &ServiceState, stream: TcpStream, peer: SocketAddr) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
@@ -307,7 +327,7 @@ fn parse_route(path: &str) -> Route {
 fn route(
     state: &ServiceState,
     req: &Request,
-    peer: std::net::SocketAddr,
+    peer: SocketAddr,
     w: &mut TcpStream,
 ) -> io::Result<()> {
     match (parse_route(&req.path), req.method.as_str()) {
@@ -373,7 +393,7 @@ fn parse_submission(doc: &Json) -> Result<(CampaignSpec, bool), String> {
 fn submit(
     state: &ServiceState,
     req: &Request,
-    peer: std::net::SocketAddr,
+    peer: SocketAddr,
     w: &mut TcpStream,
 ) -> io::Result<()> {
     let client = match req.header("x-qdc-client") {
@@ -610,6 +630,7 @@ mod tests {
             wake: Condvar::new(),
             config: ServiceConfig::default(),
             cancel: CancelToken::new(),
+            addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
         };
         std::thread::scope(|s| {
             let holder = s.spawn(|| {

@@ -7,12 +7,14 @@
 
 use qdc_harness::json::{self, Json};
 use qdc_harness::{builtin, run_campaign, Aggregate, CancelToken, RunOptions};
+use qdc_service::scan::job_doc_json;
 use qdc_service::{
     validate_error, validate_job, validate_status, QuotaConfig, Server, ServiceConfig,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -34,26 +36,45 @@ struct TestServer {
 
 impl TestServer {
     fn start(config: ServiceConfig) -> TestServer {
+        let (server, warnings) = TestServer::start_on("127.0.0.1:0", config);
+        assert!(warnings.is_empty(), "clean data dir");
+        server
+    }
+
+    /// Binds `addr`, recovers the data dir and serves; returns the
+    /// startup scan's warnings beside the server.
+    fn start_on(addr: &str, config: ServiceConfig) -> (TestServer, Vec<String>) {
         let cancel = CancelToken::new();
-        let server = Server::bind("127.0.0.1:0", config, cancel.clone()).expect("binds");
-        assert!(server.scan_warnings().is_empty(), "clean data dir");
+        let server = Server::bind(addr, config, cancel.clone()).expect("binds");
+        let warnings = server.scan_warnings().to_vec();
         let addr = server.local_addr().expect("bound").to_string();
         let handle = std::thread::spawn(move || server.run());
-        TestServer {
+        let server = TestServer {
             addr,
             cancel,
             handle: Some(handle),
-        }
+        };
+        (server, warnings)
     }
 
-    fn stop(mut self) {
+    fn stop(self) {
+        self.stop_within(Duration::from_secs(30));
+    }
+
+    /// Cancels the server and joins it, failing instead of hanging if
+    /// it is still running `deadline` after the cancel.
+    fn stop_within(mut self, deadline: Duration) {
         self.cancel.cancel();
-        self.handle
-            .take()
-            .expect("started")
-            .join()
-            .expect("no panic")
-            .expect("clean shutdown");
+        let cancelled = Instant::now();
+        let handle = self.handle.take().expect("started");
+        while !handle.is_finished() {
+            assert!(
+                cancelled.elapsed() < deadline,
+                "server still running {deadline:?} after cancel"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.join().expect("no panic").expect("clean shutdown");
     }
 }
 
@@ -476,5 +497,131 @@ fn loopback_telemetry_archives_are_served_byte_exactly() {
     assert_eq!(status, 404, "{no_telemetry}");
 
     server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loopback_requests_are_served_on_arrival() {
+    let dir = temp_dir("arrival");
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        ..ServiceConfig::default()
+    });
+    // Every round trip is a fresh connection, so any wait before the
+    // accept is paid 20 times over.
+    let started = Instant::now();
+    for _ in 0..20 {
+        let (status, body) = get(&server.addr, "/status");
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(150),
+        "20 sequential /status round trips took {elapsed:?}"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loopback_idle_wildcard_server_stops_promptly_on_cancel() {
+    let dir = temp_dir("wildcard");
+    let (server, warnings) = TestServer::start_on(
+        "0.0.0.0:0",
+        ServiceConfig {
+            data_dir: dir.clone(),
+            ..ServiceConfig::default()
+        },
+    );
+    assert!(warnings.is_empty(), "clean data dir");
+    // Let the accept loop block with nothing to serve: the shutdown
+    // wake-up must find it through the unspecified address.
+    std::thread::sleep(Duration::from_millis(100));
+    server.stop_within(Duration::from_secs(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The startup-scan fixture of `scan.rs`: job 1 has a complete journal,
+/// job 2 half a journal and a torn tail, job 3 none, job 4 a foreign
+/// journal and job 5 one record more than its grid, so the scan skips
+/// jobs 4 and 5.
+fn write_scan_fixture(dir: &Path) {
+    let spec = builtin("simthm_smoke").expect("builtin");
+    let jsonl = run_campaign(&spec, &RunOptions::default())
+        .expect("runs")
+        .deterministic_jsonl();
+    for (id, client) in [(1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e")] {
+        std::fs::write(
+            dir.join(format!("job_{id}.json")),
+            job_doc_json(id, client, false, &spec),
+        )
+        .expect("write doc");
+    }
+    std::fs::write(dir.join("job_1.records.jsonl"), &jsonl).expect("write");
+    let two_lines: String = jsonl.lines().take(2).map(|l| format!("{l}\n")).collect();
+    std::fs::write(
+        dir.join("job_2.records.jsonl"),
+        format!("{two_lines}{{\"torn"),
+    )
+    .expect("write");
+    std::fs::write(
+        dir.join("job_4.records.jsonl"),
+        jsonl.replace("simthm_smoke", "someone_elses"),
+    )
+    .expect("write");
+    let last = jsonl.lines().last().expect("line");
+    let over_long = format!("{jsonl}{}\n", last.replace("\"point\":3", "\"point\":4"));
+    std::fs::write(dir.join("job_5.records.jsonl"), over_long).expect("write");
+}
+
+#[test]
+fn loopback_never_reuses_a_skipped_jobs_id() {
+    let dir = temp_dir("skipped");
+    write_scan_fixture(&dir);
+    let skipped = [
+        "job_4.json",
+        "job_4.records.jsonl",
+        "job_5.json",
+        "job_5.records.jsonl",
+    ];
+    let before: Vec<Vec<u8>> = skipped
+        .iter()
+        .map(|name| std::fs::read(dir.join(name)).expect("fixture file"))
+        .collect();
+
+    let (server, warnings) = TestServer::start_on(
+        "127.0.0.1:0",
+        ServiceConfig {
+            data_dir: dir.clone(),
+            ..ServiceConfig::default()
+        },
+    );
+    assert_eq!(warnings.len(), 2, "jobs 4 and 5 are skipped: {warnings:?}");
+    let (status, receipt) = post(
+        &server.addr,
+        "/jobs",
+        "alice",
+        "{\"builtin\":\"simthm_smoke\"}",
+    );
+    assert_eq!(status, 201, "{receipt}");
+    assert!(receipt.contains("\"id\":6"), "{receipt}");
+
+    // The new job runs on a journal of its own, and the skipped jobs'
+    // files are left exactly as they were.
+    let done = wait_terminal(&server.addr, 6);
+    assert!(done.contains("\"state\":\"completed\""), "{done}");
+    let (_, streamed) = get(&server.addr, "/jobs/6/records");
+    let direct = run_campaign(
+        &builtin("simthm_smoke").expect("builtin"),
+        &RunOptions::default(),
+    )
+    .expect("runs")
+    .deterministic_jsonl();
+    assert_eq!(streamed, direct);
+    server.stop();
+    for (name, bytes) in skipped.iter().zip(&before) {
+        let after = std::fs::read(dir.join(name)).expect("still there");
+        assert!(&after == bytes, "{name} changed");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,7 +18,11 @@
 //! 4. **Thread invariance**: a campaign run with streaming telemetry
 //!    writes byte-identical archives at `--threads`/`--sim-threads`
 //!    1 and 4, and those archives' footers match the totals of the
-//!    exact-mode profiles of the same campaign.
+//!    exact-mode profiles of the same campaign;
+//! 5. **Eviction**: with fewer slots than keys, [`TopK`] follows its
+//!    documented space-saving rule observe by observe (a reference
+//!    model kept here is the oracle), and keeps the space-saving
+//!    bounds on every tracked key.
 //!
 //! The CI chaos job re-runs these under several `QDC_CHAOS_SEED`
 //! values; each individual case stays fully deterministic.
@@ -28,8 +32,10 @@ use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
     read_aggregate, ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox,
     QubitSplit, RoundProfiler, RunOptions, Simulator, StreamAggregate, StreamSink, TelemetryReport,
+    TopEntry, TopK,
 };
 use qdc::graph::{generate, Graph, NodeId};
+use std::cmp::Reverse;
 
 /// CI-provided seed perturbation (defaults to 0 for local runs).
 fn env_seed() -> u64 {
@@ -334,6 +340,80 @@ proptest! {
         let mut a_id = a.clone();
         a_id.merge(&empty).expect("no overflow");
         prop_assert_eq!(a_id, a, "the empty aggregate is the merge identity");
+    }
+}
+
+/// The rule [`TopK`] documents, kept deliberately plain: a hit adds;
+/// below capacity a newcomer is pushed with `err` 0; otherwise it
+/// replaces the (bits asc, index desc) minimum, whose weight it carries
+/// and is charged as `err`.
+fn space_saving_observe(
+    model: &mut Vec<TopEntry>,
+    cap: usize,
+    index: usize,
+    bits: u64,
+    messages: u64,
+) {
+    if let Some(e) = model.iter_mut().find(|e| e.index == index) {
+        e.bits += bits;
+        e.messages += messages;
+        return;
+    }
+    let err = if model.len() < cap {
+        0
+    } else {
+        let victim = (0..model.len())
+            .min_by_key(|&i| (model[i].bits, Reverse(model[i].index)))
+            .expect("a full sketch has a minimum");
+        model.swap_remove(victim).bits
+    };
+    model.push(TopEntry {
+        index,
+        bits: err + bits,
+        messages,
+        err,
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Weighted streams over more keys than slots: after every observe
+    /// the sketch ranks exactly what the reference model holds, its
+    /// weights sum to everything observed, and every tracked key's true
+    /// weight lies in `[bits - err, bits]`.
+    #[test]
+    fn topk_evicts_by_the_space_saving_rule(
+        keys in 1usize..=64,
+        cap in 1usize..=8,
+        stream in prop::collection::vec((0usize..64, 0u64..16, 1u64..4), 100..400),
+    ) {
+        let mut sketch = TopK::new(cap);
+        let mut model = Vec::new();
+        let mut true_bits = vec![0u64; keys];
+        let mut true_messages = vec![0u64; keys];
+        let mut observed = 0u64;
+        for (key, bits, messages) in stream {
+            let index = key % keys;
+            sketch.observe(index, bits, messages);
+            space_saving_observe(&mut model, cap, index, bits, messages);
+            true_bits[index] += bits;
+            true_messages[index] += messages;
+            observed += bits;
+
+            model.sort_by_key(|e| (Reverse(e.bits), e.index));
+            let ranked = sketch.ranked();
+            prop_assert_eq!(&ranked, &model);
+            prop_assert_eq!(ranked.iter().map(|e| e.bits).sum::<u64>(), observed);
+            for e in &ranked {
+                prop_assert!(
+                    e.bits - e.err <= true_bits[e.index] && true_bits[e.index] <= e.bits,
+                    "key {} weighs {} outside [{}, {}]",
+                    e.index, true_bits[e.index], e.bits - e.err, e.bits
+                );
+                prop_assert!(e.messages <= true_messages[e.index]);
+            }
+        }
     }
 }
 
