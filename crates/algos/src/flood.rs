@@ -464,10 +464,10 @@ mod tests {
             .expect("completes");
         assert_eq!(plain.informed, observed.informed);
         assert_eq!(plain.report, observed.report);
-        let telemetry = prof.finish();
-        assert_eq!(telemetry.total_messages(), observed.report.messages_sent);
-        assert_eq!(telemetry.total_bits(), observed.report.bits_sent);
-        assert_eq!(telemetry.total_dropped(), observed.report.messages_dropped);
+        let totals = prof.finish().totals();
+        assert_eq!(totals.messages, observed.report.messages_sent);
+        assert_eq!(totals.bits, observed.report.bits_sent);
+        assert_eq!(totals.dropped, observed.report.messages_dropped);
     }
 
     #[test]

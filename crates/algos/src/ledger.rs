@@ -59,7 +59,6 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdc_congest::ChannelKind;
 
     fn report(rounds: usize, messages: u64, bits: u64, completed: bool) -> RunReport {
         RunReport {
@@ -67,11 +66,7 @@ mod tests {
             completed,
             messages_sent: messages,
             bits_sent: bits,
-            max_bits_per_round: 0,
-            channel: ChannelKind::Classical,
-            messages_dropped: 0,
-            nodes_crashed: 0,
-            bits_corrupted: 0,
+            ..RunReport::default()
         }
     }
 

@@ -77,9 +77,11 @@
 //! `campaign verify` runs the recovery pass of resume and the service's
 //! startup scan, dry, on one file: `clean` (every byte committed),
 //! `recoverable` (valid prefix plus a torn tail that resume would
-//! truncate), or `foreign` (not this campaign's journal; without
-//! `--campaign`, the campaign is the one its first line names). Exit 0
-//! for the first two, 5 for foreign, 4 if the file cannot be read.
+//! truncate), `foreign` (not this campaign's journal; without
+//! `--campaign`, the campaign is the one its first line names), or
+//! `overflows` (folding its counters would pass `u64::MAX`, so resume
+//! refuses it). Exit 0 for the first two, 5 for the last two, 4 if the
+//! file cannot be read.
 //!
 //! On SIGINT/SIGTERM the runner drains in-flight points, flushes the
 //! journal, writes a partial summary marked `"interrupted": true`, and
@@ -97,6 +99,7 @@
 
 use qdc_bench::{cli, print_header, print_row};
 use qdc_congest::json::{self, Json};
+use qdc_congest::TotalsOverflow;
 use qdc_harness::{
     builtin, builtin_names, journal, journal_summary_json, run_campaign_journaled,
     validate_output_paths, CampaignRunError, CancelToken, JournalConfig, JournalOutcome,
@@ -247,7 +250,7 @@ fn self_check(
     let written =
         std::fs::read_to_string(out_path).map_err(|e| format!("cannot re-read journal: {e}"))?;
     let recovery = journal::recover(&written, &outcome.spec_name)?;
-    let n = recovery.entries.len();
+    let n = recovery.committed;
     if recovery.truncated_bytes > 0 {
         return Err(format!(
             "journal line {n} is not a valid record of point {n} of `{}`",
@@ -369,20 +372,21 @@ fn verify_main(args: &[String]) -> ! {
         None => Err("first line is not a campaign record".to_string()),
     };
     match verdict {
+        Err(reason) if reason.ends_with(&TotalsOverflow.to_string()) => {
+            cli::fail(5, format!("campaign verify: `{path}` overflows: {reason}"))
+        }
         Err(reason) => cli::fail(
             5,
             format!("campaign verify: `{path}` is not this campaign's journal: {reason}"),
         ),
         Ok(r) if r.truncated_bytes == 0 => println!(
             "{path}: clean — {} committed record(s), every byte accounted for",
-            r.entries.len()
+            r.committed
         ),
         Ok(r) => println!(
             "{path}: recoverable — {} committed record(s) in {} bytes, \
              torn tail of {} byte(s) would be truncated on resume",
-            r.entries.len(),
-            r.kept_bytes,
-            r.truncated_bytes
+            r.committed, r.kept_bytes, r.truncated_bytes
         ),
     }
     std::process::exit(0);

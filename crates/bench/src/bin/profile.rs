@@ -43,9 +43,10 @@
 //! path/highway/cross split of each round's bits is shown as well.
 //!
 //! Exit codes: `0` success, `2` usage, `4` an input cannot be read,
-//! `5` an archive is empty, truncated, or otherwise malformed, or
-//! `--merge` would push a total past `u64::MAX` (the parsers and the
-//! merge report structured errors — they never panic on bad input).
+//! `5` an archive is empty, truncated, or otherwise malformed, its
+//! round series would push a total past `u64::MAX`, or `--merge` would
+//! (the parsers and the merge report structured errors — they never
+//! panic on bad input).
 
 use qdc_bench::query::{expand_input, metric_value, render_summary, RoundWindow, METRICS};
 use qdc_bench::{cli, print_header, print_row};
@@ -280,10 +281,8 @@ fn main() {
     ];
     let split: &[&str] = &["path", "hwy", "cross"];
     let faults: &[&str] = &["drop", "corr", "crash"];
-    let any_faults = report
-        .rounds
-        .iter()
-        .any(|r| r.dropped + r.corrupted_bits + r.crashes > 0);
+    let totals = report.totals();
+    let any_faults = (totals.dropped, totals.corrupted_bits, totals.crashes) != (0, 0, 0);
     let mut cols: Vec<&str> = base.to_vec();
     if report.classified {
         cols.extend_from_slice(split);
@@ -336,9 +335,6 @@ fn main() {
     }
     println!(
         "totals: {} messages, {} bits, {} dropped, {} bits corrupted",
-        report.total_messages(),
-        report.total_bits(),
-        report.total_dropped(),
-        report.total_corrupted_bits()
+        totals.messages, totals.bits, totals.dropped, totals.corrupted_bits
     );
 }

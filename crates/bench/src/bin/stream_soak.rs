@@ -174,12 +174,8 @@ fn main() {
                 let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
                 println!("archive: {path} ({size} bytes)");
             }
-            (
-                profile.rounds.len() as u64,
-                profile.total_messages(),
-                profile.total_bits(),
-                profile.total_dropped(),
-            )
+            let totals = profile.totals();
+            (totals.rounds, totals.messages, totals.bits, totals.dropped)
         }
         _ => {
             let mut sink = NullTelemetry;

@@ -2,7 +2,8 @@
 //! and `stream_soak`: each case runs the real binary
 //! (`CARGO_BIN_EXE_<name>`) and checks its exit code and the first line
 //! it writes to stderr. `campaign verify`'s verdicts on a real journal
-//! are pinned the same way, with their stdout line.
+//! are pinned the same way, with their stdout line, and so are the
+//! refusals of `campaign resume` on that journal.
 //!
 //! Every case runs from a temporary directory of its own tool, so anything
 //! a rejected run might write lands there and is removed afterwards.
@@ -18,17 +19,27 @@ const PROFILE_USAGE: &str = "usage: profile <telemetry.jsonl> [--top K]";
 const SOAK_USAGE: &str = "usage: stream_soak [--rounds N] [--nodes N] [--seed S] \
      [--sink stream|exact|null] [--out PATH] [--top-k K]";
 const NOT_FOUND: &str = "No such file or directory (os error 2)";
+/// A `qdc-telemetry/v1` archive whose two rounds deliver u64::MAX + 1
+/// messages.
+const OVERFLOWING_ARCHIVE: &str = "\
+{\"schema\":\"qdc-telemetry/v1\",\"nodes\":2,\"edges\":1,\"bandwidth\":8,\"classified\":0,\"rounds\":2}
+{\"round\":1,\"messages\":18446744073709551615,\"bits\":8,\"dropped\":0,\"corrupted\":0,\"crashes\":0,\"quiescent\":0,\"util\":[1,0,0,0,1],\"split\":[0,0,0]}
+{\"round\":2,\"messages\":1,\"bits\":8,\"dropped\":0,\"corrupted\":0,\"crashes\":0,\"quiescent\":1,\"util\":[1,0,0,0,1],\"split\":[0,0,0]}
+{\"node_totals\":[[0,0,0,0],[0,0,0,0]]}
+{\"edge_totals\":[[0,0,0,0]]}
+";
 
 /// (arguments, exit code, first stderr line).
 type Case<'a> = (&'a [&'a str], i32, String);
 
-/// Runs every case of one tool from a fresh temporary directory holding a
-/// file `not_an_archive.txt`.
+/// Runs every case of one tool from a fresh temporary directory holding
+/// the files `not_an_archive.txt` and `overflow.telemetry.jsonl`.
 fn run_cases(tool: &str, exe: &str, cases: &[Case<'_>]) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("qdc_cli_exit_codes_{tool}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     std::fs::write(dir.join("not_an_archive.txt"), "not an archive\n").expect("fixture");
+    std::fs::write(dir.join("overflow.telemetry.jsonl"), OVERFLOWING_ARCHIVE).expect("fixture");
     for (args, code, first_line) in cases {
         let out = Command::new(exe)
             .args(*args)
@@ -119,9 +130,10 @@ fn campaign_error_paths() {
     run_cases("campaign", env!("CARGO_BIN_EXE_campaign"), cases);
 }
 
-/// `campaign verify`'s three verdicts on a journal the binary wrote
-/// itself: the exit code and the first line of stdout (verdicts) or
-/// stderr (refusals).
+/// `campaign verify`'s verdicts on a journal the binary wrote itself,
+/// and `campaign resume`'s refusals of its overflowing copies: the exit
+/// code and the first line of stdout (verdicts) or stderr (refusals).
+/// A refused journal is left byte-identical.
 #[test]
 fn campaign_verify_verdicts() {
     let exe = env!("CARGO_BIN_EXE_campaign");
@@ -157,6 +169,25 @@ fn campaign_verify_verdicts() {
         journal.replace("simthm_smoke", "someone_elses"),
     )
     .expect("foreign");
+    // Two lines whose first claims u64::MAX messages, and one line
+    // claiming u64::MAX − 1, which only the live fold of point 1 passes.
+    let sent = journal.split("\"messages_sent\":").nth(1).expect("metric");
+    let sent = format!(
+        "\"messages_sent\":{},",
+        &sent[..sent.find(',').expect("field")]
+    );
+    let first_lines = |n: usize, messages: u64| {
+        let lines: String = journal.lines().take(n).map(|l| format!("{l}\n")).collect();
+        lines.replacen(&sent, &format!("\"messages_sent\":{messages},"), 1)
+    };
+    let overflowing = [
+        ("overflow.jsonl", first_lines(2, u64::MAX)),
+        ("near_max.jsonl", first_lines(1, u64::MAX - 1)),
+    ];
+    for (name, text) in &overflowing {
+        std::fs::write(dir.join(name), text).expect("overflowing journal");
+    }
+    let refusal = "journal line 1: a running total would overflow u64";
 
     let cases: &[(&[&str], i32, &str, &str)] = &[
         (
@@ -186,6 +217,24 @@ fn campaign_verify_verdicts() {
              journal line 0 belongs to campaign `someone_elses`, not `simthm_smoke` \
              — refusing to truncate another campaign's results",
         ),
+        (
+            &["verify", "overflow.jsonl"],
+            5,
+            "",
+            &format!("campaign verify: `overflow.jsonl` overflows: {refusal}"),
+        ),
+        (
+            &["resume", "simthm_smoke", "--out", "overflow.jsonl"],
+            5,
+            "",
+            &format!("campaign: corrupt journal `overflow.jsonl`: {refusal}"),
+        ),
+        (
+            &["resume", "simthm_smoke", "--out", "near_max.jsonl"],
+            5,
+            "",
+            &format!("campaign: corrupt journal `near_max.jsonl`: {refusal}"),
+        ),
     ];
     for (args, code, stdout, stderr) in cases {
         assert_eq!(
@@ -193,6 +242,10 @@ fn campaign_verify_verdicts() {
             (Some(*code), stdout.to_string(), stderr.to_string()),
             "campaign {args:?}"
         );
+    }
+    for (name, text) in &overflowing {
+        let after = std::fs::read_to_string(dir.join(name)).expect("journal");
+        assert_eq!(&after, text, "{name} changed");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -212,6 +265,13 @@ fn profile_error_paths() {
             5,
             "profile: `not_an_archive.txt` is not a valid telemetry archive: \
              telemetry line 1: expected `{`, found `not an archive`"
+                .into(),
+        ),
+        (
+            &["overflow.telemetry.jsonl"],
+            5,
+            "profile: `overflow.telemetry.jsonl` is not a valid telemetry archive: \
+             telemetry line 3: a running total would overflow u64"
                 .into(),
         ),
         (

@@ -143,7 +143,7 @@ fn e2e_sigkill_midjob_then_restart_resumes_byte_identically() {
     assert!(partial.ends_with('\n'), "prefix ends on a record boundary");
     let recovery = journal::recover(&partial, "simthm_smoke").expect("own journal");
     assert_eq!(
-        (recovery.entries.len(), recovery.truncated_bytes),
+        (recovery.committed, recovery.truncated_bytes),
         (partial_lines, 0),
         "journal after SIGKILL should be clean"
     );

@@ -89,9 +89,8 @@ pub use bits::{BitReader, BitString};
 pub use chaos::{ChaosConfig, FaultAction, FaultPlan, FaultStats};
 pub use message::Message;
 pub use sim::{
-    ChannelKind, CongestConfig, Inbox, NodeAlgorithm, NodeInfo, Outbox, RunMetrics, RunOptions,
-    RunReport, SimError, Simulator, StepSummary, Stepper, TracedMessage, TrafficTrace,
-    WatchdogReport,
+    ChannelKind, CongestConfig, Inbox, NodeAlgorithm, NodeInfo, Outbox, RunOptions, RunReport,
+    SimError, Simulator, StepSummary, Stepper, TracedMessage, TrafficTrace, WatchdogReport,
 };
 pub use stream::{
     read_aggregate, StreamAggregate, StreamHeader, StreamReader, StreamRecord, StreamSink,

@@ -513,39 +513,8 @@ pub trait NodeAlgorithm: Send {
     fn is_terminated(&self) -> bool;
 }
 
-/// The plain-data metric vector of one run — everything a campaign
-/// aggregator needs, extracted from a [`RunReport`] by
-/// [`RunReport::metrics`].
-///
-/// Unlike `RunReport` it is `Eq` and fully integral (no channel label,
-/// no floats), so metric vectors can be compared, hashed, summed and
-/// folded into order-independent aggregates without worrying about
-/// float formatting or partial equality. All fields are `u64` so the
-/// same schema serializes identically on every platform.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct RunMetrics {
-    /// Communication rounds executed.
-    pub rounds: u64,
-    /// Whether the run reached quiescence (1) or hit its round cap (0) —
-    /// kept integral so the whole struct folds with sums and maxes.
-    pub completed: u64,
-    /// Total messages delivered.
-    pub messages_sent: u64,
-    /// Total payload bits (or qubits) delivered.
-    pub bits_sent: u64,
-    /// Maximum total payload bits delivered in any single round — the
-    /// run's peak congestion.
-    pub max_bits_per_round: u64,
-    /// Messages removed in flight by the fault layer.
-    pub messages_dropped: u64,
-    /// Nodes crash-stopped by the fault layer.
-    pub nodes_crashed: u64,
-    /// Payload bits flipped or truncated away by the fault layer.
-    pub bits_corrupted: u64,
-}
-
 /// Round and traffic accounting for one simulated run.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Number of communication rounds executed.
     pub rounds: usize,
@@ -557,8 +526,6 @@ pub struct RunReport {
     pub bits_sent: u64,
     /// Maximum total payload bits delivered in any single round.
     pub max_bits_per_round: u64,
-    /// The channel kind the run was accounted under.
-    pub channel: ChannelKind,
     /// Messages removed in flight by the fault layer (random drops plus
     /// messages lost to crashed endpoints). Zero on fault-free runs.
     pub messages_dropped: u64,
@@ -567,23 +534,6 @@ pub struct RunReport {
     /// Payload bits flipped or truncated away by the fault layer. Zero
     /// on fault-free runs.
     pub bits_corrupted: u64,
-}
-
-impl RunReport {
-    /// Extracts the integral metric vector of this run — a cheap `Copy`
-    /// suitable for cross-thread aggregation (see `qdc-harness`).
-    pub fn metrics(&self) -> RunMetrics {
-        RunMetrics {
-            rounds: self.rounds as u64,
-            completed: u64::from(self.completed),
-            messages_sent: self.messages_sent,
-            bits_sent: self.bits_sent,
-            max_bits_per_round: self.max_bits_per_round,
-            messages_dropped: self.messages_dropped,
-            nodes_crashed: self.nodes_crashed,
-            bits_corrupted: self.bits_corrupted,
-        }
-    }
 }
 
 /// One delivered message in a [`TrafficTrace`].
@@ -933,17 +883,7 @@ impl<'g> Simulator<'g> {
             plan,
             strict,
             defect,
-            report: RunReport {
-                rounds: 0,
-                completed: false,
-                messages_sent: 0,
-                bits_sent: 0,
-                max_bits_per_round: 0,
-                channel: self.config.channel,
-                messages_dropped: 0,
-                nodes_crashed: 0,
-                bits_corrupted: 0,
-            },
+            report: RunReport::default(),
         }
     }
 
@@ -1652,14 +1592,6 @@ mod tests {
     }
 
     #[test]
-    fn quantum_config_labels_report() {
-        let g = Graph::path(2);
-        let sim = Simulator::new(&g, CongestConfig::quantum(4));
-        let (_, report) = sim.run(|_| Silent, 1);
-        assert_eq!(report.channel, ChannelKind::Quantum);
-    }
-
-    #[test]
     fn stepper_matches_batch_run() {
         // Step-by-step execution produces the same final states and the
         // same per-round traffic as Simulator::run.
@@ -2136,8 +2068,7 @@ mod tests {
         sync::<ChaosConfig>();
         send::<FaultPlan>();
         send::<RunReport>();
-        send::<RunMetrics>();
-        sync::<RunMetrics>();
+        sync::<RunReport>();
         send::<TrafficTrace>();
         sync::<TrafficTrace>();
         send::<Message>();
@@ -2176,8 +2107,9 @@ mod tests {
         }
         // And the folded profile reproduces the report's totals.
         let report = prof.finish();
-        assert_eq!(report.total_messages(), observed_report.messages_sent);
-        assert_eq!(report.total_bits(), observed_report.bits_sent);
+        let totals = report.totals();
+        assert_eq!(totals.messages, observed_report.messages_sent);
+        assert_eq!(totals.bits, observed_report.bits_sent);
         assert_eq!(report.rounds.len(), observed_report.rounds);
         assert!(report.rounds.last().expect("ran rounds").quiescent);
     }
@@ -2207,16 +2139,16 @@ mod tests {
             assert_eq!(a.heard, b.heard);
         }
         let report = prof.finish();
-        assert_eq!(report.total_messages(), observed_report.messages_sent);
-        assert_eq!(report.total_bits(), observed_report.bits_sent);
-        assert_eq!(report.total_dropped(), observed_report.messages_dropped);
+        let t = report.totals();
         assert_eq!(
-            report.total_corrupted_bits(),
-            observed_report.bits_corrupted
-        );
-        assert_eq!(
-            report.rounds.iter().map(|r| r.crashes).sum::<u64>(),
-            observed_report.nodes_crashed
+            (t.messages, t.bits, t.dropped, t.corrupted_bits, t.crashes),
+            (
+                observed_report.messages_sent,
+                observed_report.bits_sent,
+                observed_report.messages_dropped,
+                observed_report.bits_corrupted,
+                observed_report.nodes_crashed
+            )
         );
         // Fault attribution lands on real edges of the crashed node.
         let edge_dropped: u64 = report.edge_totals.iter().map(|e| e.dropped).sum();
@@ -2246,36 +2178,5 @@ mod tests {
         let stepped = step_prof.finish();
         // Wall-clock differs by construction; everything else is equal.
         assert_eq!(batch.to_jsonl(false), stepped.to_jsonl(false));
-    }
-
-    #[test]
-    fn run_metrics_extraction_matches_report() {
-        let g = Graph::complete(5);
-        let sim = Simulator::new(&g, CongestConfig::classical(16));
-        let (_, report) = sim.run(
-            |info| HearAll {
-                heard: 0,
-                need: info.degree(),
-            },
-            10,
-        );
-        let m = report.metrics();
-        assert_eq!(m.rounds, report.rounds as u64);
-        assert_eq!(m.completed, 1);
-        assert_eq!(m.messages_sent, report.messages_sent);
-        assert_eq!(m.bits_sent, report.bits_sent);
-        assert_eq!(m.max_bits_per_round, report.max_bits_per_round);
-        assert_eq!(m.messages_dropped, 0);
-        assert_eq!(m.nodes_crashed, 0);
-        assert_eq!(m.bits_corrupted, 0);
-        // Metric vectors are Eq: two identical runs compare equal.
-        let (_, again) = sim.run(
-            |info| HearAll {
-                heard: 0,
-                need: info.degree(),
-            },
-            10,
-        );
-        assert_eq!(m, again.metrics());
     }
 }

@@ -37,6 +37,7 @@
 //! stays outside the byte-identical determinism contract.
 
 use crate::json::{Cursor, LineError};
+use crate::StreamTotals;
 use qdc_graph::{EdgeId, NodeId};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -368,25 +369,21 @@ impl From<LineError> for TelemetryParseError {
 }
 
 impl TelemetryReport {
-    /// Total messages delivered, summed over the round series — equals
-    /// `RunReport::messages_sent` of the observed run.
-    pub fn total_messages(&self) -> u64 {
-        self.rounds.iter().map(|r| r.messages).sum()
-    }
-
-    /// Total payload bits delivered — equals `RunReport::bits_sent`.
-    pub fn total_bits(&self) -> u64 {
-        self.rounds.iter().map(|r| r.bits).sum()
-    }
-
-    /// Total messages dropped — equals `RunReport::messages_dropped`.
-    pub fn total_dropped(&self) -> u64 {
-        self.rounds.iter().map(|r| r.dropped).sum()
-    }
-
-    /// Total corrupted bits — equals `RunReport::bits_corrupted`.
-    pub fn total_corrupted_bits(&self) -> u64 {
-        self.rounds.iter().map(|r| r.corrupted_bits).sum()
+    /// The round series folded by [`StreamTotals::absorb`], the fold
+    /// behind a stream archive's footer. Its counters equal the observed
+    /// run's [`RunReport`](crate::RunReport) counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a total would overflow `u64`.
+    /// [`from_jsonl`](TelemetryReport::from_jsonl) refuses such an
+    /// archive, and no run can deliver that much.
+    pub fn totals(&self) -> StreamTotals {
+        let mut totals = StreamTotals::default();
+        for r in &self.rounds {
+            totals.absorb(r);
+        }
+        totals
     }
 
     /// The `k` busiest edges by cumulative delivered bits, as
@@ -452,8 +449,9 @@ impl TelemetryReport {
     /// optional `wall_ns` fields). Insignificant whitespace is
     /// tolerated; a wrong schema tag, an unknown field, a non-integer
     /// value, an out-of-order round, a count that contradicts the
-    /// header, or a missing final newline is rejected with a
-    /// [`TelemetryParseError`]. On accepted input,
+    /// header, a round series whose [`totals`](TelemetryReport::totals)
+    /// would overflow `u64`, or a missing final newline is rejected
+    /// with a [`TelemetryParseError`]. On accepted input,
     /// `to_jsonl` ∘ `from_jsonl` is the identity up to whitespace and
     /// omitted `wall_ns` fields.
     pub fn from_jsonl(text: &str) -> Result<TelemetryReport, TelemetryParseError> {
@@ -496,6 +494,7 @@ impl TelemetryReport {
             edge_totals: Vec::new(),
         };
         let mut lines = lines.peekable();
+        let mut running = StreamTotals::default();
         while report.rounds.len() < round_count {
             let (line_no, line) = lines.next().ok_or(TelemetryParseError {
                 line: report.rounds.len() + 1,
@@ -506,6 +505,10 @@ impl TelemetryReport {
             })?;
             let mut c = Cursor::new(line_no, line);
             let p = parse_round_line(&mut c, report.rounds.len() + 1)?;
+            running.try_absorb(&p).map_err(|e| TelemetryParseError {
+                line: line_no,
+                msg: e.to_string(),
+            })?;
             report.rounds.push(p);
         }
 
@@ -1024,7 +1027,7 @@ mod tests {
             if with_wall {
                 assert_eq!(back, report, "wall form preserves everything");
             } else {
-                assert_eq!(back.total_bits(), report.total_bits());
+                assert_eq!(back.totals(), report.totals());
                 assert_eq!(back.rounds[0].wall_ns, 0, "wall omitted and zeroed");
             }
         }
@@ -1257,10 +1260,16 @@ mod tests {
         prof.on_crash(2, NodeId(2));
         prof.on_round_end(2, true, 2);
         let report = prof.finish();
-        assert_eq!(report.total_messages(), 2);
-        assert_eq!(report.total_bits(), 10);
-        assert_eq!(report.total_dropped(), 1);
-        assert_eq!(report.total_corrupted_bits(), 3);
+        let totals = report.totals();
+        assert_eq!(
+            (
+                totals.messages,
+                totals.bits,
+                totals.dropped,
+                totals.corrupted_bits
+            ),
+            (2, 10, 1, 3)
+        );
         assert_eq!(report.rounds[0].util, [2, 1, 0, 0, 1]);
         assert_eq!(
             report.rounds[1].util,

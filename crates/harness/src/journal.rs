@@ -31,17 +31,19 @@
 //! always lands on the newline fence of the last valid line. A line
 //! that is valid but names a *different campaign* is not truncatable
 //! damage — the caller pointed the runner at the wrong file — and
-//! surfaces as a hard error instead.
+//! surfaces as a hard error instead. So does a line whose counters
+//! would push the folded [`Aggregate`] past `u64::MAX`: the pass folds
+//! each kept line as it scans, so it holds O(1) state, and it refuses
+//! the file rather than wrap a total.
 //!
 //! [`resume`] is that pass for a writer: it also refuses more records
 //! than the grid has points, and it is the only code that truncates a
 //! journal. Read-only callers use [`recover`].
 
-use crate::point::{FAILURE_TABLE, RECORD_TABLE};
+use crate::point::{metrics_from_json, FAILURE_TABLE, RECORD_TABLE};
 use crate::runner::Aggregate;
 use crate::spec::{CampaignSpec, FAILURE_SCHEMA, POINT_SCHEMA};
 use qdc_congest::json::{self, Json};
-use qdc_congest::RunMetrics;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -90,57 +92,20 @@ impl Journal {
     }
 }
 
-/// One recovered journal line, reduced to exactly what the aggregate
-/// fold needs (the verbatim line bytes stay in the file untouched).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecoveredEntry {
-    /// A completed point record.
-    Point {
-        /// The record's traffic metrics.
-        metrics: RunMetrics,
-        /// The record's verdict field.
-        accept: Option<bool>,
-        /// Whether the record carried a (legacy) error string.
-        errored: bool,
-    },
-    /// A journaled point failure.
-    Failure {
-        /// How many attempts the supervisor made before giving up.
-        attempts: u64,
-    },
-}
-
 /// What the recovery pass found in an existing journal.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Recovery {
-    /// One entry per surviving line, in index order — entry `i` is
-    /// point `i`, so `entries.len()` is the first index left to run.
-    pub entries: Vec<RecoveredEntry>,
+    /// Lines that survived, which is the first point index left to run.
+    pub committed: usize,
+    /// The fold of the surviving lines: exactly the aggregate a live run
+    /// had when it committed the same prefix.
+    pub aggregate: Aggregate,
     /// Byte length of the surviving prefix (always on a `\n` fence).
     pub kept_bytes: usize,
     /// Bytes past the surviving prefix (torn tail; `0` for a clean
     /// journal). The caller truncates the file to `kept_bytes` before
     /// appending.
     pub truncated_bytes: usize,
-}
-
-impl Recovery {
-    /// The fold of the recovered entries: exactly the aggregate a live
-    /// run had when it committed the same prefix.
-    pub fn aggregate(&self) -> Aggregate {
-        let mut agg = Aggregate::default();
-        for entry in &self.entries {
-            match entry {
-                RecoveredEntry::Point {
-                    metrics,
-                    accept,
-                    errored,
-                } => agg.add_point(metrics, *accept, *errored),
-                RecoveredEntry::Failure { attempts } => agg.add_failure(*attempts),
-            }
-        }
-        agg
-    }
 }
 
 /// Recovers the journal at `path` for `spec` and truncates its torn
@@ -150,9 +115,8 @@ impl Recovery {
 /// # Errors
 ///
 /// The outer `Err` is an I/O failure. The inner `Err` means the file is
-/// not this campaign's journal: a line names another campaign, or it
-/// holds more records than the grid has points. Such a file is left
-/// untouched.
+/// refused: [`recover`] refuses it, or it holds more records than the
+/// grid has points. Such a file is left untouched.
 pub fn resume(path: &Path, spec: &CampaignSpec) -> io::Result<Result<Recovery, String>> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -164,10 +128,10 @@ pub fn resume(path: &Path, spec: &CampaignSpec) -> io::Result<Result<Recovery, S
         Err(reason) => return Ok(Err(reason)),
     };
     let points = spec.point_count();
-    if recovery.entries.len() as u64 > points {
+    if recovery.committed as u64 > points {
         return Ok(Err(format!(
             "journal holds {} records but the grid has only {points} points",
-            recovery.entries.len()
+            recovery.committed
         )));
     }
     if recovery.truncated_bytes > 0 {
@@ -179,55 +143,55 @@ pub fn resume(path: &Path, spec: &CampaignSpec) -> io::Result<Result<Recovery, S
 }
 
 /// Scans journal `text` for campaign `campaign` and returns the
-/// surviving prefix, per the recovery policy in the module docs.
+/// surviving prefix, folded line by line, per the recovery policy in
+/// the module docs.
 ///
 /// # Errors
 ///
 /// Returns a message when a (valid) line belongs to a different
 /// campaign — truncating someone else's results would destroy data, so
-/// that is a hard mismatch, not recoverable damage.
+/// that is a hard mismatch, not recoverable damage — or when folding a
+/// line would push a counter past `u64::MAX`. That message is
+/// `journal line <index>: ` followed by `TotalsOverflow`'s text, which
+/// is how `campaign verify` tells it from a foreign line.
 pub fn recover(text: &str, campaign: &str) -> Result<Recovery, String> {
-    let mut entries = Vec::new();
-    let mut kept = 0usize;
+    let mut recovery = Recovery::default();
     let mut pos = 0usize;
     while pos < text.len() {
         let Some(nl) = text[pos..].find('\n') else {
             break; // torn final line: no newline fence, truncate it
         };
         let line = &text[pos..pos + nl];
-        match classify_line(line, campaign, entries.len())? {
-            Some(entry) => {
-                entries.push(entry);
-                pos += nl + 1;
-                kept = pos;
-            }
-            None => break, // invalid line: truncate from here on
+        if !fold_line(line, campaign, recovery.committed, &mut recovery.aggregate)? {
+            break; // invalid line: truncate from here on
         }
+        pos += nl + 1;
+        recovery.committed += 1;
+        recovery.kept_bytes = pos;
     }
-    Ok(Recovery {
-        entries,
-        kept_bytes: kept,
-        truncated_bytes: text.len() - kept,
-    })
+    recovery.truncated_bytes = text.len() - recovery.kept_bytes;
+    Ok(recovery)
 }
 
-/// Validates one line in position `index`. `Ok(Some(_))` keeps it,
-/// `Ok(None)` truncates from here, `Err` is a campaign mismatch.
-fn classify_line(
+/// Validates the line in position `index` and folds it into
+/// `aggregate`. `Ok(true)` keeps it, `Ok(false)` truncates from here,
+/// and `Err` is a campaign mismatch or a refused fold.
+fn fold_line(
     line: &str,
     campaign: &str,
     index: usize,
-) -> Result<Option<RecoveredEntry>, String> {
+    aggregate: &mut Aggregate,
+) -> Result<bool, String> {
     let Ok(doc) = json::parse(line) else {
-        return Ok(None);
+        return Ok(false);
     };
     let (table, failure) = match doc.get("schema") {
         Some(Json::Str(s)) if s == POINT_SCHEMA => (&RECORD_TABLE, false),
         Some(Json::Str(s)) if s == FAILURE_SCHEMA => (&FAILURE_TABLE, true),
-        _ => return Ok(None),
+        _ => return Ok(false),
     };
     if json::check(&doc, table).is_err() {
-        return Ok(None);
+        return Ok(false);
     }
     // The line is schema-valid: now it must belong to *this* campaign…
     match doc.get("campaign") {
@@ -238,47 +202,36 @@ fn classify_line(
                  — refusing to truncate another campaign's results"
             ));
         }
-        _ => return Ok(None),
+        _ => return Ok(false),
     }
     // …and sit at its own index (the index-ordered commit contract).
     if doc.get("point").and_then(Json::as_u64) != Some(index as u64) {
-        return Ok(None);
+        return Ok(false);
     }
-    if failure {
-        let attempts = doc
-            .get("attempts")
-            .and_then(Json::as_u64)
-            .expect("validated above");
-        return Ok(Some(RecoveredEntry::Failure { attempts }));
-    }
-    let m = doc.get("metrics").expect("validated above");
-    let get = |k: &str| m.get(k).and_then(Json::as_u64).expect("validated above");
-    Ok(Some(RecoveredEntry::Point {
-        metrics: RunMetrics {
-            rounds: get("rounds"),
-            completed: get("completed"),
-            messages_sent: get("messages_sent"),
-            bits_sent: get("bits_sent"),
-            max_bits_per_round: get("max_bits_per_round"),
-            messages_dropped: get("messages_dropped"),
-            nodes_crashed: get("nodes_crashed"),
-            bits_corrupted: get("bits_corrupted"),
-        },
-        accept: match doc.get("accept") {
+    let folded = if failure {
+        let attempts = doc.get("attempts").and_then(Json::as_u64);
+        aggregate.add_failure(attempts.expect("validated above"))
+    } else {
+        let accept = match doc.get("accept") {
             Some(Json::Bool(b)) => Some(*b),
             _ => None,
-        },
-        errored: matches!(doc.get("error"), Some(Json::Str(_))),
-    }))
+        };
+        let errored = matches!(doc.get("error"), Some(Json::Str(_)));
+        metrics_from_json(doc.get("metrics").expect("validated above"))
+            .and_then(|report| aggregate.add_point(&report, accept, errored))
+    };
+    folded.map_err(|e| format!("journal line {index}: {e}"))?;
+    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::{execute_point, failure_json, record_json, PointFailure};
-    use crate::spec::PointSpec;
+    use crate::point::{execute_point, failure_json, record_json, PointFailure, PointRecord};
+    use crate::spec::{builtin, PointSpec};
+    use qdc_congest::{RunReport, TotalsOverflow};
 
-    fn sample_lines(campaign: &str) -> Vec<String> {
+    fn chaos_record(index: usize) -> PointRecord {
         let spec = PointSpec::Chaos {
             nodes: 8,
             extra_edges: 2,
@@ -286,19 +239,24 @@ mod tests {
             seed: 1,
             bandwidth: 4,
         };
-        let (rec0, _) = execute_point(0, &spec).expect("runs");
-        let (rec2, _) = execute_point(2, &spec).expect("runs");
-        let fail1 = PointFailure {
-            index: 1,
+        execute_point(index, &spec).expect("runs").0
+    }
+
+    fn watchdog_failure(index: usize) -> PointFailure {
+        PointFailure {
+            index,
             kind: "watchdog_tripped",
             retryable: true,
             attempts: 3,
             error: "watchdog tripped: no quiescence after 40 rounds".into(),
-        };
+        }
+    }
+
+    fn sample_lines(campaign: &str) -> Vec<String> {
         vec![
-            record_json(campaign, &rec0, false),
-            failure_json(campaign, &fail1),
-            record_json(campaign, &rec2, false),
+            record_json(campaign, &chaos_record(0), false),
+            failure_json(campaign, &watchdog_failure(1)),
+            record_json(campaign, &chaos_record(2), false),
         ]
     }
 
@@ -307,11 +265,13 @@ mod tests {
         let lines = sample_lines("t");
         let text = lines.join("\n") + "\n";
         let rec = recover(&text, "t").expect("clean journal");
-        assert_eq!(rec.entries.len(), 3);
+        assert_eq!(rec.committed, 3);
         assert_eq!(rec.kept_bytes, text.len());
         assert_eq!(rec.truncated_bytes, 0);
-        assert!(matches!(rec.entries[0], RecoveredEntry::Point { .. }));
-        assert_eq!(rec.entries[1], RecoveredEntry::Failure { attempts: 3 });
+        assert_eq!(
+            rec.aggregate,
+            Aggregate::fold_full(&[chaos_record(0), chaos_record(2)], &[watchdog_failure(1)])
+        );
     }
 
     #[test]
@@ -329,7 +289,7 @@ mod tests {
         ] {
             let torn = format!("{clean}{tail}");
             let rec = recover(&torn, "t").expect("recoverable");
-            assert_eq!(rec.entries.len(), 2, "tail {tail:?}");
+            assert_eq!(rec.committed, 2, "tail {tail:?}");
             assert_eq!(rec.kept_bytes, clean.len());
             assert_eq!(rec.truncated_bytes, tail.len());
         }
@@ -341,7 +301,7 @@ mod tests {
         // Drop line 1: line at position 1 then carries point index 2.
         let text = format!("{}\n{}\n", lines[0], lines[2]);
         let rec = recover(&text, "t").expect("recoverable");
-        assert_eq!(rec.entries.len(), 1);
+        assert_eq!(rec.committed, 1);
         assert_eq!(rec.kept_bytes, lines[0].len() + 1);
     }
 
@@ -355,7 +315,8 @@ mod tests {
     #[test]
     fn journal_recover_of_empty_text_resumes_from_zero() {
         let rec = recover("", "t").expect("empty journal");
-        assert!(rec.entries.is_empty());
+        assert_eq!(rec.committed, 0);
+        assert_eq!(rec.aggregate, Aggregate::default());
         assert_eq!(rec.kept_bytes, 0);
         assert_eq!(rec.truncated_bytes, 0);
     }
@@ -370,19 +331,82 @@ mod tests {
             bandwidth: 8,
         };
         let (orig, _) = execute_point(0, &spec).expect("runs");
-        let text = record_json("t", &orig, false) + "\n";
-        let rec = recover(&text, "t").expect("clean journal");
-        let RecoveredEntry::Point {
-            metrics,
-            accept,
-            errored,
-        } = &rec.entries[0]
-        else {
-            panic!("point line recovers as a point entry");
+        let line = record_json("t", &orig, false);
+        let doc = json::parse(&line).expect("record parses");
+        let metrics = doc.get("metrics").expect("metrics present");
+        assert_eq!(metrics_from_json(metrics), Ok(orig.metrics));
+        let rec = recover(&(line + "\n"), "t").expect("clean journal");
+        assert_eq!(rec.aggregate, Aggregate::fold_full(&[orig], &[]));
+    }
+
+    #[test]
+    fn journal_recover_refuses_a_fold_past_u64_max() {
+        let spec = builtin("simthm_smoke").expect("builtin");
+        let name = spec.name.as_str();
+        let mut heavy = chaos_record(0);
+        heavy.metrics.messages_sent = u64::MAX;
+        let mut next = chaos_record(1);
+        next.metrics.messages_sent = 1;
+        let max_attempts = |f: &PointFailure| {
+            failure_json(name, f).replace("\"attempts\":3", &format!("\"attempts\":{}", u64::MAX))
         };
-        assert_eq!(*metrics, orig.metrics);
-        assert_eq!(*accept, orig.accept);
-        assert!(!errored);
+        // Two point lines whose messages sum past u64::MAX, and two
+        // failure lines whose retries do.
+        for lines in [
+            [
+                record_json(name, &heavy, false),
+                record_json(name, &next, false),
+            ],
+            [
+                max_attempts(&watchdog_failure(0)),
+                max_attempts(&watchdog_failure(1)),
+            ],
+        ] {
+            recover(&format!("{}\n", lines[0]), name).expect("line 0 alone fits");
+            let text = format!("{}\n{}\n{{\"torn", lines[0], lines[1]);
+            let err = recover(&text, name).expect_err("the fold overflows");
+            assert_eq!(err, format!("journal line 1: {TotalsOverflow}"));
+
+            // `resume` refuses the file before it truncates anything.
+            let path = std::env::temp_dir().join(format!(
+                "qdc_journal_overflow_{}_{:?}.jsonl",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::write(&path, &text).expect("write");
+            let refused = resume(&path, &spec).expect("readable");
+            assert_eq!(refused.expect_err("refused"), err);
+            assert_eq!(std::fs::read_to_string(&path).expect("read"), text);
+            std::fs::remove_file(&path).expect("cleanup");
+        }
+    }
+
+    #[test]
+    fn journal_refused_folds_leave_the_aggregate_as_it_was() {
+        let mut agg = Aggregate::default();
+        let heavy = RunReport {
+            rounds: 3,
+            completed: true,
+            messages_sent: 10,
+            bits_sent: u64::MAX - 1,
+            max_bits_per_round: 7,
+            messages_dropped: 1,
+            nodes_crashed: 1,
+            bits_corrupted: 1,
+        };
+        agg.add_point(&heavy, Some(true), false).expect("fits");
+        agg.add_failure(u64::MAX).expect("fits");
+        let before = agg;
+        let light = RunReport {
+            max_bits_per_round: 9,
+            ..heavy
+        };
+        assert_eq!(
+            agg.add_point(&light, Some(false), true),
+            Err(TotalsOverflow)
+        );
+        assert_eq!(agg.add_failure(3), Err(TotalsOverflow));
+        assert_eq!(agg, before, "a refused fold moves no counter");
     }
 
     #[test]
@@ -403,8 +427,7 @@ mod tests {
             let rec = recover(prefix, "t").expect("prefix recovers");
             let complete = fence.iter().filter(|&&f| f <= cut).count();
             assert_eq!(
-                rec.entries.len(),
-                complete,
+                rec.committed, complete,
                 "cut at byte {cut}: every fully-written line survives"
             );
             assert_eq!(

@@ -25,8 +25,8 @@ use qdc_algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc_algos::verify::verify_hamiltonian_cycle;
 use qdc_congest::json::{self, Json, Shape, Table};
 use qdc_congest::{
-    ChaosConfig, CongestConfig, NodeClass, NullTelemetry, RoundProfiler, RunMetrics, RunOptions,
-    SimError, StreamSink, Telemetry, TelemetryReport, TrafficTrace,
+    ChaosConfig, CongestConfig, NodeClass, NullTelemetry, RoundProfiler, RunOptions, RunReport,
+    SimError, StreamSink, Telemetry, TelemetryReport, TotalsOverflow, TrafficTrace,
 };
 use qdc_graph::{generate, Graph, GraphBuilder, NodeId, Subgraph};
 use std::io::Write;
@@ -123,7 +123,7 @@ pub struct PointRecord {
     /// The grid coordinates of the point, as stable key/value pairs.
     pub params: Vec<(&'static str, Json)>,
     /// The run's traffic accounting.
-    pub metrics: RunMetrics,
+    pub metrics: RunReport,
     /// The point's pass/fail verdict, when it has one: budget adherence
     /// (simthm), full dissemination (chaos), verifier-vs-prediction
     /// agreement (gadget). `None` when the run errored before deciding.
@@ -589,7 +589,7 @@ fn execute_observed<O: Observer>(
                     ("seed", Json::Num(*seed)),
                     ("bandwidth", Json::Num(*bandwidth as u64)),
                 ],
-                out.report.metrics(),
+                out.report,
                 Some(informed == *nodes as u64),
                 vec![
                     ("informed", Json::Num(informed)),
@@ -605,12 +605,12 @@ fn execute_observed<O: Observer>(
             // The verifier composes several complete simulator stages;
             // its Ledger is the natural metrics source (no single trace
             // exists, so max_bits_per_round is not defined here).
-            let metrics = RunMetrics {
-                rounds: run.ledger.rounds as u64,
-                completed: 1,
+            let metrics = RunReport {
+                rounds: run.ledger.rounds,
+                completed: true,
                 messages_sent: run.ledger.messages,
                 bits_sent: run.ledger.bits,
-                ..RunMetrics::default()
+                ..RunReport::default()
             };
             let record = record(
                 "gadget",
@@ -659,7 +659,6 @@ fn execute_observed<O: Observer>(
                 classical_disjointness(&x, &y, *distance, cfg, options, &mut sink)
             };
             let telemetry = observer.finish(index, sink, true)?;
-            let metrics = report.metrics();
             // The measured curve must match the closed form: the quantum
             // bounce is exact (2·D rounds per query); the classical
             // pipeline may spend bounded quiescence slack on top.
@@ -668,10 +667,11 @@ fn execute_observed<O: Observer>(
             } else {
                 classical_rounds(*bits, *distance, *bandwidth)
             } as u64;
+            let rounds = report.rounds as u64;
             let rounds_ok = if *quantum {
-                metrics.rounds == predicted
+                rounds == predicted
             } else {
-                (predicted..=predicted + EX11_CLASSICAL_SLACK).contains(&metrics.rounds)
+                (predicted..=predicted + EX11_CLASSICAL_SLACK).contains(&rounds)
             };
             let mut extra = vec![
                 ("predicted_rounds", Json::Num(predicted)),
@@ -695,7 +695,7 @@ fn execute_observed<O: Observer>(
                         Json::Str(if *quantum { "quantum" } else { "classical" }.to_string()),
                     ),
                 ],
-                metrics,
+                report,
                 Some(run.disjoint != planted && rounds_ok),
                 extra,
             );
@@ -747,10 +747,10 @@ pub fn validate_failure_line(line: &str) -> Result<(), String> {
     json::check(&json::parse(line)?, &FAILURE_TABLE)
 }
 
-fn metrics_json(m: &RunMetrics) -> Json {
+fn metrics_json(m: &RunReport) -> Json {
     Json::obj([
-        ("rounds", Json::Num(m.rounds)),
-        ("completed", Json::Num(m.completed)),
+        ("rounds", Json::Num(m.rounds as u64)),
+        ("completed", Json::Num(u64::from(m.completed))),
         ("messages_sent", Json::Num(m.messages_sent)),
         ("bits_sent", Json::Num(m.bits_sent)),
         ("max_bits_per_round", Json::Num(m.max_bits_per_round)),
@@ -810,10 +810,27 @@ pub fn record_json(campaign: &str, rec: &PointRecord, with_wall: bool) -> String
     Json::Obj(fields).to_json()
 }
 
+/// Reads back the `metrics` object of a record that passed
+/// `RECORD_TABLE`. A round count past `usize` is refused like any other
+/// total past its type.
+pub(crate) fn metrics_from_json(m: &Json) -> Result<RunReport, TotalsOverflow> {
+    let get = |k: &str| m.get(k).and_then(Json::as_u64).expect("validated above");
+    Ok(RunReport {
+        rounds: usize::try_from(get("rounds")).map_err(|_| TotalsOverflow)?,
+        completed: get("completed") == 1,
+        messages_sent: get("messages_sent"),
+        bits_sent: get("bits_sent"),
+        max_bits_per_round: get("max_bits_per_round"),
+        messages_dropped: get("messages_dropped"),
+        nodes_crashed: get("nodes_crashed"),
+        bits_corrupted: get("bits_corrupted"),
+    })
+}
+
 const METRICS_TABLE: Table = Table {
     required: &[
         ("rounds", Shape::U64),
-        ("completed", Shape::U64),
+        ("completed", Shape::U64In(0, 1)),
         ("messages_sent", Shape::U64),
         ("bits_sent", Shape::U64),
         ("max_bits_per_round", Shape::U64),
@@ -926,9 +943,10 @@ mod tests {
             record_json("t", &plain, false),
             record_json("t", &observed, false)
         );
-        assert_eq!(telemetry.total_messages(), observed.metrics.messages_sent);
-        assert_eq!(telemetry.total_bits(), observed.metrics.bits_sent);
-        assert_eq!(telemetry.rounds.len() as u64, observed.metrics.rounds);
+        let totals = telemetry.totals();
+        assert_eq!(totals.messages, observed.metrics.messages_sent);
+        assert_eq!(totals.bits, observed.metrics.bits_sent);
+        assert_eq!(telemetry.rounds.len(), observed.metrics.rounds);
         assert!(
             telemetry.classified,
             "simthm profiles carry the traffic split"
@@ -951,8 +969,9 @@ mod tests {
             record_json("t", &plain, false),
             record_json("t", &rec, false)
         );
-        assert_eq!(telemetry.total_dropped(), rec.metrics.messages_dropped);
-        assert_eq!(telemetry.total_bits(), rec.metrics.bits_sent);
+        let totals = telemetry.totals();
+        assert_eq!(totals.dropped, rec.metrics.messages_dropped);
+        assert_eq!(totals.bits, rec.metrics.bits_sent);
         assert!(!telemetry.classified, "chaos hosts have no highway layout");
     }
 
@@ -1057,6 +1076,10 @@ mod tests {
             (
                 line.replace("\"rounds\"", "\"rundes\""),
                 "unknown metric key",
+            ),
+            (
+                line.replace("\"completed\":1", "\"completed\":2"),
+                "completed flag past 1",
             ),
             (
                 line.replace("\"wall_us\":", "\"wall_ms\":"),

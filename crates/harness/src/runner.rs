@@ -57,7 +57,7 @@ use crate::point::{
 };
 use crate::spec::{CampaignError, CampaignSpec, PointSpec, CAMPAIGN_SCHEMA};
 use qdc_congest::json::{self, Json, Shape, Table};
-use qdc_congest::{RunMetrics, TelemetryReport, TrafficTrace};
+use qdc_congest::{RunReport, TelemetryReport, TotalsOverflow, TrafficTrace};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -146,6 +146,11 @@ impl CancelToken {
     }
 }
 
+/// `a + b`, or [`TotalsOverflow`] past `u64::MAX`.
+fn sum(a: u64, b: u64) -> Result<u64, TotalsOverflow> {
+    a.checked_add(b).ok_or(TotalsOverflow)
+}
+
 /// Order-independent fold of every committed point's counters. All
 /// fields are `u64` and folded with `+`/`max` only, so the result
 /// cannot depend on evaluation order — see the module docs.
@@ -215,43 +220,64 @@ impl Aggregate {
         optional: &[],
     };
 
-    /// Folds one successful point into the counters.
-    pub fn add_point(&mut self, metrics: &RunMetrics, accept: Option<bool>, errored: bool) {
-        self.points += 1;
+    /// Folds one successful point into the counters. A point that would
+    /// push any counter past `u64::MAX` is refused whole: the counters
+    /// stay as they were.
+    pub fn add_point(
+        &mut self,
+        report: &RunReport,
+        accept: Option<bool>,
+        errored: bool,
+    ) -> Result<(), TotalsOverflow> {
+        let mut next = *self;
+        next.points = sum(next.points, 1)?;
         if errored {
-            self.errors += 1;
+            next.errors = sum(next.errors, 1)?;
         } else {
-            self.ok += 1;
+            next.ok = sum(next.ok, 1)?;
         }
         match accept {
-            Some(true) => self.accepted += 1,
-            Some(false) => self.rejected += 1,
+            Some(true) => next.accepted = sum(next.accepted, 1)?,
+            Some(false) => next.rejected = sum(next.rejected, 1)?,
             None => {}
         }
-        self.rounds += metrics.rounds;
-        self.messages += metrics.messages_sent;
-        self.bits += metrics.bits_sent;
-        self.max_bits_per_round = self.max_bits_per_round.max(metrics.max_bits_per_round);
-        self.dropped += metrics.messages_dropped;
-        self.crashed += metrics.nodes_crashed;
-        self.corrupted += metrics.bits_corrupted;
+        next.rounds = sum(next.rounds, report.rounds as u64)?;
+        next.messages = sum(next.messages, report.messages_sent)?;
+        next.bits = sum(next.bits, report.bits_sent)?;
+        next.max_bits_per_round = next.max_bits_per_round.max(report.max_bits_per_round);
+        next.dropped = sum(next.dropped, report.messages_dropped)?;
+        next.crashed = sum(next.crashed, report.nodes_crashed)?;
+        next.corrupted = sum(next.corrupted, report.bits_corrupted)?;
+        *self = next;
+        Ok(())
     }
 
-    /// Folds one journaled failure into the counters.
-    pub fn add_failure(&mut self, attempts: u64) {
-        self.points += 1;
-        self.points_failed += 1;
-        self.points_retried += attempts.saturating_sub(1);
+    /// Folds one journaled failure into the counters, refused whole like
+    /// [`add_point`](Aggregate::add_point) on overflow.
+    pub fn add_failure(&mut self, attempts: u64) -> Result<(), TotalsOverflow> {
+        let mut next = *self;
+        next.points = sum(next.points, 1)?;
+        next.points_failed = sum(next.points_failed, 1)?;
+        next.points_retried = sum(next.points_retried, attempts.saturating_sub(1))?;
+        *self = next;
+        Ok(())
     }
 
     /// Folds records and failures together (in any order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter would overflow `u64`, which the counts of
+    /// points run in one process cannot reach.
     pub fn fold_full(records: &[PointRecord], failures: &[PointFailure]) -> Aggregate {
         let mut agg = Aggregate::default();
         for rec in records {
-            agg.add_point(&rec.metrics, rec.accept, rec.error.is_some());
+            agg.add_point(&rec.metrics, rec.accept, rec.error.is_some())
+                .expect("in-process counters fit u64");
         }
         for f in failures {
-            agg.add_failure(u64::from(f.attempts));
+            agg.add_failure(u64::from(f.attempts))
+                .expect("in-process counters fit u64");
         }
         agg
     }
@@ -513,16 +539,17 @@ struct ExecStatus {
 /// The shared execution engine: dispense indices to supervised workers,
 /// reorder completions, and hand each outcome to `commit` in strict
 /// index order starting at `start_at`. `commit` failing (an I/O error
-/// from the journal) cancels the run and surfaces the error.
+/// from the journal, or a refused fold) cancels the run and surfaces
+/// the error.
 fn execute_grid<F>(
     points: &[PointSpec],
     start_at: usize,
     options: &RunOptions,
     cancel: &CancelToken,
     mut commit: F,
-) -> std::io::Result<ExecStatus>
+) -> Result<ExecStatus, CampaignRunError>
 where
-    F: FnMut(usize, PointOutcome) -> std::io::Result<()>,
+    F: FnMut(usize, PointOutcome) -> Result<(), CampaignRunError>,
 {
     let total = points.len();
     let mut committed = start_at.min(total);
@@ -530,7 +557,7 @@ where
         let threads = options.threads.min(total - committed).max(1);
         let next = AtomicUsize::new(committed);
         let mut buffer: BTreeMap<usize, PointOutcome> = BTreeMap::new();
-        let mut commit_err: Option<std::io::Error> = None;
+        let mut commit_err: Option<CampaignRunError> = None;
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<(usize, PointOutcome)>();
             let mut handles = Vec::with_capacity(threads);
@@ -765,7 +792,7 @@ pub fn run_campaign_journaled(
     let (mut aggregate, recovered) = if config.resume {
         let recovery = journal::resume(Path::new(&config.out_path), spec)?
             .map_err(CampaignRunError::Corrupt)?;
-        (recovery.aggregate(), recovery.entries.len())
+        (recovery.aggregate, recovery.committed)
     } else {
         (Aggregate::default(), 0)
     };
@@ -783,6 +810,16 @@ pub fn run_campaign_journaled(
     }
 
     let status = execute_grid(&points, recovered, options, cancel, |i, out| {
+        // Fold before appending, so a journal never holds a prefix whose
+        // fold `journal::recover` would refuse.
+        match &out {
+            PointOutcome::Done(slot) => {
+                let rec = &slot.0;
+                aggregate.add_point(&rec.metrics, rec.accept, rec.error.is_some())
+            }
+            PointOutcome::Failed(f) => aggregate.add_failure(u64::from(f.attempts)),
+        }
+        .map_err(|e| CampaignRunError::Corrupt(format!("journal line {i}: {e}")))?;
         match out {
             PointOutcome::Done(slot) => {
                 let (rec, trace, profile) = &*slot;
@@ -798,12 +835,8 @@ pub fn run_campaign_journaled(
                     Staged::write(stream_telemetry_path(dir, i), archive.as_bytes())?;
                 }
                 journal.append_line(&record_json(&spec.name, rec, config.with_wall))?;
-                aggregate.add_point(&rec.metrics, rec.accept, rec.error.is_some());
             }
-            PointOutcome::Failed(f) => {
-                journal.append_line(&failure_json(&spec.name, &f))?;
-                aggregate.add_failure(u64::from(f.attempts));
-            }
+            PointOutcome::Failed(f) => journal.append_line(&failure_json(&spec.name, &f))?,
         }
         Ok(())
     })?;
@@ -923,9 +956,10 @@ mod tests {
         assert_eq!(observed.telemetry.len(), observed.records.len());
         for (rec, profile) in observed.records.iter().zip(&observed.telemetry) {
             let profile = profile.as_ref().expect("simthm points are profiled");
-            assert_eq!(profile.total_messages(), rec.metrics.messages_sent);
-            assert_eq!(profile.total_bits(), rec.metrics.bits_sent);
-            assert_eq!(profile.rounds.len() as u64, rec.metrics.rounds);
+            let totals = profile.totals();
+            assert_eq!(totals.messages, rec.metrics.messages_sent);
+            assert_eq!(totals.bits, rec.metrics.bits_sent);
+            assert_eq!(profile.rounds.len(), rec.metrics.rounds);
         }
     }
 

@@ -121,13 +121,13 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
             Ok(recovery) => recovery,
             Err(reason) => {
                 report.warnings.push(format!(
-                    "{}: foreign journal, job {id} skipped: {reason}",
+                    "{}: journal refused, job {id} skipped: {reason}",
                     records_path.display()
                 ));
                 continue;
             }
         };
-        let committed = recovery.entries.len() as u64;
+        let committed = recovery.committed as u64;
         let state = if committed == total_points {
             JobState::Completed
         } else {
@@ -141,7 +141,7 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
             total_points,
             state,
             committed,
-            aggregate: recovery.aggregate(),
+            aggregate: recovery.aggregate,
         });
     }
     report.jobs.sort_by_key(|j| j.id);
@@ -185,8 +185,9 @@ mod tests {
 
         // Job 1: complete journal. Job 2: half a journal plus a torn
         // tail. Job 3: no journal yet. Job 4: a foreign journal. Job 5:
-        // one record more than its grid has points.
-        for (id, client) in [(1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e")] {
+        // one record more than its grid has points. Job 6: a first
+        // record claiming u64::MAX messages, so the fold overflows.
+        for (id, client) in [(1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e"), (6, "f")] {
             std::fs::write(
                 dir.join(format!("job_{id}.json")),
                 job_doc_json(id, client, false, &spec),
@@ -208,15 +209,28 @@ mod tests {
         let last = jsonl.lines().last().expect("line");
         let over_long = format!("{jsonl}{}\n", last.replace("\"point\":3", "\"point\":4"));
         std::fs::write(dir.join("job_5.records.jsonl"), &over_long).expect("write");
+        let sent = jsonl.split("\"messages_sent\":").nth(1).expect("metric");
+        let sent = &sent[..sent.find(',').expect("next field")];
+        let overflowing = jsonl.replacen(
+            &format!("\"messages_sent\":{sent},"),
+            &format!("\"messages_sent\":{},", u64::MAX),
+            1,
+        );
+        std::fs::write(dir.join("job_6.records.jsonl"), &overflowing).expect("write");
 
         let report = scan_data_dir(&dir).expect("scans");
-        assert_eq!(report.max_id, 5, "skipped jobs count toward the largest id");
+        assert_eq!(report.max_id, 6, "skipped jobs count toward the largest id");
         assert_eq!(
             report.jobs.len(),
             3,
-            "foreign job 4 and over-long job 5 are skipped"
+            "foreign job 4, over-long job 5 and overflowing job 6 are skipped"
         );
-        assert_eq!(report.warnings.len(), 2, "and warned about");
+        assert_eq!(report.warnings.len(), 3, "and warned about");
+        assert!(
+            report.warnings[2].contains("job 6 skipped: journal line 1"),
+            "{:?}",
+            report.warnings
+        );
         let by_id: Vec<_> = report
             .jobs
             .iter()
@@ -236,6 +250,8 @@ mod tests {
         // A refused journal is left as it was.
         let refused = std::fs::read_to_string(dir.join("job_5.records.jsonl")).expect("read");
         assert_eq!(refused, over_long);
+        let refused = std::fs::read_to_string(dir.join("job_6.records.jsonl")).expect("read");
+        assert_eq!(refused, overflowing);
 
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -467,7 +467,8 @@ fn persist_job_doc(path: &std::path::Path, job: &crate::core::Job) -> io::Result
 }
 
 /// `GET /jobs/<id>` — the stored job, with live progress folded in from
-/// the journal while it runs.
+/// the journal while it runs. A journal that recovery refuses leaves the
+/// stored progress as it was.
 fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
     let job = {
         let core = lock_core(state);
@@ -482,8 +483,8 @@ fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()
         // truncate it (`journal::resume` would).
         if let Ok(text) = std::fs::read_to_string(&records_path) {
             if let Ok(recovery) = journal::recover(&text, &job.spec.name) {
-                job.committed = recovery.entries.len() as u64;
-                job.aggregate = recovery.aggregate();
+                job.committed = recovery.committed as u64;
+                job.aggregate = recovery.aggregate;
             }
         }
     }

@@ -5,8 +5,11 @@
 //! deterministic run of the same spec produces — plus the structured
 //! rejection and recovery behaviours that need an actual socket.
 
+use qdc_congest::TelemetryReport;
 use qdc_harness::json::{self, Json};
-use qdc_harness::{builtin, run_campaign, Aggregate, CancelToken, RunOptions};
+use qdc_harness::{
+    builtin, journal, run_campaign, stream_telemetry_path, Aggregate, CancelToken, RunOptions,
+};
 use qdc_service::scan::job_doc_json;
 use qdc_service::{
     validate_error, validate_job, validate_status, QuotaConfig, Server, ServiceConfig,
@@ -497,6 +500,72 @@ fn loopback_telemetry_archives_are_served_byte_exactly() {
     assert_eq!(status, 404, "{no_telemetry}");
 
     server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Conservation end to end: a chaos job with telemetry, run by the
+/// service. Every point's archive folds to its record's metrics, and the
+/// journal's recovered fold, the job document's aggregate and an
+/// in-process run's aggregate are one value.
+#[test]
+fn loopback_chaos_job_conserves_traffic_across_layers() {
+    let dir = temp_dir("conservation");
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        ..ServiceConfig::default()
+    });
+    let (status, receipt) = post(
+        &server.addr,
+        "/jobs",
+        "alice",
+        "{\"builtin\":\"chaos_ensemble\",\"telemetry\":true}",
+    );
+    assert_eq!(status, 201, "{receipt}");
+    let done = wait_terminal(&server.addr, 1);
+    assert!(done.contains("\"state\":\"completed\""), "{done}");
+    server.stop();
+
+    let text = std::fs::read_to_string(dir.join("job_1.records.jsonl")).expect("journal");
+    for (i, line) in text.lines().enumerate() {
+        let record = json::parse(line).expect("record parses");
+        let metrics = record.get("metrics").expect("a point record");
+        let get = |k: &str| metrics.get(k).and_then(Json::as_u64).expect(k);
+        let archive =
+            std::fs::read_to_string(stream_telemetry_path(dir.join("job_1.telemetry"), i))
+                .expect("archive");
+        let report = TelemetryReport::from_jsonl(&archive).expect("archive parses");
+        let t = report.totals();
+        assert_eq!(
+            [
+                t.rounds,
+                t.messages,
+                t.bits,
+                t.dropped,
+                t.crashes,
+                t.corrupted_bits
+            ],
+            [
+                "rounds",
+                "messages_sent",
+                "bits_sent",
+                "messages_dropped",
+                "nodes_crashed",
+                "bits_corrupted"
+            ]
+            .map(get),
+            "point {i}"
+        );
+        let peak = report.rounds.iter().map(|r| r.bits).max().unwrap_or(0);
+        assert_eq!(peak, get("max_bits_per_round"), "point {i}");
+    }
+
+    let spec = builtin("chaos_ensemble").expect("builtin");
+    let recovered = journal::recover(&text, &spec.name).expect("own journal");
+    let direct = run_campaign(&spec, &RunOptions::default()).expect("runs");
+    assert_eq!(recovered.committed, direct.records.len());
+    assert_eq!(recovered.aggregate, direct.aggregate);
+    let job = json::parse(done.trim_end()).expect("job document parses");
+    assert_eq!(job.get("aggregate"), Some(&direct.aggregate.to_json()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

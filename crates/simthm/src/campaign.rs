@@ -13,7 +13,7 @@
 
 use crate::network::SimulationNetwork;
 use crate::simulate::audited_flood;
-use qdc_congest::{NodeClass, RunMetrics, RunOptions, Telemetry, TrafficTrace};
+use qdc_congest::{NodeClass, RunOptions, RunReport, Telemetry, TrafficTrace};
 
 /// One cell of a Γ×L campaign grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -33,7 +33,7 @@ pub struct SimThmPoint {
 #[derive(Clone, Debug)]
 pub struct SimThmOutcome {
     /// Traffic accounting of the traced run (capped at the horizon).
-    pub metrics: RunMetrics,
+    pub metrics: RunReport,
     /// Nodes in the realized network (after Γ/L adjustment).
     pub node_count: u64,
     /// Highway count `k` of the realized network.
@@ -65,8 +65,8 @@ pub struct SimThmOutcome {
 /// is byte-identical at every thread count, observed or not.
 ///
 /// The run is capped at the horizon `L/2 − 2` — Theorem 3.5 only speaks
-/// about runs within it, so `metrics.completed` is usually 0 and that is
-/// the expected shape, not a failure.
+/// about runs within it, so `metrics.completed` is usually `false`, and
+/// that is the expected shape, not a failure.
 ///
 /// # Panics
 ///
@@ -83,7 +83,7 @@ where
     let m = net.hamiltonian_m();
     let run = audited_flood(&net, &m, point.bandwidth, options, &mut sink);
     let outcome = SimThmOutcome {
-        metrics: run.report.metrics(),
+        metrics: run.report,
         node_count: net.graph().node_count() as u64,
         highways: net.highway_count() as u64,
         horizon: net.horizon() as u64,
@@ -135,7 +135,7 @@ mod tests {
         assert_eq!(a.paid_bits, b.paid_bits);
         assert_eq!(a.trace.rounds, b.trace.rounds);
         assert!(a.within_budget, "Theorem 3.5 budget must hold");
-        assert!(a.metrics.rounds <= a.horizon);
+        assert!(a.metrics.rounds as u64 <= a.horizon);
         assert!(a.metrics.messages_sent > 0);
     }
 
@@ -174,9 +174,10 @@ mod tests {
         assert_eq!(plain.paid_bits, observed.paid_bits);
         assert_eq!(plain.trace.rounds, observed.trace.rounds);
         // The profile reproduces the run's totals…
-        assert_eq!(telemetry.total_messages(), observed.metrics.messages_sent);
-        assert_eq!(telemetry.total_bits(), observed.metrics.bits_sent);
-        assert_eq!(telemetry.rounds.len() as u64, observed.metrics.rounds);
+        let totals = telemetry.totals();
+        assert_eq!(totals.messages, observed.metrics.messages_sent);
+        assert_eq!(totals.bits, observed.metrics.bits_sent);
+        assert_eq!(telemetry.rounds.len(), observed.metrics.rounds);
         // …and the highway/path split covers every delivered bit.
         assert!(telemetry.classified);
         let split: u64 = telemetry

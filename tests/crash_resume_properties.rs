@@ -16,11 +16,17 @@
 //! 3. **Fault isolation**: a grid whose points panic inside the
 //!    algorithm layer still commits one failure record per index,
 //!    resumes cleanly, and never aborts the run.
+//! 4. **Huge counters**: journals and exact telemetry archives whose
+//!    counters sum past `u64::MAX` are refused, never wrapped, and
+//!    nothing panics.
 
 use proptest::prelude::*;
+use qdc::congest::{
+    EdgeTotals, NodeTotals, RoundProfile, RunReport, TelemetryReport, TotalsOverflow,
+};
 use qdc::harness::{
-    run_campaign, run_campaign_journaled, CampaignGrid, CampaignSpec, CancelToken, JournalConfig,
-    RunOptions,
+    failure_json, journal, record_json, run_campaign, run_campaign_journaled, Aggregate,
+    CampaignGrid, CampaignSpec, CancelToken, JournalConfig, PointFailure, PointRecord, RunOptions,
 };
 
 fn opts(threads: usize) -> RunOptions {
@@ -209,4 +215,181 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+proptest! {
+    /// Journals of 1–4 real record and failure lines whose counters are
+    /// drawn from {0, small, u64::MAX / 2, u64::MAX}: `recover` never
+    /// panics, and returns the sum of every counter, or `Err` naming the
+    /// first line whose fold would pass u64::MAX. The oracle sums in
+    /// u128, so it cannot overflow itself.
+    #[test]
+    fn recovery_refuses_counters_that_overflow_instead_of_wrapping(
+        lines in proptest::collection::vec(
+            (
+                any::<bool>(),
+                proptest::collection::vec((0usize..4, 1u64..100), 8),
+                0usize..3,
+            ),
+            1..5,
+        )
+    ) {
+        let mut text = String::new();
+        // The Aggregate's summed counters, in its field order: points,
+        // ok, accepted, rejected, rounds, messages, bits, dropped,
+        // crashed, corrupted, points_failed, points_retried.
+        let mut sums = [0u128; 12];
+        let mut max_bits_per_round = 0;
+        let mut committed = 0;
+        let mut overflow_at = None;
+        for (index, (failure, picks, verdict)) in lines.iter().enumerate() {
+            let m: Vec<u64> = picks.iter().map(|&p| magnitude(p)).collect();
+            let w: Vec<u128> = m.iter().map(|&v| u128::from(v)).collect();
+            let accept = [None, Some(true), Some(false)][*verdict];
+            let add = if *failure {
+                let line = failure_json("huge", &PointFailure {
+                    index,
+                    kind: "panic",
+                    retryable: true,
+                    attempts: 1,
+                    error: "boom".into(),
+                });
+                text += &line.replace("\"attempts\":1", &format!("\"attempts\":{}", m[0]));
+                text.push('\n');
+                if m[0] == 0 {
+                    break; // zero attempts is schema-invalid: truncated
+                }
+                [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, w[0] - 1]
+            } else {
+                let record = PointRecord {
+                    index,
+                    kind: "chaos",
+                    params: Vec::new(),
+                    metrics: RunReport {
+                        rounds: usize::try_from(m[0]).expect("64-bit usize"),
+                        completed: m[1] > 0,
+                        messages_sent: m[2],
+                        bits_sent: m[3],
+                        max_bits_per_round: m[4],
+                        messages_dropped: m[5],
+                        nodes_crashed: m[6],
+                        bits_corrupted: m[7],
+                    },
+                    accept,
+                    extra: Vec::new(),
+                    error: None,
+                    wall_us: 0,
+                };
+                text += &record_json("huge", &record, false);
+                text.push('\n');
+                max_bits_per_round = max_bits_per_round.max(m[4]);
+                let (accepted, rejected) = (accept == Some(true), accept == Some(false));
+                [1, 1, accepted.into(), rejected.into(), w[0], w[2], w[3], w[5], w[6], w[7], 0, 0]
+            };
+            for (sum, x) in sums.iter_mut().zip(add) {
+                *sum += x;
+            }
+            if sums.iter().any(|&s| s > u128::from(u64::MAX)) {
+                overflow_at = Some(index);
+                break;
+            }
+            committed += 1;
+        }
+        match (journal::recover(&text, "huge"), overflow_at) {
+            (Err(reason), Some(index)) => {
+                prop_assert_eq!(reason, format!("journal line {index}: {TotalsOverflow}"));
+            }
+            (Ok(recovery), None) => {
+                let s = sums.map(|s| u64::try_from(s).expect("no overflow"));
+                let expected = Aggregate {
+                    points: s[0],
+                    ok: s[1],
+                    errors: 0,
+                    accepted: s[2],
+                    rejected: s[3],
+                    rounds: s[4],
+                    messages: s[5],
+                    bits: s[6],
+                    max_bits_per_round,
+                    dropped: s[7],
+                    crashed: s[8],
+                    corrupted: s[9],
+                    points_failed: s[10],
+                    points_retried: s[11],
+                };
+                prop_assert_eq!(recovery.committed, committed);
+                prop_assert_eq!(recovery.aggregate, expected);
+            }
+            (got, want) => {
+                return Err(TestCaseError::fail(format!(
+                    "recover gave {got:?}, the oracle's overflowing line is {want:?}"
+                )));
+            }
+        }
+    }
+
+    /// Exact archives of 1–4 rounds with the same huge counts go through
+    /// `from_jsonl` and, when it accepts them, `totals()`, without a
+    /// panic: an archive is refused exactly when a total would pass
+    /// u64::MAX.
+    #[test]
+    fn exact_archives_refuse_round_series_that_overflow(
+        picks in proptest::collection::vec(
+            proptest::collection::vec((0usize..4, 1u64..100), 5),
+            1..5,
+        )
+    ) {
+        let rounds: Vec<Vec<u64>> = picks
+            .iter()
+            .map(|round| round.iter().map(|&p| magnitude(p)).collect())
+            .collect();
+        let report = TelemetryReport {
+            nodes: 2,
+            edges: 1,
+            bandwidth: 8,
+            classified: false,
+            rounds: rounds
+                .iter()
+                .enumerate()
+                .map(|(i, m)| RoundProfile {
+                    round: i + 1,
+                    messages: m[0],
+                    bits: m[1],
+                    dropped: m[2],
+                    corrupted_bits: m[3],
+                    crashes: m[4],
+                    ..RoundProfile::default()
+                })
+                .collect(),
+            node_totals: vec![NodeTotals::default(); 2],
+            edge_totals: vec![EdgeTotals::default()],
+        };
+        let mut sums = [0u128; 5];
+        for m in &rounds {
+            for (sum, v) in sums.iter_mut().zip(m) {
+                *sum += u128::from(*v);
+            }
+        }
+        let fits = sums.iter().all(|&s| s <= u128::from(u64::MAX));
+        match TelemetryReport::from_jsonl(&report.to_jsonl(false)) {
+            Ok(back) => {
+                prop_assert!(fits, "an overflowing archive was accepted");
+                let t = back.totals();
+                prop_assert_eq!(
+                    [t.messages, t.bits, t.dropped, t.corrupted_bits, t.crashes].map(u128::from),
+                    sums
+                );
+            }
+            Err(e) => {
+                prop_assert!(!fits, "a fitting archive was refused: {}", e);
+                prop_assert!(e.msg == TotalsOverflow.to_string(), "{}", e);
+            }
+        }
+    }
+}
+
+/// A counter read back from disk, picked by `(which, small)`: zero,
+/// small, half the range, or the top of it.
+fn magnitude((which, small): (usize, u64)) -> u64 {
+    [0, small, u64::MAX / 2, u64::MAX][which]
 }

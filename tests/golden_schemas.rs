@@ -561,7 +561,7 @@ fn golden_telemetry_v1_byte_exact_round_trip() {
     // which the deterministic form deliberately omits (parsed back as 0).
     assert_eq!(back.node_totals, profile.node_totals);
     assert_eq!(back.edge_totals, profile.edge_totals);
-    assert_eq!(back.total_bits(), profile.total_bits());
+    assert_eq!(back.totals(), profile.totals());
 }
 
 /// The wall-clock form of the telemetry fixture: the same profile with

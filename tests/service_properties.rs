@@ -235,11 +235,11 @@ proptest! {
         match journal::recover(prefix, "telemetry_smoke") {
             Ok(clean) if clean.truncated_bytes == 0 => {
                 prop_assert!(boundary, "clean verdicts only on record boundaries");
-                prop_assert_eq!(clean.entries.len(), full_lines);
+                prop_assert_eq!(clean.committed, full_lines);
             }
             Ok(torn) => {
                 prop_assert!(!boundary, "boundary cuts must be clean");
-                prop_assert_eq!(torn.entries.len(), full_lines);
+                prop_assert_eq!(torn.committed, full_lines);
                 prop_assert_eq!(torn.kept_bytes + torn.truncated_bytes, cut, "every byte accounted for");
             }
             Err(reason) => {

@@ -103,10 +103,11 @@ proptest! {
         prop_assert_eq!(plain_trace.rounds, trace.rounds);
 
         prop_assert_eq!(profile.rounds.len(), report.rounds);
-        prop_assert_eq!(profile.total_messages(), report.messages_sent);
-        prop_assert_eq!(profile.total_bits(), report.bits_sent);
-        prop_assert_eq!(profile.total_dropped(), 0);
-        prop_assert_eq!(profile.total_corrupted_bits(), 0);
+        let t = profile.totals();
+        prop_assert_eq!(t.messages, report.messages_sent);
+        prop_assert_eq!(t.bits, report.bits_sent);
+        prop_assert_eq!(t.dropped, 0);
+        prop_assert_eq!(t.corrupted_bits, 0);
         assert_internally_consistent(&profile)?;
         // The last observed round is the quiescent one that ends the run.
         prop_assert!(profile.rounds.last().is_some_and(|r| r.quiescent));
@@ -171,12 +172,8 @@ proptest! {
         let traced_messages = trace.rounds.iter().map(Vec::len).sum::<usize>() as u64;
         let traced_bits: u64 = trace.rounds.iter().flatten().map(|m| m.bits as u64).sum();
         let traced_dropped: u64 = trace.dropped.iter().sum();
-        let profiled = (
-            profile.rounds.len() as u64,
-            profile.total_messages(),
-            profile.total_bits(),
-            profile.total_dropped(),
-        );
+        let t = profile.totals();
+        let profiled = (profile.rounds.len() as u64, t.messages, t.bits, t.dropped);
         prop_assert_eq!(
             (trace.rounds.len() as u64, traced_messages, traced_bits, traced_dropped),
             profiled
@@ -185,7 +182,7 @@ proptest! {
             (totals.rounds, totals.messages, totals.bits, totals.dropped),
             profiled
         );
-        prop_assert_eq!(totals.corrupted_bits, profile.total_corrupted_bits());
+        prop_assert_eq!(totals.corrupted_bits, t.corrupted_bits);
 
         match (plain, observed) {
             (Ok(a), Ok(b)) => {
@@ -193,12 +190,11 @@ proptest! {
                 prop_assert_eq!(a.report.clone(), b.report.clone());
                 // …and so does the engine's own report.
                 prop_assert_eq!(profile.rounds.len(), b.report.rounds);
-                prop_assert_eq!(profile.total_messages(), b.report.messages_sent);
-                prop_assert_eq!(profile.total_bits(), b.report.bits_sent);
-                prop_assert_eq!(profile.total_dropped(), b.report.messages_dropped);
-                prop_assert_eq!(profile.total_corrupted_bits(), b.report.bits_corrupted);
-                let crashes: u64 = profile.rounds.iter().map(|r| r.crashes).sum();
-                prop_assert_eq!(crashes, b.report.nodes_crashed);
+                prop_assert_eq!(t.messages, b.report.messages_sent);
+                prop_assert_eq!(t.bits, b.report.bits_sent);
+                prop_assert_eq!(t.dropped, b.report.messages_dropped);
+                prop_assert_eq!(t.corrupted_bits, b.report.bits_corrupted);
+                prop_assert_eq!(t.crashes, b.report.nodes_crashed);
             }
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => prop_assert!(false, "observation changed the outcome: {a:?} vs {b:?}"),

@@ -31,8 +31,8 @@ use proptest::prelude::*;
 use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
     read_aggregate, ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox,
-    QubitSplit, RoundProfiler, RunOptions, Simulator, StreamAggregate, StreamSink, TelemetryReport,
-    TopEntry, TopK,
+    QubitSplit, RoundProfile, RoundProfiler, RunOptions, Simulator, StreamAggregate, StreamSink,
+    TelemetryReport, TopEntry, TopK,
 };
 use qdc::graph::{generate, Graph, NodeId};
 use std::cmp::Reverse;
@@ -82,13 +82,13 @@ fn assert_stream_matches_profile(
     profile: &TelemetryReport,
 ) -> Result<(), TestCaseError> {
     let t = &agg.totals;
+    let sum = |field: fn(&RoundProfile) -> u64| profile.rounds.iter().map(field).sum::<u64>();
     prop_assert_eq!(t.rounds as usize, profile.rounds.len());
-    prop_assert_eq!(t.messages, profile.total_messages());
-    prop_assert_eq!(t.bits, profile.total_bits());
-    prop_assert_eq!(t.dropped, profile.total_dropped());
-    prop_assert_eq!(t.corrupted_bits, profile.total_corrupted_bits());
-    let crashes: u64 = profile.rounds.iter().map(|r| r.crashes).sum();
-    prop_assert_eq!(t.crashes, crashes);
+    prop_assert_eq!(t.messages, sum(|r| r.messages));
+    prop_assert_eq!(t.bits, sum(|r| r.bits));
+    prop_assert_eq!(t.dropped, sum(|r| r.dropped));
+    prop_assert_eq!(t.corrupted_bits, sum(|r| r.corrupted_bits));
+    prop_assert_eq!(t.crashes, sum(|r| r.crashes));
     let quiescent = profile.rounds.iter().filter(|r| r.quiescent).count() as u64;
     prop_assert_eq!(t.quiescent, quiescent);
     for q in 0..5 {
@@ -473,10 +473,11 @@ fn stream_campaign_archives_are_byte_identical_across_thread_counts() {
 
         let agg = read_aggregate(&a[..]).expect("archive parses strictly");
         let profile = exact.telemetry[i].as_ref().expect("exact profile kept");
+        let totals = profile.totals();
         assert_eq!(agg.totals.rounds as usize, profile.rounds.len());
-        assert_eq!(agg.totals.messages, profile.total_messages());
-        assert_eq!(agg.totals.bits, profile.total_bits());
-        assert_eq!(agg.totals.dropped, profile.total_dropped());
+        assert_eq!(agg.totals.messages, totals.messages);
+        assert_eq!(agg.totals.bits, totals.bits);
+        assert_eq!(agg.totals.dropped, totals.dropped);
         assert_eq!(agg.header.nodes, profile.nodes);
         assert_eq!(agg.header.edges, profile.edges);
         assert_eq!(agg.header.bandwidth, profile.bandwidth);
