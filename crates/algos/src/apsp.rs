@@ -9,61 +9,11 @@
 //! round): Θ(n + D) rounds on unweighted networks — the upper-bound side
 //! of that story, awaiting its quantum lower bound (open problem).
 
-use crate::flood::stage_cap;
 use crate::ledger::Ledger;
-use crate::tree::{aggregate_to_root, Agg};
+use crate::tree::{aggregate_to_root, every_port, pipeline, Agg};
 use crate::widths::{bits_for, id_width};
-use qdc_congest::{
-    BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator,
-};
+use qdc_congest::{BitString, CongestConfig, Message, Simulator};
 use qdc_graph::Graph;
-use std::collections::VecDeque;
-
-struct ApspNode {
-    dist: Vec<u64>,
-    outbound: VecDeque<(u32, u64)>,
-    idw: usize,
-    dw: usize,
-}
-
-impl ApspNode {
-    fn encode(&self, source: u32, dist: u64) -> Message {
-        let mut bits = BitString::new();
-        bits.push_uint(source as u64, self.idw);
-        bits.push_uint(dist, self.dw);
-        Message::from_bits(bits)
-    }
-}
-
-impl NodeAlgorithm for ApspNode {
-    fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox) {
-        let me = info.id.0;
-        self.dist[me as usize] = 0;
-        for p in 0..info.degree() {
-            out.send(p, self.encode(me, 1));
-        }
-    }
-    fn on_round(&mut self, info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        for (_, msg) in inbox.iter() {
-            let mut r = msg.reader();
-            let source = r.read_uint(self.idw).expect("source") as u32;
-            let dist = r.read_uint(self.dw).expect("dist");
-            if dist < self.dist[source as usize] {
-                self.dist[source as usize] = dist;
-                self.outbound.push_back((source, dist + 1));
-            }
-        }
-        // One message per edge per round: drain the queue.
-        if let Some((source, dist)) = self.outbound.pop_front() {
-            for p in 0..info.degree() {
-                out.send(p, self.encode(source, dist));
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        self.outbound.is_empty()
-    }
-}
 
 /// Result of the distributed APSP computation.
 #[derive(Clone, Debug)]
@@ -94,13 +44,38 @@ pub fn distributed_apsp(graph: &Graph, cfg: CongestConfig) -> ApspRun {
     assert!(idw + dw <= cfg.bandwidth_bits, "APSP message exceeds B");
     let mut ledger = Ledger::new();
     let sim = Simulator::new(graph, cfg);
-    let nodes = ledger.run(&sim, stage_cap(n) + n * n, |_info| ApspNode {
-        dist: vec![u64::MAX; n],
-        outbound: VecDeque::new(),
-        idw,
-        dw,
-    });
-    let dist: Vec<Vec<u64>> = nodes.into_iter().map(|s| s.dist).collect();
+    // An entry is (source, distance at this node), queued whenever it
+    // improves the node's distance to that source; the encoder adds the
+    // hop.
+    let dist = pipeline(
+        &sim,
+        &mut ledger,
+        |info| {
+            let me = info.id.0;
+            let mut dist = vec![u64::MAX; n];
+            dist[me as usize] = 0;
+            (dist, vec![(me, 0)], every_port(info))
+        },
+        |_, _, &(source, d)| {
+            let mut bits = BitString::new();
+            bits.push_uint(source as u64, idw);
+            bits.push_uint(d + 1, dw);
+            Message::from_bits(bits)
+        },
+        |msg| {
+            let mut r = msg.reader();
+            let source = r.read_uint(idw).expect("source") as u32;
+            (source, r.read_uint(dw).expect("dist"))
+        },
+        |_, dist, &(source, d)| {
+            let known = &mut dist[source as usize];
+            let better = d < *known;
+            if better {
+                *known = d;
+            }
+            better
+        },
+    );
     let eccentricity: Vec<u64> = dist
         .iter()
         .map(|row| row.iter().copied().max().unwrap_or(0))

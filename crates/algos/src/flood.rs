@@ -3,13 +3,14 @@
 //! corrupts, or crash-loses messages.
 
 use crate::ledger::Ledger;
-use crate::tree::exchange;
+use crate::tree::{every_port, exchange, first_smallest, relax};
 use crate::widths::id_width;
 use qdc_congest::{
     ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
     RunReport, SimError, Simulator, Telemetry,
 };
 use qdc_graph::{Graph, NodeId};
+use std::cmp::Reverse;
 
 /// Generous per-stage round cap (stages reach quiescence long before).
 pub(crate) fn stage_cap(n: usize) -> usize {
@@ -39,32 +40,6 @@ pub fn chaos_round_budget(n: usize, drop_prob: f64) -> usize {
 // Leader election
 // ---------------------------------------------------------------------------
 
-struct MaxFlood {
-    best: u64,
-    width: usize,
-}
-
-impl NodeAlgorithm for MaxFlood {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        out.broadcast(Message::from_uint(self.best, self.width));
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        let incoming = inbox
-            .iter()
-            .filter_map(|(_, m)| m.as_uint(self.width))
-            .max();
-        if let Some(v) = incoming {
-            if v > self.best {
-                self.best = v;
-                out.broadcast(Message::from_uint(v, self.width));
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true // event-driven: the run ends at quiescence
-    }
-}
-
 /// Elects the maximum-id node by event-driven flooding (≈ D rounds on an
 /// n-node network; each message is one node id of `⌈log₂ n⌉` bits).
 ///
@@ -79,16 +54,20 @@ pub fn elect_leader(graph: &Graph, cfg: CongestConfig, ledger: &mut Ledger) -> N
         "node id ({width} bits) exceeds B"
     );
     let sim = Simulator::new(graph, cfg);
-    let nodes = ledger.run(&sim, stage_cap(n), |info| MaxFlood {
-        best: info.id.0 as u64,
-        width,
-    });
-    let max = nodes
-        .iter()
-        .map(|s| s.best)
-        .max()
-        .expect("non-empty network");
-    NodeId(max as u32)
+    let flooded = relax(
+        &sim,
+        ledger,
+        |info| (Some(info.id.0 as u64), None, every_port(info)),
+        |&id| Message::from_uint(id, width),
+        |_, _, best, inbox| {
+            let id = |_, msg: &Message| msg.as_uint(width).expect("node id");
+            let (port, id) = first_smallest(inbox, id, |&id| Reverse(id))?;
+            (id > *best?).then_some((port, id))
+        },
+        true,
+    );
+    let max = flooded.iter().filter_map(|&(id, _)| id).max();
+    NodeId(max.expect("non-empty network") as u32)
 }
 
 // ---------------------------------------------------------------------------
@@ -115,42 +94,6 @@ impl BfsTreeInfo {
     /// Whether node `v` participates in the tree.
     pub fn in_tree(&self, v: NodeId) -> bool {
         self.depth[v.index()] != u64::MAX
-    }
-}
-
-struct BfsWave {
-    is_root: bool,
-    adopted: bool,
-    parent_port: Option<usize>,
-    round: u64,
-    depth: u64,
-}
-
-impl NodeAlgorithm for BfsWave {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        if self.is_root {
-            self.adopted = true;
-            self.depth = 0;
-            out.broadcast(Message::empty());
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        self.round += 1;
-        if !self.adopted {
-            if let Some((port, _)) = inbox.iter().next() {
-                self.adopted = true;
-                self.parent_port = Some(port);
-                self.depth = self.round;
-                for p in 0..out.port_count() {
-                    if Some(p) != self.parent_port {
-                        out.send(p, Message::empty());
-                    }
-                }
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
     }
 }
 
@@ -184,19 +127,25 @@ pub fn build_bfs_tree(
     root: NodeId,
     ledger: &mut Ledger,
 ) -> BfsTreeInfo {
-    let n = graph.node_count();
     let sim = Simulator::new(graph, cfg);
-    let nodes = ledger.run(&sim, stage_cap(n), |info| BfsWave {
-        is_root: info.id == root,
-        adopted: false,
-        parent_port: None,
-        round: 0,
-        depth: u64::MAX,
-    });
-    let parent_port: Vec<Option<usize>> = nodes.iter().map(|s| s.parent_port).collect();
-    let depth: Vec<u64> = nodes
+    let flooded = relax(
+        &sim,
+        ledger,
+        |info| ((info.id == root).then_some(0), None, every_port(info)),
+        |_| Message::empty(),
+        |_, round, depth, inbox| {
+            if depth.is_some() {
+                return None;
+            }
+            let (port, _) = inbox.iter().next()?;
+            Some((port, round as u64))
+        },
+        false,
+    );
+    let parent_port: Vec<Option<usize>> = flooded.iter().map(|&(_, p)| p).collect();
+    let depth: Vec<u64> = flooded
         .iter()
-        .map(|s| if s.adopted { s.depth } else { u64::MAX })
+        .map(|&(d, _)| d.unwrap_or(u64::MAX))
         .collect();
     let children_ports = discover_children(&sim, &parent_port, ledger);
     let height = depth

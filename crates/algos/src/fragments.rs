@@ -25,13 +25,16 @@
 
 use crate::flood::{build_bfs_tree, discover_children, elect_leader, stage_cap, BfsTreeInfo};
 use crate::ledger::Ledger;
-use crate::tree::{aggregate_to_root, broadcast, broadcast_from_root, converge, exchange, Agg};
+use crate::tree::{
+    aggregate_to_root, broadcast, broadcast_from_root, converge, exchange, first_smallest,
+    pipeline, relax, Agg,
+};
 use crate::widths::{bits_for, edge_width, id_width};
 use qdc_congest::{
     BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator,
 };
 use qdc_graph::{EdgeId, EdgeWeights, Graph, NodeId, Subgraph};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Tuning knobs for the fragment engine.
 #[derive(Clone, Copy, Debug)]
@@ -142,47 +145,6 @@ fn local_candidates(
 }
 
 // ---------------------------------------------------------------------------
-// Stage: event-driven minimum-id relabel flood over structure edges.
-// ---------------------------------------------------------------------------
-
-struct Relabel {
-    cur: u64,
-    parent_port: Option<usize>,
-    structure: Vec<usize>,
-    width: usize,
-}
-
-impl NodeAlgorithm for Relabel {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        for &p in &self.structure {
-            out.send(p, Message::from_uint(self.cur, self.width));
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        let mut improved_from = None;
-        for (port, msg) in inbox.iter() {
-            if let Some(v) = msg.as_uint(self.width) {
-                if v < self.cur {
-                    self.cur = v;
-                    improved_from = Some(port);
-                }
-            }
-        }
-        if let Some(port) = improved_from {
-            self.parent_port = Some(port);
-            for &p in &self.structure {
-                if p != port {
-                    out.send(p, Message::from_uint(self.cur, self.width));
-                }
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Phase 2: pipelined per-fragment upcast over the global BFS tree.
 // ---------------------------------------------------------------------------
 
@@ -273,6 +235,8 @@ impl NodeAlgorithm for PipedUpcast {
 // Phase 2: downcast of the relabeling map and chosen edges.
 // ---------------------------------------------------------------------------
 
+/// One entry of the root's downcast stream. `End` closes the stream; the
+/// stage itself ends at quiescence, so no node acts on it.
 #[derive(Clone, Copy, Debug)]
 enum DownEntry {
     Mapping { old: u64, new: u64 },
@@ -280,86 +244,48 @@ enum DownEntry {
     End,
 }
 
-struct Downcast {
-    queue: VecDeque<DownEntry>, // root starts with the full stream
-    children: Vec<usize>,
-    frag: u64,
-    incident: Vec<(usize, u32)>,
-    chosen_here: Vec<u32>,
-    is_root: bool,
-    ended: bool,
-    idw: usize,
-    ew: usize,
-}
-
-impl Downcast {
-    fn encode(&self, e: DownEntry) -> Message {
+impl DownEntry {
+    fn encode(self, idw: usize, ew: usize) -> Message {
         let mut bits = BitString::new();
-        match e {
+        match self {
             DownEntry::Mapping { old, new } => {
                 bits.push_uint(0, 2);
-                bits.push_uint(old, self.idw);
-                bits.push_uint(new, self.idw);
+                bits.push_uint(old, idw);
+                bits.push_uint(new, idw);
             }
             DownEntry::Chosen { edge } => {
                 bits.push_uint(1, 2);
-                bits.push_uint(edge as u64, self.ew);
+                bits.push_uint(edge as u64, ew);
             }
             DownEntry::End => bits.push_uint(2, 2),
         }
         Message::from_bits(bits)
     }
-    fn apply(&mut self, e: DownEntry) {
-        match e {
-            DownEntry::Mapping { old, new } => {
-                if self.frag == old {
-                    self.frag = new;
-                }
-            }
-            DownEntry::Chosen { edge } => {
-                if self.incident.iter().any(|&(_, eid)| eid == edge) {
-                    self.chosen_here.push(edge);
-                }
-            }
-            DownEntry::End => self.ended = true,
-        }
-    }
-    fn pump(&mut self, out: &mut Outbox) {
-        if let Some(e) = self.queue.pop_front() {
-            for &c in &self.children {
-                out.send(c, self.encode(e));
-            }
-            self.apply(e);
-        }
-    }
-}
 
-impl NodeAlgorithm for Downcast {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        if self.is_root {
-            self.pump(out);
+    fn decode(msg: &Message, idw: usize, ew: usize) -> Self {
+        let mut r = msg.reader();
+        match r.read_uint(2).expect("kind field") {
+            0 => DownEntry::Mapping {
+                old: r.read_uint(idw).expect("old"),
+                new: r.read_uint(idw).expect("new"),
+            },
+            1 => DownEntry::Chosen {
+                edge: r.read_uint(ew).expect("edge") as u32,
+            },
+            _ => DownEntry::End,
         }
     }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        for (_, msg) in inbox.iter() {
-            let mut r = msg.reader();
-            let kind = r.read_uint(2).expect("kind field");
-            let entry = match kind {
-                0 => DownEntry::Mapping {
-                    old: r.read_uint(self.idw).expect("old"),
-                    new: r.read_uint(self.idw).expect("new"),
-                },
-                1 => DownEntry::Chosen {
-                    edge: r.read_uint(self.ew).expect("edge") as u32,
-                },
-                _ => DownEntry::End,
-            };
-            self.queue.push_back(entry);
+
+    /// Applies the entry at a node holding fragment `frag`, collecting
+    /// the chosen edges incident to it in `chosen`.
+    fn apply(self, info: &NodeInfo, (frag, chosen): &mut (u64, Vec<u32>)) {
+        match self {
+            DownEntry::Mapping { old, new } if *frag == old => *frag = new,
+            DownEntry::Chosen { edge } if info.incident_edges.iter().any(|e| e.0 == edge) => {
+                chosen.push(edge)
+            }
+            _ => {}
         }
-        self.pump(out);
-    }
-    fn is_terminated(&self) -> bool {
-        self.ended && self.queue.is_empty()
     }
 }
 
@@ -479,32 +405,40 @@ pub fn spanning_forest(
                 .collect()
         });
 
-        // Relabel by minimum-id flooding over tree + merge edges.
-        let rel = ledger.run(&sim, stage_cap(n), |info| {
-            let i = info.id.index();
-            let mut structure: Vec<usize> = state.fchildren[i].clone();
-            structure.extend(state.fparent[i]);
-            let heard = &notified[i];
-            let notifiers = (0..heard.len()).filter(|&p| heard[p].is_some());
-            for p in merge_port[i].into_iter().chain(notifiers) {
-                if !structure.contains(&p) {
-                    structure.push(p);
+        // Relabel by minimum-id flooding over tree + merge edges; a node
+        // keeps its parent unless a smaller id arrives.
+        let rel = relax(
+            &sim,
+            ledger,
+            |info| {
+                let i = info.id.index();
+                let mut structure: Vec<usize> = state.fchildren[i].clone();
+                structure.extend(state.fparent[i]);
+                let heard = &notified[i];
+                let notifiers = (0..heard.len()).filter(|&p| heard[p].is_some());
+                for p in merge_port[i].into_iter().chain(notifiers) {
+                    if !structure.contains(&p) {
+                        structure.push(p);
+                    }
                 }
-            }
-            Relabel {
-                cur: state.frag[i],
-                parent_port: state.fparent[i],
-                structure,
-                width: idw,
-            }
-        });
+                (Some(state.frag[i]), state.fparent[i], structure)
+            },
+            |&id| Message::from_uint(id, idw),
+            |_, _, cur, inbox| {
+                let id = |_, msg: &Message| msg.as_uint(idw).expect("fragment id");
+                let (port, id) = first_smallest(inbox, id, |&id| id)?;
+                (id < *cur?).then_some((port, id))
+            },
+            false,
+        );
         for u in graph.nodes() {
             let i = u.index();
-            state.frag[i] = rel[i].cur;
+            let (frag, parent) = rel[i];
+            state.frag[i] = frag.expect("every node holds a fragment id");
             state.fparent[i] = if state.frag[i] == u.0 as u64 {
                 None
             } else {
-                rel[i].parent_port
+                parent
             };
         }
         state.fchildren = discover_children(&sim, &state.fparent, ledger);
@@ -575,49 +509,42 @@ pub fn spanning_forest(
             let r = dsu.find(k);
             new_id[r] = new_id[r].min(id);
         }
-        let mut stream: VecDeque<DownEntry> = VecDeque::new();
-        for (k, &id) in ids.iter().enumerate() {
-            let target = new_id[dsu.find(k)];
-            if target != id {
-                stream.push_back(DownEntry::Mapping {
-                    old: id,
-                    new: target,
-                });
+        let mut stream: Vec<DownEntry> = Vec::new();
+        for (k, &old) in ids.iter().enumerate() {
+            let new = new_id[dsu.find(k)];
+            if new != old {
+                stream.push(DownEntry::Mapping { old, new });
             }
         }
-        for &e in &chosen_edges {
-            stream.push_back(DownEntry::Chosen { edge: e });
-        }
-        stream.push_back(DownEntry::End);
+        stream.extend(chosen_edges.iter().map(|&edge| DownEntry::Chosen { edge }));
+        stream.push(DownEntry::End);
 
-        let down = ledger.run(&sim, stage_cap(n) + n, |info| {
-            let i = info.id.index();
-            let is_root = info.id == bfs.root;
-            Downcast {
-                queue: if is_root {
+        let down = pipeline(
+            &sim,
+            ledger,
+            |info| {
+                let i = info.id.index();
+                let mut mine = (state.frag[i], Vec::new());
+                let queue = if info.id == bfs.root {
+                    // The root never hears its own stream: it applies it
+                    // up front and starts with all of it queued.
+                    stream.iter().for_each(|e| e.apply(info, &mut mine));
                     stream.clone()
                 } else {
-                    VecDeque::new()
-                },
-                children: bfs.children_ports[i].clone(),
-                frag: state.frag[i],
-                incident: info
-                    .incident_edges
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &e)| (p, e.0))
-                    .collect(),
-                chosen_here: Vec::new(),
-                is_root,
-                ended: false,
-                idw,
-                ew,
-            }
-        });
-        for u in graph.nodes() {
-            let i = u.index();
-            state.frag[i] = down[i].frag;
-            for &e in &down[i].chosen_here {
+                    Vec::new()
+                };
+                (mine, queue, bfs.children_ports[i].clone())
+            },
+            |_, _, e| e.encode(idw, ew),
+            |msg| DownEntry::decode(msg, idw, ew),
+            |info, mine, e| {
+                e.apply(info, mine);
+                true
+            },
+        );
+        for (i, (frag, chosen)) in down.into_iter().enumerate() {
+            state.frag[i] = frag;
+            for e in chosen {
                 state.chosen[e as usize] = true;
             }
         }

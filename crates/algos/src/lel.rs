@@ -11,88 +11,29 @@
 //! and forwards accepted pairs with the edge weight added. At quiescence
 //! each node's accepted set *is* its LE-list.
 
-use crate::flood::stage_cap;
 use crate::ledger::Ledger;
+use crate::tree::{every_port, pipeline};
 use crate::widths::{bits_for, distance_width};
-use qdc_congest::{
-    BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator,
-};
+use qdc_congest::{BitString, CongestConfig, Message, Simulator};
 use qdc_graph::lel::LeEntry;
 use qdc_graph::{EdgeWeights, Graph, NodeId};
 
-struct LeFlood {
-    /// Accepted `(distance, rank, origin)` triples.
-    accepted: Vec<(u64, u64, u32)>,
-    /// Accepted entries not yet forwarded (drained one per round).
-    outbound: std::collections::VecDeque<(u64, u64, u32)>,
-    port_weight: Vec<u64>,
-    rank_width: usize,
-    dist_width: usize,
-    id_width: usize,
-}
+/// A `(distance, rank, origin)` triple.
+type Entry = (u64, u64, u32);
 
-impl LeFlood {
-    fn encode(&self, dist: u64, rank: u64, origin: u32) -> Message {
-        let mut bits = BitString::new();
-        bits.push_uint(dist, self.dist_width);
-        bits.push_uint(rank, self.rank_width);
-        bits.push_uint(origin as u64, self.id_width);
-        Message::from_bits(bits)
+/// Cohen's acceptance rule: keeps `entry` iff no accepted entry is at
+/// least as good in both coordinates (covers strictly-better ranks at ≤
+/// distance, and duplicates / worse copies from the same origin — ranks
+/// are distinct, so equal rank means equal origin), and then drops the
+/// entries it dominates.
+fn insert(accepted: &mut Vec<Entry>, entry: Entry) -> bool {
+    let (dist, rank, _) = entry;
+    if accepted.iter().any(|&(d, r, _)| r <= rank && d <= dist) {
+        return false;
     }
-
-    /// Cohen's acceptance rule: keep iff no known entry is at least as
-    /// good in both coordinates (covers strictly-better ranks at ≤
-    /// distance, and duplicates / worse copies from the same origin —
-    /// ranks are distinct, so equal rank means equal origin).
-    fn accepts(&self, dist: u64, rank: u64) -> bool {
-        !self
-            .accepted
-            .iter()
-            .any(|&(d, r, _)| r <= rank && d <= dist)
-    }
-
-    fn insert(&mut self, dist: u64, rank: u64, origin: u32) -> bool {
-        if !self.accepts(dist, rank) {
-            return false;
-        }
-        // Drop entries the new one dominates.
-        self.accepted.retain(|&(d, r, _)| !(rank <= r && dist <= d));
-        self.accepted.push((dist, rank, origin));
-        true
-    }
-}
-
-impl NodeAlgorithm for LeFlood {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        // Announce yourself: each node is trivially its own least element
-        // at distance 0 (already in `accepted` from init).
-        let &(d, r, o) = self.accepted.first().expect("self entry");
-        for p in 0..self.port_weight.len() {
-            out.send(p, self.encode(d + self.port_weight[p], r, o));
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        for (_port, msg) in inbox.iter() {
-            let mut rd = msg.reader();
-            let dist = rd.read_uint(self.dist_width).expect("dist");
-            let rank = rd.read_uint(self.rank_width).expect("rank");
-            let origin = rd.read_uint(self.id_width).expect("origin") as u32;
-            if self.insert(dist, rank, origin) {
-                self.outbound.push_back((dist, rank, origin));
-            }
-        }
-        // Drain the forward queue one entry per round (one message per
-        // edge per round — CONGEST discipline). Superseded entries may
-        // still be forwarded; receivers prune them.
-        if let Some((dist, rank, origin)) = self.outbound.pop_front() {
-            for p in 0..self.port_weight.len() {
-                out.send(p, self.encode(dist + self.port_weight[p], rank, origin));
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        self.outbound.is_empty()
-    }
+    accepted.retain(|&(d, r, _)| !(rank <= r && dist <= d));
+    accepted.push(entry);
+    true
 }
 
 /// Result of the distributed LE-list computation.
@@ -135,23 +76,35 @@ pub fn distributed_le_lists(
     );
     let mut ledger = Ledger::new();
     let sim = Simulator::new(graph, cfg);
-    let nodes = ledger.run(&sim, stage_cap(n) + n * n, |info| LeFlood {
-        accepted: vec![(0, ranks[info.id.index()], info.id.0)],
-        outbound: std::collections::VecDeque::new(),
-        port_weight: info
-            .incident_edges
-            .iter()
-            .map(|&e| weights.weight(e))
-            .collect(),
-        rank_width,
-        dist_width,
-        id_width,
-    });
+    // Each node starts as its own least element at distance 0. Entries
+    // hold the distance at the node; the encoder adds the edge weight.
+    // Superseded entries may still be forwarded; receivers prune them.
+    let nodes = pipeline(
+        &sim,
+        &mut ledger,
+        |info| {
+            let me = (0, ranks[info.id.index()], info.id.0);
+            (vec![me], vec![me], every_port(info))
+        },
+        |info, p, &(dist, rank, origin): &Entry| {
+            let mut bits = BitString::new();
+            bits.push_uint(dist + weights.weight(info.incident_edges[p]), dist_width);
+            bits.push_uint(rank, rank_width);
+            bits.push_uint(origin as u64, id_width);
+            Message::from_bits(bits)
+        },
+        |msg| {
+            let mut rd = msg.reader();
+            let dist = rd.read_uint(dist_width).expect("dist");
+            let rank = rd.read_uint(rank_width).expect("rank");
+            (dist, rank, rd.read_uint(id_width).expect("origin") as u32)
+        },
+        |_, accepted, &entry| insert(accepted, entry),
+    );
     let lists = nodes
         .into_iter()
-        .map(|s| {
-            let mut entries: Vec<LeEntry> = s
-                .accepted
+        .map(|accepted| {
+            let mut entries: Vec<LeEntry> = accepted
                 .into_iter()
                 .map(|(distance, _, origin)| LeEntry {
                     distance,

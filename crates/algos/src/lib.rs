@@ -9,8 +9,8 @@
 //!
 //! * [`flood`] — leader election and BFS-tree construction;
 //! * [`tree`] — the shared communication patterns (one-round exchange,
-//!   convergecast and broadcast over a rooted forest) and the public
-//!   aggregation over a BFS tree;
+//!   convergecast and broadcast over a rooted forest, and the relaxing and
+//!   pipelined floods) and the public aggregation over a BFS tree;
 //! * [`fragments`] — the two-phase fragment engine (Controlled-GHS-style
 //!   local merging up to size √n, then globally pipelined Borůvka over a
 //!   BFS tree), used for both MST and connected-component counting;
@@ -36,14 +36,17 @@
 //! and bits across stages. Every stage runs and is charged in one step
 //! (the crate-private `Ledger::run`), so a stage cannot run uncharged;
 //! only the Example 1.1 protocols, observed by a telemetry sink, charge
-//! their run themselves. The three patterns most stages share — a
-//! one-round neighbour exchange, a convergecast up a rooted forest and a
-//! broadcast down it — are written once in [`tree`], and callers supply
-//! only their message codec. Phase switches happen at global quiescence —
-//! the standard synchronous-model idealization. Message widths are derived
-//! from `n` and the maximum weight; stages assert that one logical message
-//! fits in the `B`-bit budget (i.e. `B = Θ(log n)` as in the paper; the
-//! lower-bound formulas take the same `B`).
+//! their run themselves. The five patterns most stages share — a
+//! one-round neighbour exchange, a convergecast up a rooted forest, a
+//! broadcast down it, a flood that relaxes every node's value to a
+//! fixpoint, and a flood that pipelines a queue of entries one per edge
+//! per round — are written once in [`tree`], and callers supply only
+//! their message codec and their selection rule. Phase switches happen
+//! at global quiescence — the standard synchronous-model idealization.
+//! Message widths are derived from `n` and the maximum weight; stages
+//! assert that one logical message fits in the `B`-bit budget (i.e.
+//! `B = Θ(log n)` as in the paper; the lower-bound formulas take the same
+//! `B`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

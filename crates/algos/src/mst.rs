@@ -19,11 +19,11 @@
 //! per class, exactly the edges that merge the class-`≤c` components, the
 //! same count per class as Kruskal on `ĉ`.
 
-use crate::flood::stage_cap;
 use crate::fragments::{spanning_forest, FragmentConfig};
 use crate::ledger::Ledger;
+use crate::tree::{first_smallest, relax};
 use crate::widths::id_width;
-use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
+use qdc_congest::{CongestConfig, Message, Simulator};
 use qdc_graph::{EdgeId, EdgeWeights, Graph};
 
 /// Result of a distributed MST computation.
@@ -57,62 +57,6 @@ pub fn mst_exact(graph: &Graph, cfg: CongestConfig, weights: &EdgeWeights) -> Ms
     }
 }
 
-/// One sweep stage: event-driven minimum-label flooding over edges of
-/// quantized class ≤ the current threshold, recording the adoption edge
-/// (the port the final label arrived through).
-struct SweepNode {
-    label: u64,
-    /// Quantized class per port (u64::MAX for no edge… all ports have
-    /// edges; class of the incident edge).
-    port_class: Vec<u64>,
-    current_class: u64,
-    adopted_port: Option<usize>,
-    width: usize,
-}
-
-impl SweepNode {
-    fn active(&self, port: usize) -> bool {
-        self.port_class[port] <= self.current_class
-    }
-    fn broadcast(&self, out: &mut Outbox, skip: Option<usize>) {
-        for p in 0..self.port_class.len() {
-            if Some(p) != skip && self.active(p) {
-                out.send(p, Message::from_uint(self.label, self.width));
-            }
-        }
-    }
-}
-
-impl NodeAlgorithm for SweepNode {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.broadcast(out, None);
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        // Collect the best improvement this round; among ports delivering
-        // the same minimal label prefer the lowest (class, port) so that
-        // cheap edges become tree edges.
-        let mut best: Option<(u64, u64, usize)> = None; // (label, class, port)
-        for (port, msg) in inbox.iter() {
-            if let Some(v) = msg.as_uint(self.width) {
-                let key = (v, self.port_class[port], port);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        if let Some((v, _, port)) = best {
-            if v < self.label {
-                self.label = v;
-                self.adopted_port = Some(port);
-                self.broadcast(out, Some(port));
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
-}
-
 /// Elkin-style α-approximate MST by threshold sweeping.
 ///
 /// # Panics
@@ -142,19 +86,37 @@ pub fn mst_approx_sweep(
     let mut adopted: Vec<Option<usize>> = vec![None; n];
     let sim = Simulator::new(graph, cfg);
     for c in 1..=classes {
-        let nodes = ledger.run(&sim, stage_cap(n), |info| {
-            let i = info.id.index();
-            SweepNode {
-                label: labels[i],
-                port_class: info.incident_edges.iter().map(|&e| class_of(e)).collect(),
-                current_class: c,
-                adopted_port: adopted[i],
-                width,
-            }
-        });
-        for (i, s) in nodes.iter().enumerate() {
-            labels[i] = s.label;
-            adopted[i] = s.adopted_port;
+        // One stage: minimum-label flooding over the edges of class ≤ c.
+        // A node keeps its adoption edge unless a smaller label arrives;
+        // among ports offering the smallest label the cheapest class wins,
+        // so that cheap edges become tree edges.
+        let flooded = relax(
+            &sim,
+            &mut ledger,
+            |info| {
+                let i = info.id.index();
+                let edges = info.incident_edges.iter().enumerate();
+                let active = edges.filter(|&(_, &e)| class_of(e) <= c);
+                (
+                    Some(labels[i]),
+                    adopted[i],
+                    active.map(|(p, _)| p).collect(),
+                )
+            },
+            |&label| Message::from_uint(label, width),
+            |info, _, label, inbox| {
+                let offer = |p: usize, msg: &Message| {
+                    let v = msg.as_uint(width).expect("label");
+                    (v, class_of(info.incident_edges[p]))
+                };
+                let (port, (v, _)) = first_smallest(inbox, offer, |&o| o)?;
+                (v < *label?).then_some((port, v))
+            },
+            false,
+        );
+        for (i, (label, parent)) in flooded.into_iter().enumerate() {
+            labels[i] = label.expect("every node holds a label");
+            adopted[i] = parent;
         }
     }
 

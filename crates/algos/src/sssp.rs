@@ -7,10 +7,10 @@
 //! shortest path — the baseline the paper's Ω̃(√n) lower bound
 //! (Corollary 3.9) is compared against.
 
-use crate::flood::stage_cap;
 use crate::ledger::Ledger;
+use crate::tree::{every_port, first_smallest, relax};
 use crate::widths::distance_width;
-use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
+use qdc_congest::{CongestConfig, Message, Simulator};
 use qdc_graph::{EdgeWeights, Graph, NodeId};
 
 /// Result of a distributed SSSP run.
@@ -23,48 +23,6 @@ pub struct SsspRun {
     pub parent_port: Vec<Option<usize>>,
     /// Accumulated cost.
     pub ledger: Ledger,
-}
-
-struct BellmanFord {
-    dist: u64,
-    parent_port: Option<usize>,
-    port_weight: Vec<u64>,
-    width: usize,
-}
-
-impl BellmanFord {
-    fn announce(&self, out: &mut Outbox) {
-        for p in 0..self.port_weight.len() {
-            out.send(p, Message::from_uint(self.dist, self.width));
-        }
-    }
-}
-
-impl NodeAlgorithm for BellmanFord {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        if self.dist == 0 {
-            self.announce(out);
-        }
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        let mut improved = false;
-        for (port, msg) in inbox.iter() {
-            if let Some(d) = msg.as_uint(self.width) {
-                let candidate = d.saturating_add(self.port_weight[port]);
-                if candidate < self.dist {
-                    self.dist = candidate;
-                    self.parent_port = Some(port);
-                    improved = true;
-                }
-            }
-        }
-        if improved {
-            self.announce(out);
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
 }
 
 /// Runs distributed Bellman–Ford from `source`.
@@ -87,19 +45,27 @@ pub fn distributed_sssp(
     );
     let mut ledger = Ledger::new();
     let sim = Simulator::new(graph, cfg);
-    let nodes = ledger.run(&sim, stage_cap(n) + n, |info| BellmanFord {
-        dist: if info.id == source { 0 } else { u64::MAX },
-        parent_port: None,
-        port_weight: info
-            .incident_edges
-            .iter()
-            .map(|&e| weights.weight(e))
-            .collect(),
-        width,
-    });
+    let flooded = relax(
+        &sim,
+        &mut ledger,
+        |info| ((info.id == source).then_some(0), None, every_port(info)),
+        |&d| Message::from_uint(d, width),
+        |info, _, dist, inbox| {
+            let via = |p: usize, msg: &Message| {
+                let d = msg.as_uint(width).expect("distance");
+                d.saturating_add(weights.weight(info.incident_edges[p]))
+            };
+            let (port, d) = first_smallest(inbox, via, |&d| d)?;
+            dist.is_none_or(|&cur| d < cur).then_some((port, d))
+        },
+        true,
+    );
     SsspRun {
-        dist: nodes.iter().map(|s| s.dist).collect(),
-        parent_port: nodes.iter().map(|s| s.parent_port).collect(),
+        dist: flooded
+            .iter()
+            .map(|&(d, _)| d.unwrap_or(u64::MAX))
+            .collect(),
+        parent_port: flooded.iter().map(|&(_, p)| p).collect(),
         ledger,
     }
 }

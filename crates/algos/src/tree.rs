@@ -1,4 +1,4 @@
-//! The three communication patterns the multi-phase algorithms are built
+//! The five communication patterns the multi-phase algorithms are built
 //! from, each written once, and the BFS-tree aggregation on top of them.
 //!
 //! * `exchange` — one round: every node sends the `(port, message)` pairs
@@ -6,9 +6,19 @@
 //! * `converge` — a fold up a rooted forest: a node waits for all of its
 //!   children, folds their messages in port order into its own value and
 //!   sends the result to its parent once;
-//! * `broadcast` — a value down a rooted forest: a node that holds a value
-//!   forwards it to its children, every other node adopts the first value
-//!   it hears and passes it on.
+//! * `relax` — an event-driven flood to a fixpoint: a node that holds a
+//!   value announces it on its ports, and each round a rule from the
+//!   caller may pick a port the node heard and the value to adopt from
+//!   it, which the node then announces in turn. Leader election, the BFS
+//!   wave, Bellman–Ford, the sweep, the parity flood and the fragment
+//!   relabel are rules for it, most of them tie-broken by
+//!   `first_smallest`;
+//! * `broadcast` — a value down a rooted forest: a `relax` that floods on
+//!   a node's child ports and adopts the first value heard;
+//! * `pipeline` — a FIFO flood: a node queues every entry it hears that
+//!   the caller's rule takes into its state, and sends one queued entry on
+//!   its ports per round (the APSP waves, Cohen's LE lists and the
+//!   fragment engine's downcast).
 //!
 //! Each runs as one stage charged through [`Ledger`]. A forest is given as
 //! parent and child ports, so one call serves a single BFS tree or every
@@ -23,6 +33,7 @@ use crate::flood::{stage_cap, BfsTreeInfo};
 use crate::ledger::Ledger;
 use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
 use qdc_graph::Graph;
+use std::collections::VecDeque;
 
 /// Aggregation operator for [`aggregate_to_root`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,19 +98,16 @@ pub(crate) fn exchange(
     nodes.into_iter().map(|s| s.heard).collect()
 }
 
-struct ConvergeState<'a, V, E, C> {
+struct ConvergeState<'a, V> {
     parent_port: Option<usize>,
     pending_children: usize,
     value: V,
-    encode: &'a E,
-    combine: &'a C,
+    encode: &'a (dyn Fn(&V) -> Message + Sync),
+    combine: &'a (dyn Fn(&mut V, &Message) + Sync),
     sent: bool,
 }
 
-impl<V, E, C> ConvergeState<'_, V, E, C>
-where
-    E: Fn(&V) -> Message,
-{
+impl<V> ConvergeState<'_, V> {
     fn try_send(&mut self, out: &mut Outbox) {
         if self.sent || self.pending_children > 0 {
             return;
@@ -111,12 +119,7 @@ where
     }
 }
 
-impl<V, E, C> NodeAlgorithm for ConvergeState<'_, V, E, C>
-where
-    V: Send,
-    E: Fn(&V) -> Message + Sync,
-    C: Fn(&mut V, &Message) + Sync,
-{
+impl<V: Send> NodeAlgorithm for ConvergeState<'_, V> {
     fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
         self.try_send(out);
     }
@@ -162,37 +165,97 @@ pub(crate) fn converge<V: Send>(
     nodes.into_iter().map(|s| s.value).collect()
 }
 
-struct BroadcastState<'a> {
-    value: Option<u64>,
-    children: &'a [usize],
-    width: usize,
+/// A `relax` rule: given the node, the round, its value and what it
+/// heard, the port and value to adopt, if any.
+type Rule<'a, V> = dyn Fn(&NodeInfo, usize, Option<&V>, &Inbox) -> Option<(usize, V)> + Sync + 'a;
+
+struct RelaxState<'a, V> {
+    value: Option<V>,
+    parent: Option<usize>,
+    ports: Vec<usize>,
+    round: usize,
+    echo: bool,
+    encode: &'a (dyn Fn(&V) -> Message + Sync),
+    adopt: &'a Rule<'a, V>,
 }
 
-impl BroadcastState<'_> {
-    fn forward(&self, out: &mut Outbox) {
-        if let Some(v) = self.value {
-            for &c in self.children {
-                out.send(c, Message::from_uint(v, self.width));
+impl<V> RelaxState<'_, V> {
+    /// Sends the held value on every flood port but `skip`.
+    fn announce(&self, out: &mut Outbox, skip: Option<usize>) {
+        if let Some(v) = &self.value {
+            let msg = (self.encode)(v);
+            for &p in self.ports.iter().filter(|&&p| Some(p) != skip) {
+                out.send(p, msg.clone());
             }
         }
     }
 }
 
-impl NodeAlgorithm for BroadcastState<'_> {
+impl<V: Send> NodeAlgorithm for RelaxState<'_, V> {
     fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.forward(out);
+        self.announce(out, None);
     }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        if self.value.is_none() {
-            if let Some((_, msg)) = inbox.iter().next() {
-                self.value = msg.as_uint(self.width);
-                self.forward(out);
-            }
+    fn on_round(&mut self, info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
+        self.round += 1;
+        if let Some((port, v)) = (self.adopt)(info, self.round, self.value.as_ref(), inbox) {
+            self.value = Some(v);
+            self.parent = Some(port);
+            self.announce(out, (!self.echo).then_some(port));
         }
     }
     fn is_terminated(&self) -> bool {
         true
     }
+}
+
+/// Floods values until no node adopts any more. `seed(info)` gives a
+/// node its value, the parent port it keeps unless it adopts, and the
+/// ports it floods on; a node seeded with a value announces it in round
+/// 0. In round `r`, `adopt(info, r, value, inbox)` may name a port the
+/// node heard and the value to take from it: the node then holds that
+/// value, takes that port as its parent, and announces the value on its
+/// ports — back on the parent port too when `echo`. Returns every node's
+/// final value and parent port.
+pub(crate) fn relax<V: Send>(
+    sim: &Simulator,
+    ledger: &mut Ledger,
+    mut seed: impl FnMut(&NodeInfo) -> (Option<V>, Option<usize>, Vec<usize>),
+    encode: impl Fn(&V) -> Message + Sync,
+    adopt: impl Fn(&NodeInfo, usize, Option<&V>, &Inbox) -> Option<(usize, V)> + Sync,
+    echo: bool,
+) -> Vec<(Option<V>, Option<usize>)> {
+    let cap = stage_cap(sim.graph().node_count());
+    let nodes = ledger.run(sim, cap, |info| {
+        let (value, parent, ports) = seed(info);
+        RelaxState {
+            value,
+            parent,
+            ports,
+            round: 0,
+            echo,
+            encode: &encode,
+            adopt: &adopt,
+        }
+    });
+    nodes.into_iter().map(|s| (s.value, s.parent)).collect()
+}
+
+/// Every port of a node: the ports of a flood over the whole network.
+pub(crate) fn every_port(info: &NodeInfo) -> Vec<usize> {
+    (0..info.degree()).collect()
+}
+
+/// The tie-break the `relax` rules share: decodes each message heard into
+/// an offer and returns the first port whose offer has the smallest
+/// `key`, with that offer. A later port wins only with a strictly smaller
+/// key.
+pub(crate) fn first_smallest<T, K: Ord>(
+    inbox: &Inbox,
+    offer: impl Fn(usize, &Message) -> T,
+    key: impl Fn(&T) -> K,
+) -> Option<(usize, T)> {
+    let offers = inbox.iter().map(|(p, msg)| (p, offer(p, msg)));
+    offers.min_by_key(|(_, t)| key(t))
 }
 
 /// Sends values down the forest given by `children` in `width`-bit
@@ -207,16 +270,86 @@ pub(crate) fn broadcast(
     start: impl Fn(usize) -> Option<u64>,
     width: usize,
 ) -> Vec<Option<u64>> {
-    let cap = stage_cap(sim.graph().node_count());
-    let nodes = ledger.run(sim, cap, |info| {
-        let i = info.id.index();
-        BroadcastState {
-            value: start(i),
-            children: &children[i],
-            width,
+    let flooded = relax(
+        sim,
+        ledger,
+        |info| {
+            let i = info.id.index();
+            (start(i), None, children[i].clone())
+        },
+        |&v| Message::from_uint(v, width),
+        |_, _, value, inbox| {
+            if value.is_some() {
+                return None;
+            }
+            let (port, msg) = inbox.iter().next()?;
+            Some((port, msg.as_uint(width)?))
+        },
+        false,
+    );
+    flooded.into_iter().map(|(v, _)| v).collect()
+}
+
+struct PipelineState<'a, S, T> {
+    state: S,
+    queue: VecDeque<T>,
+    ports: Vec<usize>,
+    encode: &'a (dyn Fn(&NodeInfo, usize, &T) -> Message + Sync),
+    decode: &'a (dyn Fn(&Message) -> T + Sync),
+    accept: &'a (dyn Fn(&NodeInfo, &mut S, &T) -> bool + Sync),
+}
+
+impl<S: Send, T: Send> NodeAlgorithm for PipelineState<'_, S, T> {
+    fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox) {
+        self.on_round(info, &Inbox::from_slots(Vec::new()), out);
+    }
+    fn on_round(&mut self, info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
+        for (_, msg) in inbox.iter() {
+            let entry = (self.decode)(msg);
+            if (self.accept)(info, &mut self.state, &entry) {
+                self.queue.push_back(entry);
+            }
+        }
+        // One message per edge per round: send the oldest entry.
+        if let Some(entry) = self.queue.pop_front() {
+            for &p in &self.ports {
+                out.send(p, (self.encode)(info, p, &entry));
+            }
+        }
+    }
+    fn is_terminated(&self) -> bool {
+        self.queue.is_empty()
+    }
+}
+
+/// Streams entries through the network, one message per edge per round.
+/// `seed(info)` gives a node its state, the entries queued at the start
+/// and the ports it sends on. Each round a node decodes what it heard,
+/// port by port, and queues every entry that `accept` takes into its
+/// state; then it sends its oldest queued entry, encoded for each port
+/// by `encode(info, port, entry)`. The stage ends when every queue is
+/// empty; returns every node's final state.
+pub(crate) fn pipeline<S: Send, T: Send>(
+    sim: &Simulator,
+    ledger: &mut Ledger,
+    mut seed: impl FnMut(&NodeInfo) -> (S, Vec<T>, Vec<usize>),
+    encode: impl Fn(&NodeInfo, usize, &T) -> Message + Sync,
+    decode: impl Fn(&Message) -> T + Sync,
+    accept: impl Fn(&NodeInfo, &mut S, &T) -> bool + Sync,
+) -> Vec<S> {
+    let n = sim.graph().node_count();
+    let nodes = ledger.run(sim, stage_cap(n) + n * n, |info| {
+        let (state, queue, ports) = seed(info);
+        PipelineState {
+            state,
+            queue: queue.into(),
+            ports,
+            encode: &encode,
+            decode: &decode,
+            accept: &accept,
         }
     });
-    nodes.into_iter().map(|s| s.value).collect()
+    nodes.into_iter().map(|s| s.state).collect()
 }
 
 /// Aggregates `values[v]` over all tree nodes to the root; returns the

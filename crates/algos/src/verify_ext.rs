@@ -6,12 +6,11 @@
 //! `Recipe`); bipartiteness first runs a parity-carrying label flood and
 //! a one-round conflict exchange, then elects the recipe's leader.
 
-use crate::flood::stage_cap;
 use crate::ledger::Ledger;
-use crate::tree::{exchange, Agg};
+use crate::tree::{exchange, first_smallest, relax, Agg};
 use crate::verify::{Recipe, VerificationRun};
 use crate::widths::{bits_for, id_width};
-use qdc_congest::{CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator};
+use qdc_congest::{BitString, CongestConfig, Message, NodeInfo, Simulator};
 use qdc_graph::{EdgeId, Graph, NodeId, Subgraph};
 
 /// **Cycle containment verification**: does `M` contain a cycle?
@@ -139,57 +138,6 @@ pub fn verify_simple_path(graph: &Graph, cfg: CongestConfig, m: &Subgraph) -> Ve
 // Bipartiteness: parity-carrying label flood + conflict exchange.
 // ---------------------------------------------------------------------------
 
-struct ParityFlood {
-    origin: u64,
-    parity: bool,
-    active: Vec<bool>,
-    width: usize,
-}
-
-impl ParityFlood {
-    fn encode(&self) -> Message {
-        let mut bits = qdc_congest::BitString::new();
-        bits.push_uint(self.origin, self.width);
-        bits.push_bit(self.parity);
-        Message::from_bits(bits)
-    }
-    fn broadcast(&self, out: &mut Outbox, skip: Option<usize>) {
-        for p in 0..self.active.len() {
-            if self.active[p] && Some(p) != skip {
-                out.send(p, self.encode());
-            }
-        }
-    }
-}
-
-impl NodeAlgorithm for ParityFlood {
-    fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
-        self.broadcast(out, None);
-    }
-    fn on_round(&mut self, _info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
-        let mut improved = None;
-        for (port, msg) in inbox.iter() {
-            if !self.active[port] {
-                continue;
-            }
-            let mut r = msg.reader();
-            let origin = r.read_uint(self.width).expect("origin");
-            let parity = r.read_bit().expect("parity");
-            if origin < self.origin {
-                self.origin = origin;
-                self.parity = !parity;
-                improved = Some(port);
-            }
-        }
-        if let Some(port) = improved {
-            self.broadcast(out, Some(port));
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
-}
-
 /// **Bipartiteness verification**: is `M` bipartite?
 ///
 /// Each `M`-component is 2-colored by a parity-carrying minimum-origin
@@ -201,29 +149,54 @@ pub fn verify_bipartiteness(graph: &Graph, cfg: CongestConfig, m: &Subgraph) -> 
     assert!(width < cfg.bandwidth_bits, "parity message exceeds B");
     let mut ledger = Ledger::new();
     let sim = Simulator::new(graph, cfg);
+    let m_ports = |info: &NodeInfo| -> Vec<usize> {
+        let edges = info.incident_edges.iter().enumerate();
+        edges
+            .filter(|&(_, &e)| m.contains(e))
+            .map(|(p, _)| p)
+            .collect()
+    };
+    // A label is (origin, parity); only M-edges carry one.
+    let encode = |&(origin, parity): &(u64, bool)| {
+        let mut bits = BitString::new();
+        bits.push_uint(origin, width);
+        bits.push_bit(parity);
+        Message::from_bits(bits)
+    };
+    let decode = |msg: &Message| {
+        let mut r = msg.reader();
+        let origin = r.read_uint(width).expect("origin");
+        (origin, r.read_bit().expect("parity"))
+    };
 
-    let flooded = ledger.run(&sim, stage_cap(n), |info| ParityFlood {
-        origin: info.id.0 as u64,
-        parity: false,
-        active: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-        width,
-    });
+    // Offers are ranked by origin alone: the first port with the smallest
+    // origin wins, whatever parity it carries.
+    let flooded = relax(
+        &sim,
+        &mut ledger,
+        |info| (Some((info.id.0 as u64, false)), None, m_ports(info)),
+        encode,
+        |_, _, label, inbox| {
+            let offer = first_smallest(inbox, |_, msg| decode(msg), |&(o, _)| o);
+            let (port, (origin, parity)) = offer?;
+            (origin < label?.0).then_some((port, (origin, !parity)))
+        },
+        false,
+    );
+    let label = |u: NodeId| flooded[u.index()].0.expect("every node holds a label");
 
     let heard = exchange(&sim, &mut ledger, |info| {
-        let label = &flooded[info.id.index()];
-        let ports = (0..label.active.len()).filter(|&p| label.active[p]);
-        ports.map(|p| (p, label.encode())).collect()
+        let msg = encode(&label(info.id));
+        m_ports(info)
+            .into_iter()
+            .map(|p| (p, msg.clone()))
+            .collect()
     });
     // Same BFS-layer origin with equal parity across an M-edge ⇒ an odd
-    // cycle (only M-edges carry a label).
+    // cycle.
     let conflict = |u: NodeId| {
-        let mine = &flooded[u.index()];
-        heard[u.index()].iter().flatten().any(|msg| {
-            let mut r = msg.reader();
-            let origin = r.read_uint(width).expect("origin");
-            let parity = r.read_bit().expect("parity");
-            origin == mine.origin && parity == mine.parity
-        })
+        let heard = heard[u.index()].iter().flatten();
+        heard.map(decode).any(|other| other == label(u))
     };
 
     // OR-aggregate the conflicts over a BFS tree and broadcast back.
