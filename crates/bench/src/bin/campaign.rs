@@ -162,7 +162,7 @@ struct Args {
     trace_dir: Option<String>,
     telemetry_dir: Option<String>,
     telemetry_stream: bool,
-    telemetry_top_k: usize,
+    telemetry_top_k: Option<usize>,
 }
 
 fn usage() -> ! {
@@ -192,7 +192,7 @@ fn parse_args() -> Args {
         trace_dir: None,
         telemetry_dir: None,
         telemetry_stream: false,
-        telemetry_top_k: 16,
+        telemetry_top_k: None,
     };
     let mut saw_resume_word = false;
     let mut it = std::env::args().skip(1);
@@ -219,7 +219,7 @@ fn parse_args() -> Args {
             "--telemetry-dir" => args.telemetry_dir = Some(cli::value(&mut it, usage)),
             "--telemetry-stream" => args.telemetry_stream = true,
             "--telemetry-top-k" => {
-                args.telemetry_top_k = cli::value::<NonZeroUsize>(&mut it, usage).get()
+                args.telemetry_top_k = Some(cli::value::<NonZeroUsize>(&mut it, usage).get())
             }
             "--help" | "-h" => usage(),
             s if s.starts_with('-') => {
@@ -424,6 +424,9 @@ fn main() {
     if args.telemetry_stream && args.telemetry_dir.is_none() {
         cli::fail(3, "campaign: --telemetry-stream requires --telemetry-dir");
     }
+    if args.telemetry_top_k.is_some() && !args.telemetry_stream {
+        cli::fail(3, "campaign: --telemetry-top-k requires --telemetry-stream");
+    }
 
     // Stream mode: the workers write `qdc-telemetry-stream/v1` archives
     // incrementally themselves, so the journal committer has nothing to
@@ -432,7 +435,7 @@ fn main() {
     let telemetry = match &args.telemetry_dir {
         Some(dir) if args.telemetry_stream => {
             let mut cfg = StreamTelemetry::new(dir.clone());
-            cfg.top_k = args.telemetry_top_k;
+            cfg.top_k = args.telemetry_top_k.unwrap_or(cfg.top_k);
             cfg.with_wall = !args.deterministic;
             TelemetryMode::Stream(cfg)
         }

@@ -93,6 +93,17 @@ fn campaign_error_paths() {
         (
             &[
                 "simthm_smoke",
+                "--telemetry-dir",
+                "d",
+                "--telemetry-top-k",
+                "4",
+            ],
+            3,
+            "campaign: --telemetry-top-k requires --telemetry-stream".into(),
+        ),
+        (
+            &[
+                "simthm_smoke",
                 "--out",
                 "same.json",
                 "--summary",
