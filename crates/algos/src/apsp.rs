@@ -10,7 +10,7 @@
 //! of that story, awaiting its quantum lower bound (open problem).
 
 use crate::ledger::Ledger;
-use crate::tree::{aggregate_to_root, every_port, pipeline, Agg};
+use crate::tree::{aggregate_to_root, pipeline, Agg};
 use crate::widths::{bits_for, id_width};
 use qdc_congest::{BitString, CongestConfig, Message, Simulator};
 use qdc_graph::Graph;
@@ -54,7 +54,7 @@ pub fn distributed_apsp(graph: &Graph, cfg: CongestConfig) -> ApspRun {
             let me = info.id.0;
             let mut dist = vec![u64::MAX; n];
             dist[me as usize] = 0;
-            (dist, vec![(me, 0)], every_port(info))
+            (dist, vec![(me, 0)], (0..info.degree()).collect())
         },
         |_, _, &(source, d)| {
             let mut bits = BitString::new();

@@ -3,7 +3,7 @@
 //! corrupts, or crash-loses messages.
 
 use crate::ledger::Ledger;
-use crate::tree::{every_port, exchange, first_smallest, relax};
+use crate::tree::{exchange, first_smallest, relax};
 use crate::widths::id_width;
 use qdc_congest::{
     ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
@@ -57,7 +57,7 @@ pub fn elect_leader(graph: &Graph, cfg: CongestConfig, ledger: &mut Ledger) -> N
     let flooded = relax(
         &sim,
         ledger,
-        |info| (Some(info.id.0 as u64), None, every_port(info)),
+        |info| (Some(info.id.0 as u64), None, (0..info.degree()).collect()),
         |&id| Message::from_uint(id, width),
         |_, _, best, inbox| {
             let id = |_, msg: &Message| msg.as_uint(width).expect("node id");
@@ -131,7 +131,13 @@ pub fn build_bfs_tree(
     let flooded = relax(
         &sim,
         ledger,
-        |info| ((info.id == root).then_some(0), None, every_port(info)),
+        |info| {
+            (
+                (info.id == root).then_some(0),
+                None,
+                (0..info.degree()).collect(),
+            )
+        },
         |_| Message::empty(),
         |_, round, depth, inbox| {
             if depth.is_some() {

@@ -12,7 +12,7 @@
 //! each node's accepted set *is* its LE-list.
 
 use crate::ledger::Ledger;
-use crate::tree::{every_port, pipeline};
+use crate::tree::pipeline;
 use crate::widths::{bits_for, distance_width};
 use qdc_congest::{BitString, CongestConfig, Message, Simulator};
 use qdc_graph::lel::LeEntry;
@@ -84,7 +84,7 @@ pub fn distributed_le_lists(
         &mut ledger,
         |info| {
             let me = (0, ranks[info.id.index()], info.id.0);
-            (vec![me], vec![me], every_port(info))
+            (vec![me], vec![me], (0..info.degree()).collect())
         },
         |info, p, &(dist, rank, origin): &Entry| {
             let mut bits = BitString::new();

@@ -95,13 +95,9 @@ pub fn mst_approx_sweep(
             &mut ledger,
             |info| {
                 let i = info.id.index();
-                let edges = info.incident_edges.iter().enumerate();
-                let active = edges.filter(|&(_, &e)| class_of(e) <= c);
-                (
-                    Some(labels[i]),
-                    adopted[i],
-                    active.map(|(p, _)| p).collect(),
-                )
+                let active = |&p: &usize| class_of(info.incident_edges[p]) <= c;
+                let ports = (0..info.degree()).filter(active).collect();
+                (Some(labels[i]), adopted[i], ports)
             },
             |&label| Message::from_uint(label, width),
             |info, _, label, inbox| {

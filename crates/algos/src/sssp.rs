@@ -8,7 +8,7 @@
 //! (Corollary 3.9) is compared against.
 
 use crate::ledger::Ledger;
-use crate::tree::{every_port, first_smallest, relax};
+use crate::tree::{first_smallest, relax};
 use crate::widths::distance_width;
 use qdc_congest::{CongestConfig, Message, Simulator};
 use qdc_graph::{EdgeWeights, Graph, NodeId};
@@ -48,7 +48,13 @@ pub fn distributed_sssp(
     let flooded = relax(
         &sim,
         &mut ledger,
-        |info| ((info.id == source).then_some(0), None, every_port(info)),
+        |info| {
+            (
+                (info.id == source).then_some(0),
+                None,
+                (0..info.degree()).collect(),
+            )
+        },
         |&d| Message::from_uint(d, width),
         |info, _, dist, inbox| {
             let via = |p: usize, msg: &Message| {

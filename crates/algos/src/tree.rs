@@ -240,11 +240,6 @@ pub(crate) fn relax<V: Send>(
     nodes.into_iter().map(|s| (s.value, s.parent)).collect()
 }
 
-/// Every port of a node: the ports of a flood over the whole network.
-pub(crate) fn every_port(info: &NodeInfo) -> Vec<usize> {
-    (0..info.degree()).collect()
-}
-
 /// The tie-break the `relax` rules share: decodes each message heard into
 /// an offer and returns the first port whose offer has the smallest
 /// `key`, with that offer. A later port wins only with a strictly smaller
@@ -301,6 +296,7 @@ struct PipelineState<'a, S, T> {
 
 impl<S: Send, T: Send> NodeAlgorithm for PipelineState<'_, S, T> {
     fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox) {
+        // Round 0 is a round in which nothing was heard.
         self.on_round(info, &Inbox::from_slots(Vec::new()), out);
     }
     fn on_round(&mut self, info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
@@ -576,6 +572,77 @@ mod tests {
         expected[2][port(&sim, 2, 1)] = Some(msg);
         assert_eq!(heard, expected);
         assert_eq!(cost(&ledger), (1, 1, 3, 1));
+    }
+
+    #[test]
+    fn first_smallest_takes_the_first_port_among_equal_keys() {
+        let m = |v| Some(Message::from_uint(v, 4));
+        let inbox = Inbox::from_slots(vec![m(5), m(3), None, m(3)]);
+        let value = |_, msg: &Message| msg.as_uint(4).unwrap();
+        assert_eq!(first_smallest(&inbox, value, |&v| v), Some((1, 3)));
+        assert_eq!(first_smallest(&inbox, value, |_| ()), Some((0, 5)));
+        let silent = Inbox::from_slots(vec![None, None]);
+        assert_eq!(first_smallest(&silent, value, |&v| v), None);
+    }
+
+    #[test]
+    fn relax_answers_the_parent_port_only_with_echo() {
+        // A min-id flood on the path 0–1–2–3: every node ends with id 0
+        // and its port toward node 0 as parent.
+        let g = Graph::path(4);
+        let sim = Simulator::new(&g, CongestConfig::classical(8));
+        let toward_0 = [None, Some(port(&sim, 1, 0)), Some(port(&sim, 2, 1))];
+        let expected: Vec<_> = [toward_0[0], toward_0[1], toward_0[2], Some(0)]
+            .into_iter()
+            .map(|p| (Some(0), p))
+            .collect();
+        // Round 0 sends 6 messages. Without echo each adoption goes on
+        // away from node 0 only (2, then 1); with echo every adopter also
+        // answers its parent (5, 3, then 1).
+        for (echo, messages) in [(false, 6 + 2 + 1), (true, 6 + 5 + 3 + 1)] {
+            let mut ledger = Ledger::new();
+            let flooded = relax(
+                &sim,
+                &mut ledger,
+                |info| (Some(info.id.0 as u64), None, (0..info.degree()).collect()),
+                |&v| Message::from_uint(v, 2),
+                |_, _, cur, inbox| {
+                    let (port, v) = first_smallest(inbox, |_, m| m.as_uint(2).unwrap(), |&v| v)?;
+                    (v < *cur?).then_some((port, v))
+                },
+                echo,
+            );
+            assert_eq!(flooded, expected, "echo {echo}");
+            assert_eq!(ledger.messages, messages, "echo {echo}");
+        }
+    }
+
+    #[test]
+    fn pipeline_sends_one_queued_entry_per_round_in_order() {
+        // Node 0 streams 1, 2, 3, 4 toward node 2; node 1 records every
+        // entry it hears but queues only the even ones.
+        let g = Graph::path(3);
+        let sim = Simulator::new(&g, CongestConfig::classical(8));
+        let mut ledger = Ledger::new();
+        let heard = pipeline(
+            &sim,
+            &mut ledger,
+            |info| match info.id.0 {
+                0 => (Vec::new(), vec![1, 2, 3, 4], vec![0]),
+                1 => (Vec::new(), Vec::new(), vec![port(&sim, 1, 2)]),
+                _ => (Vec::new(), Vec::new(), Vec::new()),
+            },
+            |_, _, &e| Message::from_uint(e, 3),
+            |msg| msg.as_uint(3).unwrap(),
+            |_, seen: &mut Vec<u64>, &e| {
+                seen.push(e);
+                e % 2 == 0
+            },
+        );
+        assert_eq!(heard, vec![vec![], vec![1, 2, 3, 4], vec![2, 4]]);
+        // Node 0 sends in rounds 0–3 and node 1 in rounds 2 and 4; the
+        // last entry arrives in round 5.
+        assert_eq!(cost(&ledger), (5, 6, 18, 1));
     }
 
     #[test]
