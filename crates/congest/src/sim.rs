@@ -217,13 +217,15 @@ impl CongestConfig {
 /// parameters in [`CongestConfig`]: how the engine runs, never what it
 /// computes.
 ///
-/// The compute phase (every node's `on_round`) shards across `threads`
-/// scoped workers with a fixed chunking by node index; delivery, chaos
-/// decisions and accounting always run on the calling thread in the
-/// engine's one deterministic order. The outcome — states, reports,
-/// traces, telemetry — is therefore **byte-identical at every thread
-/// count** (the same contract the campaign runner in `qdc-harness`
-/// keeps at the experiment level).
+/// The compute phase steps every live node's `on_round` through the
+/// same chunk step that runs `on_start`: inline at one thread, and
+/// otherwise once per fixed chunk of node indices on `threads` scoped
+/// workers, whose queued counts and first defect join in index order.
+/// Delivery, chaos decisions and accounting always run on the calling
+/// thread in the engine's one deterministic order. The outcome —
+/// states, reports, traces, telemetry — is therefore **byte-identical
+/// at every thread count** (the same contract the campaign runner in
+/// `qdc-harness` keeps at the experiment level).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunOptions {
     /// Worker threads for the node compute phase. `1` (the default)
@@ -273,12 +275,6 @@ pub struct Inbox {
 }
 
 impl Inbox {
-    fn new(ports: usize) -> Self {
-        Inbox {
-            msgs: vec![None; ports],
-        }
-    }
-
     /// The message received on `port` this round, if any.
     ///
     /// # Panics
@@ -363,23 +359,18 @@ pub struct Outbox {
 }
 
 impl Outbox {
-    fn new(ports: usize, budget_bits: usize, charge: usize, strict: bool) -> Self {
-        Outbox {
-            budget_bits,
-            charge,
-            msgs: vec![None; ports],
-            queued: 0,
-            strict,
-            defect: None,
-        }
-    }
-
-    /// Wraps an already-emptied slot vector, so the round loop reuses one
-    /// allocation per node instead of building a fresh `Vec` every round.
-    fn reuse(msgs: Vec<Option<Message>>, budget_bits: usize, charge: usize, strict: bool) -> Self {
+    /// Wraps an emptied slot vector, one slot per port, so the round
+    /// loop reuses one allocation per node instead of building a fresh
+    /// `Vec` every round.
+    fn from_slots(
+        msgs: Vec<Option<Message>>,
+        budget_bits: usize,
+        charge: usize,
+        strict: bool,
+    ) -> Self {
         debug_assert!(
             msgs.iter().all(Option::is_none),
-            "reused outbox must start empty"
+            "an outbox must start empty"
         );
         Outbox {
             budget_bits,
@@ -456,16 +447,12 @@ impl Outbox {
         self.msgs.len()
     }
 
-    fn take(&mut self) -> Vec<Option<Message>> {
-        std::mem::take(&mut self.msgs)
-    }
-
     /// A detached outbox for harnesses that drive a [`NodeAlgorithm`]
     /// outside the simulator. The same budget discipline applies
     /// (violations via [`send`](Outbox::send) panic; use
     /// [`try_send`](Outbox::try_send) to handle them).
     pub fn detached(ports: usize, budget_bits: usize) -> Self {
-        Outbox::new(ports, budget_bits, 1, true)
+        Outbox::from_slots(vec![None; ports], budget_bits, 1, true)
     }
 
     /// A detached outbox reusing an already-emptied slot vector (as
@@ -476,12 +463,12 @@ impl Outbox {
     ///
     /// Debug-panics if any slot is still occupied.
     pub fn detached_reusing(slots: Vec<Option<Message>>, budget_bits: usize) -> Self {
-        Outbox::reuse(slots, budget_bits, 1, true)
+        Outbox::from_slots(slots, budget_bits, 1, true)
     }
 
     /// Extracts the queued messages from a detached outbox.
-    pub fn into_slots(mut self) -> Vec<Option<Message>> {
-        self.take()
+    pub fn into_slots(self) -> Vec<Option<Message>> {
+        self.msgs
     }
 }
 
@@ -496,10 +483,10 @@ impl Outbox {
 /// exactly when the information flow dies down (the standard implicit-
 /// termination convention in synchronous models).
 ///
-/// The `Send` supertrait lets the engine shard the compute phase across
-/// scoped worker threads ([`RunOptions::threads`]); node states are
-/// plain data moved between rounds, never shared, so any ordinary
-/// algorithm state satisfies it automatically.
+/// The `Send` supertrait lets the engine step the compute phase's node
+/// chunks on scoped worker threads ([`RunOptions::threads`]); each
+/// worker owns its chunk's node states for the round, never sharing
+/// them, so any ordinary algorithm state satisfies it automatically.
 pub trait NodeAlgorithm: Send {
     /// Round-0 initialization; may send messages.
     fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox);
@@ -844,27 +831,21 @@ impl<'g> Simulator<'g> {
         F: FnMut(&NodeInfo) -> A,
     {
         let mut nodes: Vec<A> = self.infos.iter().map(&mut init).collect();
-        let mut outgoing = Vec::with_capacity(nodes.len());
-        let mut pending = 0usize;
-        let mut defect = None;
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let mut out = Outbox::new(
-                self.infos[i].degree(),
-                self.config.bandwidth_bits,
-                self.config.charge_factor(),
-                strict,
-            );
-            node.on_start(&self.infos[i], &mut out);
-            pending += out.queued;
-            if defect.is_none() {
-                defect = out.defect;
-            }
-            outgoing.push(out.take());
-        }
+        let slots = |info: &NodeInfo| vec![None; info.degree()];
+        let mut outgoing: Vec<_> = self.infos.iter().map(slots).collect();
+        let dead = vec![false; self.infos.len()];
+        let (pending, defect) = self.step_nodes(
+            0,
+            &mut nodes,
+            &mut outgoing,
+            &dead,
+            strict,
+            |node, i, out| node.on_start(&self.infos[i], out),
+        );
         let inboxes = self
             .infos
             .iter()
-            .map(|info| Inbox::new(info.degree()))
+            .map(|info| Inbox::from_slots(slots(info)))
             .collect();
         let total_slots = 2 * self.graph.edge_count();
         Engine {
@@ -877,7 +858,7 @@ impl<'g> Simulator<'g> {
             active: Vec::new(),
             prev_active: Vec::new(),
             scratch: Vec::new(),
-            dead: vec![false; self.infos.len()],
+            dead,
             live_slots: total_slots as u64,
             pending,
             plan,
@@ -965,8 +946,9 @@ impl<'g> Simulator<'g> {
                 slab.extend_bits(msg.payload());
                 let mut kept = len;
                 if let Some(plan) = plan.as_mut() {
-                    match plan.decide(info.id, v, len) {
-                        FaultAction::Deliver => {}
+                    // Each corrupting action yields the payload bits it cost.
+                    let lost = match plan.decide(info.id, v, len) {
+                        FaultAction::Deliver => None,
                         FaultAction::Drop => {
                             if T::ENABLED {
                                 telemetry.on_chaos_drop(round, info.incident_edges[p], info.id, v);
@@ -975,27 +957,17 @@ impl<'g> Simulator<'g> {
                         }
                         FaultAction::Toggle(i) => {
                             slab.toggle(start + i);
-                            if T::ENABLED {
-                                telemetry.on_chaos_corrupt(
-                                    round,
-                                    info.incident_edges[p],
-                                    info.id,
-                                    v,
-                                    1,
-                                );
-                            }
+                            Some(1)
                         }
                         FaultAction::Truncate(keep) => {
                             kept = keep;
-                            if T::ENABLED {
-                                telemetry.on_chaos_corrupt(
-                                    round,
-                                    info.incident_edges[p],
-                                    info.id,
-                                    v,
-                                    (len - keep) as u64,
-                                );
-                            }
+                            Some(len - keep)
+                        }
+                    };
+                    if T::ENABLED {
+                        if let Some(lost) = lost {
+                            let edge = info.incident_edges[p];
+                            telemetry.on_chaos_corrupt(round, edge, info.id, v, lost as u64);
                         }
                     }
                 }
@@ -1056,95 +1028,50 @@ impl<'g> Simulator<'g> {
             dropped = stats.messages_dropped - dropped_before;
         }
 
-        // Compute: every live node takes a step, writing into its
-        // (emptied) outgoing slot vector. Crashed nodes are frozen: their
-        // `on_round` is never called again and they queue nothing. With
-        // `RunOptions { threads > 1 }` the nodes shard across scoped
-        // workers by fixed index chunks; the per-chunk folds join in
-        // chunk order, so the pending sum (commutative) and the first
-        // defect (chunk order = index order) match the sequential pass
-        // exactly, and a strict-mode panic resurfaces with its original
-        // payload.
-        engine.pending = 0;
-        let threads = self.options.threads.max(1).min(engine.nodes.len().max(1));
-        if threads == 1 {
-            for (i, node) in engine.nodes.iter_mut().enumerate() {
-                if engine
-                    .plan
-                    .as_ref()
-                    .is_some_and(|p| p.is_crashed(self.infos[i].id))
-                {
-                    continue;
-                }
-                let slots = std::mem::take(&mut engine.outgoing[i]);
-                let mut out = Outbox::reuse(
-                    slots,
-                    self.config.bandwidth_bits,
-                    self.config.charge_factor(),
-                    engine.strict,
-                );
-                node.on_round(&self.infos[i], &engine.inboxes[i], &mut out);
-                engine.pending += out.queued;
-                if engine.defect.is_none() {
-                    engine.defect = out.defect;
-                }
-                engine.outgoing[i] = out.take();
-            }
+        // Compute: every live node steps `on_round` through
+        // `step_nodes`, inline at one thread, or one call per fixed index
+        // chunk on scoped workers. The chunk results join in chunk order,
+        // so the queued sum and the first defect (chunk order = index
+        // order) match the inline call exactly, and a strict-mode panic
+        // resurfaces with its original payload.
+        let Engine {
+            ref mut nodes,
+            ref mut outgoing,
+            ref inboxes,
+            ref dead,
+            strict,
+            ..
+        } = *engine;
+        let step = |node: &mut A, i: usize, out: &mut Outbox| {
+            node.on_round(&self.infos[i], &inboxes[i], out)
+        };
+        let threads = self.options.threads.max(1).min(nodes.len().max(1));
+        let (pending, defect) = if threads == 1 {
+            self.step_nodes(0, nodes, outgoing, dead, strict, step)
         } else {
-            let chunk = engine.nodes.len().div_ceil(threads);
-            let bandwidth = self.config.bandwidth_bits;
-            let charge = self.config.charge_factor();
-            let strict = engine.strict;
-            let plan = engine.plan.as_ref();
-            let inboxes = &engine.inboxes;
-            let infos = &self.infos;
-            let mut pending = 0usize;
-            let mut defect = None;
+            let chunk = nodes.len().div_ceil(threads);
+            let step = &step;
             std::thread::scope(|scope| {
-                let handles: Vec<_> = engine
-                    .nodes
+                let handles: Vec<_> = nodes
                     .chunks_mut(chunk)
-                    .zip(engine.outgoing.chunks_mut(chunk))
+                    .zip(outgoing.chunks_mut(chunk))
                     .enumerate()
-                    .map(|(c, (nodes, outs))| {
-                        let base = c * chunk;
+                    .map(|(c, (nodes, outgoing))| {
                         scope.spawn(move || {
-                            let mut queued = 0usize;
-                            let mut defect = None;
-                            for (k, (node, slot_vec)) in
-                                nodes.iter_mut().zip(outs.iter_mut()).enumerate()
-                            {
-                                let i = base + k;
-                                if plan.is_some_and(|p| p.is_crashed(infos[i].id)) {
-                                    continue;
-                                }
-                                let slots = std::mem::take(slot_vec);
-                                let mut out = Outbox::reuse(slots, bandwidth, charge, strict);
-                                node.on_round(&infos[i], &inboxes[i], &mut out);
-                                queued += out.queued;
-                                if defect.is_none() {
-                                    defect = out.defect;
-                                }
-                                *slot_vec = out.take();
-                            }
-                            (queued, defect)
+                            self.step_nodes(c * chunk, nodes, outgoing, dead, strict, step)
                         })
                     })
                     .collect();
-                for h in handles {
-                    let (queued, chunk_defect) =
-                        h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                    pending += queued;
-                    if defect.is_none() {
-                        defect = chunk_defect;
-                    }
-                }
-            });
-            engine.pending = pending;
-            if engine.defect.is_none() {
-                engine.defect = defect;
-            }
-        }
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .fold((0, None), |(pending, defect), (queued, first)| {
+                        (pending + queued, defect.or(first))
+                    })
+            })
+        };
+        engine.pending = pending;
+        engine.defect = engine.defect.or(defect);
         if T::ENABLED {
             telemetry.on_round_end(round, engine.is_quiescent(), engine.live_slots);
         }
@@ -1154,6 +1081,37 @@ impl<'g> Simulator<'g> {
             bits,
             dropped,
         }
+    }
+
+    /// Steps one chunk of nodes, `nodes[k]` being node `base + k`: each
+    /// live node gets its emptied slot vector back as an [`Outbox`], and
+    /// `step` runs its `on_start` or `on_round` into it. Crashed nodes
+    /// are frozen and skipped. Returns the messages queued and the first
+    /// defect in node order — the one place the engine builds outboxes,
+    /// tallies queued messages and latches defects.
+    fn step_nodes<A>(
+        &self,
+        base: usize,
+        nodes: &mut [A],
+        outgoing: &mut [Vec<Option<Message>>],
+        dead: &[bool],
+        strict: bool,
+        step: impl Fn(&mut A, usize, &mut Outbox),
+    ) -> (usize, Option<SimError>) {
+        let (budget, charge) = (self.config.bandwidth_bits, self.config.charge_factor());
+        let mut queued = 0;
+        let mut defect = None;
+        for (k, (node, slots)) in nodes.iter_mut().zip(outgoing).enumerate() {
+            if dead[base + k] {
+                continue;
+            }
+            let mut out = Outbox::from_slots(std::mem::take(slots), budget, charge, strict);
+            step(node, base + k, &mut out);
+            queued += out.queued;
+            defect = defect.or(out.defect);
+            *slots = out.msgs;
+        }
+        (queued, defect)
     }
 }
 
@@ -1190,9 +1148,11 @@ struct Engine<A> {
     /// Retired message shells, so slots that flip from idle to active
     /// refill from a pooled allocation instead of the allocator.
     scratch: Vec<Message>,
-    /// Engine-side crash mirror, updated crash by crash in activation
-    /// order (unlike the plan's view, which flips a whole round's
-    /// crashes at once) so shared edges are decremented exactly once.
+    /// The engine's one crash view: the compute phase skips these nodes
+    /// and quiescence counts them as terminated. It mirrors the plan's
+    /// crashes, which flip only in `begin_round`, before that round's
+    /// delivery; it is updated crash by crash in activation order, so
+    /// an edge shared by two same-round crashes leaves `live_slots` once.
     dead: Vec<bool>,
     /// Directed slots whose both endpoints are still alive — `2·|E|`
     /// until the first crash; the utilisation denominator reported to
@@ -1217,13 +1177,11 @@ impl<A: NodeAlgorithm> Engine<A> {
     /// they count as (involuntarily) terminated.
     fn is_quiescent(&self) -> bool {
         self.pending == 0
-            && self.nodes.iter().enumerate().all(|(i, a)| {
-                a.is_terminated()
-                    || self
-                        .plan
-                        .as_ref()
-                        .is_some_and(|p| p.is_crashed(NodeId(i as u32)))
-            })
+            && self
+                .nodes
+                .iter()
+                .zip(&self.dead)
+                .all(|(a, &dead)| a.is_terminated() || dead)
     }
 }
 
@@ -1293,9 +1251,7 @@ pub struct WatchdogReport {
 impl<'g, A: NodeAlgorithm> Stepper<'g, A> {
     /// Initializes the algorithm (runs every node's `on_start`).
     pub fn new<F: FnMut(&NodeInfo) -> A>(graph: &'g Graph, config: CongestConfig, init: F) -> Self {
-        let sim = Simulator::new(graph, config);
-        let engine = sim.engine_start(init, None, true);
-        Stepper { sim, engine }
+        Stepper::with_options(graph, config, RunOptions::default(), None, init)
     }
 
     /// A stepper with fault injection: each [`step`](Stepper::step)
@@ -1315,11 +1271,7 @@ impl<'g, A: NodeAlgorithm> Stepper<'g, A> {
         chaos: &ChaosConfig,
         init: F,
     ) -> Self {
-        chaos.validate().unwrap_or_else(|e| panic!("{e}"));
-        let sim = Simulator::new(graph, config);
-        let plan = FaultPlan::new(chaos, graph.node_count());
-        let engine = sim.engine_start(init, Some(plan), true);
-        Stepper { sim, engine }
+        Stepper::with_options(graph, config, RunOptions::default(), Some(chaos), init)
     }
 
     /// A stepper with explicit [`RunOptions`] and optional fault
