@@ -8,6 +8,14 @@ use qdc::graph::{algorithms, generate, NodeId};
 use qdc::quantum::density::{entanglement_entropy, DensityMatrix};
 use qdc::quantum::StateVector;
 
+/// CI-provided seed perturbation (defaults to 0 for local runs).
+fn env_seed() -> u64 {
+    std::env::var("QDC_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -65,7 +73,8 @@ proptest! {
     /// `run_observed` and a `Stepper` driven to quiescence produce
     /// identical final states and identical `RunReport`s on random
     /// connected graphs. All three share one round engine, so any
-    /// divergence would be a routing or buffer-reuse bug.
+    /// divergence would be a routing or buffer-reuse bug. The seed mixes
+    /// in `QDC_CHAOS_SEED`, so each CI chaos leg checks other networks.
     #[test]
     fn run_traced_and_stepper_agree(n in 4usize..24, extra in 0usize..10, seed in 0u64..200) {
         use qdc::congest::{ChaosConfig, Inbox, NodeAlgorithm, NodeInfo, Outbox, Stepper};
@@ -88,6 +97,7 @@ proptest! {
             fn is_terminated(&self) -> bool { true }
         }
         use qdc::congest::RunOptions;
+        let seed = seed ^ env_seed();
         let g = generate::random_connected(n, n + extra, seed);
         let cfg = CongestConfig::classical(16);
         let make = |info: &NodeInfo| MinFlood { label: 1000 + info.id.0 as u64 };
