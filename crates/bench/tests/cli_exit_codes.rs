@@ -19,6 +19,10 @@ const PROFILE_USAGE: &str = "usage: profile <telemetry.jsonl> [--top K]";
 const SOAK_USAGE: &str = "usage: stream_soak [--rounds N] [--nodes N] [--seed S] \
      [--sink stream|exact|null] [--out PATH] [--top-k K]";
 const NOT_FOUND: &str = "No such file or directory (os error 2)";
+/// A top-K far beyond any network: it bounds the sketches and reserves
+/// nothing, so a run asking for it exits 0 with an empty first stderr
+/// line (reserving it up front aborted the process with exit 134).
+const HUGE_TOP_K: &str = "1000000000000000";
 /// A `qdc-telemetry/v1` archive whose two rounds deliver u64::MAX + 1
 /// messages.
 const OVERFLOWING_ARCHIVE: &str = "\
@@ -136,6 +140,22 @@ fn campaign_error_paths() {
              [--job-threads N] [--max-queue N] [--max-client-jobs N] \
              [--max-client-points N] [--throttle-ms MS]"
                 .into(),
+        ),
+        (
+            &[
+                "telemetry_smoke",
+                "--out",
+                "r.jsonl",
+                "--summary",
+                "s.json",
+                "--telemetry-dir",
+                "tel",
+                "--telemetry-stream",
+                "--telemetry-top-k",
+                HUGE_TOP_K,
+            ],
+            0,
+            String::new(),
         ),
     ];
     run_cases("campaign", env!("CARGO_BIN_EXE_campaign"), cases);
@@ -317,6 +337,7 @@ fn stream_soak_error_paths() {
         (&["--nodes", "1"], 2, SOAK_USAGE.into()),
         (&["--sink", "bogus"], 2, SOAK_USAGE.into()),
         (&["--rounds", "0"], 2, SOAK_USAGE.into()),
+        (&["--rounds", "2", "--top-k", HUGE_TOP_K], 0, String::new()),
     ];
     run_cases("stream_soak", env!("CARGO_BIN_EXE_stream_soak"), cases);
 }

@@ -227,11 +227,14 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// An empty sketch holding at most `cap` keys.
+    /// An empty sketch holding at most `cap` keys. It reserves nothing:
+    /// entries grow as keys arrive, so its memory is bounded by the
+    /// distinct keys it sees, never by a `cap` taken from a flag or an
+    /// archive.
     pub fn new(cap: usize) -> TopK {
         TopK {
             cap,
-            entries: Vec::with_capacity(cap),
+            entries: Vec::new(),
         }
     }
 
@@ -1098,6 +1101,21 @@ mod tests {
         for e in &ranked {
             assert!(e.err <= e.bits, "bits - err is a certain lower bound");
         }
+    }
+
+    #[test]
+    fn stream_topk_of_any_capacity_ranks_like_an_unbounded_sketch() {
+        // A capacity bounds the sketch and reserves nothing, so a
+        // `usize::MAX` capacity ranks what it saw, exactly.
+        let mut huge = TopK::new(usize::MAX);
+        let mut exact = TopK::new(4);
+        for (index, bits) in [(3, 4), (1, 9), (3, 7), (6, 2), (0, 9), (6, 1)] {
+            huge.observe(index, bits, 1);
+            exact.observe(index, bits, 1);
+        }
+        assert_eq!(huge.capacity(), usize::MAX);
+        assert_eq!(huge.ranked(), exact.ranked());
+        assert!(huge.ranked().iter().all(|e| e.err == 0), "exact regime");
     }
 
     #[test]
