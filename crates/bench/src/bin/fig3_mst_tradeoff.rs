@@ -45,11 +45,6 @@ fn main() {
         ],
         &widths,
     );
-    let opt = qdc_graph::algorithms::kruskal_mst(
-        net.graph(),
-        &theorems::weight_gadget(net.graph(), &m, 1),
-    );
-    let _ = opt;
     for &w in &[2u64, 8, 32, 128, 512, 2048] {
         let weights = theorems::weight_gadget(net.graph(), &m, w);
         let cfg = CongestConfig::classical(bandwidth);
