@@ -18,7 +18,8 @@
 //!    resumes cleanly, and never aborts the run.
 //! 4. **Huge counters**: journals and exact telemetry archives whose
 //!    counters sum past `u64::MAX` are refused, never wrapped, and
-//!    nothing panics.
+//!    nothing panics. A live fold that would pass it is refused too,
+//!    and the journal keeps exactly the records before the refused one.
 
 use proptest::prelude::*;
 use qdc::congest::{
@@ -26,7 +27,8 @@ use qdc::congest::{
 };
 use qdc::harness::{
     failure_json, journal, record_json, run_campaign, run_campaign_journaled, Aggregate,
-    CampaignGrid, CampaignSpec, CancelToken, JournalConfig, PointFailure, PointRecord, RunOptions,
+    CampaignGrid, CampaignRunError, CampaignSpec, CancelToken, JournalConfig, PointFailure,
+    PointRecord, RunOptions,
 };
 
 fn opts(threads: usize) -> RunOptions {
@@ -153,6 +155,69 @@ fn panicking_grid_journals_failures_and_resumes() {
     let out_path = dir.join("journal.jsonl");
     let first_line = full.lines().next().expect("at least one line");
     resume_from_prefix(&spec, &full, &out_path, &format!("{first_line}\n"), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_refused_live_fold_keeps_exactly_the_records_before_it() {
+    // Line 0 of a resumed journal claims just enough bits that the fold
+    // of lines 0..=j lands exactly on u64::MAX, so the live committer
+    // must refuse line j + 1 and leave exactly the lines before it on
+    // disk. At 4 workers, lines 1..=j + 1 can reach the committer
+    // together.
+    let spec = CampaignSpec {
+        name: "live_refusal".into(),
+        grid: CampaignGrid::Chaos {
+            nodes: 8,
+            extra_edges: 2,
+            drop_pm: vec![0, 100],
+            seeds: (0..16).collect(),
+            bandwidth: 4,
+        },
+    };
+    let reference = run_campaign(&spec, &opts(1)).expect("reference run");
+    let records = &reference.records;
+    assert!(reference.failures.is_empty(), "every chaos point completes");
+    assert_eq!(records.len(), 32);
+    assert!(records.iter().all(|r| r.metrics.bits_sent > 0));
+    let full = reference.deterministic_jsonl();
+    let lines: Vec<&str> = full.lines().collect();
+    let dir = scratch("live_refusal");
+    let out_path = dir.join("journal.jsonl");
+
+    for j in [0usize, 1, 7, 20, 30] {
+        let rest: u64 = records[1..=j].iter().map(|r| r.metrics.bits_sent).sum();
+        let mut heavy = records[0].clone();
+        heavy.metrics.bits_sent = u64::MAX - rest;
+        let line0 = record_json(&spec.name, &heavy, false);
+        let kept: String = std::iter::once(line0.as_str())
+            .chain(lines[1..=j].iter().copied())
+            .map(|l| format!("{l}\n"))
+            .collect();
+        for threads in [1usize, 4] {
+            std::fs::write(&out_path, format!("{line0}\n")).expect("seed journal");
+            let err = run_campaign_journaled(
+                &spec,
+                &opts(threads),
+                &config(&out_path, true),
+                &CancelToken::new(),
+            )
+            .expect_err("the fold of line j + 1 overflows");
+            assert!(matches!(err, CampaignRunError::Corrupt(_)), "{err:?}");
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "corrupt journal: journal line {}: a running total would overflow u64",
+                    j + 1
+                )
+            );
+            assert_eq!(
+                std::fs::read_to_string(&out_path).expect("journal readable"),
+                kept,
+                "j = {j}, {threads} worker(s)"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
