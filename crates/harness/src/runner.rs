@@ -41,10 +41,12 @@
 //!
 //! # Crash-safe journaling and resume
 //!
-//! [`run_campaign_journaled`] streams each committed point through
-//! [`Journal::append_line`](crate::journal::Journal::append_line)
-//! (single-write + fsync per line) instead of holding the campaign in
-//! memory, and on resume replays the surviving journal prefix via
+//! [`run_campaign_journaled`] streams committed points through
+//! [`Journal::append_lines`](crate::journal::Journal::append_lines)
+//! instead of holding the campaign in memory: one `write_all` per line,
+//! and one `sync_data` per batch of records ready in index order, so no
+//! line is left unsynced when the committer waits or the run returns.
+//! On resume it replays the surviving journal prefix via
 //! [`journal::resume`] before executing only the missing tail.
 //! Cancellation ([`CancelToken`]) drains in-flight points, commits the
 //! contiguous prefix, and reports `interrupted: true` — the journal is
@@ -537,10 +539,13 @@ struct ExecStatus {
 }
 
 /// The shared execution engine: dispense indices to supervised workers,
-/// reorder completions, and hand each outcome to `commit` in strict
-/// index order starting at `start_at`. `commit` failing (an I/O error
-/// from the journal, or a refused fold) cancels the run and surfaces
-/// the error.
+/// reorder completions, and hand `commit` the outcomes in strict index
+/// order starting at `start_at`, as `commit(first_index, batch)`. A
+/// batch is every outcome contiguous with the committed prefix once the
+/// channel is drained: whatever finished while the previous commit ran.
+/// `commit` failing (an I/O error, a failed archive or a refused fold)
+/// stops this run's workers and surfaces the error; `cancel` is only
+/// read, since the caller may share it with other runs.
 fn execute_grid<F>(
     points: &[PointSpec],
     start_at: usize,
@@ -549,13 +554,14 @@ fn execute_grid<F>(
     mut commit: F,
 ) -> Result<ExecStatus, CampaignRunError>
 where
-    F: FnMut(usize, PointOutcome) -> Result<(), CampaignRunError>,
+    F: FnMut(usize, Vec<PointOutcome>) -> Result<(), CampaignRunError>,
 {
     let total = points.len();
     let mut committed = start_at.min(total);
     if committed < total {
         let threads = options.threads.min(total - committed).max(1);
         let next = AtomicUsize::new(committed);
+        let stop = AtomicBool::new(false);
         let mut buffer: BTreeMap<usize, PointOutcome> = BTreeMap::new();
         let mut commit_err: Option<CampaignRunError> = None;
         std::thread::scope(|scope| {
@@ -563,13 +569,13 @@ where
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {
                 let tx = tx.clone();
-                let next = &next;
+                let (next, stop) = (&next, &stop);
                 handles.push(scope.spawn(move || {
                     // Graceful drain on cancellation: the cancel check
                     // sits *before* the dispenser, so a point already
                     // taken is always finished and reported.
                     loop {
-                        if cancel.is_cancelled() {
+                        if cancel.is_cancelled() || stop.load(Ordering::SeqCst) {
                             break;
                         }
                         let i = next.fetch_add(1, Ordering::SeqCst);
@@ -588,21 +594,25 @@ where
             }
             drop(tx);
             // Committer: workers finish out of order; the journal
-            // contract wants strict index order, so buffer and commit
-            // the contiguous prefix only.
-            while let Ok((i, out)) = rx.recv() {
-                buffer.insert(i, out);
-                while let Some(out) = buffer.remove(&committed) {
-                    if let Err(e) = commit(committed, out) {
-                        commit_err = Some(e);
-                        cancel.cancel();
-                        break;
-                    }
-                    committed += 1;
+            // contract wants strict index order, so buffer everything
+            // that has arrived and commit the contiguous prefix as one
+            // batch (group commit).
+            while let Ok(first) = rx.recv() {
+                buffer.extend(std::iter::once(first).chain(rx.try_iter()));
+                let mut batch = Vec::new();
+                while let Some(out) = buffer.remove(&(committed + batch.len())) {
+                    batch.push(out);
                 }
-                if commit_err.is_some() {
+                if batch.is_empty() {
+                    continue;
+                }
+                let ready = batch.len();
+                if let Err(e) = commit(committed, batch) {
+                    commit_err = Some(e);
+                    stop.store(true, Ordering::SeqCst);
                     break;
                 }
+                committed += ready;
             }
             for h in handles {
                 // catch_unwind contains point panics, so workers do not
@@ -623,7 +633,7 @@ where
                 Some(out) => out,
                 None => supervised_execute(committed, &points[committed], options),
             };
-            commit(committed, out)?;
+            commit(committed, vec![out])?;
             committed += 1;
         }
     }
@@ -665,14 +675,16 @@ pub fn run_campaign(
     telemetry.resize_with(points.len(), || None);
 
     let cancel = CancelToken::new();
-    execute_grid(&points, 0, options, &cancel, |i, out| {
-        match out {
-            PointOutcome::Done(slot) => {
-                let (rec, _, profile) = *slot;
-                telemetry[i] = profile;
-                records.push(rec);
+    execute_grid(&points, 0, options, &cancel, |first, batch| {
+        for (i, out) in (first..).zip(batch) {
+            match out {
+                PointOutcome::Done(slot) => {
+                    let (rec, _, profile) = *slot;
+                    telemetry[i] = profile;
+                    records.push(rec);
+                }
+                PointOutcome::Failed(f) => failures.push(f),
             }
-            PointOutcome::Failed(f) => failures.push(f),
         }
         Ok(())
     })
@@ -772,9 +784,11 @@ pub struct JournalOutcome {
     pub threads: usize,
 }
 
-/// Runs a campaign with crash-safe journaling: every committed point is
-/// durably appended to `config.out_path` (fsync per line) the moment
-/// its index is reached, archives land *before* their journal line, and
+/// Runs a campaign with crash-safe journaling: committed points are
+/// durably appended to `config.out_path` as soon as their index is
+/// reached (one `write_all` per line, one `sync_data` per batch of
+/// ready records, and no line left unsynced when the committer waits
+/// or the run returns), archives land *before* their journal line, and
 /// `config.resume` recovers an interrupted journal and executes only
 /// the missing tail — byte-identical (in the deterministic form) to an
 /// uninterrupted run at any thread count.
@@ -809,36 +823,45 @@ pub fn run_campaign_journaled(
         std::fs::create_dir_all(dir)?;
     }
 
-    let status = execute_grid(&points, recovered, options, cancel, |i, out| {
-        // Fold before appending, so a journal never holds a prefix whose
-        // fold `journal::recover` would refuse.
-        match &out {
-            PointOutcome::Done(slot) => {
-                let rec = &slot.0;
-                aggregate.add_point(&rec.metrics, rec.accept, rec.error.is_some())
-            }
-            PointOutcome::Failed(f) => aggregate.add_failure(u64::from(f.attempts)),
-        }
-        .map_err(|e| CampaignRunError::Corrupt(format!("journal line {i}: {e}")))?;
-        match out {
-            PointOutcome::Done(slot) => {
-                let (rec, trace, profile) = &*slot;
-                // Archives land before the journal line: a journaled
-                // record implies its archives exist, and a crash in the
-                // gap simply re-runs the point into identical bytes.
-                if let (Some(dir), Some(trace)) = (&config.trace_dir, trace) {
-                    let path = format!("{dir}/point_{i}.trace.jsonl").into();
-                    Staged::write(path, trace.to_jsonl().as_bytes())?;
+    let status = execute_grid(&points, recovered, options, cancel, |first, batch| {
+        let mut lines = Vec::with_capacity(batch.len());
+        let encoded = (first..).zip(batch).try_for_each(|(i, out)| {
+            // Fold before appending, so a journal never holds a prefix
+            // whose fold `journal::recover` would refuse.
+            match &out {
+                PointOutcome::Done(slot) => {
+                    let rec = &slot.0;
+                    aggregate.add_point(&rec.metrics, rec.accept, rec.error.is_some())
                 }
-                if let (Some(dir), Some(profile)) = (&config.telemetry_dir, profile) {
-                    let archive = profile.to_jsonl(config.with_wall);
-                    Staged::write(stream_telemetry_path(dir, i), archive.as_bytes())?;
-                }
-                journal.append_line(&record_json(&spec.name, rec, config.with_wall))?;
+                PointOutcome::Failed(f) => aggregate.add_failure(u64::from(f.attempts)),
             }
-            PointOutcome::Failed(f) => journal.append_line(&failure_json(&spec.name, &f))?,
-        }
-        Ok(())
+            .map_err(|e| CampaignRunError::Corrupt(format!("journal line {i}: {e}")))?;
+            lines.push(match out {
+                PointOutcome::Done(slot) => {
+                    let (rec, trace, profile) = &*slot;
+                    // Archives land before the journal line: a journaled
+                    // record implies its archives exist, and a crash in
+                    // the gap simply re-runs the point into identical
+                    // bytes.
+                    if let (Some(dir), Some(trace)) = (&config.trace_dir, trace) {
+                        let path = format!("{dir}/point_{i}.trace.jsonl").into();
+                        Staged::write(path, trace.to_jsonl().as_bytes())?;
+                    }
+                    if let (Some(dir), Some(profile)) = (&config.telemetry_dir, profile) {
+                        let archive = profile.to_jsonl(config.with_wall);
+                        Staged::write(stream_telemetry_path(dir, i), archive.as_bytes())?;
+                    }
+                    record_json(&spec.name, rec, config.with_wall)
+                }
+                PointOutcome::Failed(f) => failure_json(&spec.name, &f),
+            });
+            Ok::<_, CampaignRunError>(())
+        });
+        // Write the lines encoded so far and sync once *before* an error
+        // surfaces: a refusal mid-batch leaves the journal holding
+        // exactly the records before it, all synced.
+        journal.append_lines(lines.iter().map(String::as_str))?;
+        encoded
     })?;
     journal.sync_all()?;
 
@@ -1136,6 +1159,69 @@ mod tests {
             backoff_ms(2, 0, 1),
             "seed moves the jitter"
         );
+    }
+
+    /// The batches `execute_grid` hands its commit callback on a
+    /// 64-point chaos grid, as `(first_index, point indices)`. The
+    /// callback sleeps `stall_ms` on its first batch, so the workers
+    /// run ahead of it.
+    fn commit_batches(threads: usize, stall_ms: u64) -> Vec<(usize, Vec<usize>)> {
+        let spec = CampaignSpec {
+            name: "batch_grid".into(),
+            grid: CampaignGrid::Chaos {
+                nodes: 8,
+                extra_edges: 2,
+                drop_pm: vec![0, 100],
+                seeds: (0..32).collect(),
+                bandwidth: 4,
+            },
+        };
+        let points = spec.points();
+        assert_eq!(points.len(), 64);
+        let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
+        let status = execute_grid(
+            &points,
+            0,
+            &opts(threads),
+            &CancelToken::new(),
+            |first, batch| {
+                if batches.is_empty() {
+                    std::thread::sleep(Duration::from_millis(stall_ms));
+                }
+                let indices = batch.iter().map(|out| match out {
+                    PointOutcome::Done(slot) => slot.0.index,
+                    PointOutcome::Failed(f) => f.index,
+                });
+                batches.push((first, indices.collect()));
+                Ok(())
+            },
+        )
+        .expect("this commit never fails");
+        assert!(!status.interrupted);
+        assert_eq!(status.executed, 64);
+        batches
+    }
+
+    #[test]
+    fn runner_commits_contiguous_batches_covering_every_index_once() {
+        for (threads, stall_ms) in [(4, 50), (1, 0)] {
+            let batches = commit_batches(threads, stall_ms);
+            let mut next = 0;
+            for (first, indices) in &batches {
+                assert_eq!(*first, next, "batches arrive in index order");
+                assert!(!indices.is_empty(), "no empty batch");
+                let run: Vec<usize> = (next..next + indices.len()).collect();
+                assert_eq!(*indices, run, "a batch is one contiguous run");
+                next += indices.len();
+            }
+            assert_eq!(next, 64, "every index, exactly once");
+            if threads > 1 {
+                assert!(
+                    batches.iter().any(|(_, indices)| indices.len() > 1),
+                    "outcomes ready during the stall share a batch: {batches:?}"
+                );
+            }
+        }
     }
 
     #[test]

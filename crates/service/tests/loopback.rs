@@ -8,7 +8,8 @@
 use qdc_congest::TelemetryReport;
 use qdc_harness::json::{self, Json};
 use qdc_harness::{
-    builtin, journal, run_campaign, stream_telemetry_path, Aggregate, CancelToken, RunOptions,
+    builtin, journal, record_json, run_campaign, stream_telemetry_path, Aggregate, CancelToken,
+    RunOptions,
 };
 use qdc_service::scan::job_doc_json;
 use qdc_service::{
@@ -692,5 +693,47 @@ fn loopback_never_reuses_a_skipped_jobs_id() {
         let after = std::fs::read(dir.join(name)).expect("still there");
         assert!(&after == bytes, "{name} changed");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loopback_a_refused_job_leaves_the_service_serving() {
+    // Job 1's journal holds one record claiming u64::MAX - 1 bits. The
+    // startup scan's fold of it fits, but the worker's fold of line 1
+    // is refused: that job ends interrupted, and nothing else stops.
+    let dir = temp_dir("refused");
+    let spec = builtin("simthm_smoke").expect("builtin");
+    let direct = run_campaign(&spec, &RunOptions::default()).expect("runs");
+    let mut heavy = direct.records[0].clone();
+    heavy.metrics.bits_sent = u64::MAX - 1;
+    std::fs::write(dir.join("job_1.json"), job_doc_json(1, "a", false, &spec)).expect("doc");
+    let line0 = format!("{}\n", record_json(&spec.name, &heavy, false));
+    std::fs::write(dir.join("job_1.records.jsonl"), &line0).expect("journal");
+
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        ..ServiceConfig::default()
+    });
+    let refused = wait_terminal(&server.addr, 1);
+    assert!(refused.contains("\"state\":\"interrupted\""), "{refused}");
+    assert!(refused.contains("\"committed\":1"), "{refused}");
+    let (status, body) = get(&server.addr, "/status");
+    assert_eq!(status, 200, "{body}");
+
+    let (status, receipt) = post(
+        &server.addr,
+        "/jobs",
+        "alice",
+        "{\"builtin\":\"simthm_smoke\"}",
+    );
+    assert_eq!(status, 201, "{receipt}");
+    assert!(receipt.contains("\"id\":2"), "{receipt}");
+    let done = wait_terminal(&server.addr, 2);
+    assert!(done.contains("\"state\":\"completed\""), "{done}");
+    let (_, streamed) = get(&server.addr, "/jobs/2/records");
+    assert_eq!(streamed, direct.deterministic_jsonl());
+    server.stop();
+    let journal = std::fs::read_to_string(dir.join("job_1.records.jsonl")).expect("journal");
+    assert_eq!(journal, line0, "the refused job's journal is untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -221,6 +221,27 @@ fn a_refused_live_fold_keeps_exactly_the_records_before_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_refused_commit_leaves_the_callers_token_alone() {
+    // The service runs every job under its own shutdown token, so a
+    // refused commit must stop this run only, not cancel the token.
+    let spec = qdc::harness::builtin("simthm_smoke").expect("builtin");
+    let reference = run_campaign(&spec, &opts(1)).expect("reference run");
+    let mut heavy = reference.records[0].clone();
+    heavy.metrics.bits_sent = u64::MAX - 1;
+    let dir = scratch("token_alone");
+    let out_path = dir.join("journal.jsonl");
+    let line0 = format!("{}\n", record_json(&spec.name, &heavy, false));
+    std::fs::write(&out_path, &line0).expect("seed journal");
+    let cancel = CancelToken::new();
+    let err = run_campaign_journaled(&spec, &opts(2), &config(&out_path, true), &cancel)
+        .expect_err("the fold of line 1 overflows");
+    assert!(matches!(err, CampaignRunError::Corrupt(_)), "{err:?}");
+    assert!(!cancel.is_cancelled(), "the caller's token was cancelled");
+    assert_eq!(std::fs::read_to_string(&out_path).expect("read"), line0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
