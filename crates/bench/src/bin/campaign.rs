@@ -41,9 +41,10 @@
 //! * `--throttle-ms MS` — testing aid: sleep before each point so
 //!   interruption tests can land a signal mid-grid (default 0);
 //! * `--out` — per-point JSONL journal (default `campaign_<spec>.jsonl`).
-//!   Every committed point is durably appended (one write + fsync per
-//!   line), so the file is a valid record-boundary prefix at every
-//!   instant — SIGKILL included;
+//!   Every committed point is durably appended (one write per line,
+//!   one fsync per batch of ready records, no line left unsynced when
+//!   the committer waits or the run returns), so the file is a valid
+//!   record-boundary prefix at every instant — SIGKILL included;
 //! * `--summary` — aggregate summary (default `BENCH_<spec>.json`);
 //! * `--trace-dir` — also archive each traced point's per-round traffic
 //!   as `<dir>/point_<i>.trace.jsonl`;

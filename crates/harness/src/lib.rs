@@ -22,8 +22,10 @@
 //!   threads**.
 //!
 //! Campaigns are **crash-safe**: [`run_campaign_journaled`] streams
-//! every committed point through a durable fsync-per-line journal
-//! ([`journal`]), recovers interrupted journals (torn tails truncated
+//! every committed point through a durable journal ([`journal`]: one
+//! `write_all` per line, one `sync_data` per batch of ready records,
+//! no line left unsynced when the committer waits or the run returns),
+//! recovers interrupted journals (torn tails truncated
 //! on a record boundary), and resumes at the first missing index;
 //! point panics, structured simulator errors, and wall-clock deadline
 //! overruns are isolated into `qdc-campaign-failure/v1` records

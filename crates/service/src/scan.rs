@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! <data>/job_<id>.json            — the submission (id, client, spec)
-//! <data>/job_<id>.records.jsonl   — the fsync-per-line journal
+//! <data>/job_<id>.records.jsonl   — the journal (fsync per batch)
 //! <data>/job_<id>.telemetry/      — per-point telemetry archives
 //! ```
 //!
