@@ -19,7 +19,8 @@
 //! 4. **Huge counters**: journals and exact telemetry archives whose
 //!    counters sum past `u64::MAX` are refused, never wrapped, and
 //!    nothing panics. A live fold that would pass it is refused too,
-//!    and the journal keeps exactly the records before the refused one.
+//!    the journal keeps exactly the records before the refused one, and
+//!    the caller's cancel token is left alone.
 
 use proptest::prelude::*;
 use qdc::congest::{
