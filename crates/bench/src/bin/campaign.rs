@@ -248,8 +248,7 @@ fn self_check(
     summary_path: &str,
     outcome: &JournalOutcome,
 ) -> Result<usize, String> {
-    let written =
-        std::fs::read_to_string(out_path).map_err(|e| format!("cannot re-read journal: {e}"))?;
+    let written = std::fs::read(out_path).map_err(|e| format!("cannot re-read journal: {e}"))?;
     let recovery = journal::recover(&written, &outcome.spec_name)?;
     let n = recovery.committed;
     if recovery.truncated_bytes > 0 {
@@ -356,10 +355,11 @@ fn verify_main(args: &[String]) -> ! {
     if path.is_empty() {
         usage();
     }
-    let text = std::fs::read_to_string(&path)
+    let bytes = std::fs::read(&path)
         .unwrap_or_else(|e| cli::fail(4, format!("campaign verify: cannot read `{path}`: {e}")));
     // Without `--campaign`, the journal names its campaign on line 0.
     let campaign = campaign.or_else(|| {
+        let text = bytes.utf8_chunks().next()?.valid();
         let first = json::parse(text.lines().next()?).ok()?;
         match first.get("campaign")? {
             Json::Str(name) => Some(name.clone()),
@@ -367,9 +367,9 @@ fn verify_main(args: &[String]) -> ! {
         }
     });
     let verdict = match campaign {
-        Some(name) => journal::recover(&text, &name),
+        Some(name) => journal::recover(&bytes, &name),
         // An empty file is the empty journal of any campaign.
-        None if text.is_empty() => journal::recover(&text, ""),
+        None if bytes.is_empty() => journal::recover(&bytes, ""),
         None => Err("first line is not a campaign record".to_string()),
     };
     match verdict {

@@ -195,6 +195,13 @@ fn campaign_verify_verdicts() {
     let journal = std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal");
     std::fs::write(dir.join("torn.jsonl"), &journal[..journal.len() - 40]).expect("torn");
     std::fs::write(dir.join("empty.jsonl"), "").expect("empty");
+    // The journal of a campaign named `é`, cut one byte into line 2's
+    // `é`: a split character is torn tail like any other cut.
+    let relabelled = journal.replace("simthm_smoke", "é");
+    let kept: usize = relabelled.lines().take(2).map(|l| l.len() + 1).sum();
+    let line2 = &relabelled[kept..];
+    let cut = kept + line2.find('é').expect("line 2 names its campaign") + 1;
+    std::fs::write(dir.join("torn_utf8.jsonl"), &relabelled.as_bytes()[..cut]).expect("torn");
     std::fs::write(
         dir.join("foreign.jsonl"),
         journal.replace("simthm_smoke", "someone_elses"),
@@ -232,6 +239,16 @@ fn campaign_verify_verdicts() {
             0,
             "torn.jsonl: recoverable — 3 committed record(s) in 1282 bytes, \
              torn tail of 391 byte(s) would be truncated on resume",
+            "",
+        ),
+        (
+            &["verify", "torn_utf8.jsonl"],
+            0,
+            &format!(
+                "torn_utf8.jsonl: recoverable — 2 committed record(s) in {kept} bytes, \
+                 torn tail of {} byte(s) would be truncated on resume",
+                cut - kept
+            ),
             "",
         ),
         (

@@ -150,12 +150,12 @@ pub struct Recovery {
 /// refused: [`recover`] refuses it, or it holds more records than the
 /// grid has points. Such a file is left untouched.
 pub fn resume(path: &Path, spec: &CampaignSpec) -> io::Result<Result<Recovery, String>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let recovery = match recover(&text, &spec.name) {
+    let recovery = match recover(&bytes, &spec.name) {
         Ok(recovery) => recovery,
         Err(reason) => return Ok(Err(reason)),
     };
@@ -174,9 +174,12 @@ pub fn resume(path: &Path, spec: &CampaignSpec) -> io::Result<Result<Recovery, S
     Ok(Ok(recovery))
 }
 
-/// Scans journal `text` for campaign `campaign` and returns the
+/// Scans the journal's `bytes` for campaign `campaign` and returns the
 /// surviving prefix, folded line by line, per the recovery policy in
-/// the module docs.
+/// the module docs. Records are UTF-8, so everything past the longest
+/// valid UTF-8 prefix is torn tail too: a cut inside a multi-byte
+/// character (a campaign name may hold one) is truncated like any
+/// other cut.
 ///
 /// # Errors
 ///
@@ -186,7 +189,9 @@ pub fn resume(path: &Path, spec: &CampaignSpec) -> io::Result<Result<Recovery, S
 /// line would push a counter past `u64::MAX`. That message is
 /// `journal line <index>: ` followed by `TotalsOverflow`'s text, which
 /// is how `campaign verify` tells it from a foreign line.
-pub fn recover(text: &str, campaign: &str) -> Result<Recovery, String> {
+pub fn recover<B: AsRef<[u8]> + ?Sized>(bytes: &B, campaign: &str) -> Result<Recovery, String> {
+    let bytes = bytes.as_ref();
+    let text = bytes.utf8_chunks().next().map_or("", |chunk| chunk.valid());
     let mut recovery = Recovery::default();
     let mut pos = 0usize;
     while pos < text.len() {
@@ -201,7 +206,7 @@ pub fn recover(text: &str, campaign: &str) -> Result<Recovery, String> {
         recovery.committed += 1;
         recovery.kept_bytes = pos;
     }
-    recovery.truncated_bytes = text.len() - recovery.kept_bytes;
+    recovery.truncated_bytes = bytes.len() - recovery.kept_bytes;
     Ok(recovery)
 }
 
@@ -310,16 +315,21 @@ mod tests {
     fn journal_recover_truncates_a_torn_tail() {
         let lines = sample_lines("t");
         let clean = lines[..2].join("\n") + "\n";
-        // Torn fragments (no newline fence) and complete-but-invalid
-        // lines are both truncated from the first bad byte onward.
-        for tail in [
-            "",
-            "{\"schema\":\"qdc-camp",
-            "garbage",
-            "{}\n",
-            "null\nmore",
-        ] {
-            let torn = format!("{clean}{tail}");
+        // Torn fragments (no newline fence), complete-but-invalid lines
+        // and bytes that are not UTF-8 (a cut after the first byte of a
+        // two-byte `é`, a stray byte) are all truncated from the first
+        // bad byte onward.
+        let tails: [&[u8]; 7] = [
+            b"",
+            b"{\"schema\":\"qdc-camp",
+            b"garbage",
+            b"{}\n",
+            b"null\nmore",
+            b"{\"campaign\":\"\xC3",
+            b"\xFF\n{}\n",
+        ];
+        for tail in tails {
+            let torn = [clean.as_bytes(), tail].concat();
             let rec = recover(&torn, "t").expect("recoverable");
             assert_eq!(rec.committed, 2, "tail {tail:?}");
             assert_eq!(rec.kept_bytes, clean.len());

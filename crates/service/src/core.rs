@@ -28,7 +28,7 @@
 //! Completed and interrupted jobs stop counting against quotas, so a
 //! client's budget frees up as its work drains.
 
-use qdc_harness::{Aggregate, CampaignError, CampaignSpec};
+use qdc_harness::{CampaignError, CampaignSpec};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Per-client and global admission limits.
@@ -62,9 +62,10 @@ pub enum JobState {
     Running,
     /// Every grid point is committed to the journal.
     Completed,
-    /// Execution stopped early (service shutdown mid-job); the journal
-    /// is a resumable record-boundary prefix, and a restart re-enqueues
-    /// the job.
+    /// The run stopped early: the service shut down mid-job, or the run
+    /// failed on a journal I/O error, a failed archive or a refused fold.
+    /// The journal is a resumable record-boundary prefix, and a restart
+    /// re-enqueues the job.
     Interrupted,
 }
 
@@ -80,7 +81,8 @@ impl JobState {
     }
 }
 
-/// One admitted job.
+/// One admitted job. Its progress is not kept here: the journal in the
+/// data dir is the one record of what a job has committed.
 #[derive(Clone, Debug)]
 pub struct Job {
     /// Service-assigned id (monotonic; names the job's files and URLs).
@@ -91,15 +93,8 @@ pub struct Job {
     pub spec: CampaignSpec,
     /// Whether the job asked for per-point telemetry archives.
     pub telemetry: bool,
-    /// Size of the expanded grid (cached from `spec.point_count()`).
-    pub total_points: u64,
     /// Lifecycle state.
     pub state: JobState,
-    /// Journal lines committed so far (updated at state transitions;
-    /// the live count for a running job comes from its journal file).
-    pub committed: u64,
-    /// Fold of the committed entries (same update discipline).
-    pub aggregate: Aggregate,
 }
 
 /// Why a submission was rejected. Every variant maps to one
@@ -226,7 +221,7 @@ impl ServiceCore {
             .filter(|j| {
                 j.client == client && matches!(j.state, JobState::Queued | JobState::Running)
             })
-            .map(|j| j.total_points)
+            .map(|j| j.spec.point_count())
             .sum()
     }
 
@@ -254,7 +249,7 @@ impl ServiceCore {
                 stats.rejected += 1;
                 Err(e)
             }
-            Ok(total_points) => {
+            Ok(()) => {
                 stats.submitted += 1;
                 let id = self.next_id;
                 self.next_id += 1;
@@ -265,10 +260,7 @@ impl ServiceCore {
                         client: client.to_string(),
                         spec,
                         telemetry,
-                        total_points,
                         state: JobState::Queued,
-                        committed: 0,
-                        aggregate: Aggregate::default(),
                     },
                 );
                 self.queue.push_back(id);
@@ -277,8 +269,8 @@ impl ServiceCore {
         }
     }
 
-    /// The admission checks alone (no mutation). Returns the grid size.
-    fn admit(&self, client: &str, spec: &CampaignSpec) -> Result<u64, SubmitError> {
+    /// The admission checks alone (no mutation).
+    fn admit(&self, client: &str, spec: &CampaignSpec) -> Result<(), SubmitError> {
         spec.validate().map_err(SubmitError::InvalidSpec)?;
         // Size the grid arithmetically: expanding it (`spec.points()`)
         // before the quota check would let an untrusted 64 KiB spec with
@@ -306,7 +298,7 @@ impl ServiceCore {
                 max: self.quotas.max_points_per_client,
             });
         }
-        Ok(requested)
+        Ok(())
     }
 
     /// Never hands out an id at or below `id`: the startup scan passes
@@ -316,12 +308,13 @@ impl ServiceCore {
     }
 
     /// Re-inserts a job recovered from the service data dir at startup.
-    /// Incomplete jobs (`Queued`/`Running`/`Interrupted` on disk) are
-    /// re-enqueued as [`JobState::Queued`]; completed ones keep their
-    /// terminal state. The id counter advances past every restored id.
-    /// Every restored job counts as submitted (and completed ones as
-    /// completed), so the lifetime invariant `completed ≤ submitted`
-    /// holds across restarts.
+    /// The startup scan classifies each job by its journal alone: a job
+    /// in [`JobState::Completed`] keeps that state, and any other is
+    /// re-enqueued as [`JobState::Queued`]; its run resumes from the
+    /// journal, which also answers for its progress. The id counter
+    /// advances past every restored id. Every restored job counts as
+    /// submitted (and completed ones as completed), so the lifetime
+    /// invariant `completed ≤ submitted` holds across restarts.
     pub fn restore(&mut self, mut job: Job) {
         self.next_id = self.next_id.max(job.id + 1);
         let stats = self.clients.entry(job.client.clone()).or_default();
@@ -361,12 +354,10 @@ impl ServiceCore {
 
     /// Records a finished run: `interrupted = false` marks the job
     /// completed, `true` leaves it resumable (a restart re-enqueues it).
-    pub fn finish(&mut self, id: u64, committed: u64, aggregate: Aggregate, interrupted: bool) {
+    pub fn finish(&mut self, id: u64, interrupted: bool) {
         let Some(job) = self.jobs.get_mut(&id) else {
             return;
         };
-        job.committed = committed;
-        job.aggregate = aggregate;
         job.state = if interrupted {
             JobState::Interrupted
         } else {
@@ -466,7 +457,7 @@ mod tests {
             }
         );
         // Finishing the running job returns its points to the budget.
-        core.finish(a, 4, Aggregate::default(), false);
+        core.finish(a, false);
         core.submit("alice", smoke(), false)
             .expect("quota freed by completion");
         let stats = core
@@ -529,27 +520,21 @@ mod tests {
             client: "alice".into(),
             spec: smoke(),
             telemetry: false,
-            total_points: 4,
             state: JobState::Completed,
-            committed: 4,
-            aggregate: Aggregate::default(),
         });
         core.restore(Job {
             id: 9,
             client: "bob".into(),
             spec: smoke(),
             telemetry: true,
-            total_points: 4,
             state: JobState::Interrupted,
-            committed: 2,
-            aggregate: Aggregate::default(),
         });
         assert_eq!(core.count_in_state(JobState::Completed), 1);
         assert_eq!(core.count_in_state(JobState::Queued), 1);
         assert_eq!(core.queue_depth(), 1);
         let next = core.take_next().expect("recovered job re-enqueued");
         assert_eq!(next.id, 9, "the interrupted job is back in the queue");
-        assert_eq!(next.committed, 2, "its progress marker survives");
+        assert!(next.telemetry, "with its submission intact");
         // Restored jobs keep the lifetime counters consistent: every
         // restored job counts as submitted, so `completed ≤ submitted`
         // holds in /status even right after a restart.

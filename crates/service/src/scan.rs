@@ -13,7 +13,9 @@
 //! anything less — a missing journal, a clean prefix, or a torn tail —
 //! is re-enqueued and resumes at the first missing index. Each journal
 //! goes through [`journal::resume`], the same reader `campaign resume`
-//! uses, so the scan and a resumed run agree on every file.
+//! uses, so the scan and a resumed run agree on every file. The scan
+//! keeps nothing of the recovery but that verdict: a job's progress is
+//! folded from its journal whenever it is asked for.
 
 use crate::core::{Job, JobState};
 use qdc_congest::json::{self, Json};
@@ -104,8 +106,8 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
     doc_paths.sort();
 
     for doc_path in doc_paths {
-        let text = std::fs::read_to_string(&doc_path)?;
-        let (id, client, telemetry, spec) = match parse_job_doc(&text) {
+        let doc = String::from_utf8(std::fs::read(&doc_path)?).map_err(|_| "not UTF-8".into());
+        let (id, client, telemetry, spec) = match doc.and_then(|text| parse_job_doc(&text)) {
             Ok(parsed) => parsed,
             Err(e) => {
                 report.warnings.push(format!(
@@ -115,7 +117,6 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
                 continue;
             }
         };
-        let total_points = spec.point_count();
         let (_, records_path, _) = job_paths(data_dir, id);
         let recovery = match journal::resume(&records_path, &spec)? {
             Ok(recovery) => recovery,
@@ -127,8 +128,7 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
                 continue;
             }
         };
-        let committed = recovery.committed as u64;
-        let state = if committed == total_points {
+        let state = if recovery.committed as u64 == spec.point_count() {
             JobState::Completed
         } else {
             JobState::Interrupted
@@ -138,10 +138,7 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
             client,
             spec,
             telemetry,
-            total_points,
             state,
-            committed,
-            aggregate: recovery.aggregate,
         });
     }
     report.jobs.sort_by_key(|j| j.id);
@@ -231,17 +228,13 @@ mod tests {
             "{:?}",
             report.warnings
         );
-        let by_id: Vec<_> = report
-            .jobs
-            .iter()
-            .map(|j| (j.id, j.state, j.committed))
-            .collect();
+        let by_id: Vec<_> = report.jobs.iter().map(|j| (j.id, j.state)).collect();
         assert_eq!(
             by_id,
             vec![
-                (1, JobState::Completed, 4),
-                (2, JobState::Interrupted, 2),
-                (3, JobState::Interrupted, 0),
+                (1, JobState::Completed),
+                (2, JobState::Interrupted),
+                (3, JobState::Interrupted),
             ]
         );
         // The torn tail was truncated on its record boundary.
@@ -253,6 +246,35 @@ mod tests {
         let refused = std::fs::read_to_string(dir.join("job_6.records.jsonl")).expect("read");
         assert_eq!(refused, overflowing);
 
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn scan_skips_a_submission_that_is_not_utf8() {
+        let dir = std::env::temp_dir().join(format!(
+            "qdc_scan_utf8_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let spec = builtin("simthm_smoke").expect("builtin");
+        std::fs::write(dir.join("job_1.json"), job_doc_json(1, "a", false, &spec)).expect("doc");
+        // A client key whose two-byte `é` lost its second byte.
+        let mut doc = job_doc_json(2, "é", false, &spec).into_bytes();
+        let lead = doc.iter().position(|&b| b == 0xC3).expect("é");
+        doc.remove(lead + 1);
+        std::fs::write(dir.join("job_2.json"), doc).expect("doc");
+
+        let report = scan_data_dir(&dir).expect("one damaged document fails only its job");
+        assert_eq!(report.max_id, 2);
+        let ids: Vec<_> = report.jobs.iter().map(|j| j.id).collect();
+        assert_eq!(ids, vec![1]);
+        assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
+        assert!(
+            report.warnings[0].ends_with("job_2.json: unreadable submission: not UTF-8"),
+            "{:?}",
+            report.warnings
+        );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

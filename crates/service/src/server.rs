@@ -6,7 +6,7 @@
 //! | route | method | reply |
 //! |---|---|---|
 //! | `/jobs` | POST | `qdc-job/v1` receipt (201), or a structured rejection |
-//! | `/jobs/<id>` | GET | `qdc-job/v1` with live progress |
+//! | `/jobs/<id>` | GET | `qdc-job/v1`, progress folded from the journal |
 //! | `/jobs/<id>/records` | GET | chunked JSONL long-poll tail of the journal |
 //! | `/jobs/<id>/telemetry` | GET | all telemetry archives, concatenated |
 //! | `/jobs/<id>/telemetry/<i>` | GET | one point's archive, byte-exact |
@@ -40,7 +40,8 @@ use crate::wire::{error_json, job_json, status_json, submit_error_json};
 use qdc_congest::json::{self, Json};
 use qdc_harness::{
     builtin, journal, run_campaign_journaled, spec_from_json, stream_telemetry_archives,
-    stream_telemetry_path, CampaignSpec, CancelToken, JournalConfig, RunOptions, TelemetryMode,
+    stream_telemetry_path, CampaignSpec, CancelToken, JournalConfig, Recovery, RunOptions,
+    TelemetryMode,
 };
 use std::io::{self, BufReader, Read as _, Seek as _, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -199,7 +200,7 @@ impl Server {
 /// Pulls jobs FIFO until shutdown. Every run is the deterministic
 /// resumable form: `with_wall: false`, `resume: true`, journal under
 /// the data dir — which is precisely what makes the service's streamed
-/// bytes equal to a direct `campaign run --deterministic`.
+/// bytes equal to a direct `campaign <spec> --deterministic`.
 fn worker_loop(state: &ServiceState) {
     loop {
         let job = {
@@ -244,22 +245,17 @@ fn worker_loop(state: &ServiceState) {
             ..RunOptions::default()
         };
         let result = run_campaign_journaled(&job.spec, &options, &journal_config, &state.cancel);
-
-        let mut core = lock_core(state);
-        match result {
-            Ok(outcome) => core.finish(
-                job.id,
-                (outcome.recovered + outcome.executed) as u64,
-                outcome.aggregate,
-                outcome.interrupted,
-            ),
+        let interrupted = match result {
+            Ok(outcome) => outcome.interrupted,
             Err(e) => {
-                // Journal I/O or corruption: leave the job resumable and
-                // let the operator see why.
+                // Journal I/O, a failed archive or a refused fold: the
+                // journal stays a resumable prefix, so leave the job
+                // resumable and let the operator see why.
                 eprintln!("job {}: {e}", job.id);
-                core.finish(job.id, job.committed, job.aggregate, true);
+                true
             }
-        }
+        };
+        lock_core(state).finish(job.id, interrupted);
     }
 }
 
@@ -360,6 +356,10 @@ fn not_found(w: &mut TcpStream, message: &str) -> io::Result<()> {
     write_json_response(w, 404, &error_json(404, "not_found", message))
 }
 
+fn storage_failure(w: &mut TcpStream, message: &str) -> io::Result<()> {
+    write_json_response(w, 500, &error_json(500, "storage_failure", message))
+}
+
 /// The submission body: a raw spec document, or a wrapper selecting a
 /// builtin / attaching a telemetry request.
 fn parse_submission(doc: &Json) -> Result<(CampaignSpec, bool), String> {
@@ -421,7 +421,8 @@ fn submit(
                 let job = core.job(id).expect("just admitted").clone();
                 let (doc_path, _, _) = job_paths(&state.config.data_dir, id);
                 match persist_job_doc(&doc_path, &job) {
-                    Ok(()) => Ok(job_json(&job)),
+                    // Its id is new to the data dir, so it has no journal.
+                    Ok(()) => Ok(job_json(&job, &Recovery::default())),
                     Err(e) => {
                         // Roll the admission back: an unpersisted job
                         // would vanish on restart despite its receipt.
@@ -437,15 +438,7 @@ fn submit(
             state.wake.notify_one();
             write_json_response(w, 201, &body)
         }
-        Err(Rejection::Storage(e)) => write_json_response(
-            w,
-            500,
-            &error_json(
-                500,
-                "storage_failure",
-                &format!("could not persist job: {e}"),
-            ),
-        ),
+        Err(Rejection::Storage(e)) => storage_failure(w, &format!("could not persist job: {e}")),
         Err(Rejection::Submit(e)) => {
             let (status, body) = submit_error_json(&e);
             write_json_response(w, status, &body)
@@ -466,29 +459,27 @@ fn persist_job_doc(path: &std::path::Path, job: &crate::core::Job) -> io::Result
     file.sync_data()
 }
 
-/// `GET /jobs/<id>` — the stored job, with live progress folded in from
-/// the journal while it runs. A journal that recovery refuses leaves the
-/// stored progress as it was.
+/// `GET /jobs/<id>` — the stored job, with its progress folded from the
+/// journal in every state. A journal that cannot be read or folded
+/// answers a structured 500.
 fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
-    let job = {
-        let core = lock_core(state);
-        core.job(id).cloned()
-    };
-    let Some(mut job) = job else {
+    let job = lock_core(state).job(id).cloned();
+    let Some(job) = job else {
         return not_found(w, &format!("no job {id}"));
     };
-    if job.state == JobState::Running {
-        let (_, records_path, _) = job_paths(&state.config.data_dir, id);
-        // Read-only: a worker is appending to this file, so never
-        // truncate it (`journal::resume` would).
-        if let Ok(text) = std::fs::read_to_string(&records_path) {
-            if let Ok(recovery) = journal::recover(&text, &job.spec.name) {
-                job.committed = recovery.committed as u64;
-                job.aggregate = recovery.aggregate;
-            }
-        }
+    let (_, records_path, _) = job_paths(&state.config.data_dir, id);
+    // Read-only: a worker may be appending to this file, so never
+    // truncate it (`journal::resume` would). A job no worker has
+    // started yet may have no journal.
+    let progress = match std::fs::read(&records_path) {
+        Ok(bytes) => journal::recover(&bytes, &job.spec.name),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Recovery::default()),
+        Err(e) => Err(e.to_string()),
+    };
+    match progress {
+        Ok(progress) => write_json_response(w, 200, &job_json(&job, &progress)),
+        Err(e) => storage_failure(w, &format!("cannot fold job {id}'s journal: {e}")),
     }
-    write_json_response(w, 200, &job_json(&job))
 }
 
 /// `GET /jobs/<id>/records` — long-poll tail of the journal as chunked

@@ -16,7 +16,7 @@
 
 use crate::core::{Job, JobState, ServiceCore, SubmitError};
 use qdc_congest::json::{self, Json, Shape, Table};
-use qdc_harness::Aggregate;
+use qdc_harness::{Aggregate, Recovery};
 
 /// Schema tag of a job receipt/status document.
 pub const JOB_SCHEMA: &str = "qdc-job/v1";
@@ -25,26 +25,27 @@ pub const STATUS_SCHEMA: &str = "qdc-service-status/v1";
 /// Schema tag of a structured rejection.
 pub const ERROR_SCHEMA: &str = "qdc-service-error/v1";
 
-/// Renders one job as a `qdc-job/v1` document. The `aggregate` field is
-/// the one optional tail: present exactly when the job has committed
-/// results to fold (terminal states, and running jobs once the journal
-/// has lines).
-pub fn job_json(job: &Job) -> String {
+/// Renders one job as a `qdc-job/v1` document, with `progress`, the
+/// fold of the job's journal, as its `committed` count and aggregate.
+/// The `aggregate` field is the one optional tail: present exactly when
+/// the journal holds records to fold.
+pub fn job_json(job: &Job, progress: &Recovery) -> String {
+    let committed = progress.committed as u64;
     let mut fields = vec![
         ("schema".to_string(), Json::Str(JOB_SCHEMA.to_string())),
         ("id".to_string(), Json::Num(job.id)),
         ("campaign".to_string(), Json::Str(job.spec.name.clone())),
         ("client".to_string(), Json::Str(job.client.clone())),
         ("telemetry".to_string(), Json::Bool(job.telemetry)),
-        ("points".to_string(), Json::Num(job.total_points)),
+        ("points".to_string(), Json::Num(job.spec.point_count())),
         (
             "state".to_string(),
             Json::Str(job.state.as_str().to_string()),
         ),
-        ("committed".to_string(), Json::Num(job.committed)),
+        ("committed".to_string(), Json::Num(committed)),
     ];
-    if job.committed > 0 {
-        fields.push(("aggregate".to_string(), job.aggregate.to_json()));
+    if committed > 0 {
+        fields.push(("aggregate".to_string(), progress.aggregate.to_json()));
     }
     Json::Obj(fields).to_json()
 }
@@ -203,7 +204,7 @@ mod tests {
             .expect("admits");
         let job = core.take_next().expect("dispatch");
         assert_eq!(job.id, a);
-        core.finish(a, 4, Aggregate::default(), false);
+        core.finish(a, false);
         core
     }
 
@@ -211,7 +212,7 @@ mod tests {
     fn wire_job_document_validates_in_every_state() {
         let core = filled_core();
         for job in core.jobs() {
-            let text = job_json(job);
+            let text = job_json(job, &Recovery::default());
             validate_job(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
         }
         // A running job with committed lines carries the aggregate tail.
@@ -219,12 +220,15 @@ mod tests {
         let id = core
             .submit("alice", builtin("simthm_smoke").expect("builtin"), false)
             .expect("admits");
-        let mut job = core.take_next().expect("dispatch");
+        let job = core.take_next().expect("dispatch");
         assert_eq!(job.id, id);
-        job.committed = 2;
-        job.aggregate.points = 2;
-        job.aggregate.ok = 2;
-        let text = job_json(&job);
+        let mut progress = Recovery {
+            committed: 2,
+            ..Recovery::default()
+        };
+        progress.aggregate.points = 2;
+        progress.aggregate.ok = 2;
+        let text = job_json(&job, &progress);
         assert!(text.contains("\"aggregate\":{"), "{text}");
         validate_job(&text).expect("validates with aggregate");
     }

@@ -737,3 +737,45 @@ fn loopback_a_refused_job_leaves_the_service_serving() {
     assert_eq!(journal, line0, "the refused job's journal is untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn loopback_a_refused_job_reports_the_progress_its_journal_holds() {
+    // Line 0 of job 1's journal leaves room for exactly the bits of
+    // lines 1 and 2: the worker commits both and refuses line 3. The
+    // job then holds 3 records, not the 1 it held when it was taken.
+    let dir = temp_dir("refused_progress");
+    let spec = builtin("simthm_smoke").expect("builtin");
+    let direct = run_campaign(&spec, &RunOptions::default()).expect("runs");
+    let bits = |i: usize| direct.records[i].metrics.bits_sent;
+    let mut heavy = direct.records[0].clone();
+    heavy.metrics.bits_sent = u64::MAX - bits(1) - bits(2);
+    std::fs::write(dir.join("job_1.json"), job_doc_json(1, "a", false, &spec)).expect("doc");
+    let line0 = format!("{}\n", record_json(&spec.name, &heavy, false));
+    std::fs::write(dir.join("job_1.records.jsonl"), line0).expect("journal");
+
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        ..ServiceConfig::default()
+    });
+    let refused = wait_terminal(&server.addr, 1);
+    server.stop();
+    let on_disk = std::fs::read(dir.join("job_1.records.jsonl")).expect("journal");
+    let recovered = journal::recover(&on_disk, &spec.name).expect("the journal folds");
+    assert_eq!(
+        recovered.committed, 3,
+        "lines 1 and 2 committed, line 3 refused"
+    );
+    assert!(refused.contains("\"state\":\"interrupted\""), "{refused}");
+    let doc = json::parse(refused.trim_end()).expect("job document parses");
+    assert_eq!(
+        doc.get("committed").and_then(Json::as_u64),
+        Some(3),
+        "{refused}"
+    );
+    assert_eq!(
+        doc.get("aggregate"),
+        Some(&recovered.aggregate.to_json()),
+        "{refused}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -47,13 +47,13 @@ use qdc::congest::{
     StreamSink, TelemetryReport, TrafficTrace,
 };
 use qdc::harness::{
-    builtin, execute_point, failure_json, record_json, run_campaign, summary_json,
+    builtin, execute_point, failure_json, journal, record_json, run_campaign, summary_json,
     validate_failure_line, validate_record_line, validate_summary, PointFailure, PointSpec,
-    RunOptions,
+    Recovery, RunOptions,
 };
 use qdc::service::{
     job_json, status_json, submit_error_json, validate_error, validate_job, validate_status,
-    QuotaConfig, ServiceCore, SubmitError,
+    JobState, QuotaConfig, ServiceCore, SubmitError,
 };
 use qdc::simthm::campaign::{highway_classes, run_point};
 use qdc::simthm::SimThmPoint;
@@ -699,30 +699,36 @@ fn golden_campaign_v1_byte_exact_and_validated() {
 }
 
 /// The fixed service workload behind all three service fixtures: two
-/// clients, one completed job (with its real deterministic aggregate),
-/// one queued telemetry job — every field a pure function of the specs.
+/// clients, one completed job, one queued telemetry job — every field a
+/// pure function of the specs.
 fn golden_service_core() -> ServiceCore {
     let mut core = ServiceCore::new(QuotaConfig::default());
-    let spec = builtin("telemetry_smoke").expect("builtin");
-    let aggregate = run_campaign(&spec, &RunOptions::default())
-        .expect("runs")
-        .aggregate;
-    let done = core.submit("alice", spec, false).expect("admits");
+    let done = core
+        .submit("alice", builtin("telemetry_smoke").expect("builtin"), false)
+        .expect("admits");
     core.submit("bob", builtin("simthm_smoke").expect("builtin"), true)
         .expect("admits");
     let job = core.take_next().expect("dispatch");
     assert_eq!(job.id, done);
-    core.finish(done, 2, aggregate, false);
+    core.finish(done, false);
     core
 }
 
 /// The fixed `qdc-job/v1` fixture: both jobs of the golden core, one
-/// line each — a completed job with its aggregate tail, then a queued
-/// one without.
+/// line each — a completed job with its aggregate tail, the fold of its
+/// real deterministic journal, then a queued one without.
 fn golden_jobs() -> String {
     let core = golden_service_core();
+    let spec = builtin("telemetry_smoke").expect("builtin");
+    let journal = run_campaign(&spec, &RunOptions::default())
+        .expect("runs")
+        .deterministic_jsonl();
+    let done = journal::recover(&journal, &spec.name).expect("own journal");
     core.jobs()
-        .map(|job| job_json(job) + "\n")
+        .map(|job| match job.state {
+            JobState::Completed => job_json(job, &done) + "\n",
+            _ => job_json(job, &Recovery::default()) + "\n",
+        })
         .collect::<String>()
 }
 

@@ -11,11 +11,12 @@
 //!    never run backwards).
 //! 3. **Spec round-trip**: any shape-valid spec survives
 //!    `spec_to_json → parse_spec` structurally and byte-exactly.
-//! 4. **Journal triage**: cutting a real journal at *any* byte and
-//!    recovering it (`journal::recover`, what the startup scan and
-//!    `campaign verify` run) yields a clean recovery exactly on record
-//!    boundaries and a torn tail after the right prefix everywhere else —
-//!    recovery can never call a torn file clean or a clean file torn.
+//! 4. **Journal triage**: cutting a real journal at *any* byte, inside a
+//!    multi-byte character of its campaign's name too, and recovering it
+//!    (`journal::recover`, what the startup scan and `campaign verify`
+//!    run) yields a clean recovery exactly on record boundaries and a
+//!    torn tail after the right prefix everywhere else — recovery can
+//!    never call a torn file clean or a clean file torn.
 
 use proptest::prelude::*;
 use qdc::harness::journal;
@@ -87,8 +88,7 @@ fn apply_op(
         _ => {
             if !running.is_empty() {
                 let id = running.remove(usize::from(which) % running.len());
-                let total = core.job(id).expect("running jobs exist").total_points;
-                core.finish(id, total, Default::default(), flag);
+                core.finish(id, flag);
             }
         }
     }
@@ -163,8 +163,7 @@ proptest! {
             running.push(job.id);
         }
         for id in running.drain(..) {
-            let total = core.job(id).expect("exists").total_points;
-            core.finish(id, total, Default::default(), false);
+            core.finish(id, false);
         }
         check_invariants(&core);
         for (client, _) in core.clients() {
@@ -213,39 +212,40 @@ proptest! {
         prop_assert_eq!(&back, &spec, "structural round-trip");
         prop_assert_eq!(spec_to_json(&back).to_json(), text, "byte-exact round-trip");
     }
+}
 
-    /// Contract 4: the classifier's verdict at every cut point.
-    #[test]
-    fn service_journal_triage_is_exact_at_any_cut(cut_seed in 0usize..10_000) {
-        let jsonl = run_campaign(
-            &builtin("telemetry_smoke").expect("builtin"),
-            &RunOptions::default(),
-        )
-        .expect("runs")
-        .deterministic_jsonl();
-        let mut cut = cut_seed % (jsonl.len() + 1);
-        // Records are ASCII, so every index is already a boundary; the
-        // clamp keeps the test meaningful if a future record isn't.
-        while !jsonl.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        let prefix = &jsonl[..cut];
-        let full_lines = prefix.matches('\n').count();
-        let boundary = cut == 0 || prefix.ends_with('\n');
-        match journal::recover(prefix, "telemetry_smoke") {
-            Ok(clean) if clean.truncated_bytes == 0 => {
-                prop_assert!(boundary, "clean verdicts only on record boundaries");
-                prop_assert_eq!(clean.committed, full_lines);
-            }
-            Ok(torn) => {
-                prop_assert!(!boundary, "boundary cuts must be clean");
-                prop_assert_eq!(torn.committed, full_lines);
-                prop_assert_eq!(torn.kept_bytes + torn.truncated_bytes, cut, "every byte accounted for");
-            }
-            Err(reason) => {
-                return Err(TestCaseError::fail(format!(
-                    "a self-journal prefix can never be foreign: {reason}"
-                )));
+/// Contract 4: the classifier's verdict at every cut point of two
+/// journals, one of an ASCII-named campaign and one whose name holds
+/// two-, three- and four-byte characters, so that some cuts split one.
+#[test]
+fn service_journal_triage_is_exact_at_any_cut() {
+    for name in ["telemetry_smoke", "télémétrie ✓ 🛰"] {
+        let mut spec = builtin("telemetry_smoke").expect("builtin");
+        spec.name = name.to_string();
+        let jsonl = run_campaign(&spec, &RunOptions::default())
+            .expect("runs")
+            .deterministic_jsonl()
+            .into_bytes();
+        for cut in 0..=jsonl.len() {
+            let prefix = &jsonl[..cut];
+            let full_lines = prefix.iter().filter(|&&b| b == b'\n').count();
+            let boundary = cut == 0 || prefix.ends_with(b"\n");
+            let at = format!("`{name}` cut at byte {cut}");
+            match journal::recover(prefix, name) {
+                Ok(clean) if clean.truncated_bytes == 0 => {
+                    assert!(boundary, "{at}: clean verdicts only on record boundaries");
+                    assert_eq!(clean.committed, full_lines, "{at}");
+                }
+                Ok(torn) => {
+                    assert!(!boundary, "{at}: boundary cuts must be clean");
+                    assert_eq!(torn.committed, full_lines, "{at}");
+                    assert_eq!(
+                        torn.kept_bytes + torn.truncated_bytes,
+                        cut,
+                        "{at}: every byte accounted for"
+                    );
+                }
+                Err(reason) => panic!("{at}: a self-journal prefix can never be foreign: {reason}"),
             }
         }
     }
