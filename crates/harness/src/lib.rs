@@ -7,13 +7,13 @@
 //! single runs. This crate runs whole families:
 //!
 //! * [`CampaignSpec`] declares a named grid of experiment points —
-//!   a Γ×L simulation-theorem sweep, a chaos seed ensemble, or a
-//!   gadget instance sweep ([`spec`]);
+//!   a Γ×L simulation-theorem sweep, a chaos seed ensemble, a gadget
+//!   instance sweep, or an Example 1.1 separation sweep ([`spec`]);
 //! * [`run_campaign`] validates the spec up front (structured
 //!   [`CampaignError`]s for every degenerate input), expands the grid,
-//!   shards the points round-robin across a [`std::thread::scope`]
-//!   worker pool, and folds the per-point records into an
-//!   order-independent [`Aggregate`] ([`runner`]);
+//!   lets the workers of a [`std::thread::scope`] pool pull point
+//!   indices from a shared dispenser, and folds the per-point records
+//!   into an order-independent [`Aggregate`] ([`runner`]);
 //! * records and summaries serialize through the workspace's one strict
 //!   JSON layer ([`qdc_congest::json`]) with fixed field order and
 //!   integer-only metrics, each schema checked against one key table,

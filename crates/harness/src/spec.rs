@@ -1,17 +1,20 @@
 //! Declarative campaign specifications.
 //!
 //! A [`CampaignSpec`] names a grid of experiment points — a Γ×L
-//! simulation-theorem sweep, a chaos seed ensemble, or a gadget
-//! instance sweep — without saying anything about *how* it runs. The
-//! runner (see [`crate::runner`]) expands the grid into a flat,
-//! deterministically ordered `Vec<PointSpec>` via [`CampaignSpec::points`]
-//! and shards that list across worker threads.
+//! simulation-theorem sweep, a chaos seed ensemble, a gadget instance
+//! sweep, or an Example 1.1 separation sweep — without saying anything
+//! about *how* it runs. The runner (see [`crate::runner`]) expands the
+//! grid into a flat, deterministically ordered `Vec<PointSpec>` via
+//! [`CampaignSpec::points`], and its worker threads pull indices into
+//! that list from a shared dispenser.
 //!
 //! Specs are validated **up front** ([`CampaignSpec::validate`]): every
-//! way a grid can be degenerate — zero threads, an empty axis, Γ = 0, an
-//! L the network builder would reject, a drop probability above 1 — maps
-//! to a distinct [`CampaignError`] variant, so misconfigurations fail
-//! with a structured message before any thread is spawned.
+//! way a grid can be degenerate — an empty axis, Γ = 0, an L the network
+//! builder would reject, a drop probability above 1, a zero distance —
+//! maps to a distinct [`CampaignError`] variant, so misconfigurations
+//! fail with a structured message before any thread is spawned. (Zero
+//! threads or a zero retry budget are [`RunOptions`](crate::RunOptions)
+//! errors, which the runner checks the same way.)
 
 use qdc_gadgets::{GadgetFamily, GadgetPoint};
 use qdc_simthm::SimThmPoint;

@@ -1,5 +1,5 @@
 //! A deliberately minimal HTTP/1.1 layer — just enough for the
-//! service's five endpoints, hand-rolled over [`std::io`] so the
+//! service's six endpoints, hand-rolled over [`std::io`] so the
 //! workspace's no-external-dependencies discipline holds.
 //!
 //! Scope decisions, all in the name of smallness:

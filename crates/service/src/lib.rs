@@ -27,9 +27,11 @@
 //!
 //! The headline invariant carries over from the harness: a job's
 //! streamed `/records` bytes are **identical** to what a direct
-//! `campaign run --deterministic` of the same spec writes, because
-//! workers always run the deterministic resumable form and the stream
-//! serves only committed journal bytes.
+//! `campaign <spec> --deterministic` run writes, because workers always
+//! run the deterministic resumable form and the stream serves only
+//! committed journal bytes. The journal is also the one record of a
+//! job's progress: `GET /jobs/<id>` folds it on every request, so the
+//! scheduler keeps no copy that could go stale.
 //!
 //! [`CancelToken`]: qdc_harness::CancelToken
 
