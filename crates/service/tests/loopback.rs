@@ -696,6 +696,68 @@ fn loopback_never_reuses_a_skipped_jobs_id() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a client can read of jobs 1 and 2 once both are terminal: both
+/// job documents, job 2's first archive, and the `/status` counters a
+/// restart must rebuild (`jobs`, `completed`, and each client's
+/// `submitted` and `completed`).
+fn finished_answers(addr: &str) -> ([String; 2], String, Vec<(String, u64)>) {
+    let jobs = [1, 2].map(|id| wait_terminal(addr, id));
+    let (status, archive) = get(addr, "/jobs/2/telemetry/0");
+    assert_eq!(status, 200, "{archive}");
+    let (status, body) = get(addr, "/status");
+    assert_eq!(status, 200, "{body}");
+    let doc = json::parse(body.trim_end()).expect("status parses");
+    let num = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_u64).expect(key);
+    let mut counts = vec![
+        ("jobs".to_string(), num(&doc, "jobs")),
+        ("completed".to_string(), num(&doc, "completed")),
+    ];
+    for client in ["alice", "bob"] {
+        let stats = doc
+            .get("clients")
+            .and_then(|c| c.get(client))
+            .expect(client);
+        counts.push((format!("{client}.submitted"), num(stats, "submitted")));
+        counts.push((format!("{client}.completed"), num(stats, "completed")));
+    }
+    (jobs, archive, counts)
+}
+
+#[test]
+fn loopback_finished_jobs_answer_alike_after_a_restart() {
+    let dir = temp_dir("restart");
+    let config = ServiceConfig {
+        data_dir: dir.clone(),
+        ..ServiceConfig::default()
+    };
+    let server = TestServer::start(config.clone());
+    // No submission is rejected: a restart does not know of rejections,
+    // which are never persisted.
+    for (client, body) in [
+        ("alice", "{\"builtin\":\"simthm_smoke\"}"),
+        (
+            "bob",
+            "{\"builtin\":\"telemetry_smoke\",\"telemetry\":true}",
+        ),
+    ] {
+        let (status, receipt) = post(&server.addr, "/jobs", client, body);
+        assert_eq!(status, 201, "{receipt}");
+    }
+    let before = finished_answers(&server.addr);
+    server.stop();
+    for job in &before.0 {
+        assert!(job.contains("\"state\":\"completed\""), "{job}");
+    }
+
+    let server = TestServer::start(config);
+    let after = finished_answers(&server.addr);
+    server.stop();
+    assert_eq!(after.0, before.0, "job documents");
+    assert!(after.1 == before.1, "job 2's archive 0 changed");
+    assert_eq!(after.2, before.2, "/status counters");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn loopback_a_refused_job_leaves_the_service_serving() {
     // Job 1's journal holds one record claiming u64::MAX - 1 bits. The
