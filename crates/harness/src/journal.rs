@@ -53,9 +53,9 @@
 //! each kept line as it scans, so it holds O(1) state, and it refuses
 //! the file rather than wrap a total.
 //!
-//! [`resume`] is that pass for a writer: it also refuses more records
-//! than the grid has points, and it is the only code that truncates a
-//! journal. Read-only callers use [`recover`].
+//! [`check`] adds the refusal of more records than the grid has points,
+//! and [`resume`] is that check for a writer: it is the only code that
+//! truncates a journal. Read-only callers use [`recover`] or [`check`].
 
 use crate::point::{metrics_from_json, FAILURE_TABLE, RECORD_TABLE};
 use crate::runner::Aggregate;
@@ -147,31 +147,38 @@ pub struct Recovery {
 /// # Errors
 ///
 /// The outer `Err` is an I/O failure. The inner `Err` means the file is
-/// refused: [`recover`] refuses it, or it holds more records than the
-/// grid has points. Such a file is left untouched.
+/// refused, as [`check`] refuses it. Such a file is left untouched.
 pub fn resume(path: &Path, spec: &CampaignSpec) -> io::Result<Result<Recovery, String>> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let recovery = match recover(&bytes, &spec.name) {
+    let recovery = match check(&bytes, spec) {
         Ok(recovery) => recovery,
         Err(reason) => return Ok(Err(reason)),
     };
-    let points = spec.point_count();
-    if recovery.committed as u64 > points {
-        return Ok(Err(format!(
-            "journal holds {} records but the grid has only {points} points",
-            recovery.committed
-        )));
-    }
     if recovery.truncated_bytes > 0 {
         let file = std::fs::OpenOptions::new().write(true).open(path)?;
         file.set_len(recovery.kept_bytes as u64)?;
         file.sync_all()?;
     }
     Ok(Ok(recovery))
+}
+
+/// [`recover`] for `spec`, refusing also a journal that holds more
+/// records than the grid has points: the read-only check [`resume`]
+/// runs before it truncates.
+pub fn check(bytes: &[u8], spec: &CampaignSpec) -> Result<Recovery, String> {
+    let recovery = recover(bytes, &spec.name)?;
+    let points = spec.point_count();
+    if recovery.committed as u64 > points {
+        return Err(format!(
+            "journal holds {} records but the grid has only {points} points",
+            recovery.committed
+        ));
+    }
+    Ok(recovery)
 }
 
 /// Scans the journal's `bytes` for campaign `campaign` and returns the

@@ -1,5 +1,7 @@
 //! The deterministic scheduler core: a bounded FIFO job queue with
-//! per-client quotas and a four-state job lifecycle.
+//! per-client quotas. It holds only the live jobs, queued and running;
+//! a finished job lives on in the data dir alone, and the core keeps
+//! just the counters `/status` reports.
 //!
 //! This module is a plain library — no sockets, no threads, no clocks.
 //! Every decision (admit, reject, dispatch, finish) is a pure function
@@ -81,8 +83,10 @@ impl JobState {
     }
 }
 
-/// One admitted job. Its progress is not kept here: the journal in the
-/// data dir is the one record of what a job has committed.
+/// One admitted job: its submission, as `job_<id>.json` persists it.
+/// Neither its state nor its progress is kept here: the core knows
+/// which live jobs are queued or running, and the journal in the data
+/// dir is the one record of what a job has committed.
 #[derive(Clone, Debug)]
 pub struct Job {
     /// Service-assigned id (monotonic; names the job's files and URLs).
@@ -93,8 +97,6 @@ pub struct Job {
     pub spec: CampaignSpec,
     /// Whether the job asked for per-point telemetry archives.
     pub telemetry: bool,
-    /// Lifecycle state.
-    pub state: JobState,
 }
 
 /// Why a submission was rejected. Every variant maps to one
@@ -169,9 +171,10 @@ pub struct ClientStats {
 pub struct ServiceCore {
     quotas: QuotaConfig,
     next_id: u64,
-    queue: VecDeque<u64>,
-    jobs: BTreeMap<u64, Job>,
+    queue: VecDeque<Job>,
+    running: BTreeMap<u64, Job>,
     clients: BTreeMap<String, ClientStats>,
+    interrupted: u64,
 }
 
 impl ServiceCore {
@@ -194,19 +197,25 @@ impl ServiceCore {
         self.queue.len()
     }
 
-    /// Jobs in the given state.
-    pub fn count_in_state(&self, state: JobState) -> usize {
-        self.jobs.values().filter(|j| j.state == state).count()
+    /// Jobs in the given state: the live ones held here, and the
+    /// finished ones counted as they finished or were restored.
+    pub fn count_in_state(&self, state: JobState) -> u64 {
+        match state {
+            JobState::Queued => self.queue.len() as u64,
+            JobState::Running => self.running.len() as u64,
+            JobState::Completed => self.clients.values().map(|c| c.completed).sum(),
+            JobState::Interrupted => self.interrupted,
+        }
     }
 
-    /// All jobs, in id order.
-    pub fn jobs(&self) -> impl Iterator<Item = &Job> {
-        self.jobs.values()
-    }
-
-    /// Looks up one job.
-    pub fn job(&self, id: u64) -> Option<&Job> {
-        self.jobs.get(&id)
+    /// A live job's state; `None` once it has finished, and for an id
+    /// the core never admitted.
+    pub fn state(&self, id: u64) -> Option<JobState> {
+        if self.running.contains_key(&id) {
+            return Some(JobState::Running);
+        }
+        let queued = self.queue.iter().any(|j| j.id == id);
+        queued.then_some(JobState::Queued)
     }
 
     /// Per-client lifetime counters, in key order.
@@ -216,21 +225,17 @@ impl ServiceCore {
 
     /// Grid points the client has active (queued plus running).
     pub fn active_points(&self, client: &str) -> u64 {
-        self.jobs
-            .values()
-            .filter(|j| {
-                j.client == client && matches!(j.state, JobState::Queued | JobState::Running)
-            })
+        self.queue
+            .iter()
+            .chain(self.running.values())
+            .filter(|j| j.client == client)
             .map(|j| j.spec.point_count())
             .sum()
     }
 
     /// Jobs the client has queued right now.
     pub fn queued_jobs(&self, client: &str) -> usize {
-        self.queue
-            .iter()
-            .filter(|id| self.jobs[id].client == client)
-            .count()
+        self.queue.iter().filter(|j| j.client == client).count()
     }
 
     /// Admits a job or rejects it with the first violated rule (see the
@@ -253,17 +258,12 @@ impl ServiceCore {
                 stats.submitted += 1;
                 let id = self.next_id;
                 self.next_id += 1;
-                self.jobs.insert(
+                self.queue.push_back(Job {
                     id,
-                    Job {
-                        id,
-                        client: client.to_string(),
-                        spec,
-                        telemetry,
-                        state: JobState::Queued,
-                    },
-                );
-                self.queue.push_back(id);
+                    client: client.to_string(),
+                    spec,
+                    telemetry,
+                });
                 Ok(id)
             }
         }
@@ -307,63 +307,56 @@ impl ServiceCore {
         self.next_id = self.next_id.max(id.saturating_add(1));
     }
 
-    /// Re-inserts a job recovered from the service data dir at startup.
-    /// The startup scan classifies each job by its journal alone: a job
-    /// in [`JobState::Completed`] keeps that state, and any other is
-    /// re-enqueued as [`JobState::Queued`]; its run resumes from the
+    /// Takes in a job recovered from the service data dir at startup.
+    /// The startup scan classifies each job by its journal alone: a
+    /// `completed` one, whose journal holds every grid point, is only
+    /// counted, and any other is re-enqueued; its run resumes from the
     /// journal, which also answers for its progress. The id counter
     /// advances past every restored id. Every restored job counts as
     /// submitted (and completed ones as completed), so the lifetime
     /// invariant `completed ≤ submitted` holds across restarts.
-    pub fn restore(&mut self, mut job: Job) {
+    pub fn restore(&mut self, job: Job, completed: bool) {
         self.next_id = self.next_id.max(job.id + 1);
         let stats = self.clients.entry(job.client.clone()).or_default();
         stats.submitted += 1;
-        if job.state != JobState::Completed {
-            job.state = JobState::Queued;
-            self.queue.push_back(job.id);
-        } else {
+        if completed {
             stats.completed += 1;
+        } else {
+            self.queue.push_back(job);
         }
-        self.jobs.insert(job.id, job);
     }
 
     /// Dispatches the oldest queued job to a worker (FIFO), marking it
     /// running. `None` when the queue is empty.
     pub fn take_next(&mut self) -> Option<Job> {
-        let id = self.queue.pop_front()?;
-        let job = self.jobs.get_mut(&id).expect("queued jobs exist");
-        job.state = JobState::Running;
-        Some(job.clone())
+        let job = self.queue.pop_front()?;
+        self.running.insert(job.id, job.clone());
+        Some(job)
     }
 
     /// Removes a still-queued job entirely (the submit path could not
     /// persist it, so the admission is rolled back as if it never
     /// happened — including the client's `submitted` count).
     pub fn abort_queued(&mut self, id: u64) {
-        let Some(pos) = self.queue.iter().position(|&q| q == id) else {
-            return;
-        };
-        self.queue.remove(pos);
-        if let Some(job) = self.jobs.remove(&id) {
+        let pos = self.queue.iter().position(|j| j.id == id);
+        if let Some(job) = pos.and_then(|pos| self.queue.remove(pos)) {
             if let Some(stats) = self.clients.get_mut(&job.client) {
                 stats.submitted = stats.submitted.saturating_sub(1);
             }
         }
     }
 
-    /// Records a finished run: `interrupted = false` marks the job
-    /// completed, `true` leaves it resumable (a restart re-enqueues it).
+    /// Records a finished run and lets the job go: from here on only
+    /// the data dir holds it. `interrupted = false` counts it completed,
+    /// `true` interrupted, its journal a resumable prefix that a restart
+    /// re-enqueues.
     pub fn finish(&mut self, id: u64, interrupted: bool) {
-        let Some(job) = self.jobs.get_mut(&id) else {
+        let Some(job) = self.running.remove(&id) else {
             return;
         };
-        job.state = if interrupted {
-            JobState::Interrupted
+        if interrupted {
+            self.interrupted += 1;
         } else {
-            JobState::Completed
-        };
-        if !interrupted {
             self.clients
                 .get_mut(&job.client)
                 .expect("submitting created the entry")
@@ -398,10 +391,10 @@ mod tests {
         assert_eq!(core.queue_depth(), 2);
         let first = core.take_next().expect("queue has jobs");
         assert_eq!(first.id, a, "FIFO order");
-        assert_eq!(core.job(a).expect("exists").state, JobState::Running);
-        assert_eq!(core.job(b).expect("exists").state, JobState::Queued);
+        assert_eq!(core.state(a), Some(JobState::Running));
+        assert_eq!(core.state(b), Some(JobState::Queued));
         assert!(!first.telemetry);
-        assert!(core.job(b).expect("exists").telemetry);
+        assert!(core.take_next().expect("queued").telemetry);
     }
 
     #[test]
@@ -515,20 +508,24 @@ mod tests {
     #[test]
     fn core_restore_re_enqueues_incomplete_jobs_and_advances_ids() {
         let mut core = ServiceCore::new(QuotaConfig::default());
-        core.restore(Job {
-            id: 7,
-            client: "alice".into(),
-            spec: smoke(),
-            telemetry: false,
-            state: JobState::Completed,
-        });
-        core.restore(Job {
-            id: 9,
-            client: "bob".into(),
-            spec: smoke(),
-            telemetry: true,
-            state: JobState::Interrupted,
-        });
+        core.restore(
+            Job {
+                id: 7,
+                client: "alice".into(),
+                spec: smoke(),
+                telemetry: false,
+            },
+            true,
+        );
+        core.restore(
+            Job {
+                id: 9,
+                client: "bob".into(),
+                spec: smoke(),
+                telemetry: true,
+            },
+            false,
+        );
         assert_eq!(core.count_in_state(JobState::Completed), 1);
         assert_eq!(core.count_in_state(JobState::Queued), 1);
         assert_eq!(core.queue_depth(), 1);
@@ -548,11 +545,58 @@ mod tests {
     }
 
     #[test]
+    fn core_finished_jobs_leave_the_core() {
+        let mut core = ServiceCore::new(QuotaConfig::default());
+        let done = core.submit("alice", smoke(), false).expect("admits");
+        let cut = core.submit("alice", smoke(), false).expect("admits");
+        let queued = core.submit("alice", smoke(), false).expect("admits");
+        core.take_next().expect("dispatch");
+        core.take_next().expect("dispatch");
+        assert_eq!(core.active_points("alice"), 12);
+        core.finish(done, false);
+        core.finish(cut, true);
+        // Only the queued job is left: the finished ones are counted,
+        // and their state is read from the data dir from here on.
+        assert_eq!(core.state(done), None);
+        assert_eq!(core.state(cut), None);
+        assert_eq!(core.state(queued), Some(JobState::Queued));
+        let counts = [
+            JobState::Queued,
+            JobState::Running,
+            JobState::Completed,
+            JobState::Interrupted,
+        ]
+        .map(|s| core.count_in_state(s));
+        assert_eq!(counts, [1, 0, 1, 1]);
+        assert_eq!(core.active_points("alice"), 4);
+        assert_eq!(core.queued_jobs("alice"), 1);
+        // Finishing a job twice counts it once.
+        core.finish(done, false);
+        assert_eq!(core.count_in_state(JobState::Completed), 1);
+
+        // A completed job restored at startup is counted, not queued.
+        core.restore(
+            Job {
+                id: 9,
+                client: "bob".into(),
+                spec: smoke(),
+                telemetry: false,
+            },
+            true,
+        );
+        assert_eq!(core.state(9), None);
+        assert_eq!(core.queue_depth(), 1);
+        assert_eq!(core.queued_jobs("bob"), 0);
+        assert_eq!(core.active_points("bob"), 0);
+        assert_eq!(core.count_in_state(JobState::Completed), 2);
+    }
+
+    #[test]
     fn core_abort_queued_rolls_the_admission_back() {
         let mut core = ServiceCore::new(QuotaConfig::default());
         let id = core.submit("alice", smoke(), false).expect("admits");
         core.abort_queued(id);
-        assert!(core.job(id).is_none(), "the job is gone");
+        assert_eq!(core.state(id), None, "the job is gone");
         assert_eq!(core.queue_depth(), 0, "and not in the queue");
         assert_eq!(
             core.clients().next().expect("tracked").1.submitted,
@@ -564,7 +608,11 @@ mod tests {
         let id = core.submit("alice", smoke(), false).expect("admits");
         core.take_next().expect("dispatch");
         core.abort_queued(id);
-        assert!(core.job(id).is_some(), "running jobs are untouched");
+        assert_eq!(
+            core.state(id),
+            Some(JobState::Running),
+            "running jobs are untouched"
+        );
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! keeps every policy decision testable without a socket:
 //!
 //! * [`core`] — the deterministic scheduler: bounded FIFO queue,
-//!   per-client quotas ([`QuotaConfig`]), job lifecycle
+//!   per-client quotas ([`QuotaConfig`]), live jobs' state
 //!   ([`JobState`]), structured rejections ([`SubmitError`]). A plain
 //!   library; property tests drive it directly.
 //! * [`scan`] — the startup data-dir scan that makes the service
 //!   SIGKILL-durable: each journal goes through
 //!   [`qdc_harness::journal::resume`], the reader `campaign resume`
 //!   uses, which truncates torn tails on record boundaries; incomplete
-//!   jobs are re-enqueued and completed ones restored.
+//!   jobs are re-enqueued and completed ones counted.
 //! * [`wire`] — the three service schemas (`qdc-job/v1`,
 //!   `qdc-service-status/v1`, `qdc-service-error/v1`), writers and
 //!   strict validators, golden-locked at the workspace root.
@@ -29,9 +29,9 @@
 //! streamed `/records` bytes are **identical** to what a direct
 //! `campaign <spec> --deterministic` run writes, because workers always
 //! run the deterministic resumable form and the stream serves only
-//! committed journal bytes. The journal is also the one record of a
-//! job's progress: `GET /jobs/<id>` folds it on every request, so the
-//! scheduler keeps no copy that could go stale.
+//! committed journal bytes. The data dir is also the one record of a
+//! finished job: every per-job endpoint reads the job's files, and the
+//! scheduler holds only queued and running jobs, no copy to go stale.
 //!
 //! [`CancelToken`]: qdc_harness::CancelToken
 

@@ -9,17 +9,18 @@
 //! ```
 //!
 //! On startup the service scans this directory and rebuilds its queue:
-//! a job whose journal holds every grid point is restored as completed;
+//! a job whose journal holds every grid point is counted as completed;
 //! anything less — a missing journal, a clean prefix, or a torn tail —
 //! is re-enqueued and resumes at the first missing index. Each journal
 //! goes through [`journal::resume`], the same reader `campaign resume`
 //! uses, so the scan and a resumed run agree on every file. The scan
 //! keeps nothing of the recovery but that verdict: a job's progress is
-//! folded from its journal whenever it is asked for.
+//! folded from its journal whenever it is asked for, and a finished
+//! job's state by the same rule (completed iff every point is there).
 
 use crate::core::{Job, JobState};
 use qdc_congest::json::{self, Json};
-use qdc_harness::{journal, spec_from_json, spec_to_json, CampaignSpec};
+use qdc_harness::{journal, spec_from_json, spec_to_json, CampaignSpec, Recovery};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -36,8 +37,9 @@ pub fn job_doc_json(id: u64, client: &str, telemetry: bool, spec: &CampaignSpec)
     .to_json()
 }
 
-/// Parses one persisted submission document back.
-pub fn parse_job_doc(text: &str) -> Result<(u64, String, bool, CampaignSpec), String> {
+/// Parses one persisted submission document back from its bytes.
+pub fn parse_job_doc<B: AsRef<[u8]> + ?Sized>(bytes: &B) -> Result<Job, String> {
+    let text = std::str::from_utf8(bytes.as_ref()).map_err(|_| "not UTF-8")?;
     let doc = json::parse(text.strip_suffix('\n').unwrap_or(text))?;
     json::require_keys(&doc, &["id", "client", "telemetry", "spec"], &[])?;
     let id = doc
@@ -51,7 +53,22 @@ pub fn parse_job_doc(text: &str) -> Result<(u64, String, bool, CampaignSpec), St
         return Err("`telemetry` must be a boolean".into());
     };
     let spec = spec_from_json(doc.get("spec").expect("checked above"))?;
-    Ok((id, client.clone(), *telemetry, spec))
+    Ok(Job {
+        id,
+        client: client.clone(),
+        spec,
+        telemetry: *telemetry,
+    })
+}
+
+/// A finished job's state, as the startup scan and `GET /jobs/<id>`
+/// read it: completed iff its journal holds every grid point.
+pub(crate) fn finished_state(job: &Job, progress: &Recovery) -> JobState {
+    if progress.committed as u64 == job.spec.point_count() {
+        JobState::Completed
+    } else {
+        JobState::Interrupted
+    }
 }
 
 /// Paths of one job's on-disk artifacts.
@@ -66,9 +83,10 @@ pub fn job_paths(data_dir: &Path, id: u64) -> (PathBuf, PathBuf, PathBuf) {
 /// What a startup scan recovered.
 #[derive(Debug, Default)]
 pub struct ScanReport {
-    /// Jobs rebuilt from disk, in id order, ready for
+    /// Jobs rebuilt from disk, in id order, each with whether its
+    /// journal holds every grid point: the two arguments of
     /// [`ServiceCore::restore`](crate::core::ServiceCore::restore).
-    pub jobs: Vec<Job>,
+    pub jobs: Vec<(Job, bool)>,
     /// Entries that could not be recovered (journals that
     /// [`journal::resume`] refuses, unreadable submission documents).
     /// The scan skips them rather than failing: one damaged job must not
@@ -106,9 +124,8 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
     doc_paths.sort();
 
     for doc_path in doc_paths {
-        let doc = String::from_utf8(std::fs::read(&doc_path)?).map_err(|_| "not UTF-8".into());
-        let (id, client, telemetry, spec) = match doc.and_then(|text| parse_job_doc(&text)) {
-            Ok(parsed) => parsed,
+        let job = match parse_job_doc(&std::fs::read(&doc_path)?) {
+            Ok(job) => job,
             Err(e) => {
                 report.warnings.push(format!(
                     "{}: unreadable submission: {e}",
@@ -117,8 +134,9 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
                 continue;
             }
         };
+        let id = job.id;
         let (_, records_path, _) = job_paths(data_dir, id);
-        let recovery = match journal::resume(&records_path, &spec)? {
+        let recovery = match journal::resume(&records_path, &job.spec)? {
             Ok(recovery) => recovery,
             Err(reason) => {
                 report.warnings.push(format!(
@@ -128,20 +146,10 @@ pub fn scan_data_dir(data_dir: &Path) -> io::Result<ScanReport> {
                 continue;
             }
         };
-        let state = if recovery.committed as u64 == spec.point_count() {
-            JobState::Completed
-        } else {
-            JobState::Interrupted
-        };
-        report.jobs.push(Job {
-            id,
-            client,
-            spec,
-            telemetry,
-            state,
-        });
+        let completed = finished_state(&job, &recovery) == JobState::Completed;
+        report.jobs.push((job, completed));
     }
-    report.jobs.sort_by_key(|j| j.id);
+    report.jobs.sort_by_key(|(job, _)| job.id);
     Ok(report)
 }
 
@@ -161,11 +169,11 @@ mod tests {
     fn scan_job_doc_round_trips() {
         let spec = builtin("chaos_ensemble").expect("builtin");
         let text = job_doc_json(7, "alice", true, &spec);
-        let (id, client, telemetry, back) = parse_job_doc(&text).expect("parses");
-        assert_eq!(id, 7);
-        assert_eq!(client, "alice");
-        assert!(telemetry);
-        assert_eq!(back, spec);
+        let job = parse_job_doc(&text).expect("parses");
+        assert_eq!(job.id, 7);
+        assert_eq!(job.client, "alice");
+        assert!(job.telemetry);
+        assert_eq!(job.spec, spec);
         assert!(parse_job_doc("{\"id\":1}").is_err());
     }
 
@@ -228,15 +236,8 @@ mod tests {
             "{:?}",
             report.warnings
         );
-        let by_id: Vec<_> = report.jobs.iter().map(|j| (j.id, j.state)).collect();
-        assert_eq!(
-            by_id,
-            vec![
-                (1, JobState::Completed),
-                (2, JobState::Interrupted),
-                (3, JobState::Interrupted),
-            ]
-        );
+        let by_id: Vec<_> = report.jobs.iter().map(|(j, done)| (j.id, *done)).collect();
+        assert_eq!(by_id, vec![(1, true), (2, false), (3, false)]);
         // The torn tail was truncated on its record boundary.
         let kept = std::fs::read_to_string(dir.join("job_2.records.jsonl")).expect("read");
         assert_eq!(kept, two_lines);
@@ -267,7 +268,7 @@ mod tests {
 
         let report = scan_data_dir(&dir).expect("one damaged document fails only its job");
         assert_eq!(report.max_id, 2);
-        let ids: Vec<_> = report.jobs.iter().map(|j| j.id).collect();
+        let ids: Vec<_> = report.jobs.iter().map(|(j, _)| j.id).collect();
         assert_eq!(ids, vec![1]);
         assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
         assert!(

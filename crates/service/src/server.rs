@@ -33,9 +33,9 @@
 //! incomplete jobs, and the resumed output is byte-identical to an
 //! uninterrupted run (the workers always run the deterministic form).
 
-use crate::core::{JobState, QuotaConfig, ServiceCore, SubmitError};
+use crate::core::{Job, JobState, QuotaConfig, ServiceCore, SubmitError};
 use crate::http::{read_request, write_json_response, ChunkedWriter, HttpError, Request};
-use crate::scan::{job_doc_json, job_paths, scan_data_dir};
+use crate::scan::{finished_state, job_doc_json, job_paths, parse_job_doc, scan_data_dir};
 use crate::wire::{error_json, job_json, status_json, submit_error_json};
 use qdc_congest::json::{self, Json};
 use qdc_harness::{
@@ -108,17 +108,17 @@ pub struct Server {
 impl Server {
     /// Binds the listener, creates the data dir, and replays it: torn
     /// journals are truncated on record boundaries, completed jobs are
-    /// restored as completed, and every incomplete job goes back on the
-    /// queue. New job ids start past every id the data dir names, so a
-    /// skipped damaged job's files are never reused. Port `0` binds an
+    /// counted, and every incomplete job goes back on the queue. New job
+    /// ids start past every id the data dir names, so a skipped damaged
+    /// job's files are never reused. Port `0` binds an
     /// ephemeral port (see [`local_addr`](Server::local_addr)).
     pub fn bind(addr: &str, config: ServiceConfig, cancel: CancelToken) -> io::Result<Server> {
         std::fs::create_dir_all(&config.data_dir)?;
         let report = scan_data_dir(&config.data_dir)?;
         let mut core = ServiceCore::new(config.quotas);
         core.reserve_ids_through(report.max_id);
-        for job in report.jobs {
-            core.restore(job);
+        for (job, completed) in report.jobs {
+            core.restore(job, completed);
         }
         let listener = TcpListener::bind(addr)?;
         let mut addr = listener.local_addr()?;
@@ -413,16 +413,21 @@ fn submit(
 
     let outcome: Result<String, Rejection> = {
         let mut core = lock_core(state);
-        match core.submit(&client, spec, telemetry) {
+        match core.submit(&client, spec.clone(), telemetry) {
             Err(e) => Err(Rejection::Submit(e)),
             Ok(id) => {
                 // Persist the submission before acknowledging it: once
                 // the 201 is on the wire, a restart must find the job.
-                let job = core.job(id).expect("just admitted").clone();
+                let job = Job {
+                    id,
+                    client,
+                    spec,
+                    telemetry,
+                };
                 let (doc_path, _, _) = job_paths(&state.config.data_dir, id);
                 match persist_job_doc(&doc_path, &job) {
                     // Its id is new to the data dir, so it has no journal.
-                    Ok(()) => Ok(job_json(&job, &Recovery::default())),
+                    Ok(()) => Ok(job_json(&job, JobState::Queued, &Recovery::default())),
                     Err(e) => {
                         // Roll the admission back: an unpersisted job
                         // would vanish on restart despite its receipt.
@@ -452,64 +457,76 @@ enum Rejection {
     Storage(io::Error),
 }
 
-fn persist_job_doc(path: &std::path::Path, job: &crate::core::Job) -> io::Result<()> {
+fn persist_job_doc(path: &std::path::Path, job: &Job) -> io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(job_doc_json(job.id, &job.client, job.telemetry, &job.spec).as_bytes())?;
     file.write_all(b"\n")?;
     file.sync_data()
 }
 
-/// `GET /jobs/<id>` — the stored job, with its progress folded from the
-/// journal in every state. A journal that cannot be read or folded
-/// answers a structured 500.
+/// Job `id`'s submission, read from its `job_<id>.json`, or `None` once
+/// the request is answered: 404 without a document, a structured 500
+/// when it cannot be read.
+fn read_job(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<Option<Job>> {
+    let (doc_path, _, _) = job_paths(&state.config.data_dir, id);
+    let error = match std::fs::read(&doc_path).map(|doc| parse_job_doc(&doc)) {
+        Ok(Ok(job)) => return Ok(Some(job)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            return not_found(w, &format!("no job {id}")).map(|()| None)
+        }
+        Err(e) => e.to_string(),
+        Ok(Err(e)) => e,
+    };
+    storage_failure(w, &format!("cannot read job {id}'s submission: {error}")).map(|()| None)
+}
+
+/// `GET /jobs/<id>` — the job's document, with its progress folded from
+/// the journal in every state: the core's state while it holds the job,
+/// then the startup scan's rule. A journal that cannot be read, or that
+/// resume would refuse, answers a structured 500.
 fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
-    let job = lock_core(state).job(id).cloned();
-    let Some(job) = job else {
-        return not_found(w, &format!("no job {id}"));
+    // The core first: once it has let a job go, the journal is final.
+    let live = lock_core(state).state(id);
+    let Some(job) = read_job(state, id, w)? else {
+        return Ok(());
     };
     let (_, records_path, _) = job_paths(&state.config.data_dir, id);
     // Read-only: a worker may be appending to this file, so never
     // truncate it (`journal::resume` would). A job no worker has
     // started yet may have no journal.
     let progress = match std::fs::read(&records_path) {
-        Ok(bytes) => journal::recover(&bytes, &job.spec.name),
+        Ok(bytes) => journal::check(&bytes, &job.spec),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Recovery::default()),
         Err(e) => Err(e.to_string()),
     };
     match progress {
-        Ok(progress) => write_json_response(w, 200, &job_json(&job, &progress)),
+        Ok(progress) => {
+            let job_state = live.unwrap_or_else(|| finished_state(&job, &progress));
+            write_json_response(w, 200, &job_json(&job, job_state, &progress))
+        }
         Err(e) => storage_failure(w, &format!("cannot fold job {id}'s journal: {e}")),
     }
 }
 
 /// `GET /jobs/<id>/records` — long-poll tail of the journal as chunked
 /// JSONL. Emits only whole committed lines (everything up to the last
-/// newline on disk), polls while the job is live, and terminates once
-/// the job reaches a terminal state and the tail is drained. Reads the
-/// file, never the worker: back-pressure from a slow client stops
-/// *this* thread at the socket, nothing else.
+/// newline on disk), polls while the core holds the job, and terminates
+/// once it has let the job go and the tail is drained. Reads the file,
+/// never the worker: back-pressure from a slow client stops *this*
+/// thread at the socket, nothing else.
 fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
-    let exists = {
-        let core = lock_core(state);
-        core.job(id).is_some()
-    };
-    if !exists {
+    let (doc_path, records_path, _) = job_paths(&state.config.data_dir, id);
+    // The document is on disk before the job's id is ever sent.
+    if !doc_path.is_file() {
         return not_found(w, &format!("no job {id}"));
     }
-    let (_, records_path, _) = job_paths(&state.config.data_dir, id);
     let mut chunks = ChunkedWriter::begin(w, 200, "application/jsonl")?;
     let mut offset = 0u64;
     loop {
         // Read the state *before* the file: bytes committed after this
-        // check are caught on the next loop, and once terminal the file
-        // can only be complete.
-        let terminal = {
-            let core = lock_core(state);
-            matches!(
-                core.job(id).map(|j| j.state),
-                Some(JobState::Completed | JobState::Interrupted) | None
-            )
-        };
+        // check are caught on the next loop, and once the core has let
+        // the job go the file is final.
+        let terminal = lock_core(state).state(id).is_none();
         // Re-open each poll (the journal does not exist until the worker
         // starts the job) but read only from the last streamed boundary:
         // total I/O over the life of a streaming client is linear in the
@@ -541,12 +558,16 @@ fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Resul
     chunks.finish()
 }
 
-fn telemetry_dir_for(state: &ServiceState, id: u64) -> Result<PathBuf, String> {
-    let core = lock_core(state);
-    match core.job(id) {
-        None => Err(format!("no job {id}")),
-        Some(job) if !job.telemetry => Err(format!("job {id} was submitted without telemetry")),
-        Some(_) => Ok(job_paths(&state.config.data_dir, id).2),
+/// Job `id`'s telemetry directory, or `None` once the request is
+/// answered: as [`read_job`] answers it, or with a 404 for a job
+/// submitted without telemetry.
+fn telemetry_dir(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<Option<PathBuf>> {
+    match read_job(state, id, w)? {
+        Some(job) if job.telemetry => Ok(Some(job_paths(&state.config.data_dir, id).2)),
+        Some(_) => {
+            not_found(w, &format!("job {id} was submitted without telemetry")).map(|()| None)
+        }
+        None => Ok(None),
     }
 }
 
@@ -581,9 +602,8 @@ fn stream_archive_file(
 /// campaign has or how long each archive is, and back-pressure from a
 /// slow client parks this thread at the socket, nothing else.
 fn telemetry_all(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
-    let dir = match telemetry_dir_for(state, id) {
-        Ok(dir) => dir,
-        Err(msg) => return not_found(w, &msg),
+    let Some(dir) = telemetry_dir(state, id, w)? else {
+        return Ok(());
     };
     // No directory yet just means no point has committed an archive.
     let archives = stream_telemetry_archives(&dir).unwrap_or_default();
@@ -598,9 +618,8 @@ fn telemetry_all(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result
 /// (pipe it straight into `profile -` or `profile query -`). Streamed
 /// with the same bounded window as the concatenated endpoint.
 fn telemetry_point(state: &ServiceState, id: u64, index: u64, w: &mut TcpStream) -> io::Result<()> {
-    let dir = match telemetry_dir_for(state, id) {
-        Ok(dir) => dir,
-        Err(msg) => return not_found(w, &msg),
+    let Some(dir) = telemetry_dir(state, id, w)? else {
+        return Ok(());
     };
     let path = stream_telemetry_path(&dir, index as usize);
     if !path.is_file() {

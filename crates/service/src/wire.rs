@@ -25,11 +25,11 @@ pub const STATUS_SCHEMA: &str = "qdc-service-status/v1";
 /// Schema tag of a structured rejection.
 pub const ERROR_SCHEMA: &str = "qdc-service-error/v1";
 
-/// Renders one job as a `qdc-job/v1` document, with `progress`, the
-/// fold of the job's journal, as its `committed` count and aggregate.
-/// The `aggregate` field is the one optional tail: present exactly when
-/// the journal holds records to fold.
-pub fn job_json(job: &Job, progress: &Recovery) -> String {
+/// Renders one job in `state` as a `qdc-job/v1` document, with
+/// `progress`, the fold of the job's journal, as its `committed` count
+/// and aggregate. The `aggregate` field is the one optional tail:
+/// present exactly when the journal holds records to fold.
+pub fn job_json(job: &Job, state: JobState, progress: &Recovery) -> String {
     let committed = progress.committed as u64;
     let mut fields = vec![
         ("schema".to_string(), Json::Str(JOB_SCHEMA.to_string())),
@@ -38,10 +38,7 @@ pub fn job_json(job: &Job, progress: &Recovery) -> String {
         ("client".to_string(), Json::Str(job.client.clone())),
         ("telemetry".to_string(), Json::Bool(job.telemetry)),
         ("points".to_string(), Json::Num(job.spec.point_count())),
-        (
-            "state".to_string(),
-            Json::Str(job.state.as_str().to_string()),
-        ),
+        ("state".to_string(), Json::Str(state.as_str().to_string())),
         ("committed".to_string(), Json::Num(committed)),
     ];
     if committed > 0 {
@@ -54,6 +51,14 @@ pub fn job_json(job: &Job, progress: &Recovery) -> String {
 /// global job counts by state, then per-client lifetime counters in
 /// client-key order.
 pub fn status_json(core: &ServiceCore) -> String {
+    let [queued, running, completed, interrupted] = [
+        JobState::Queued,
+        JobState::Running,
+        JobState::Completed,
+        JobState::Interrupted,
+    ]
+    .map(|s| core.count_in_state(s));
+    let jobs = queued + running + completed + interrupted;
     let clients = core
         .clients()
         .map(|(key, stats)| {
@@ -69,23 +74,11 @@ pub fn status_json(core: &ServiceCore) -> String {
         .collect();
     Json::obj([
         ("schema", Json::Str(STATUS_SCHEMA.to_string())),
-        ("jobs", Json::Num(core.jobs().count() as u64)),
-        (
-            "queued",
-            Json::Num(core.count_in_state(JobState::Queued) as u64),
-        ),
-        (
-            "running",
-            Json::Num(core.count_in_state(JobState::Running) as u64),
-        ),
-        (
-            "completed",
-            Json::Num(core.count_in_state(JobState::Completed) as u64),
-        ),
-        (
-            "interrupted",
-            Json::Num(core.count_in_state(JobState::Interrupted) as u64),
-        ),
+        ("jobs", Json::Num(jobs)),
+        ("queued", Json::Num(queued)),
+        ("running", Json::Num(running)),
+        ("completed", Json::Num(completed)),
+        ("interrupted", Json::Num(interrupted)),
         ("clients", Json::Obj(clients)),
     ])
     .to_json()
@@ -210,25 +203,29 @@ mod tests {
 
     #[test]
     fn wire_job_document_validates_in_every_state() {
-        let core = filled_core();
-        for job in core.jobs() {
-            let text = job_json(job, &Recovery::default());
+        let job = Job {
+            id: 1,
+            client: "alice".into(),
+            spec: builtin("simthm_smoke").expect("builtin"),
+            telemetry: false,
+        };
+        for state in [
+            JobState::Queued,
+            JobState::Running,
+            JobState::Completed,
+            JobState::Interrupted,
+        ] {
+            let text = job_json(&job, state, &Recovery::default());
             validate_job(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
         }
         // A running job with committed lines carries the aggregate tail.
-        let mut core = ServiceCore::new(QuotaConfig::default());
-        let id = core
-            .submit("alice", builtin("simthm_smoke").expect("builtin"), false)
-            .expect("admits");
-        let job = core.take_next().expect("dispatch");
-        assert_eq!(job.id, id);
         let mut progress = Recovery {
             committed: 2,
             ..Recovery::default()
         };
         progress.aggregate.points = 2;
         progress.aggregate.ok = 2;
-        let text = job_json(&job, &progress);
+        let text = job_json(&job, JobState::Running, &progress);
         assert!(text.contains("\"aggregate\":{"), "{text}");
         validate_job(&text).expect("validates with aggregate");
     }

@@ -696,6 +696,37 @@ fn loopback_never_reuses_a_skipped_jobs_id() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn loopback_a_skipped_job_answers_why() {
+    let dir = temp_dir("skipped_why");
+    write_scan_fixture(&dir);
+    let (server, warnings) = TestServer::start_on(
+        "127.0.0.1:0",
+        ServiceConfig {
+            data_dir: dir.clone(),
+            ..ServiceConfig::default()
+        },
+    );
+    assert_eq!(warnings.len(), 2, "jobs 4 and 5 are skipped: {warnings:?}");
+    // A skipped job's files are in the data dir, so it answers from them
+    // like any finished job: with the reason resume refuses its journal.
+    for (id, why) in [
+        (4, "campaign `someone_elses`"),
+        (5, "holds 5 records but the grid has only 4 points"),
+    ] {
+        let (status, body) = get(&server.addr, &format!("/jobs/{id}"));
+        assert_eq!(status, 500, "{body}");
+        validate_error(body.trim_end()).expect("error conforms");
+        assert!(body.contains("\"error\":\"storage_failure\""), "{body}");
+        assert!(body.contains(why), "{body}");
+    }
+    let (status, body) = get(&server.addr, "/jobs/9");
+    assert_eq!(status, 404, "{body}");
+    assert!(body.contains("no job 9"), "{body}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// What a client can read of jobs 1 and 2 once both are terminal: both
 /// job documents, job 2's first archive, and the `/status` counters a
 /// restart must rebuild (`jobs`, `completed`, and each client's

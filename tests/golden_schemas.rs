@@ -52,7 +52,7 @@ use qdc::harness::{
     Recovery, RunOptions,
 };
 use qdc::service::{
-    job_json, status_json, submit_error_json, validate_error, validate_job, validate_status,
+    job_json, status_json, submit_error_json, validate_error, validate_job, validate_status, Job,
     JobState, QuotaConfig, ServiceCore, SubmitError,
 };
 use qdc::simthm::campaign::{highway_classes, run_point};
@@ -715,21 +715,28 @@ fn golden_service_core() -> ServiceCore {
 }
 
 /// The fixed `qdc-job/v1` fixture: both jobs of the golden core, one
-/// line each — a completed job with its aggregate tail, the fold of its
-/// real deterministic journal, then a queued one without.
+/// line each, rendered from their submissions — a completed job with
+/// its aggregate tail, the fold of its real deterministic journal, then
+/// a queued one without.
 fn golden_jobs() -> String {
-    let core = golden_service_core();
-    let spec = builtin("telemetry_smoke").expect("builtin");
-    let journal = run_campaign(&spec, &RunOptions::default())
+    let job = |id, client: &str, name, telemetry| Job {
+        id,
+        client: client.to_string(),
+        spec: builtin(name).expect("builtin"),
+        telemetry,
+    };
+    let done = job(1, "alice", "telemetry_smoke", false);
+    let journal = run_campaign(&done.spec, &RunOptions::default())
         .expect("runs")
         .deterministic_jsonl();
-    let done = journal::recover(&journal, &spec.name).expect("own journal");
-    core.jobs()
-        .map(|job| match job.state {
-            JobState::Completed => job_json(job, &done) + "\n",
-            _ => job_json(job, &Recovery::default()) + "\n",
-        })
-        .collect::<String>()
+    let fold = journal::recover(&journal, &done.spec.name).expect("own journal");
+    let queued = job(2, "bob", "simthm_smoke", true);
+    [
+        job_json(&done, JobState::Completed, &fold),
+        job_json(&queued, JobState::Queued, &Recovery::default()),
+    ]
+    .map(|line| line + "\n")
+    .concat()
 }
 
 fn golden_service_status() -> String {

@@ -7,8 +7,9 @@
 //!    its quota — and every rejection names the first violated rule
 //!    with the numbers that prove it.
 //! 2. **Accounting consistency**: the lifecycle counters always
-//!    reconcile (every job is in exactly one state, client counters
-//!    never run backwards).
+//!    reconcile (the per-state counts sum to the jobs submitted, so
+//!    every job is in exactly one state; client counters never run
+//!    backwards).
 //! 3. **Spec round-trip**: any shape-valid spec survives
 //!    `spec_to_json → parse_spec` structurally and byte-exactly.
 //! 4. **Journal triage**: cutting a real journal at *any* byte, inside a
@@ -101,7 +102,7 @@ fn check_invariants(core: &ServiceCore) {
         core.queue_depth() <= quotas.max_queue,
         "queue depth within bound"
     );
-    let by_state: usize = [
+    let by_state: u64 = [
         JobState::Queued,
         JobState::Running,
         JobState::Completed,
@@ -112,12 +113,14 @@ fn check_invariants(core: &ServiceCore) {
     .sum();
     assert_eq!(
         by_state,
-        core.jobs().count(),
-        "each job in exactly one state"
+        core.clients()
+            .map(|(_, stats)| stats.submitted)
+            .sum::<u64>(),
+        "each submitted job in exactly one state"
     );
     assert_eq!(
         core.count_in_state(JobState::Queued),
-        core.queue_depth(),
+        core.queue_depth() as u64,
         "queued state and queue agree"
     );
     for (client, stats) in core.clients() {
