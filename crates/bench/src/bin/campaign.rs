@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! campaign [resume] <spec> [--threads N] [--sim-threads N] [--deterministic]
-//!                          [--max-attempts N] [--deadline-ms MS]
-//!                          [--backoff-seed N] [--throttle-ms MS] [--resume]
+//!                          [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS]
 //!                          [--out FILE.jsonl] [--summary FILE.json]
 //!                          [--trace-dir DIR] [--telemetry-dir DIR]
 //!                          [--telemetry-stream] [--telemetry-top-k K] [--list]
@@ -15,7 +14,7 @@
 //! ```
 //!
 //! * `<spec>` — a built-in campaign name (`campaign --list` prints them);
-//! * `resume` / `--resume` — recover the journal at `--out`, truncate any
+//! * `resume` — recover the journal at `--out`, truncate any
 //!   torn final line on its record boundary, fold the surviving records
 //!   into the aggregate, and execute only the missing tail. A resumed
 //!   deterministic run is byte-identical to an uninterrupted one;
@@ -32,12 +31,10 @@
 //!   and archives are diffable;
 //! * `--max-attempts N` — attempt budget per point (default 1; the first
 //!   try counts). Transient failures (watchdog trips, panics, deadline
-//!   overruns) are retried with deterministic seeded backoff; permanent
+//!   overruns) are retried with deterministic backoff; permanent
 //!   protocol violations are journaled after the first attempt;
 //! * `--deadline-ms MS` — wall-clock deadline per attempt; an overrun
 //!   becomes a `"deadline"` failure record (off by default);
-//! * `--backoff-seed N` — seed of the deterministic retry backoff
-//!   schedule (default 0; never the wall clock);
 //! * `--throttle-ms MS` — testing aid: sleep before each point so
 //!   interruption tests can land a signal mid-grid (default 0);
 //! * `--out` — per-point JSONL journal (default `campaign_<spec>.jsonl`).
@@ -156,7 +153,6 @@ struct Args {
     resume: bool,
     max_attempts: u32,
     deadline_ms: Option<u64>,
-    backoff_seed: u64,
     throttle_ms: u64,
     out: Option<String>,
     summary: Option<String>,
@@ -169,8 +165,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: campaign [resume] <spec> [--threads N] [--sim-threads N] [--deterministic] \
-         [--max-attempts N] [--deadline-ms MS] [--backoff-seed N] [--throttle-ms MS] \
-         [--resume] [--out FILE.jsonl] [--summary FILE.json] [--trace-dir DIR] \
+         [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS] \
+         [--out FILE.jsonl] [--summary FILE.json] [--trace-dir DIR] \
          [--telemetry-dir DIR] [--telemetry-stream] [--telemetry-top-k K] [--list]"
     );
     eprintln!("built-in specs: {}", builtin_names().join(", "));
@@ -186,7 +182,6 @@ fn parse_args() -> Args {
         resume: false,
         max_attempts: 1,
         deadline_ms: None,
-        backoff_seed: 0,
         throttle_ms: 0,
         out: None,
         summary: None,
@@ -195,7 +190,6 @@ fn parse_args() -> Args {
         telemetry_stream: false,
         telemetry_top_k: None,
     };
-    let mut saw_resume_word = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -209,10 +203,8 @@ fn parse_args() -> Args {
             "--threads" => args.threads = cli::value(&mut it, usage),
             "--sim-threads" => args.sim_threads = cli::value(&mut it, usage),
             "--deterministic" => args.deterministic = true,
-            "--resume" => args.resume = true,
             "--max-attempts" => args.max_attempts = cli::value(&mut it, usage),
             "--deadline-ms" => args.deadline_ms = Some(cli::value(&mut it, usage)),
-            "--backoff-seed" => args.backoff_seed = cli::value(&mut it, usage),
             "--throttle-ms" => args.throttle_ms = cli::value(&mut it, usage),
             "--out" => args.out = Some(cli::value(&mut it, usage)),
             "--summary" => args.summary = Some(cli::value(&mut it, usage)),
@@ -227,10 +219,7 @@ fn parse_args() -> Args {
                 eprintln!("unknown flag `{s}`");
                 usage();
             }
-            "resume" if args.spec.is_empty() && !saw_resume_word => {
-                saw_resume_word = true;
-                args.resume = true;
-            }
+            "resume" if args.spec.is_empty() && !args.resume => args.resume = true,
             s if args.spec.is_empty() => args.spec = s.to_string(),
             _ => usage(),
         }
@@ -448,7 +437,6 @@ fn main() {
         telemetry,
         sim_threads: args.sim_threads,
         max_attempts: args.max_attempts,
-        backoff_seed: args.backoff_seed,
         point_deadline_ms: args.deadline_ms,
         throttle_ms: args.throttle_ms,
     };

@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 const CAMPAIGN_USAGE: &str = "usage: campaign [resume] <spec> [--threads N] [--sim-threads N] \
-     [--deterministic] [--max-attempts N] [--deadline-ms MS] [--backoff-seed N] \
-     [--throttle-ms MS] [--resume] [--out FILE.jsonl] [--summary FILE.json] [--trace-dir DIR] \
+     [--deterministic] [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS] \
+     [--out FILE.jsonl] [--summary FILE.json] [--trace-dir DIR] \
      [--telemetry-dir DIR] [--telemetry-stream] [--telemetry-top-k K] [--list]";
 const PROFILE_USAGE: &str = "usage: profile <telemetry.jsonl> [--top K]";
 const SOAK_USAGE: &str = "usage: stream_soak [--rounds N] [--nodes N] [--seed S] \

@@ -32,7 +32,7 @@
 //! [`PointFailure`]; transient kinds (watchdog trips, generic panics,
 //! deadlines — see [`SimError::is_retryable`](qdc_congest::SimError::is_retryable))
 //! are retried up to [`RunOptions::max_attempts`] with deterministic
-//! seeded backoff before the failure is committed as a
+//! backoff before the failure is committed as a
 //! `qdc-campaign-failure/v1` record in the failed point's index slot.
 //! The rest of the grid always keeps running: one poisoned cell cannot
 //! discard a campaign. A worker thread that dies anyway is survived by
@@ -90,11 +90,6 @@ pub struct RunOptions {
     /// Only *retryable* failures consume extra attempts — permanent
     /// protocol violations are committed after the first.
     pub max_attempts: u32,
-    /// Seed of the deterministic retry backoff schedule. The delay
-    /// before attempt `a` of point `i` is a pure function of
-    /// `(backoff_seed, i, a)` — never of the wall clock — so two runs
-    /// of the same spec retry on the same schedule.
-    pub backoff_seed: u64,
     /// Wall-clock deadline per attempt, in milliseconds. `None` (the
     /// default) runs attempts inline with no timer; `Some(ms)` runs
     /// each attempt on a watchdog thread and records a `"deadline"`
@@ -115,7 +110,6 @@ impl Default for RunOptions {
             telemetry: TelemetryMode::Off,
             sim_threads: 1,
             max_attempts: 1,
-            backoff_seed: 0,
             point_deadline_ms: None,
             throttle_ms: 0,
         }
@@ -451,13 +445,14 @@ fn splitmix64(seed: u64) -> u64 {
 }
 
 /// Deterministic backoff before retry attempt `attempt + 1` of point
-/// `index`: exponential base (25 ms doubling per attempt) plus seeded
-/// jitter, capped at 250 ms. A pure function of its arguments.
-fn backoff_ms(seed: u64, index: usize, attempt: u32) -> u64 {
+/// `index`: exponential base (25 ms doubling per attempt) plus jitter
+/// mixed from the index and attempt, capped at 250 ms. A pure function
+/// of its arguments — never of the wall clock — so two runs of the same
+/// spec retry on the same schedule.
+fn backoff_ms(index: usize, attempt: u32) -> u64 {
     let base = 25u64 << (attempt.min(4) - 1);
     let jitter =
-        splitmix64(seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt))
-            % 25;
+        splitmix64((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt)) % 25;
     (base + jitter).min(250)
 }
 
@@ -516,11 +511,7 @@ fn supervised_execute(index: usize, point: &PointSpec, options: &RunOptions) -> 
             Err(mut failure) => {
                 failure.attempts = attempt;
                 if failure.retryable && attempt < options.max_attempts {
-                    std::thread::sleep(Duration::from_millis(backoff_ms(
-                        options.backoff_seed,
-                        index,
-                        attempt,
-                    )));
+                    std::thread::sleep(Duration::from_millis(backoff_ms(index, attempt)));
                     attempt += 1;
                 } else {
                     return PointOutcome::Failed(failure);
@@ -1147,18 +1138,14 @@ mod tests {
 
     #[test]
     fn runner_backoff_schedule_is_deterministic_and_bounded() {
-        for (seed, index, attempt) in [(0u64, 0usize, 1u32), (7, 3, 2), (42, 11, 4), (1, 2, 9)] {
-            let a = backoff_ms(seed, index, attempt);
-            let b = backoff_ms(seed, index, attempt);
+        for (index, attempt) in [(0usize, 1u32), (3, 2), (11, 4), (2, 9)] {
+            let a = backoff_ms(index, attempt);
+            let b = backoff_ms(index, attempt);
             assert_eq!(a, b, "pure function of its arguments");
             assert!(a <= 250, "capped at 250 ms, got {a}");
             assert!(a >= 25, "at least the base delay, got {a}");
         }
-        assert_ne!(
-            backoff_ms(1, 0, 1),
-            backoff_ms(2, 0, 1),
-            "seed moves the jitter"
-        );
+        assert_ne!(backoff_ms(0, 1), backoff_ms(1, 1), "index moves the jitter");
     }
 
     /// The batches `execute_grid` hands its commit callback on a
