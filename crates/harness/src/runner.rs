@@ -1256,6 +1256,55 @@ mod tests {
     }
 
     #[test]
+    fn runner_journaled_telemetry_dir_archives_every_profiled_point() {
+        let spec = builtin("simthm_smoke").expect("builtin");
+        let dir = std::env::temp_dir().join(format!("qdc_runner_telemetry_{}", std::process::id()));
+        let out_path = dir.join("records.jsonl").to_string_lossy().into_owned();
+        let telemetry_dir = dir.join("telemetry").to_string_lossy().into_owned();
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let options = RunOptions {
+            telemetry: TelemetryMode::Exact,
+            ..opts(2)
+        };
+        let config = JournalConfig {
+            out_path: out_path.clone(),
+            telemetry_dir: Some(telemetry_dir.clone()),
+            ..JournalConfig::default()
+        };
+        run_campaign_journaled(&spec, &options, &config, &CancelToken::new()).expect("runs");
+        let journal = std::fs::read_to_string(&out_path).expect("journal exists");
+        assert_eq!(journal.lines().count(), spec.points().len());
+        for (i, line) in journal.lines().enumerate() {
+            let record = json::parse(line).expect("record parses");
+            let metrics = record.get("metrics").expect("metrics");
+            let path = stream_telemetry_path(&telemetry_dir, i);
+            let text = std::fs::read_to_string(&path).expect("simthm runs are profiled");
+            let totals = TelemetryReport::from_jsonl(&text)
+                .expect("archive parses")
+                .totals();
+            assert_eq!(
+                (Some(totals.messages), Some(totals.bits)),
+                (
+                    metrics.get("messages_sent").and_then(Json::as_u64),
+                    metrics.get("bits_sent").and_then(Json::as_u64)
+                ),
+                "{}",
+                path.display()
+            );
+        }
+        let archives: Vec<String> = std::fs::read_dir(&telemetry_dir)
+            .expect("telemetry dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            !archives.iter().any(|n| n.ends_with(".part")),
+            "{archives:?}"
+        );
+        assert_eq!(archives.len(), spec.points().len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn runner_cancelled_token_interrupts_before_any_point() {
         let spec = builtin("simthm_smoke").expect("builtin");
         let cancel = CancelToken::new();
