@@ -5,8 +5,8 @@
 //! campaign [resume] <spec> [--threads N] [--sim-threads N] [--deterministic]
 //!                          [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS]
 //!                          [--out FILE.jsonl] [--summary FILE.json]
-//!                          [--trace-dir DIR] [--telemetry-dir DIR]
-//!                          [--telemetry-stream] [--telemetry-top-k K] [--list]
+//!                          [--telemetry-dir DIR] [--telemetry-stream]
+//!                          [--telemetry-top-k K] [--list]
 //! campaign serve  [--addr HOST:PORT] [--data-dir DIR] [--workers N]
 //!                 [--job-threads N] [--max-queue N] [--max-client-jobs N]
 //!                 [--max-client-points N] [--throttle-ms MS]
@@ -43,8 +43,6 @@
 //!   the committer waits or the run returns), so the file is a valid
 //!   record-boundary prefix at every instant — SIGKILL included;
 //! * `--summary` — aggregate summary (default `BENCH_<spec>.json`);
-//! * `--trace-dir` — also archive each traced point's per-round traffic
-//!   as `<dir>/point_<i>.trace.jsonl`;
 //! * `--telemetry-dir` — profile each point with a telemetry sink
 //!   (observation never changes results) and archive each profile as
 //!   `<dir>/point_<i>.telemetry.jsonl` (the `profile` binary renders
@@ -156,7 +154,6 @@ struct Args {
     throttle_ms: u64,
     out: Option<String>,
     summary: Option<String>,
-    trace_dir: Option<String>,
     telemetry_dir: Option<String>,
     telemetry_stream: bool,
     telemetry_top_k: Option<usize>,
@@ -166,8 +163,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: campaign [resume] <spec> [--threads N] [--sim-threads N] [--deterministic] \
          [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS] \
-         [--out FILE.jsonl] [--summary FILE.json] [--trace-dir DIR] \
-         [--telemetry-dir DIR] [--telemetry-stream] [--telemetry-top-k K] [--list]"
+         [--out FILE.jsonl] [--summary FILE.json] [--telemetry-dir DIR] \
+         [--telemetry-stream] [--telemetry-top-k K] [--list]"
     );
     eprintln!("built-in specs: {}", builtin_names().join(", "));
     std::process::exit(2);
@@ -185,7 +182,6 @@ fn parse_args() -> Args {
         throttle_ms: 0,
         out: None,
         summary: None,
-        trace_dir: None,
         telemetry_dir: None,
         telemetry_stream: false,
         telemetry_top_k: None,
@@ -208,7 +204,6 @@ fn parse_args() -> Args {
             "--throttle-ms" => args.throttle_ms = cli::value(&mut it, usage),
             "--out" => args.out = Some(cli::value(&mut it, usage)),
             "--summary" => args.summary = Some(cli::value(&mut it, usage)),
-            "--trace-dir" => args.trace_dir = Some(cli::value(&mut it, usage)),
             "--telemetry-dir" => args.telemetry_dir = Some(cli::value(&mut it, usage)),
             "--telemetry-stream" => args.telemetry_stream = true,
             "--telemetry-top-k" => {
@@ -442,7 +437,6 @@ fn main() {
     };
     let config = JournalConfig {
         out_path: out_path.clone(),
-        trace_dir: args.trace_dir.clone(),
         telemetry_dir: args.telemetry_dir.clone(),
         resume: args.resume,
         with_wall: !args.deterministic,

@@ -13,8 +13,8 @@ use std::process::Command;
 
 const CAMPAIGN_USAGE: &str = "usage: campaign [resume] <spec> [--threads N] [--sim-threads N] \
      [--deterministic] [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS] \
-     [--out FILE.jsonl] [--summary FILE.json] [--trace-dir DIR] \
-     [--telemetry-dir DIR] [--telemetry-stream] [--telemetry-top-k K] [--list]";
+     [--out FILE.jsonl] [--summary FILE.json] [--telemetry-dir DIR] \
+     [--telemetry-stream] [--telemetry-top-k K] [--list]";
 const PROFILE_USAGE: &str = "usage: profile <telemetry.jsonl> [--top K]";
 const SOAK_USAGE: &str = "usage: stream_soak [--rounds N] [--nodes N] [--seed S] \
      [--sink stream|exact|null] [--out PATH] [--top-k K]";
@@ -72,6 +72,11 @@ fn campaign_error_paths() {
             &["simthm_smoke", "--bogus"],
             2,
             "unknown flag `--bogus`".into(),
+        ),
+        (
+            &["simthm_smoke", "--trace-dir", "traces"],
+            2,
+            "unknown flag `--trace-dir`".into(),
         ),
         (&[], 2, CAMPAIGN_USAGE.into()),
         (

@@ -3,9 +3,7 @@
 //! Every wire schema the workspace speaks goes through this module, so
 //! there is exactly one notion of "strict":
 //!
-//! * the archive readers — `qdc-trace/v1`
-//!   ([`TrafficTrace::from_jsonl`](crate::TrafficTrace::from_jsonl)),
-//!   `qdc-telemetry/v1`
+//! * the archive readers — `qdc-telemetry/v1`
 //!   ([`TelemetryReport::from_jsonl`](crate::TelemetryReport::from_jsonl))
 //!   and `qdc-telemetry-stream/v1` ([`StreamReader`](crate::StreamReader))
 //!   — drive a `Cursor` token by token through the exact grammar their
@@ -29,8 +27,8 @@
 use std::fmt::Write as _;
 
 /// A position-annotated parse failure: which line, and what was expected
-/// or found. The schema-specific error types (`TraceParseError`,
-/// `TelemetryParseError`) are built from this via `From`.
+/// or found. The archive readers' `TelemetryParseError` is built from
+/// this via `From`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct LineError {
     /// 1-based line number of the offending line.

@@ -78,7 +78,6 @@ mod bits;
 mod chaos;
 mod message;
 mod sim;
-mod trace_io;
 
 pub mod json;
 pub mod stream;
@@ -100,4 +99,3 @@ pub use telemetry::{
     EdgeTotals, NodeClass, NodeTotals, NullTelemetry, QubitSplit, RoundProfile, RoundProfiler,
     Telemetry, TelemetryParseError, TelemetryReport, TELEMETRY_SCHEMA,
 };
-pub use trace_io::{TraceParseError, TRACE_SCHEMA};

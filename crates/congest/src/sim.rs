@@ -545,7 +545,7 @@ pub struct TracedMessage {
 /// unified round loop (sent during round `r`, with round 0 being
 /// `on_start`) — the same delivery schedule [`Stepper::step`] walks one
 /// round at a time.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrafficTrace {
     /// `rounds[r]` lists the messages delivered in round `r + 1`.
     pub rounds: Vec<Vec<TracedMessage>>,

@@ -247,9 +247,9 @@ fn embed_in_connected_host(instance: &Graph) -> (Graph, Subgraph) {
 }
 
 /// Runs one point. Returns the record plus, for traced kinds, the
-/// per-round traffic trace (archivable via [`TrafficTrace::to_jsonl`]),
-/// or a structured [`PointFailure`] when a fallible entry point errored
-/// (the supervised runner decides whether to retry or journal it).
+/// per-round traffic trace the point's audit ran on, or a structured
+/// [`PointFailure`] when a fallible entry point errored (the supervised
+/// runner decides whether to retry or journal it).
 ///
 /// Wall time is measured here but stored separately so callers can
 /// compare the deterministic parts of two runs byte for byte.

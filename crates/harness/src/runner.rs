@@ -59,7 +59,7 @@ use crate::point::{
 };
 use crate::spec::{CampaignError, CampaignSpec, PointSpec, CAMPAIGN_SCHEMA};
 use qdc_congest::json::{self, Json, Shape, Table};
-use qdc_congest::{RunReport, TelemetryReport, TotalsOverflow, TrafficTrace};
+use qdc_congest::{RunReport, TelemetryReport, TotalsOverflow};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -313,8 +313,8 @@ pub struct CampaignOutcome {
     pub failures: Vec<PointFailure>,
     /// Per-point telemetry profiles, indexed by grid point (`None` for
     /// unprofiled kinds, failed points, streamed runs — whose archives
-    /// live on disk, not in memory — or when [`TelemetryMode::Off`] was
-    /// off).
+    /// live on disk, not in memory — and every point under
+    /// [`TelemetryMode::Off`]).
     pub telemetry: Vec<Option<TelemetryReport>>,
     /// The order-independent fold of `records` and `failures`.
     pub aggregate: Aggregate,
@@ -424,8 +424,8 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
 }
 
 /// One point's fully executed slot: the record plus its optional
-/// archives.
-type Slot = (PointRecord, Option<TrafficTrace>, Option<TelemetryReport>);
+/// telemetry archive.
+type Slot = (PointRecord, Option<TelemetryReport>);
 
 /// What the supervisor ultimately committed for one point.
 enum PointOutcome {
@@ -467,6 +467,7 @@ fn guarded_attempt(
 ) -> Result<Slot, PointFailure> {
     match catch_unwind(AssertUnwindSafe(|| {
         execute_point_sharded(index, point, telemetry, sim)
+            .map(|(record, _, profile)| (record, profile))
     })) {
         Ok(result) => result,
         Err(payload) => Err(PointFailure::from_panic(index, payload.as_ref())),
@@ -670,7 +671,7 @@ pub fn run_campaign(
         for (i, out) in (first..).zip(batch) {
             match out {
                 PointOutcome::Done(slot) => {
-                    let (rec, _, profile) = *slot;
+                    let (rec, profile) = *slot;
                     telemetry[i] = profile;
                     records.push(rec);
                 }
@@ -698,8 +699,6 @@ pub fn run_campaign(
 pub struct JournalConfig {
     /// The journal path — the campaign's JSONL output file.
     pub out_path: String,
-    /// Archive each traced point as `<dir>/point_<i>.trace.jsonl`.
-    pub trace_dir: Option<String>,
     /// Archive each profiled point as `<dir>/point_<i>.telemetry.jsonl`.
     pub telemetry_dir: Option<String>,
     /// Recover an existing journal at `out_path` and resume at the
@@ -807,9 +806,6 @@ pub fn run_campaign_journaled(
     } else {
         Journal::create(&config.out_path)
     }?;
-    if let Some(dir) = &config.trace_dir {
-        std::fs::create_dir_all(dir)?;
-    }
     if let Some(dir) = &config.telemetry_dir {
         std::fs::create_dir_all(dir)?;
     }
@@ -829,15 +825,11 @@ pub fn run_campaign_journaled(
             .map_err(|e| CampaignRunError::Corrupt(format!("journal line {i}: {e}")))?;
             lines.push(match out {
                 PointOutcome::Done(slot) => {
-                    let (rec, trace, profile) = &*slot;
+                    let (rec, profile) = &*slot;
                     // Archives land before the journal line: a journaled
                     // record implies its archives exist, and a crash in
                     // the gap simply re-runs the point into identical
                     // bytes.
-                    if let (Some(dir), Some(trace)) = (&config.trace_dir, trace) {
-                        let path = format!("{dir}/point_{i}.trace.jsonl").into();
-                        Staged::write(path, trace.to_jsonl().as_bytes())?;
-                    }
                     if let (Some(dir), Some(profile)) = (&config.telemetry_dir, profile) {
                         let archive = profile.to_jsonl(config.with_wall);
                         Staged::write(stream_telemetry_path(dir, i), archive.as_bytes())?;
@@ -1209,50 +1201,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn runner_journaled_trace_dir_archives_every_simthm_point() {
-        let spec = builtin("simthm_smoke").expect("builtin");
-        let dir = std::env::temp_dir().join(format!("qdc_runner_trace_{}", std::process::id()));
-        let out_path = dir.join("records.jsonl").to_string_lossy().into_owned();
-        let trace_dir = dir.join("traces").to_string_lossy().into_owned();
-        std::fs::create_dir_all(&dir).expect("tmpdir");
-        let config = JournalConfig {
-            out_path: out_path.clone(),
-            trace_dir: Some(trace_dir.clone()),
-            ..JournalConfig::default()
-        };
-        run_campaign_journaled(&spec, &opts(2), &config, &CancelToken::new()).expect("runs");
-        let journal = std::fs::read_to_string(&out_path).expect("journal exists");
-        assert_eq!(journal.lines().count(), spec.points().len());
-        for (i, line) in journal.lines().enumerate() {
-            let record = json::parse(line).expect("record parses");
-            let metrics = record.get("metrics").expect("metrics");
-            let path = format!("{trace_dir}/point_{i}.trace.jsonl");
-            let text = std::fs::read_to_string(&path).expect("simthm runs are traced");
-            let trace = TrafficTrace::from_jsonl(&text).expect("archive parses");
-            let delivered = trace.rounds.iter().flatten();
-            let bits: u64 = delivered.clone().map(|m| m.bits as u64).sum();
-            assert_eq!(
-                (Some(delivered.count() as u64), Some(bits)),
-                (
-                    metrics.get("messages_sent").and_then(Json::as_u64),
-                    metrics.get("bits_sent").and_then(Json::as_u64)
-                ),
-                "{path}"
-            );
-        }
-        let archives: Vec<String> = std::fs::read_dir(&trace_dir)
-            .expect("trace dir")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            !archives.iter().any(|n| n.ends_with(".part")),
-            "{archives:?}"
-        );
-        assert_eq!(archives.len(), spec.points().len());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

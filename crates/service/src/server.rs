@@ -227,7 +227,6 @@ fn worker_loop(state: &ServiceState) {
         let (_, records_path, telemetry_dir) = job_paths(&state.config.data_dir, job.id);
         let journal_config = JournalConfig {
             out_path: records_path.to_string_lossy().into_owned(),
-            trace_dir: None,
             telemetry_dir: job
                 .telemetry
                 .then(|| telemetry_dir.to_string_lossy().into_owned()),
@@ -614,8 +613,8 @@ fn telemetry_all(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result
     chunks.finish()
 }
 
-/// `GET /jobs/<id>/telemetry/<i>` — one point's archive, byte-exact
-/// (pipe it straight into `profile -` or `profile query -`). Streamed
+/// `GET /jobs/<id>/telemetry/<i>` — one point's `qdc-telemetry/v1`
+/// archive, byte-exact (pipe it straight into `profile -`). Streamed
 /// with the same bounded window as the concatenated endpoint.
 fn telemetry_point(state: &ServiceState, id: u64, index: u64, w: &mut TcpStream) -> io::Result<()> {
     let Some(dir) = telemetry_dir(state, id, w)? else {

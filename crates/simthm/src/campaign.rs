@@ -49,8 +49,7 @@ pub struct SimThmOutcome {
     /// Whether every audited round stayed within the budget (the
     /// Theorem 3.5 claim; a campaign exists to observe this at scale).
     pub within_budget: bool,
-    /// The per-round message trace, so the harness can archive the run
-    /// with [`TrafficTrace::to_jsonl`] and replay it offline.
+    /// The per-round message trace the ownership audit ran on.
     pub trace: TrafficTrace,
 }
 

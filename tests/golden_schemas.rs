@@ -1,5 +1,5 @@
-//! Golden-file conformance tests for the nine JSONL/JSON schemas the
-//! workspace emits: `qdc-trace/v1`, `qdc-telemetry/v1`,
+//! Golden-file conformance tests for the eight JSONL/JSON schemas the
+//! workspace emits: `qdc-telemetry/v1`,
 //! `qdc-telemetry-stream/v1`, `qdc-campaign-point/v1`,
 //! `qdc-campaign-failure/v1`, `qdc-campaign/v1`, and the campaign
 //! service's `qdc-job/v1`, `qdc-service-status/v1` and
@@ -43,8 +43,8 @@
 use proptest::prelude::*;
 use qdc::congest::json;
 use qdc::congest::{
-    read_aggregate, ChaosConfig, CongestConfig, RoundProfiler, StreamAggregate, StreamReader,
-    StreamSink, TelemetryReport, TrafficTrace,
+    read_aggregate, CongestConfig, RoundProfiler, StreamAggregate, StreamReader, StreamSink,
+    TelemetryReport,
 };
 use qdc::harness::{
     builtin, execute_point, failure_json, journal, record_json, run_campaign, summary_json,
@@ -86,59 +86,6 @@ fn assert_matches_golden(name: &str, produced: &str) {
          regenerate with QDC_UPDATE_GOLDEN=1",
         path.display()
     );
-}
-
-/// The fixed trace workload: a seeded lossy min-label flood on a small
-/// random graph (deterministic in the seed, exercises the dropped
-/// counters in the round lines).
-fn golden_trace() -> TrafficTrace {
-    let g = qdc::graph::generate::random_connected(8, 3, 5);
-    let chaos = ChaosConfig {
-        seed: 5,
-        drop_prob: 0.25,
-        crash_schedule: Vec::new(),
-        corrupt_prob: 0.0,
-        max_rounds_watchdog: 200,
-    };
-    let sim = qdc::congest::Simulator::new(&g, CongestConfig::classical(8));
-    let mut trace = TrafficTrace::default();
-    sim.try_run_observed(
-        |info| GoldenFlood {
-            label: 100 + info.id.0 as u64,
-        },
-        &chaos,
-        &mut trace,
-    )
-    .expect("fixed workload completes");
-    trace
-}
-
-/// Min-label flood used by the trace fixture.
-struct GoldenFlood {
-    label: u64,
-}
-
-impl qdc::congest::NodeAlgorithm for GoldenFlood {
-    fn on_start(&mut self, _: &qdc::congest::NodeInfo, out: &mut qdc::congest::Outbox) {
-        out.broadcast(qdc::congest::Message::from_uint(self.label, 8));
-    }
-    fn on_round(
-        &mut self,
-        _: &qdc::congest::NodeInfo,
-        inbox: &qdc::congest::Inbox,
-        out: &mut qdc::congest::Outbox,
-    ) {
-        let best = inbox.iter().filter_map(|(_, m)| m.as_uint(8)).min();
-        if let Some(b) = best {
-            if b < self.label {
-                self.label = b;
-                out.broadcast(qdc::congest::Message::from_uint(b, 8));
-            }
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        true
-    }
 }
 
 /// The fixed telemetry workload: the Γ=4, L=9 simulation-theorem point,
@@ -514,43 +461,6 @@ fn golden_summary() -> String {
 }
 
 #[test]
-fn golden_trace_v1_byte_exact_round_trip() {
-    let trace = golden_trace();
-    let text = trace.to_jsonl();
-    assert_matches_golden("trace_v1.jsonl", &text);
-    let back = TrafficTrace::from_jsonl(&text).expect("fixture parses");
-    assert_eq!(back.to_jsonl(), text, "round-trip is byte-exact");
-}
-
-#[test]
-fn golden_trace_v1_rejection_corpus() {
-    let text = golden_trace().to_jsonl();
-    let cases = [
-        (
-            text.trim_end_matches('\n').to_string(),
-            "truncated (missing final newline)",
-        ),
-        (text.replace("\"rounds\"", "\"roundz\""), "unknown field"),
-        (
-            text.replace("qdc-trace/v1", "qdc-trace/v9"),
-            "wrong version tag",
-        ),
-        (
-            text.replacen("\"from\":0", "\"from\":0.5", 1),
-            "non-integer value",
-        ),
-        (
-            text.replacen("\"from\":0", "\"from\":00", 1),
-            "leading-zero integer",
-        ),
-    ];
-    for (bad, why) in cases {
-        let err = TrafficTrace::from_jsonl(&bad).expect_err(why);
-        assert!(!err.to_string().is_empty(), "{why} must explain itself");
-    }
-}
-
-#[test]
 fn golden_telemetry_v1_byte_exact_round_trip() {
     let profile = golden_telemetry();
     let text = profile.to_jsonl(false);
@@ -922,7 +832,6 @@ fn golden_campaign_v1_rejection_corpus() {
 /// The strict reader a golden fixture belongs to.
 #[derive(Clone, Copy)]
 enum Reader {
-    Trace,
     Telemetry,
     Stream,
     /// One tree document per line, checked by its schema's validator.
@@ -930,8 +839,7 @@ enum Reader {
 }
 
 /// Every fixture under `tests/golden/`, with its reader.
-const FIXTURES: [(&str, Reader); 13] = [
-    ("trace_v1.jsonl", Reader::Trace),
+const FIXTURES: [(&str, Reader); 12] = [
     ("telemetry_v1.jsonl", Reader::Telemetry),
     ("telemetry_v1_quantum.jsonl", Reader::Telemetry),
     ("telemetry_v1_wall.jsonl", Reader::Telemetry),
@@ -966,9 +874,6 @@ fn fixture(name: &str) -> Vec<u8> {
 fn read(reader: Reader, bytes: &[u8]) -> Result<String, (usize, String)> {
     let text = String::from_utf8_lossy(bytes);
     match reader {
-        Reader::Trace => TrafficTrace::from_jsonl(&text)
-            .map(|t| t.to_jsonl())
-            .map_err(|e| (e.line, e.msg)),
         Reader::Telemetry => TelemetryReport::from_jsonl(&text)
             .map(|r| r.to_jsonl(true))
             .map_err(|e| (e.line, e.msg)),

@@ -246,7 +246,7 @@ proptest! {
         prop_assert_eq!(c_report.bits_sent, q_report.bits_sent);
         prop_assert_eq!(c_report.messages_sent, q_report.messages_sent);
         prop_assert_eq!(c_report.max_bits_per_round, q_report.max_bits_per_round);
-        prop_assert_eq!(c_trace.to_jsonl(), q_trace.to_jsonl(), "traces must match byte for byte");
+        prop_assert_eq!(c_trace, q_trace, "traces must match message for message");
     }
 }
 

@@ -154,7 +154,7 @@ proptest! {
         // Riding together changes no sink's output.
         let mut solo_trace = TrafficTrace::default();
         let _ = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut solo_trace);
-        prop_assert_eq!(solo_trace.to_jsonl(), trace.to_jsonl());
+        prop_assert_eq!(solo_trace, trace);
         let mut solo_profiler = RoundProfiler::new(nodes, edges, 8);
         let _ = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut solo_profiler);
         prop_assert_eq!(solo_profiler.finish().to_jsonl(false), profile.to_jsonl(false));
