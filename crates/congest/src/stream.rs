@@ -541,14 +541,6 @@ impl<W: Write> StreamSink<W> {
         self
     }
 
-    /// Overrides the flush window (bytes of pending output buffered
-    /// between writes). Mostly a testing aid; [`STREAM_FLUSH_BYTES`] is
-    /// the default.
-    pub fn with_flush_window(mut self, bytes: usize) -> Self {
-        self.flush_bytes = bytes.max(1);
-        self
-    }
-
     fn ensure_header(&mut self) {
         if !self.header_written {
             self.header_written = true;
@@ -1175,7 +1167,8 @@ mod tests {
         // A tiny flush window forces a write per round; the archive
         // bytes are identical to the default window's.
         let mut small = Vec::new();
-        let mut sink = StreamSink::new(&mut small, 3, 2, 8, 4).with_flush_window(1);
+        let mut sink = StreamSink::new(&mut small, 3, 2, 8, 4);
+        sink.flush_bytes = 1;
         drive(&mut sink);
         sink.finish().expect("write");
         let mut big = Vec::new();
@@ -1205,7 +1198,8 @@ mod tests {
                 Ok(())
             }
         }
-        let mut sink = StreamSink::new(Failing, 3, 2, 8, 4).with_flush_window(1);
+        let mut sink = StreamSink::new(Failing, 3, 2, 8, 4);
+        sink.flush_bytes = 1;
         sink.on_round_start(1);
         sink.on_delivery(1, EdgeId(0), NodeId(0), NodeId(1), 8);
         sink.on_round_end(1, false, 4);
