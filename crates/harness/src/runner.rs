@@ -424,7 +424,7 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
 }
 
 /// One point's fully executed slot: the record plus its optional
-/// telemetry archive.
+/// telemetry profile.
 type Slot = (PointRecord, Option<TelemetryReport>);
 
 /// What the supervisor ultimately committed for one point.

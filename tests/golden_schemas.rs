@@ -1,9 +1,8 @@
 //! Golden-file conformance tests for the eight JSONL/JSON schemas the
-//! workspace emits: `qdc-telemetry/v1`,
-//! `qdc-telemetry-stream/v1`, `qdc-campaign-point/v1`,
-//! `qdc-campaign-failure/v1`, `qdc-campaign/v1`, and the campaign
-//! service's `qdc-job/v1`, `qdc-service-status/v1` and
-//! `qdc-service-error/v1`.
+//! workspace emits: `qdc-telemetry/v1`, `qdc-telemetry-stream/v1`,
+//! `qdc-campaign-point/v1`, `qdc-campaign-failure/v1`,
+//! `qdc-campaign/v1`, and the campaign service's `qdc-job/v1`,
+//! `qdc-service-status/v1` and `qdc-service-error/v1`.
 //!
 //! Each schema has a committed fixture under `tests/golden/`, generated
 //! from a fixed, fully deterministic workload. The tests pin three
