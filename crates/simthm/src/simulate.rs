@@ -156,7 +156,7 @@ pub fn audit_trace(
     for (r, msgs) in trace.rounds.iter().enumerate() {
         let mut paid = 0u64;
         for m in msgs {
-            let bits = m.bits as u64;
+            let bits = u64::from(m.bits);
             match payer(net, m.from, m.to, r) {
                 Some(Party::Carol) => carol_bits += bits,
                 Some(Party::David) => david_bits += bits,

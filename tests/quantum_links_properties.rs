@@ -76,7 +76,7 @@ fn assert_per_edge_cap(
     for (r, round) in trace.rounds.iter().enumerate() {
         let mut per_edge: HashMap<(u32, u32), usize> = HashMap::new();
         for m in round {
-            *per_edge.entry((m.from.0, m.to.0)).or_default() += m.bits * charge;
+            *per_edge.entry((m.from.0, m.to.0)).or_default() += m.bits as usize * charge;
         }
         for (&(from, to), &bits) in &per_edge {
             prop_assert!(
@@ -174,7 +174,7 @@ proptest! {
         // per-message width bound survives verbatim.
         for round in &trace.rounds {
             for m in round {
-                prop_assert!(m.bits * charge <= budget);
+                prop_assert!(m.bits as usize * charge <= budget);
             }
         }
         let _ = report;
