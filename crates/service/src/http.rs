@@ -13,7 +13,8 @@
 //!   chunked stream ([`ChunkedWriter`]) for the JSONL tail;
 //! * hard limits guard both directions: oversized header blocks are a
 //!   `400`, oversized bodies a `413` ([`HttpError::PayloadTooLarge`]),
-//!   so a misbehaving client cannot balloon the server's memory.
+//!   so a misbehaving client cannot balloon the server's memory;
+//! * a head that is not UTF-8 is a `400` like any other malformed head.
 //!
 //! Everything here is testable against in-memory byte buffers; the
 //! only socket code in the crate lives in [`crate::server`].
@@ -91,21 +92,23 @@ impl From<io::Error> for HttpError {
 /// itself is capped at the remaining budget, so a peer that streams an
 /// endless line with no `\n` is cut off after at most `MAX_HEAD_BYTES`
 /// buffered bytes instead of growing server memory without bound
-/// (`read_line` alone buffers until a newline shows up). Returns an
-/// empty string on clean EOF.
+/// (`read_until` alone buffers until a newline shows up). A line that
+/// is not UTF-8 is a malformed head, not a transport failure. Returns
+/// an empty string on clean EOF.
 fn read_head_line(stream: &mut impl BufRead, head: &mut usize) -> Result<String, HttpError> {
     let budget = (MAX_HEAD_BYTES - *head) as u64;
-    let mut line = String::new();
+    let mut line = Vec::new();
     // One byte past the budget distinguishes "exactly fits" from
     // "still going when the budget ran out".
-    let n = io::Read::take(&mut *stream, budget + 1).read_line(&mut line)?;
+    let n = io::Read::take(&mut *stream, budget + 1).read_until(b'\n', &mut line)?;
     *head += n;
     if *head > MAX_HEAD_BYTES {
         return Err(HttpError::BadRequest(format!(
             "header block exceeds {MAX_HEAD_BYTES} bytes"
         )));
     }
-    Ok(line)
+    String::from_utf8(line)
+        .map_err(|_| HttpError::BadRequest("request head is not valid UTF-8".into()))
 }
 
 /// Reads and parses one request. `Ok(None)` means the peer closed the
@@ -252,8 +255,8 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut Cursor::new(raw.as_bytes().to_vec()))
+    fn parse(raw: impl AsRef<[u8]>) -> Result<Option<Request>, HttpError> {
+        read_request(&mut Cursor::new(raw.as_ref().to_vec()))
     }
 
     #[test]
@@ -288,16 +291,19 @@ mod tests {
     #[test]
     fn http_rejects_malformed_requests() {
         for raw in [
-            "GARBAGE\r\n\r\n",
-            "GET /x HTTP/2\r\n\r\n",
-            "GET /x HTTP/1.1 extra\r\n\r\n",
-            "GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n",
-            "GET /x HTTP/1.1\r\nContent-Length: pony\r\n\r\n",
-            "GET /x HTTP/1.1\r\nTruncated: yes",
+            &b"GARBAGE\r\n\r\n"[..],
+            b"GET /x HTTP/2\r\n\r\n",
+            b"GET /x HTTP/1.1 extra\r\n\r\n",
+            b"GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n",
+            b"GET /x HTTP/1.1\r\nContent-Length: pony\r\n\r\n",
+            b"GET /x HTTP/1.1\r\nTruncated: yes",
+            b"GET /jobs/\xff HTTP/1.1\r\n\r\n",
+            b"GET /x HTTP/1.1\r\nX-Name: caf\xc3\r\n\r\n",
         ] {
             assert!(
                 matches!(parse(raw), Err(HttpError::BadRequest(_))),
-                "should reject: {raw:?}"
+                "should reject: {:?}",
+                String::from_utf8_lossy(raw)
             );
         }
     }

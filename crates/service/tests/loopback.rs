@@ -82,11 +82,11 @@ impl TestServer {
     }
 }
 
-/// Sends one raw request and returns `(status, body)` with chunked
-/// bodies reassembled.
-fn http(addr: &str, raw: &str) -> (u16, String) {
+/// Sends one raw request (text or bytes) and returns `(status, body)`
+/// with chunked bodies reassembled.
+fn http(addr: &str, raw: impl AsRef<[u8]>) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("send");
+    stream.write_all(raw.as_ref()).expect("send");
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("read");
     let text = String::from_utf8(response).expect("utf8 response");
@@ -118,7 +118,7 @@ fn dechunk(mut body: &str) -> String {
 }
 
 fn get(addr: &str, path: &str) -> (u16, String) {
-    http(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
+    http(addr, format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
 }
 
 /// Like [`get`], but keeps the chunked framing visible: returns the
@@ -160,7 +160,7 @@ fn get_chunk_profile(addr: &str, path: &str) -> (u16, Vec<usize>, String) {
 fn post(addr: &str, path: &str, client: &str, body: &str) -> (u16, String) {
     http(
         addr,
-        &format!(
+        format!(
             "POST {path} HTTP/1.1\r\nHost: t\r\nx-qdc-client: {client}\r\n\
              Content-Length: {}\r\n\r\n{body}",
             body.len()
@@ -361,17 +361,21 @@ fn loopback_rejections_are_structured_and_counted() {
     );
     let (status, oversized) = http(
         &server.addr,
-        &format!("POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 1 << 20),
+        format!("POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 1 << 20),
     );
     assert_eq!(status, 413, "{oversized}");
     assert!(
         oversized.contains("\"error\":\"payload_too_large\""),
         "{oversized}"
     );
+    let (status, not_utf8) = http(&server.addr, b"GET /jobs/\xff HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status, 400, "{not_utf8}");
+    validate_error(not_utf8.trim_end()).expect("error conforms");
+    assert!(not_utf8.contains("\"error\":\"bad_request\""), "{not_utf8}");
 
     // The admission rejections (quota, invalid spec) landed in alice's
-    // counters; the malformed body never reached admission, so it is
-    // deliberately not counted.
+    // counters; the malformed body and head never reached admission, so
+    // they are deliberately not counted.
     let (_, body) = get(&server.addr, "/status");
     assert!(
         body.contains("\"alice\":{\"submitted\":1,\"rejected\":2,"),
