@@ -43,15 +43,17 @@
 //! path/highway/cross split of each round's bits is shown as well.
 //!
 //! Exit codes: `0` success, `2` usage, `4` an input cannot be read,
-//! `5` an archive is empty, truncated, or otherwise malformed, its
-//! round series would push a total past `u64::MAX`, or `--merge` would
-//! (the parsers and the merge report structured errors — they never
-//! panic on bad input).
+//! `5` an archive is empty, truncated, not UTF-8, or otherwise
+//! malformed, its round series would push a total past `u64::MAX`, or
+//! `--merge` would (the parsers and the merge report structured errors
+//! — they never panic on bad input).
 
 use qdc_bench::query::{expand_input, metric_value, render_summary, RoundWindow, METRICS};
 use qdc_bench::{cli, print_header, print_row};
-use qdc_congest::{StreamAggregate, StreamReader, StreamRecord, TelemetryReport};
-use std::io::BufRead;
+use qdc_congest::{
+    StreamAggregate, StreamReader, StreamRecord, TelemetryParseError, TelemetryReport,
+};
+use std::io::{BufRead, Read};
 
 fn usage() -> ! {
     cli::fail(
@@ -249,19 +251,32 @@ fn main() {
         query_main(&argv[1..]);
     }
     let (path, top) = parse_args();
-    let text = if path == "-" {
-        std::io::read_to_string(std::io::stdin())
-            .unwrap_or_else(|e| cli::fail(4, format!("profile: cannot read stdin: {e}")))
+    let bytes = if path == "-" {
+        let mut bytes = Vec::new();
+        std::io::stdin()
+            .read_to_end(&mut bytes)
+            .unwrap_or_else(|e| cli::fail(4, format!("profile: cannot read stdin: {e}")));
+        bytes
     } else {
-        std::fs::read_to_string(&path)
+        std::fs::read(&path)
             .unwrap_or_else(|e| cli::fail(4, format!("profile: cannot read `{path}`: {e}")))
     };
-    let report = TelemetryReport::from_jsonl(&text).unwrap_or_else(|e| {
-        cli::fail(
-            5,
-            format!("profile: `{path}` is not a valid telemetry archive: {e}"),
-        )
-    });
+    // Bytes that are not UTF-8 were read fine: the archive is malformed.
+    let report = std::str::from_utf8(&bytes)
+        .map_err(|e| TelemetryParseError {
+            line: 1 + bytes[..e.valid_up_to()]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count(),
+            msg: "not valid UTF-8".into(),
+        })
+        .and_then(TelemetryReport::from_jsonl)
+        .unwrap_or_else(|e| {
+            cli::fail(
+                5,
+                format!("profile: `{path}` is not a valid telemetry archive: {e}"),
+            )
+        });
 
     println!(
         "profile `{path}`: {} nodes, {} edges, B = {} bits, {} round(s){}",

@@ -33,21 +33,32 @@ const OVERFLOWING_ARCHIVE: &str = "\
 {\"edge_totals\":[[0,0,0,0]]}
 ";
 
+/// A `qdc-telemetry/v1` archive whose second line holds a byte that is
+/// not UTF-8.
+const NOT_UTF8_ARCHIVE: &[u8] = b"\
+{\"schema\":\"qdc-telemetry/v1\",\"nodes\":2,\"edges\":1,\"bandwidth\":8,\"classified\":0,\"rounds\":1}
+{\"round\":1,\"messages\":\xff}
+";
+
 /// (arguments, exit code, first stderr line).
 type Case<'a> = (&'a [&'a str], i32, String);
 
 /// Runs every case of one tool from a fresh temporary directory holding
-/// the files `not_an_archive.txt` and `overflow.telemetry.jsonl`.
+/// the files `not_an_archive.txt`, `not_utf8.jsonl` and
+/// `overflow.telemetry.jsonl`, with `not_utf8.jsonl` on its stdin.
 fn run_cases(tool: &str, exe: &str, cases: &[Case<'_>]) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("qdc_cli_exit_codes_{tool}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     std::fs::write(dir.join("not_an_archive.txt"), "not an archive\n").expect("fixture");
+    std::fs::write(dir.join("not_utf8.jsonl"), NOT_UTF8_ARCHIVE).expect("fixture");
     std::fs::write(dir.join("overflow.telemetry.jsonl"), OVERFLOWING_ARCHIVE).expect("fixture");
     for (args, code, first_line) in cases {
+        let stdin = std::fs::File::open(dir.join("not_utf8.jsonl")).expect("fixture");
         let out = Command::new(exe)
             .args(*args)
             .current_dir(&dir)
+            .stdin(stdin)
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -325,6 +336,19 @@ fn profile_error_paths() {
             5,
             "profile: `overflow.telemetry.jsonl` is not a valid telemetry archive: \
              telemetry line 3: a running total would overflow u64"
+                .into(),
+        ),
+        (
+            &["not_utf8.jsonl"],
+            5,
+            "profile: `not_utf8.jsonl` is not a valid telemetry archive: \
+             telemetry line 2: not valid UTF-8"
+                .into(),
+        ),
+        (
+            &["-"],
+            5,
+            "profile: `-` is not a valid telemetry archive: telemetry line 2: not valid UTF-8"
                 .into(),
         ),
         (
