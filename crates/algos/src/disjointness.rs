@@ -17,8 +17,8 @@ use crate::flood::stage_cap;
 use crate::ledger::Ledger;
 use crate::widths::bits_for;
 use qdc_congest::{
-    BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
-    RunReport, Simulator, Telemetry,
+    BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunReport,
+    Simulator, Telemetry,
 };
 use qdc_graph::Graph;
 use rand::SeedableRng;
@@ -138,11 +138,10 @@ impl NodeAlgorithm for StreamNode {
 }
 
 /// Runs the classical streaming protocol on a path of `d` hops with
-/// endpoints holding `x` (node 0) and `y` (node `d`), under execution
-/// [`RunOptions`] and a [`Telemetry`] sink observing every round (pass
-/// `&mut NullTelemetry` for an unobserved run). The outcome and the
-/// [`RunReport`] are bit-for-bit the same at any thread count, observed
-/// or not.
+/// endpoints holding `x` (node 0) and `y` (node `d`), under a
+/// [`Telemetry`] sink observing every round (pass `&mut NullTelemetry`
+/// for an unobserved run). The outcome and the [`RunReport`] are
+/// bit-for-bit the same observed or not.
 ///
 /// # Panics
 ///
@@ -152,7 +151,6 @@ pub fn classical_disjointness<T: Telemetry>(
     y: &[bool],
     d: usize,
     cfg: CongestConfig,
-    options: RunOptions,
     telemetry: &mut T,
 ) -> (DisjointnessRun, RunReport) {
     assert_eq!(x.len(), y.len(), "inputs must have equal length");
@@ -165,7 +163,7 @@ pub fn classical_disjointness<T: Telemetry>(
     chunks.reverse();
 
     let mut ledger = Ledger::new();
-    let sim = Simulator::with_options(&graph, cfg, options);
+    let sim = Simulator::new(&graph, cfg);
     let (nodes, report) = sim.run_observed(
         |info| {
             let id = info.id.0 as usize;
@@ -262,13 +260,13 @@ impl NodeAlgorithm for BounceNode {
 /// Runs the quantum Disjointness protocol: `⌈(π/4)√b⌉` Grover queries,
 /// each a `⌈log₂ b⌉`-qubit round trip over the `d`-hop path, with the
 /// search outcome simulated exactly (for `b ≤ 4096`) by the state-vector
-/// Grover of `qdc-quantum`, under execution [`RunOptions`] and a
-/// [`Telemetry`] sink observing every query round trip.
+/// Grover of `qdc-quantum`, under a [`Telemetry`] sink observing every
+/// query round trip.
 ///
 /// The Grover measurement stream comes from a [`ChaCha8Rng`] seeded
 /// with `seed`, so two invocations with equal arguments are
-/// byte-identical; the outcome and the [`RunReport`] are the same at
-/// any thread count, observed or not.
+/// byte-identical; the outcome and the [`RunReport`] are the same
+/// observed or not.
 ///
 /// # Panics
 ///
@@ -280,7 +278,6 @@ pub fn quantum_disjointness<T: Telemetry>(
     d: usize,
     cfg: CongestConfig,
     seed: u64,
-    options: RunOptions,
     telemetry: &mut T,
 ) -> (DisjointnessRun, RunReport) {
     assert_eq!(x.len(), y.len(), "inputs must have equal length");
@@ -306,7 +303,7 @@ pub fn quantum_disjointness<T: Telemetry>(
 
     let graph = Graph::path(d + 1);
     let mut ledger = Ledger::new();
-    let sim = Simulator::with_options(&graph, cfg, options);
+    let sim = Simulator::new(&graph, cfg);
     let (_, report) = sim.run_observed(
         |info| {
             let id = info.id.0 as usize;
@@ -335,12 +332,11 @@ mod tests {
     use qdc_congest::NullTelemetry;
 
     fn classical(x: &[bool], y: &[bool], d: usize, cfg: CongestConfig) -> DisjointnessRun {
-        classical_disjointness(x, y, d, cfg, RunOptions::default(), &mut NullTelemetry).0
+        classical_disjointness(x, y, d, cfg, &mut NullTelemetry).0
     }
 
     fn quantum(x: &[bool], y: &[bool], d: usize, cfg: CongestConfig, seed: u64) -> DisjointnessRun {
-        let options = RunOptions::default();
-        quantum_disjointness(x, y, d, cfg, seed, options, &mut NullTelemetry).0
+        quantum_disjointness(x, y, d, cfg, seed, &mut NullTelemetry).0
     }
 
     #[test]

@@ -6,8 +6,8 @@ use crate::ledger::Ledger;
 use crate::tree::{exchange, first_smallest, relax};
 use crate::widths::id_width;
 use qdc_congest::{
-    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
-    RunReport, SimError, Simulator, Telemetry,
+    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunReport,
+    SimError, Simulator, Telemetry,
 };
 use qdc_graph::{Graph, NodeId};
 use std::cmp::Reverse;
@@ -274,20 +274,18 @@ pub struct RobustBroadcastOutcome {
 ///
 /// The [`Telemetry`] sink observes per-round deliveries plus every drop,
 /// corruption and crash the fault plan injects, attributed to the edge
-/// it struck (pass `&mut NullTelemetry` for an unobserved run). Neither
-/// observation nor the [`RunOptions`] thread count ever changes the
-/// outcome, the report, or the telemetry stream.
+/// it struck (pass `&mut NullTelemetry` for an unobserved run).
+/// Observation never changes the outcome or the report.
 pub fn robust_broadcast<T: Telemetry>(
     graph: &Graph,
     cfg: CongestConfig,
-    options: RunOptions,
     root: NodeId,
     chaos: &ChaosConfig,
     give_up: usize,
     telemetry: &mut T,
 ) -> Result<RobustBroadcastOutcome, SimError> {
     assert!(cfg.bandwidth_bits >= 2, "robust flood needs B >= 2");
-    let sim = Simulator::with_options(graph, cfg, options);
+    let sim = Simulator::new(graph, cfg);
     let (nodes, report) = sim.try_run_observed(
         |info| RobustFlood {
             informed: info.id == root,
@@ -320,8 +318,7 @@ mod tests {
         chaos: &ChaosConfig,
         give_up: usize,
     ) -> Result<RobustBroadcastOutcome, SimError> {
-        let (root, options) = (NodeId(0), RunOptions::default());
-        robust_broadcast(g, cfg(), options, root, chaos, give_up, &mut NullTelemetry)
+        robust_broadcast(g, cfg(), NodeId(0), chaos, give_up, &mut NullTelemetry)
     }
 
     #[test]
@@ -414,9 +411,8 @@ mod tests {
         let cc = chaos(21, 0.2, give_up);
         let plain = broadcast(&g, &cc, give_up).expect("completes");
         let mut prof = qdc_congest::RoundProfiler::new(g.node_count(), g.edge_count(), 32);
-        let options = RunOptions::default();
-        let observed = robust_broadcast(&g, cfg(), options, NodeId(0), &cc, give_up, &mut prof)
-            .expect("completes");
+        let observed =
+            robust_broadcast(&g, cfg(), NodeId(0), &cc, give_up, &mut prof).expect("completes");
         assert_eq!(plain.informed, observed.informed);
         assert_eq!(plain.report, observed.report);
         let totals = prof.finish().totals();

@@ -102,8 +102,8 @@ struct ConvergeState<'a, V> {
     parent_port: Option<usize>,
     pending_children: usize,
     value: V,
-    encode: &'a (dyn Fn(&V) -> Message + Sync),
-    combine: &'a (dyn Fn(&mut V, &Message) + Sync),
+    encode: &'a dyn Fn(&V) -> Message,
+    combine: &'a dyn Fn(&mut V, &Message),
     sent: bool,
 }
 
@@ -119,7 +119,7 @@ impl<V> ConvergeState<'_, V> {
     }
 }
 
-impl<V: Send> NodeAlgorithm for ConvergeState<'_, V> {
+impl<V> NodeAlgorithm for ConvergeState<'_, V> {
     fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
         self.try_send(out);
     }
@@ -141,14 +141,14 @@ impl<V: Send> NodeAlgorithm for ConvergeState<'_, V> {
 /// in with `combine` (in port order), and once all children have
 /// reported sends `encode(value)` to its parent. Returns every node's
 /// final value; a root's is its whole tree's fold.
-pub(crate) fn converge<V: Send>(
+pub(crate) fn converge<V>(
     sim: &Simulator,
     ledger: &mut Ledger,
     parent_port: &[Option<usize>],
     children: &[Vec<usize>],
     init: impl Fn(usize) -> V,
-    encode: impl Fn(&V) -> Message + Sync,
-    combine: impl Fn(&mut V, &Message) + Sync,
+    encode: impl Fn(&V) -> Message,
+    combine: impl Fn(&mut V, &Message),
 ) -> Vec<V> {
     let cap = stage_cap(sim.graph().node_count());
     let nodes = ledger.run(sim, cap, |info| {
@@ -167,7 +167,7 @@ pub(crate) fn converge<V: Send>(
 
 /// A `relax` rule: given the node, the round, its value and what it
 /// heard, the port and value to adopt, if any.
-type Rule<'a, V> = dyn Fn(&NodeInfo, usize, Option<&V>, &Inbox) -> Option<(usize, V)> + Sync + 'a;
+type Rule<'a, V> = dyn Fn(&NodeInfo, usize, Option<&V>, &Inbox) -> Option<(usize, V)> + 'a;
 
 struct RelaxState<'a, V> {
     value: Option<V>,
@@ -175,7 +175,7 @@ struct RelaxState<'a, V> {
     ports: Vec<usize>,
     round: usize,
     echo: bool,
-    encode: &'a (dyn Fn(&V) -> Message + Sync),
+    encode: &'a dyn Fn(&V) -> Message,
     adopt: &'a Rule<'a, V>,
 }
 
@@ -191,7 +191,7 @@ impl<V> RelaxState<'_, V> {
     }
 }
 
-impl<V: Send> NodeAlgorithm for RelaxState<'_, V> {
+impl<V> NodeAlgorithm for RelaxState<'_, V> {
     fn on_start(&mut self, _info: &NodeInfo, out: &mut Outbox) {
         self.announce(out, None);
     }
@@ -216,12 +216,12 @@ impl<V: Send> NodeAlgorithm for RelaxState<'_, V> {
 /// value, takes that port as its parent, and announces the value on its
 /// ports — back on the parent port too when `echo`. Returns every node's
 /// final value and parent port.
-pub(crate) fn relax<V: Send>(
+pub(crate) fn relax<V>(
     sim: &Simulator,
     ledger: &mut Ledger,
     mut seed: impl FnMut(&NodeInfo) -> (Option<V>, Option<usize>, Vec<usize>),
-    encode: impl Fn(&V) -> Message + Sync,
-    adopt: impl Fn(&NodeInfo, usize, Option<&V>, &Inbox) -> Option<(usize, V)> + Sync,
+    encode: impl Fn(&V) -> Message,
+    adopt: impl Fn(&NodeInfo, usize, Option<&V>, &Inbox) -> Option<(usize, V)>,
     echo: bool,
 ) -> Vec<(Option<V>, Option<usize>)> {
     let cap = stage_cap(sim.graph().node_count());
@@ -289,12 +289,12 @@ struct PipelineState<'a, S, T> {
     state: S,
     queue: VecDeque<T>,
     ports: Vec<usize>,
-    encode: &'a (dyn Fn(&NodeInfo, usize, &T) -> Message + Sync),
-    decode: &'a (dyn Fn(&Message) -> T + Sync),
-    accept: &'a (dyn Fn(&NodeInfo, &mut S, &T) -> bool + Sync),
+    encode: &'a dyn Fn(&NodeInfo, usize, &T) -> Message,
+    decode: &'a dyn Fn(&Message) -> T,
+    accept: &'a dyn Fn(&NodeInfo, &mut S, &T) -> bool,
 }
 
-impl<S: Send, T: Send> NodeAlgorithm for PipelineState<'_, S, T> {
+impl<S, T> NodeAlgorithm for PipelineState<'_, S, T> {
     fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox) {
         // Round 0 is a round in which nothing was heard.
         self.on_round(info, &Inbox::from_slots(Vec::new()), out);
@@ -325,13 +325,13 @@ impl<S: Send, T: Send> NodeAlgorithm for PipelineState<'_, S, T> {
 /// state; then it sends its oldest queued entry, encoded for each port
 /// by `encode(info, port, entry)`. The stage ends when every queue is
 /// empty; returns every node's final state.
-pub(crate) fn pipeline<S: Send, T: Send>(
+pub(crate) fn pipeline<S, T>(
     sim: &Simulator,
     ledger: &mut Ledger,
     mut seed: impl FnMut(&NodeInfo) -> (S, Vec<T>, Vec<usize>),
-    encode: impl Fn(&NodeInfo, usize, &T) -> Message + Sync,
-    decode: impl Fn(&Message) -> T + Sync,
-    accept: impl Fn(&NodeInfo, &mut S, &T) -> bool + Sync,
+    encode: impl Fn(&NodeInfo, usize, &T) -> Message,
+    decode: impl Fn(&Message) -> T,
+    accept: impl Fn(&NodeInfo, &mut S, &T) -> bool,
 ) -> Vec<S> {
     let n = sim.graph().node_count();
     let nodes = ledger.run(sim, stage_cap(n) + n * n, |info| {

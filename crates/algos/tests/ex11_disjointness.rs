@@ -10,7 +10,7 @@
 use qdc_algos::disjointness::{
     classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds, DisjointnessRun,
 };
-use qdc_congest::{CongestConfig, NullTelemetry, RunOptions};
+use qdc_congest::{CongestConfig, NullTelemetry};
 use qdc_graph::generate;
 
 /// The bin's Grover measurement seed.
@@ -19,13 +19,13 @@ const SEED: u64 = 11;
 /// An unobserved classical run over a `d`-hop path at budget `B`.
 fn classical(x: &[bool], y: &[bool], d: usize, bandwidth: usize) -> DisjointnessRun {
     let cfg = CongestConfig::classical(bandwidth);
-    classical_disjointness(x, y, d, cfg, RunOptions::default(), &mut NullTelemetry).0
+    classical_disjointness(x, y, d, cfg, &mut NullTelemetry).0
 }
 
 /// An unobserved quantum run over a `d`-hop path at budget `B`.
 fn quantum(x: &[bool], y: &[bool], d: usize, bandwidth: usize) -> DisjointnessRun {
-    let (cfg, options) = (CongestConfig::quantum(bandwidth), RunOptions::default());
-    quantum_disjointness(x, y, d, cfg, SEED, options, &mut NullTelemetry).0
+    let cfg = CongestConfig::quantum(bandwidth);
+    quantum_disjointness(x, y, d, cfg, SEED, &mut NullTelemetry).0
 }
 
 /// The bin's instance family: pseudorandom `x`, complemented `y`
@@ -100,7 +100,6 @@ fn ex11_seeded_entry_point_is_reproducible() {
             4,
             CongestConfig::quantum(16),
             seed,
-            RunOptions::default(),
             &mut NullTelemetry,
         );
         (run.disjoint, run.ledger.rounds, report.bits_sent)

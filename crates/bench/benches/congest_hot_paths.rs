@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdc_algos::verify::verify_hamiltonian_cycle;
 use qdc_algos::{flood, Ledger};
-use qdc_congest::{BitString, CongestConfig, NullTelemetry, RoundProfiler, RunOptions, Simulator};
+use qdc_congest::{BitString, CongestConfig, NullTelemetry, RoundProfiler, Simulator};
 use qdc_graph::Graph;
 use qdc_simthm::{SimThmPoint, SimulationNetwork};
 use std::hint::black_box;
@@ -119,13 +119,12 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         l: 17,
         bandwidth: 32,
     };
-    let options = RunOptions::default();
     g.bench_function("run_point/null_sink", |b| {
-        b.iter(|| qdc_simthm::campaign::run_point(black_box(&point), options, |_| NullTelemetry))
+        b.iter(|| qdc_simthm::campaign::run_point(black_box(&point), |_| NullTelemetry))
     });
     g.bench_function("run_point/profiler", |b| {
         b.iter(|| {
-            qdc_simthm::campaign::run_point(black_box(&point), options, |net| {
+            qdc_simthm::campaign::run_point(black_box(&point), |net| {
                 let graph = net.graph();
                 RoundProfiler::new(graph.node_count(), graph.edge_count(), point.bandwidth)
                     .with_classes(qdc_simthm::campaign::highway_classes(net))
@@ -162,12 +161,10 @@ fn bench_slab_delivery(c: &mut Criterion) {
     }
     let graph = Graph::complete(128);
     let cfg = CongestConfig::classical(32);
-    for &threads in &[1usize, 4] {
-        let sim = Simulator::with_options(&graph, cfg, RunOptions { threads });
-        g.bench_function(format!("rebroadcast/complete128/t{threads}"), |b| {
-            b.iter(|| sim.run(|_| Rebroadcast { rounds_left: 16 }, black_box(64)))
-        });
-    }
+    let sim = Simulator::new(&graph, cfg);
+    g.bench_function("rebroadcast/complete128", |b| {
+        b.iter(|| sim.run(|_| Rebroadcast { rounds_left: 16 }, black_box(64)))
+    });
     g.finish();
 }
 

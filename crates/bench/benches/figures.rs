@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdc_algos::disjointness::classical_disjointness;
 use qdc_algos::mst::{mst_approx_sweep, mst_exact};
-use qdc_congest::{CongestConfig, NullTelemetry, RunOptions};
+use qdc_congest::{CongestConfig, NullTelemetry};
 use qdc_core::theorems;
 use qdc_graph::generate;
 use qdc_quantum::games::{chsh_optimal_strategy, XorGame};
@@ -47,7 +47,6 @@ fn bench_ex11(c: &mut Criterion) {
                         black_box(&y),
                         8,
                         CongestConfig::classical(16),
-                        RunOptions::default(),
                         &mut NullTelemetry,
                     )
                 })

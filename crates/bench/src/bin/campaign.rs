@@ -2,7 +2,7 @@
 //! pool with crash-safe journaling, and write machine-readable results.
 //!
 //! ```text
-//! campaign [resume] <spec> [--threads N] [--sim-threads N] [--deterministic]
+//! campaign [resume] <spec> [--threads N] [--deterministic]
 //!                          [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS]
 //!                          [--out FILE.jsonl] [--summary FILE.json]
 //!                          [--telemetry-dir DIR] [--telemetry-stream]
@@ -20,9 +20,6 @@
 //!   deterministic run is byte-identical to an uninterrupted one;
 //! * `--threads N` — worker pool size (default 1). The deterministic
 //!   output is byte-identical for every `N`;
-//! * `--sim-threads N` — worker threads for each point's round engine
-//!   (the simulator's sharded compute phase; default 1). Also covered by
-//!   the byte-identical contract;
 //! * `--deterministic` — omit the volatile wall-clock fields from the
 //!   record and telemetry files, so two runs of the same spec can be
 //!   diffed byte-for-byte (CI's parallel-differential and
@@ -55,7 +52,7 @@
 //!   a utilisation histogram, and deterministic top-K hottest-edge /
 //!   hottest-node sketches in the footer. Requires `--telemetry-dir`.
 //!   Streamed archives obey the same byte-identical contract at any
-//!   `--threads` / `--sim-threads` count (`profile query` reads them);
+//!   `--threads` count (`profile query` reads them);
 //! * `--telemetry-top-k K` — capacity of the streaming top-K sketches
 //!   (default 16; exact whenever K ≥ the number of distinct edges or
 //!   nodes). Requires `--telemetry-stream`.
@@ -146,7 +143,6 @@ mod signals {
 struct Args {
     spec: String,
     threads: usize,
-    sim_threads: usize,
     deterministic: bool,
     resume: bool,
     max_attempts: u32,
@@ -161,7 +157,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: campaign [resume] <spec> [--threads N] [--sim-threads N] [--deterministic] \
+        "usage: campaign [resume] <spec> [--threads N] [--deterministic] \
          [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS] \
          [--out FILE.jsonl] [--summary FILE.json] [--telemetry-dir DIR] \
          [--telemetry-stream] [--telemetry-top-k K] [--list]"
@@ -174,7 +170,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         spec: String::new(),
         threads: 1,
-        sim_threads: 1,
         deterministic: false,
         resume: false,
         max_attempts: 1,
@@ -197,7 +192,6 @@ fn parse_args() -> Args {
                 std::process::exit(0);
             }
             "--threads" => args.threads = cli::value(&mut it, usage),
-            "--sim-threads" => args.sim_threads = cli::value(&mut it, usage),
             "--deterministic" => args.deterministic = true,
             "--max-attempts" => args.max_attempts = cli::value(&mut it, usage),
             "--deadline-ms" => args.deadline_ms = Some(cli::value(&mut it, usage)),
@@ -430,7 +424,6 @@ fn main() {
     let options = RunOptions {
         threads: args.threads,
         telemetry,
-        sim_threads: args.sim_threads,
         max_attempts: args.max_attempts,
         point_deadline_ms: args.deadline_ms,
         throttle_ms: args.throttle_ms,

@@ -11,13 +11,12 @@ use qdc_algos::disjointness::{
     EX11_PROTOCOL_SEED,
 };
 use qdc_bench::{fmt_f, print_header, print_row};
-use qdc_congest::{CongestConfig, NullTelemetry, RunOptions};
+use qdc_congest::{CongestConfig, NullTelemetry};
 
 fn main() {
     let d = 16; // path length (distance between the input holders)
     let bandwidth = 16;
     let seed = EX11_PROTOCOL_SEED;
-    let options = RunOptions::default();
 
     println!("=== Example 1.1 (a): measured runs at distance D = {d}, B = {bandwidth} ===\n");
     let widths = [8, 12, 14, 14, 12];
@@ -28,10 +27,9 @@ fn main() {
     for &b in &[64usize, 256, 1024, 4096] {
         let (x, y, planted) = ex11_instance(b);
         let classical = CongestConfig::classical(bandwidth);
-        let (c_run, _) = classical_disjointness(&x, &y, d, classical, options, &mut NullTelemetry);
+        let (c_run, _) = classical_disjointness(&x, &y, d, classical, &mut NullTelemetry);
         let quantum = CongestConfig::quantum(bandwidth);
-        let (q_run, _) =
-            quantum_disjointness(&x, &y, d, quantum, seed, options, &mut NullTelemetry);
+        let (q_run, _) = quantum_disjointness(&x, &y, d, quantum, seed, &mut NullTelemetry);
         assert_eq!(c_run.disjoint, !planted);
         assert_eq!(q_run.disjoint, !planted);
         print_row(

@@ -8,7 +8,7 @@
 //! `O(B log L)`-per-round claim of Theorem 3.5.
 
 use qdc_bench::{print_header, print_row};
-use qdc_congest::{NullTelemetry, RunOptions};
+use qdc_congest::NullTelemetry;
 use qdc_simthm::{audited_flood, SimulationNetwork};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     for &(gamma, l) in &[(11usize, 17usize), (11, 33), (11, 65), (27, 33), (59, 33)] {
         let net = SimulationNetwork::build_even_tracks(gamma, l);
         let m = net.hamiltonian_m();
-        let run = audited_flood(&net, &m, bandwidth, RunOptions::default(), NullTelemetry);
+        let run = audited_flood(&net, &m, bandwidth, NullTelemetry);
         let audit = run.audit;
         assert!(audit.within_budget, "Theorem 3.5 budget must hold");
         print_row(

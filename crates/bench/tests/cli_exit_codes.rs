@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-const CAMPAIGN_USAGE: &str = "usage: campaign [resume] <spec> [--threads N] [--sim-threads N] \
+const CAMPAIGN_USAGE: &str = "usage: campaign [resume] <spec> [--threads N] \
      [--deterministic] [--max-attempts N] [--deadline-ms MS] [--throttle-ms MS] \
      [--out FILE.jsonl] [--summary FILE.json] [--telemetry-dir DIR] \
      [--telemetry-stream] [--telemetry-top-k K] [--list]";
@@ -88,6 +88,11 @@ fn campaign_error_paths() {
             &["simthm_smoke", "--trace-dir", "traces"],
             2,
             "unknown flag `--trace-dir`".into(),
+        ),
+        (
+            &["simthm_smoke", "--sim-threads", "2"],
+            2,
+            "unknown flag `--sim-threads`".into(),
         ),
         (&[], 2, CAMPAIGN_USAGE.into()),
         (

@@ -71,7 +71,6 @@ fn write_quantum_archive(path: &Path) {
         3,
         CongestConfig::quantum_teleport(16),
         11,
-        qdc_congest::RunOptions::default(),
         &mut sink,
     );
     sink.finish().expect("in-memory write");

@@ -213,32 +213,12 @@ impl CongestConfig {
     }
 }
 
-/// Execution options of a [`Simulator`], orthogonal to the CONGEST model
-/// parameters in [`CongestConfig`]: how the engine runs, never what it
-/// computes.
-///
-/// The compute phase steps every live node's `on_round` through the
-/// same chunk step that runs `on_start`: inline at one thread, and
-/// otherwise once per fixed chunk of node indices on `threads` scoped
-/// workers, whose queued counts and first defect join in index order.
-/// Delivery, chaos decisions and accounting always run on the calling
-/// thread in the engine's one deterministic order. The outcome —
-/// states, reports, traces, telemetry — is therefore **byte-identical
-/// at every thread count** (the same contract the campaign runner in
-/// `qdc-harness` keeps at the experiment level).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Worker threads for the node compute phase. `1` (the default)
-    /// steps every node inline; `0` is treated as `1`, and values above
-    /// the node count are clamped down.
-    pub threads: usize,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions { threads: 1 }
-    }
-}
+/// An empty value that nothing reads, kept only because the benchmark
+/// package (`perf/`) names this type and passes `RunOptions::default()`
+/// to `qdc_harness::point::execute_point_sharded`. It goes once the
+/// benchmark stops naming it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RunOptions {}
 
 /// What a node knows about itself and its surroundings — exactly the
 /// paper's "limited topological knowledge": its own id, `n`, and the ids
@@ -482,12 +462,7 @@ impl Outbox {
 /// "always terminated" but keep forwarding improvements — the run ends
 /// exactly when the information flow dies down (the standard implicit-
 /// termination convention in synchronous models).
-///
-/// The `Send` supertrait lets the engine step the compute phase's node
-/// chunks on scoped worker threads ([`RunOptions::threads`]); each
-/// worker owns its chunk's node states for the round, never sharing
-/// them, so any ordinary algorithm state satisfies it automatically.
-pub trait NodeAlgorithm: Send {
+pub trait NodeAlgorithm {
     /// Round-0 initialization; may send messages.
     fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox);
 
@@ -586,7 +561,6 @@ impl Telemetry for TrafficTrace {
 pub struct Simulator<'g> {
     graph: &'g Graph,
     config: CongestConfig,
-    options: RunOptions,
     infos: Vec<NodeInfo>,
     /// `back_port[u][p]` is the port on which `u`'s neighbor over port
     /// `p` sees `u` — precomputed so delivery routes each message in
@@ -604,16 +578,8 @@ pub struct Simulator<'g> {
 }
 
 impl<'g> Simulator<'g> {
-    /// Prepares a simulator on `graph` with the given configuration and
-    /// default [`RunOptions`] (single-threaded compute).
+    /// Prepares a simulator on `graph` with the given configuration.
     pub fn new(graph: &'g Graph, config: CongestConfig) -> Self {
-        Simulator::with_options(graph, config, RunOptions::default())
-    }
-
-    /// Prepares a simulator on `graph` with explicit execution options.
-    /// Options never change outcomes — a run at any thread count is
-    /// byte-identical to the same run under [`new`](Simulator::new).
-    pub fn with_options(graph: &'g Graph, config: CongestConfig, options: RunOptions) -> Self {
         let n = graph.node_count();
         let infos: Vec<NodeInfo> = graph
             .nodes()
@@ -662,7 +628,6 @@ impl<'g> Simulator<'g> {
         Simulator {
             graph,
             config,
-            options,
             infos,
             back_port,
             slot_base,
@@ -678,11 +643,6 @@ impl<'g> Simulator<'g> {
     /// The configuration.
     pub fn config(&self) -> CongestConfig {
         self.config
-    }
-
-    /// The execution options.
-    pub fn options(&self) -> RunOptions {
-        self.options
     }
 
     /// Per-node topology information (what node `v` is told at start).
@@ -841,14 +801,10 @@ impl<'g> Simulator<'g> {
         let slots = |info: &NodeInfo| vec![None; info.degree()];
         let mut outgoing: Vec<_> = self.infos.iter().map(slots).collect();
         let dead = vec![false; self.infos.len()];
-        let (pending, defect) = self.step_nodes(
-            0,
-            &mut nodes,
-            &mut outgoing,
-            &dead,
-            strict,
-            |node, i, out| node.on_start(&self.infos[i], out),
-        );
+        let (pending, defect) =
+            self.step_nodes(&mut nodes, &mut outgoing, &dead, strict, |node, i, out| {
+                node.on_start(&self.infos[i], out)
+            });
         let inboxes = self
             .infos
             .iter()
@@ -1035,12 +991,7 @@ impl<'g> Simulator<'g> {
             dropped = stats.messages_dropped - dropped_before;
         }
 
-        // Compute: every live node steps `on_round` through
-        // `step_nodes`, inline at one thread, or one call per fixed index
-        // chunk on scoped workers. The chunk results join in chunk order,
-        // so the queued sum and the first defect (chunk order = index
-        // order) match the inline call exactly, and a strict-mode panic
-        // resurfaces with its original payload.
+        // Compute: every live node steps `on_round` through `step_nodes`.
         let Engine {
             ref mut nodes,
             ref mut outgoing,
@@ -1049,34 +1000,9 @@ impl<'g> Simulator<'g> {
             strict,
             ..
         } = *engine;
-        let step = |node: &mut A, i: usize, out: &mut Outbox| {
+        let (pending, defect) = self.step_nodes(nodes, outgoing, dead, strict, |node, i, out| {
             node.on_round(&self.infos[i], &inboxes[i], out)
-        };
-        let threads = self.options.threads.max(1).min(nodes.len().max(1));
-        let (pending, defect) = if threads == 1 {
-            self.step_nodes(0, nodes, outgoing, dead, strict, step)
-        } else {
-            let chunk = nodes.len().div_ceil(threads);
-            let step = &step;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = nodes
-                    .chunks_mut(chunk)
-                    .zip(outgoing.chunks_mut(chunk))
-                    .enumerate()
-                    .map(|(c, (nodes, outgoing))| {
-                        scope.spawn(move || {
-                            self.step_nodes(c * chunk, nodes, outgoing, dead, strict, step)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .fold((0, None), |(pending, defect), (queued, first)| {
-                        (pending + queued, defect.or(first))
-                    })
-            })
-        };
+        });
         engine.pending = pending;
         engine.defect = engine.defect.or(defect);
         if T::ENABLED {
@@ -1090,30 +1016,29 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// Steps one chunk of nodes, `nodes[k]` being node `base + k`: each
-    /// live node gets its emptied slot vector back as an [`Outbox`], and
-    /// `step` runs its `on_start` or `on_round` into it. Crashed nodes
-    /// are frozen and skipped. Returns the messages queued and the first
-    /// defect in node order — the one place the engine builds outboxes,
-    /// tallies queued messages and latches defects.
+    /// Steps every node: each live node gets its emptied slot vector
+    /// back as an [`Outbox`], and `step` runs its `on_start` or
+    /// `on_round` into it. Crashed nodes are frozen and skipped. Returns
+    /// the messages queued and the first defect in node order — the one
+    /// place the engine builds outboxes, tallies queued messages and
+    /// latches defects.
     fn step_nodes<A>(
         &self,
-        base: usize,
         nodes: &mut [A],
         outgoing: &mut [Vec<Option<Message>>],
         dead: &[bool],
         strict: bool,
-        step: impl Fn(&mut A, usize, &mut Outbox),
+        mut step: impl FnMut(&mut A, usize, &mut Outbox),
     ) -> (usize, Option<SimError>) {
         let (budget, charge) = (self.config.bandwidth_bits, self.config.charge_factor());
         let mut queued = 0;
         let mut defect = None;
-        for (k, (node, slots)) in nodes.iter_mut().zip(outgoing).enumerate() {
-            if dead[base + k] {
+        for (i, (node, slots)) in nodes.iter_mut().zip(outgoing).enumerate() {
+            if dead[i] {
                 continue;
             }
             let mut out = Outbox::from_slots(std::mem::take(slots), budget, charge, strict);
-            step(node, base + k, &mut out);
+            step(node, i, &mut out);
             queued += out.queued;
             defect = defect.or(out.defect);
             *slots = out.msgs;
@@ -1258,7 +1183,7 @@ pub struct WatchdogReport {
 impl<'g, A: NodeAlgorithm> Stepper<'g, A> {
     /// Initializes the algorithm (runs every node's `on_start`).
     pub fn new<F: FnMut(&NodeInfo) -> A>(graph: &'g Graph, config: CongestConfig, init: F) -> Self {
-        Stepper::with_options(graph, config, RunOptions::default(), None, init)
+        Stepper::start(graph, config, None, init)
     }
 
     /// A stepper with fault injection: each [`step`](Stepper::step)
@@ -1278,26 +1203,18 @@ impl<'g, A: NodeAlgorithm> Stepper<'g, A> {
         chaos: &ChaosConfig,
         init: F,
     ) -> Self {
-        Stepper::with_options(graph, config, RunOptions::default(), Some(chaos), init)
+        Stepper::start(graph, config, Some(chaos), init)
     }
 
-    /// A stepper with explicit [`RunOptions`] and optional fault
-    /// injection — the fully general constructor behind
-    /// [`new`](Stepper::new) and [`with_chaos`](Stepper::with_chaos).
-    /// Options never change outcomes: a stepped run at any thread count
-    /// matches the single-threaded one round for round, byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chaos` is `Some` and fails [`ChaosConfig::validate`].
-    pub fn with_options<F: FnMut(&NodeInfo) -> A>(
+    /// The constructor behind [`new`](Stepper::new) and
+    /// [`with_chaos`](Stepper::with_chaos), with optional fault injection.
+    fn start<F: FnMut(&NodeInfo) -> A>(
         graph: &'g Graph,
         config: CongestConfig,
-        options: RunOptions,
         chaos: Option<&ChaosConfig>,
         init: F,
     ) -> Self {
-        let sim = Simulator::with_options(graph, config, options);
+        let sim = Simulator::new(graph, config);
         let plan = chaos.map(|chaos| {
             chaos.validate().unwrap_or_else(|e| panic!("{e}"));
             FaultPlan::new(chaos, graph.node_count())

@@ -27,7 +27,7 @@
 //!
 //! Every piece of aggregate state is **mergeable**: [`StreamAggregate`]
 //! (and [`TopK`] / [`StreamTotals`] underneath) carries a `merge`
-//! operation so shard-parallel and multi-point runs compose. The merge
+//! operation so the archives of many points and runs compose. The merge
 //! laws (DESIGN.md §4g): counters and histograms merge by `+`
 //! (associative and commutative); `nodes`/`edges`/`top_k` merge by
 //! `max`; `classified` by logical AND; `bandwidth` by "equal or poison"
@@ -35,9 +35,10 @@
 //! by per-key summation followed by the canonical (bits desc, index
 //! asc) cut — always commutative, and **exact** (associative, equal to
 //! the unbounded ranking) whenever the capacity is at least the number
-//! of distinct keys observed. The engine emits telemetry events from
-//! the single-threaded delivery phase, so a `StreamSink`'s bytes are
-//! identical at every `--sim-threads` count by construction.
+//! of distinct keys observed. The engine emits telemetry events in one
+//! fixed order on the thread that runs the point, so a `StreamSink`'s
+//! bytes are identical at every campaign `--threads` count by
+//! construction.
 //!
 //! Reading side: [`StreamReader`] is an incremental parser over any
 //! [`BufRead`] — one line in memory at a time, strict to the byte, and

@@ -19,7 +19,7 @@ use qdc_algos::widths::id_width;
 use qdc_cc::codes::greedy_random_code;
 use qdc_cc::fooling::gap_equality_fooling_set;
 use qdc_cc::norms::ipmod3_server_lower_bound;
-use qdc_congest::{NullTelemetry, RunOptions};
+use qdc_congest::NullTelemetry;
 use qdc_gadgets::ipmod3_to_ham;
 use qdc_graph::{generate, predicates};
 use qdc_quantum::games::{
@@ -141,13 +141,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineReport {
         id_width(network_nodes) <= cfg.bandwidth,
         "node id exceeds B"
     );
-    let flood = audited_flood(
-        &net,
-        &m,
-        cfg.bandwidth,
-        RunOptions::default(),
-        NullTelemetry,
-    );
+    let flood = audited_flood(&net, &m, cfg.bandwidth, NullTelemetry);
 
     // Distributed decision: M is one cycle iff all labels agree (M is
     // 2-regular by construction). Compare against the predicate.

@@ -262,10 +262,11 @@ pub fn execute_point(
     Ok((record, trace))
 }
 
-/// [`execute_point`] with explicit simulator [`RunOptions`] and a
-/// [`TelemetryMode`] — the runner's entry point. The record, trace and
-/// telemetry (buffered or streamed) are byte-identical at every thread
-/// count, and observation never perturbs the record (modulo `wall_us`).
+/// [`execute_point`] under a [`TelemetryMode`] — the runner's entry
+/// point. Observation never perturbs the record (modulo `wall_us`).
+/// `_options` is unused: the parameter and its empty [`RunOptions`] type
+/// stay only because the benchmark package (`perf/`) calls this function
+/// with four arguments.
 ///
 /// Simulation-theorem points are observed with the highway/path node
 /// classification ([`qdc_simthm::campaign::highway_classes`]); chaos and
@@ -278,15 +279,14 @@ pub fn execute_point_sharded(
     index: usize,
     spec: &PointSpec,
     telemetry: &TelemetryMode,
-    options: RunOptions,
+    _options: RunOptions,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
     match telemetry {
-        TelemetryMode::Off => execute_observed(index, spec, options, &mut Unobserved),
-        TelemetryMode::Exact => execute_observed(index, spec, options, &mut Profiled),
+        TelemetryMode::Off => execute_observed(index, spec, &mut Unobserved),
+        TelemetryMode::Exact => execute_observed(index, spec, &mut Profiled),
         TelemetryMode::Stream(cfg) => execute_observed(
             index,
             spec,
-            options,
             &mut Streamed {
                 cfg,
                 staged: None,
@@ -494,7 +494,6 @@ impl Observer for Streamed<'_> {
 fn execute_observed<O: Observer>(
     index: usize,
     spec: &PointSpec,
-    options: RunOptions,
     observer: &mut O,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
     let start = std::time::Instant::now();
@@ -511,7 +510,7 @@ fn execute_observed<O: Observer>(
     let (mut record, trace, telemetry) = match spec {
         PointSpec::SimThm(p) => {
             observer.prepare(index)?;
-            let (out, sink) = qdc_simthm::campaign::run_point(p, options, |net| {
+            let (out, sink) = qdc_simthm::campaign::run_point(p, |net| {
                 observer.install(RunShape {
                     nodes: net.graph().node_count(),
                     edges: net.graph().edge_count(),
@@ -568,8 +567,7 @@ fn execute_observed<O: Observer>(
                 quantum: None,
                 classes: None,
             });
-            let result =
-                robust_broadcast(&graph, cfg, options, NodeId(0), &chaos, give_up, &mut sink);
+            let result = robust_broadcast(&graph, cfg, NodeId(0), &chaos, give_up, &mut sink);
             // A failed attempt keeps no telemetry (a streamed archive's
             // `.part` staging file is dropped with it), and its
             // structured simulator error (a watchdog trip under
@@ -653,10 +651,10 @@ fn execute_observed<O: Observer>(
             let (run, report) = if *quantum {
                 let cfg = CongestConfig::quantum(*bandwidth);
                 let seed = EX11_PROTOCOL_SEED;
-                quantum_disjointness(&x, &y, *distance, cfg, seed, options, &mut sink)
+                quantum_disjointness(&x, &y, *distance, cfg, seed, &mut sink)
             } else {
                 let cfg = CongestConfig::classical(*bandwidth);
-                classical_disjointness(&x, &y, *distance, cfg, options, &mut sink)
+                classical_disjointness(&x, &y, *distance, cfg, &mut sink)
             };
             let telemetry = observer.finish(index, sink, true)?;
             // The measured curve must match the closed form: the quantum
@@ -888,8 +886,7 @@ mod tests {
         let PointSpec::SimThm(p) = &points[0] else {
             panic!("smoke grid is simthm");
         };
-        let (direct, _) =
-            qdc_simthm::campaign::run_point(p, RunOptions::default(), |_| NullTelemetry);
+        let (direct, _) = qdc_simthm::campaign::run_point(p, |_| NullTelemetry);
         assert_eq!(rec.metrics, direct.metrics);
         assert_eq!(rec.accept, Some(direct.within_budget));
         assert_eq!(trace.expect("simthm is traced").rounds, direct.trace.rounds);

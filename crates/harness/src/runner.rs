@@ -81,11 +81,6 @@ pub struct RunOptions {
     /// committer has nothing to archive and the outcome's `telemetry`
     /// slots stay `None`).
     pub telemetry: TelemetryMode,
-    /// Worker thread count for each point's *round engine* (the
-    /// simulator's compute phase), as distinct from `threads`, which
-    /// shards whole points. Both levels carry the same byte-identical
-    /// determinism contract, so any combination is safe. Must be ≥ 1.
-    pub sim_threads: usize,
     /// Attempt budget per point (must be ≥ 1; the first try counts).
     /// Only *retryable* failures consume extra attempts — permanent
     /// protocol violations are committed after the first.
@@ -108,7 +103,6 @@ impl Default for RunOptions {
         RunOptions {
             threads: 1,
             telemetry: TelemetryMode::Off,
-            sim_threads: 1,
             max_attempts: 1,
             point_deadline_ms: None,
             throttle_ms: 0,
@@ -463,10 +457,9 @@ fn guarded_attempt(
     index: usize,
     point: &PointSpec,
     telemetry: &TelemetryMode,
-    sim: qdc_congest::RunOptions,
 ) -> Result<Slot, PointFailure> {
     match catch_unwind(AssertUnwindSafe(|| {
-        execute_point_sharded(index, point, telemetry, sim)
+        execute_point_sharded(index, point, telemetry, qdc_congest::RunOptions::default())
             .map(|(record, _, profile)| (record, profile))
     })) {
         Ok(result) => result,
@@ -482,17 +475,14 @@ fn run_attempt(
     point: &PointSpec,
     options: &RunOptions,
 ) -> Result<Slot, PointFailure> {
-    let sim = qdc_congest::RunOptions {
-        threads: options.sim_threads,
-    };
     match options.point_deadline_ms {
-        None => guarded_attempt(index, point, &options.telemetry, sim),
+        None => guarded_attempt(index, point, &options.telemetry),
         Some(deadline_ms) => {
             let (tx, rx) = mpsc::channel();
             let point = point.clone();
             let telemetry = options.telemetry.clone();
             std::thread::spawn(move || {
-                let _ = tx.send(guarded_attempt(index, &point, &telemetry, sim));
+                let _ = tx.send(guarded_attempt(index, &point, &telemetry));
             });
             match rx.recv_timeout(Duration::from_millis(deadline_ms)) {
                 Ok(result) => result,
@@ -636,7 +626,7 @@ where
 }
 
 fn validate_options(options: &RunOptions) -> Result<(), CampaignError> {
-    if options.threads == 0 || options.sim_threads == 0 {
+    if options.threads == 0 {
         return Err(CampaignError::ZeroThreads);
     }
     if options.max_attempts == 0 {

@@ -13,7 +13,7 @@
 
 use crate::network::SimulationNetwork;
 use crate::simulate::audited_flood;
-use qdc_congest::{NodeClass, RunOptions, RunReport, Telemetry, TrafficTrace};
+use qdc_congest::{NodeClass, RunReport, Telemetry, TrafficTrace};
 
 /// One cell of a Γ×L campaign grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -59,9 +59,8 @@ pub struct SimThmOutcome {
 /// the Γ adjustment), so a sink can size itself and classify nodes with
 /// [`highway_classes`]; the driven sink comes back beside the outcome.
 /// `|_| NullTelemetry` is the unobserved run, and computes no
-/// classification. Neither the sink nor the [`RunOptions`] (worker
-/// threads for the engine's compute phase) ever change the outcome: it
-/// is byte-identical at every thread count, observed or not.
+/// classification. The sink never changes the outcome: it is
+/// byte-identical observed or not.
 ///
 /// The run is capped at the horizon `L/2 − 2` — Theorem 3.5 only speaks
 /// about runs within it, so `metrics.completed` is usually `false`, and
@@ -72,7 +71,7 @@ pub struct SimThmOutcome {
 /// Panics if `gamma == 0` or `l < 3` (the network builder's own
 /// preconditions). Campaign specs are validated before any point runs,
 /// so the harness never reaches this.
-pub fn run_point<T, F>(point: &SimThmPoint, options: RunOptions, install: F) -> (SimThmOutcome, T)
+pub fn run_point<T, F>(point: &SimThmPoint, install: F) -> (SimThmOutcome, T)
 where
     T: Telemetry,
     F: FnOnce(&SimulationNetwork) -> T,
@@ -80,7 +79,7 @@ where
     let net = SimulationNetwork::build_even_tracks(point.gamma, point.l);
     let mut sink = install(&net);
     let m = net.hamiltonian_m();
-    let run = audited_flood(&net, &m, point.bandwidth, options, &mut sink);
+    let run = audited_flood(&net, &m, point.bandwidth, &mut sink);
     let outcome = SimThmOutcome {
         metrics: run.report,
         node_count: net.graph().node_count() as u64,
@@ -118,7 +117,7 @@ mod tests {
 
     /// The unobserved run of one point.
     fn plain(point: &SimThmPoint) -> SimThmOutcome {
-        run_point(point, RunOptions::default(), |_| NullTelemetry).0
+        run_point(point, |_| NullTelemetry).0
     }
 
     #[test]
@@ -159,7 +158,7 @@ mod tests {
             bandwidth: 16,
         };
         let plain = plain(&p);
-        let (observed, profiler) = run_point(&p, RunOptions::default(), |net| {
+        let (observed, profiler) = run_point(&p, |net| {
             RoundProfiler::new(
                 net.graph().node_count(),
                 net.graph().edge_count(),

@@ -22,8 +22,8 @@
 use crate::network::{Party, SimulationNetwork};
 use qdc_algos::widths::id_width;
 use qdc_congest::{
-    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions, RunReport,
-    Simulator, Telemetry, TrafficTrace,
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunReport, Simulator,
+    Telemetry, TrafficTrace,
 };
 use qdc_graph::{NodeId, Subgraph};
 
@@ -197,7 +197,7 @@ pub struct AuditedFlood {
 /// Labels are node ids of [`id_width`] bits. The run is traced, capped
 /// at the horizon `L/2 − 2` (Theorem 3.5 speaks only about runs within
 /// it, so `report.completed` is usually false), and `sink` observes it
-/// beside the trace. Neither the sink nor `options` changes the result.
+/// beside the trace. The sink never changes the result.
 ///
 /// # Panics
 ///
@@ -207,11 +207,10 @@ pub fn audited_flood<T: Telemetry>(
     net: &SimulationNetwork,
     m: &Subgraph,
     bandwidth: usize,
-    options: RunOptions,
     sink: T,
 ) -> AuditedFlood {
     let width = id_width(net.graph().node_count());
-    let sim = Simulator::with_options(net.graph(), CongestConfig::quantum(bandwidth), options);
+    let sim = Simulator::new(net.graph(), CongestConfig::quantum(bandwidth));
     let mut trace = TrafficTrace::default();
     let (nodes, report) = sim.run_observed(
         |info| ComponentFlood::along(info, m, width),

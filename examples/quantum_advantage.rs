@@ -8,7 +8,7 @@
 use qdc::algos::disjointness::{
     classical_disjointness, classical_rounds, quantum_disjointness, quantum_rounds,
 };
-use qdc::congest::{CongestConfig, NullTelemetry, RunOptions};
+use qdc::congest::{CongestConfig, NullTelemetry};
 use qdc::graph::generate;
 use qdc::quantum::grover::{disjointness_queries, success_probability};
 
@@ -30,12 +30,11 @@ fn main() {
     let mut y: Vec<bool> = x.iter().map(|&v| !v).collect();
     y[500] = x[500]; // plant one intersection
 
-    let options = RunOptions::default();
     let cfg = CongestConfig::classical(bandwidth);
-    let (classical, _) = classical_disjointness(&x, &y, d, cfg, options, &mut NullTelemetry);
+    let (classical, _) = classical_disjointness(&x, &y, d, cfg, &mut NullTelemetry);
     let cfg = CongestConfig::quantum(bandwidth);
     let seed = 42; // the Grover measurement stream
-    let (quantum, _) = quantum_disjointness(&x, &y, d, cfg, seed, options, &mut NullTelemetry);
+    let (quantum, _) = quantum_disjointness(&x, &y, d, cfg, seed, &mut NullTelemetry);
     println!("\ndistributed Disjointness, b = {b}, D = {d}, B = {bandwidth}:");
     println!(
         "  classical streaming: answer disjoint={}, {} rounds ({} bits)",

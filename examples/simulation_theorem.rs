@@ -7,7 +7,7 @@
 //! ```
 
 use qdc::algos::verify::verify_hamiltonian_cycle;
-use qdc::congest::{CongestConfig, NullTelemetry, RunOptions};
+use qdc::congest::{CongestConfig, NullTelemetry};
 use qdc::simthm::{audited_flood, Party, SimulationNetwork};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     }
 
     // Run the component flood on the quantum channel and audit it.
-    let run = audited_flood(&net, &m, bandwidth, RunOptions::default(), NullTelemetry);
+    let run = audited_flood(&net, &m, bandwidth, NullTelemetry);
     let (report, audit) = (run.report, run.audit);
     println!(
         "\nflood ran {} rounds ({} qubits total on the network)",

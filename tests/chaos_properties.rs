@@ -10,9 +10,6 @@
 //! 2. **Robustness**: the acknowledgement-based `robust_broadcast`
 //!    reaches every non-crashed node for seeded drop rates up to 0.3, as
 //!    long as the residual graph stays connected.
-//! 3. **Sharded failures**: nodes that break the discipline make a
-//!    sharded run fail exactly as the 1-thread run does — the same
-//!    first `SimError` from `try_run`, the same panic from `run`.
 //!
 //! The CI chaos job re-runs these under several `QDC_CHAOS_SEED` values;
 //! the seed perturbs every generated case while each individual run stays
@@ -22,7 +19,7 @@ use proptest::prelude::*;
 use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
     ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox,
-    RunOptions, Simulator,
+    Simulator,
 };
 use qdc::graph::{generate, Graph, NodeId};
 
@@ -54,47 +51,6 @@ impl NodeAlgorithm for MinFlood {
     }
     fn is_terminated(&self) -> bool {
         true
-    }
-}
-
-/// A node that stays unterminated until round `at`, then acts by `mode`:
-/// modes 0–2 break the CONGEST discipline in round `at` (a message of
-/// 9 + id bits, a double send on the last port, the out-of-range port
-/// `degree`), modes 3–5 keep the rules (a broadcast, one send on port
-/// 0, silence). The violations name the node's id or degree, so two
-/// violators in one round report different errors.
-struct Rogue {
-    mode: u8,
-    at: usize,
-    round: usize,
-}
-
-impl NodeAlgorithm for Rogue {
-    fn on_start(&mut self, _: &NodeInfo, out: &mut Outbox) {
-        out.broadcast(Message::from_uint(self.mode as u64, 8));
-    }
-    fn on_round(&mut self, info: &NodeInfo, _: &Inbox, out: &mut Outbox) {
-        self.round += 1;
-        if self.round != self.at {
-            return;
-        }
-        let id = info.id.0 as u64;
-        let byte = Message::from_uint(id & 0xff, 8);
-        match self.mode {
-            0 => out.send(0, Message::from_uint(id, 9 + id as usize)),
-            1 => {
-                let last = info.degree() - 1;
-                out.send(last, byte.clone());
-                out.send(last, byte);
-            }
-            2 => out.send(info.degree(), byte),
-            3 => out.broadcast(byte),
-            4 => out.send(0, byte),
-            _ => {}
-        }
-    }
-    fn is_terminated(&self) -> bool {
-        self.round >= self.at
     }
 }
 
@@ -144,59 +100,6 @@ proptest! {
             prop_assert_eq!(plain[v].label, fallible[v].label);
         }
 
-        // The sharded engine is covered by the same differential: both
-        // paths at 4 compute threads reproduce the 1-thread results bit
-        // for bit (delivery and chaos stay sequential; only `on_round`
-        // fans out).
-        let sharded = Simulator::with_options(&g, cfg, RunOptions { threads: 4 });
-        let (par, par_report) = sharded.run(make, 100);
-        let (par_fallible, par_fallible_report) =
-            sharded.try_run(make, &chaos).expect("fault-free run quiesces");
-        prop_assert_eq!(plain_report, par_report);
-        prop_assert_eq!(fallible_report, par_fallible_report);
-        for v in 0..g.node_count() {
-            prop_assert_eq!(plain[v].label, par[v].label);
-            prop_assert_eq!(fallible[v].label, par_fallible[v].label);
-        }
-    }
-
-    /// Failure paths of the sharded engine: with nodes that break the
-    /// discipline in the same round, a sharded `try_run` returns the
-    /// same first `SimError` (in node order) as the 1-thread run, and a
-    /// sharded `run` panics with the same payload. A round-1 crash and
-    /// seeded drops ride along, so crashed nodes must be skipped alike.
-    #[test]
-    fn chaos_sharded_runs_fail_like_sequential_runs(
-        n in 4usize..24,
-        extra in 0usize..10,
-        seed in 0u64..200,
-        draws in prop::collection::vec((0u8..6, 1usize..4), 24),
-        crash_pick in 0u32..1000,
-    ) {
-        let g = generate::random_connected(n, n + extra, seed ^ env_seed());
-        let cfg = CongestConfig::classical(8);
-        let make = |info: &NodeInfo| {
-            let (mode, at) = draws[info.id.index()];
-            Rogue { mode, at, round: 0 }
-        };
-        let chaos = ChaosConfig {
-            seed: seed ^ env_seed().rotate_left(29),
-            drop_prob: 0.1,
-            crash_schedule: vec![(NodeId(crash_pick % n as u32), 1)],
-            corrupt_prob: 0.0,
-            max_rounds_watchdog: 20,
-        };
-        let outcome = |threads: usize| {
-            let sim = Simulator::with_options(&g, cfg, RunOptions { threads });
-            let fallible = sim.try_run(make, &chaos).map(|(_, report)| report);
-            let panicking = std::panic::catch_unwind(|| sim.run(make, 20).1)
-                .map_err(|payload| *payload.downcast::<String>().expect("a String payload"));
-            (fallible, panicking)
-        };
-        let sequential = outcome(1);
-        for threads in [2, 3, n + 1] {
-            prop_assert_eq!(&outcome(threads), &sequential, "threads = {}", threads);
-        }
     }
 
     /// Robustness: the hardened flood informs every non-crashed node at
@@ -228,8 +131,7 @@ proptest! {
             max_rounds_watchdog: give_up + 5,
         };
         let cfg = CongestConfig::classical(8);
-        let options = RunOptions::default();
-        let out = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut NullTelemetry)
+        let out = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut NullTelemetry)
             .expect("robust flood winds down within its budget");
         for v in g.nodes() {
             if crash_on && v == crashed {

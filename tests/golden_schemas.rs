@@ -95,7 +95,7 @@ fn golden_telemetry() -> TelemetryReport {
         l: 9,
         bandwidth: 16,
     };
-    let (_, profiler) = run_point(&point, qdc::congest::RunOptions::default(), |net| {
+    let (_, profiler) = run_point(&point, |net| {
         let g = net.graph();
         RoundProfiler::new(g.node_count(), g.edge_count(), 16).with_classes(highway_classes(net))
     });
@@ -114,7 +114,7 @@ fn golden_stream_archive() -> (String, StreamAggregate) {
         l: 9,
         bandwidth: 16,
     };
-    let (_, sink) = run_point(&point, qdc::congest::RunOptions::default(), |net| {
+    let (_, sink) = run_point(&point, |net| {
         let g = net.graph();
         StreamSink::new(&mut buf, g.node_count(), g.edge_count(), 16, 8)
             .with_classes(highway_classes(net))
@@ -234,7 +234,6 @@ fn golden_quantum_telemetry() -> TelemetryReport {
         3,
         CongestConfig::quantum_teleport(16),
         11,
-        qdc::congest::RunOptions::default(),
         &mut profiler,
     );
     profiler.finish()
@@ -253,7 +252,6 @@ fn golden_quantum_stream_archive() -> (String, StreamAggregate) {
         3,
         CongestConfig::quantum_teleport(16),
         11,
-        qdc::congest::RunOptions::default(),
         &mut sink,
     );
     let agg = sink.finish().expect("in-memory write");

@@ -23,10 +23,9 @@ fn env_seed() -> u64 {
         .unwrap_or(0)
 }
 
-fn opts(threads: usize, sim_threads: usize) -> RunOptions {
+fn opts(threads: usize) -> RunOptions {
     RunOptions {
         threads,
-        sim_threads,
         ..RunOptions::default()
     }
 }
@@ -97,23 +96,14 @@ proptest! {
             grid: make_grid(kind, axis_a, axis_b, seeds, drop_pm, bandwidth),
         };
         prop_assert!(spec.validate().is_ok(), "generated specs are valid");
-        let one = run_campaign(&spec, &opts(1, 1)).expect("1-thread run");
-        let four = run_campaign(&spec, &opts(4, 1)).expect("4-thread run");
+        let one = run_campaign(&spec, &opts(1)).expect("1-thread run");
+        let four = run_campaign(&spec, &opts(4)).expect("4-thread run");
         prop_assert_eq!(
             one.deterministic_jsonl(),
             four.deterministic_jsonl(),
             "per-point records must not depend on the thread count"
         );
         prop_assert_eq!(one.aggregate, four.aggregate);
-        // The engine-level shard count is covered by the same contract:
-        // sharding each point's compute phase must be invisible too.
-        let sharded = run_campaign(&spec, &opts(2, 3)).expect("sim-threaded run");
-        prop_assert_eq!(
-            one.deterministic_jsonl(),
-            sharded.deterministic_jsonl(),
-            "per-point records must not depend on the engine shard count"
-        );
-        prop_assert_eq!(one.aggregate, sharded.aggregate);
         // The summary's deterministic core (the aggregate object) agrees
         // byte for byte; threads/wall_ms legitimately differ.
         prop_assert_eq!(
@@ -141,7 +131,7 @@ proptest! {
             name: "prop_direct".to_string(),
             grid: make_grid(kind, axis_a, axis_b, seeds, drop_pm, bandwidth),
         };
-        let out = run_campaign(&spec, &opts(3, 2)).expect("3-thread run");
+        let out = run_campaign(&spec, &opts(3)).expect("3-thread run");
         let points: Vec<PointSpec> = spec.points();
         prop_assert_eq!(out.records.len(), points.len());
         // Spot-check first and last points (a full re-run of every point

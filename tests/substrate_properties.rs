@@ -96,7 +96,6 @@ proptest! {
             }
             fn is_terminated(&self) -> bool { true }
         }
-        use qdc::congest::RunOptions;
         let seed = seed ^ env_seed();
         let g = generate::random_connected(n, n + extra, seed);
         let cfg = CongestConfig::classical(16);
@@ -115,18 +114,6 @@ proptest! {
             prop_assert_eq!(plain[v].label, traced[v].label);
             prop_assert_eq!(plain[v].label, stepper.nodes()[v].label);
             prop_assert_eq!(plain[v].label, 1000); // flood converged to the min
-        }
-
-        // A fourth mode: the sharded engine (3 compute threads) is the
-        // same engine, so it joins the agreement — states, report, and
-        // the traffic trace byte for byte.
-        let sharded = Simulator::with_options(&g, cfg, RunOptions { threads: 3 });
-        let mut par_trace = TrafficTrace::default();
-        let (par, par_report) = sharded.run_observed(make, 100, &mut par_trace);
-        prop_assert_eq!(plain_report, par_report);
-        prop_assert_eq!(trace.rounds, par_trace.rounds);
-        for v in 0..g.node_count() {
-            prop_assert_eq!(plain[v].label, par[v].label);
         }
 
         // The same agreement must hold under fault injection: batch,
@@ -157,22 +144,6 @@ proptest! {
             prop_assert_eq!(batch[v].label, cstepper.nodes()[v].label);
         }
 
-        // Under faults too: a sharded batch run and a sharded stepper
-        // (built via `Stepper::with_options`) replay the same drops,
-        // corruptions and crashes as the sequential modes.
-        let (cpar, cpar_report) = sharded.try_run(make, &chaos).expect("quiesces under faults");
-        let mut pstepper = Stepper::with_options(
-            &g, cfg, RunOptions { threads: 2 }, Some(&chaos), make,
-        );
-        while !pstepper.is_quiescent() {
-            pstepper.step();
-        }
-        prop_assert_eq!(batch_report, cpar_report);
-        prop_assert_eq!(batch_report, pstepper.report());
-        for v in 0..g.node_count() {
-            prop_assert_eq!(batch[v].label, cpar[v].label);
-            prop_assert_eq!(batch[v].label, pstepper.nodes()[v].label);
-        }
     }
 
     /// Hypercube distances equal Hamming distances of the node labels.
@@ -292,6 +263,64 @@ fn max_rounds_equal_to_quiescence_round_completes() {
     assert!(stepper.is_quiescent());
     let mut short = Stepper::new(&g, cfg, make);
     assert!(short.run_to_quiescence(q - 1).tripped);
+}
+
+/// Node state need not be `Send`: the engine steps every node on the
+/// calling thread, so nodes may share an `Rc<Cell<_>>`. Each node adds
+/// what it hears to one shared tally, which must end equal to the
+/// messages the engine delivered in every execution mode.
+#[test]
+fn node_state_need_not_be_send() {
+    use qdc::congest::{ChaosConfig, Inbox, NodeAlgorithm, NodeInfo, Outbox, Stepper};
+    use std::cell::Cell;
+    use std::rc::Rc;
+    /// Broadcasts at start and once more on first hearing anything.
+    struct Tally {
+        heard: Rc<Cell<u64>>,
+        echoed: bool,
+    }
+    impl NodeAlgorithm for Tally {
+        fn on_start(&mut self, _: &NodeInfo, out: &mut Outbox) {
+            out.broadcast(Message::from_bit(true));
+        }
+        fn on_round(&mut self, _: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
+            let heard = inbox.iter().count() as u64;
+            self.heard.set(self.heard.get() + heard);
+            if heard > 0 && !self.echoed {
+                self.echoed = true;
+                out.broadcast(Message::from_bit(true));
+            }
+        }
+        fn is_terminated(&self) -> bool {
+            true
+        }
+    }
+    let g = generate::random_connected(16, 24, 5);
+    let cfg = CongestConfig::classical(1);
+    let tally = Rc::new(Cell::new(0));
+    let make = |_: &NodeInfo| Tally {
+        heard: Rc::clone(&tally),
+        echoed: false,
+    };
+    let sim = Simulator::new(&g, cfg);
+
+    let (_, report) = sim.run(make, 100);
+    assert!(report.completed);
+    assert_eq!(report.messages_sent, 4 * g.edge_count() as u64);
+    assert_eq!(tally.replace(0), report.messages_sent);
+
+    let chaos = ChaosConfig {
+        seed: 7,
+        drop_prob: 0.2,
+        ..ChaosConfig::fault_free(100)
+    };
+    let (_, report) = sim.try_run(make, &chaos).expect("quiesces under drops");
+    assert!(report.messages_dropped > 0);
+    assert_eq!(tally.replace(0), report.messages_sent);
+
+    let mut stepper = Stepper::new(&g, cfg, make);
+    assert!(!stepper.run_to_quiescence(100).tripped);
+    assert_eq!(tally.get(), stepper.report().messages_sent);
 }
 
 #[test]

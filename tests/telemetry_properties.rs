@@ -23,8 +23,7 @@ use proptest::prelude::*;
 use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
     read_aggregate, ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo,
-    NullTelemetry, Outbox, RoundProfiler, RunOptions, Simulator, StreamSink, TelemetryReport,
-    TrafficTrace,
+    NullTelemetry, Outbox, RoundProfiler, Simulator, StreamSink, TelemetryReport, TrafficTrace,
 };
 use qdc::graph::{generate, NodeId};
 
@@ -134,10 +133,8 @@ proptest! {
             max_rounds_watchdog: give_up + 5,
         };
         let cfg = CongestConfig::classical(8);
-        let options = RunOptions::default();
         let (nodes, edges) = (g.node_count(), g.edge_count());
-        let plain =
-            robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut NullTelemetry);
+        let plain = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut NullTelemetry);
         let mut archive = Vec::new();
         let mut sinks = (
             TrafficTrace::default(),
@@ -146,21 +143,21 @@ proptest! {
                 StreamSink::new(&mut archive, nodes, edges, 8, 16),
             ),
         );
-        let observed = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut sinks);
+        let observed = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut sinks);
         let (trace, (profiler, stream)) = sinks;
         let profile = profiler.finish();
         let footer = stream.finish().expect("Vec<u8> writes cannot fail");
 
         // Riding together changes no sink's output.
         let mut solo_trace = TrafficTrace::default();
-        let _ = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut solo_trace);
+        let _ = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut solo_trace);
         prop_assert_eq!(solo_trace, trace);
         let mut solo_profiler = RoundProfiler::new(nodes, edges, 8);
-        let _ = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut solo_profiler);
+        let _ = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut solo_profiler);
         prop_assert_eq!(solo_profiler.finish().to_jsonl(false), profile.to_jsonl(false));
         let mut solo_archive = Vec::new();
         let mut solo_stream = StreamSink::new(&mut solo_archive, nodes, edges, 8, 16);
-        let _ = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut solo_stream);
+        let _ = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut solo_stream);
         solo_stream.finish().expect("Vec<u8> writes cannot fail");
         prop_assert_eq!(&solo_archive, &archive);
 
@@ -206,50 +203,6 @@ proptest! {
         prop_assert_eq!(back.to_jsonl(false), profile.to_jsonl(false));
     }
 
-    /// The sharded engine under chaos, observed: profiles produced at 1
-    /// and 4 compute threads serialize to the same bytes, and the
-    /// outcomes match — telemetry on or off, threads 1 or N, nothing
-    /// moves.
-    #[test]
-    fn telemetry_sharded_chaos_profile_is_byte_identical(
-        n in 4usize..16,
-        extra in 0usize..6,
-        seed in 0u64..100,
-        drop in 0.0f64..=0.2,
-    ) {
-        let g = generate::random_connected(n, n + extra, seed.wrapping_add(env_seed()));
-        let give_up = chaos_round_budget(n, drop);
-        let chaos = ChaosConfig {
-            seed: seed ^ env_seed().rotate_left(23),
-            drop_prob: drop,
-            crash_schedule: vec![(NodeId(n as u32 - 1), 3)],
-            corrupt_prob: 0.05,
-            max_rounds_watchdog: give_up + 5,
-        };
-        let cfg = CongestConfig::classical(8);
-        let mut seq_prof = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let seq = robust_broadcast(
-            &g, cfg, RunOptions { threads: 1 }, NodeId(0), &chaos, give_up, &mut seq_prof,
-        );
-        let mut par_prof = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let par = robust_broadcast(
-            &g, cfg, RunOptions { threads: 4 }, NodeId(0), &chaos, give_up, &mut par_prof,
-        );
-        match (seq, par) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.informed, b.informed);
-                prop_assert_eq!(a.report, b.report);
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(false, "thread count changed the outcome: {a:?} vs {b:?}"),
-        }
-        prop_assert_eq!(
-            seq_prof.finish().to_jsonl(false),
-            par_prof.finish().to_jsonl(false),
-            "profiles must serialize to the same bytes at every thread count"
-        );
-    }
-
     /// Histogram mass conservation (the PR's accounting bugfix): each
     /// round's utilisation buckets sum to that round's *live* capacity —
     /// 2·|E| minus both directed slots of every edge with a crashed
@@ -278,8 +231,7 @@ proptest! {
         };
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
         let _ = robust_broadcast(
-            &g, CongestConfig::classical(8), RunOptions::default(), NodeId(0), &chaos, give_up,
-            &mut profiler,
+            &g, CongestConfig::classical(8), NodeId(0), &chaos, give_up, &mut profiler,
         );
         let profile = profiler.finish();
         let live_capacity = |round: usize| -> u64 {
@@ -298,40 +250,5 @@ proptest! {
                 r.round
             );
         }
-    }
-}
-
-/// The Γ×L hard-instance networks go through the same 1-vs-N contract:
-/// the simulation-theorem adapter's outcome and profile are
-/// byte-identical whether the round engine runs sequentially or sharded.
-#[test]
-fn telemetry_simthm_gamma_l_is_thread_invariant() {
-    use qdc::simthm::campaign::{highway_classes, run_point, SimThmPoint};
-    use qdc::simthm::SimulationNetwork;
-    for (gamma, l) in [(3, 5), (5, 9)] {
-        let point = SimThmPoint {
-            gamma,
-            l,
-            bandwidth: 24,
-        };
-        let profiler = |net: &SimulationNetwork| {
-            let g = net.graph();
-            RoundProfiler::new(g.node_count(), g.edge_count(), point.bandwidth)
-                .with_classes(highway_classes(net))
-        };
-        let (seq, _) = run_point(&point, RunOptions::default(), |_| NullTelemetry);
-        let (par, _) = run_point(&point, RunOptions { threads: 4 }, |_| NullTelemetry);
-        assert_eq!(seq.metrics, par.metrics, "Γ={gamma} L={l}");
-        assert_eq!(seq.within_budget, par.within_budget);
-        assert_eq!(seq.paid_bits, par.paid_bits);
-        assert_eq!(seq.trace.rounds, par.trace.rounds);
-        let (obs_seq, prof_seq) = run_point(&point, RunOptions::default(), profiler);
-        let (obs_par, prof_par) = run_point(&point, RunOptions { threads: 3 }, profiler);
-        assert_eq!(obs_seq.metrics, obs_par.metrics);
-        assert_eq!(
-            prof_seq.finish().to_jsonl(false),
-            prof_par.finish().to_jsonl(false),
-            "Γ={gamma} L={l}: profile bytes must not depend on threads"
-        );
     }
 }

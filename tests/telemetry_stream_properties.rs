@@ -16,8 +16,8 @@
 //!    aggregates of unrelated runs, and merging an aggregate of zeroes
 //!    is the identity on every counter;
 //! 4. **Thread invariance**: a campaign run with streaming telemetry
-//!    writes byte-identical archives at `--threads`/`--sim-threads`
-//!    1 and 4, and those archives' footers match the totals of the
+//!    writes byte-identical archives at `--threads` 1 and 4, and
+//!    those archives' footers match the totals of the
 //!    exact-mode profiles of the same campaign;
 //! 5. **Eviction**: with fewer slots than keys, [`TopK`] follows its
 //!    documented space-saving rule observe by observe (a reference
@@ -31,7 +31,7 @@ use proptest::prelude::*;
 use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
     read_aggregate, ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox,
-    QubitSplit, RoundProfile, RoundProfiler, RunOptions, Simulator, StreamAggregate, StreamSink,
+    QubitSplit, RoundProfile, RoundProfiler, Simulator, StreamAggregate, StreamSink,
     TelemetryReport, TopEntry, TopK,
 };
 use qdc::graph::{generate, Graph, NodeId};
@@ -217,16 +217,15 @@ proptest! {
             max_rounds_watchdog: give_up + 5,
         };
         let cfg = CongestConfig::classical(8);
-        let options = RunOptions::default();
 
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let exact = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut profiler);
+        let exact = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut profiler);
         let profile = profiler.finish();
 
         let mut sink = StreamSink::new(
             Vec::new(), g.node_count(), g.edge_count(), 8, exact_cap(&g),
         );
-        let streamed = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut sink);
+        let streamed = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut sink);
 
         match (exact, streamed) {
             (Ok(a), Ok(b)) => {
@@ -270,17 +269,16 @@ proptest! {
             CongestConfig::quantum(8)
         };
         let bandwidth = cfg.bandwidth_bits;
-        let options = RunOptions::default();
 
         let mut profiler = RoundProfiler::new(g.node_count(), g.edge_count(), bandwidth)
             .with_quantum(teleport);
-        let exact = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut profiler);
+        let exact = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut profiler);
         let profile = profiler.finish();
 
         let mut sink = StreamSink::new(
             Vec::new(), g.node_count(), g.edge_count(), bandwidth, exact_cap(&g),
         ).with_quantum(teleport);
-        let streamed = robust_broadcast(&g, cfg, options, NodeId(0), &chaos, give_up, &mut sink);
+        let streamed = robust_broadcast(&g, cfg, NodeId(0), &chaos, give_up, &mut sink);
 
         match (exact, streamed) {
             (Ok(a), Ok(b)) => {
@@ -432,10 +430,9 @@ fn stream_campaign_archives_are_byte_identical_across_thread_counts() {
         let _ = std::fs::remove_dir_all(&dir);
         dir
     };
-    let run = |dir: &std::path::Path, threads: usize, sim_threads: usize| {
+    let run = |dir: &std::path::Path, threads: usize| {
         let options = RunOptions {
             threads,
-            sim_threads,
             telemetry: TelemetryMode::Stream(StreamTelemetry::new(
                 dir.to_string_lossy().into_owned(),
             )),
@@ -446,8 +443,8 @@ fn stream_campaign_archives_are_byte_identical_across_thread_counts() {
 
     let dir1 = dir_for("t1");
     let dir4 = dir_for("t4");
-    let one = run(&dir1, 1, 1);
-    let four = run(&dir4, 4, 4);
+    let one = run(&dir1, 1);
+    let four = run(&dir4, 4);
     assert_eq!(one.deterministic_jsonl(), four.deterministic_jsonl());
     // Stream mode keeps archives on disk, never in the outcome.
     assert!(one.telemetry.iter().all(Option::is_none));
