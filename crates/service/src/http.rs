@@ -14,7 +14,8 @@
 //! * hard limits guard both directions: oversized header blocks are a
 //!   `400`, oversized bodies a `413` ([`HttpError::PayloadTooLarge`]),
 //!   so a misbehaving client cannot balloon the server's memory;
-//! * a head that is not UTF-8 is a `400` like any other malformed head.
+//! * a head that is not UTF-8 is a `400` like any other malformed head,
+//!   and so is a body that ends before its `Content-Length`.
 //!
 //! Everything here is testable against in-memory byte buffers; the
 //! only socket code in the crate lives in [`crate::server`].
@@ -170,7 +171,12 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Option<Request>, HttpEr
             return Err(HttpError::PayloadTooLarge { declared });
         }
         body.resize(declared, 0);
-        stream.read_exact(&mut body)?;
+        stream.read_exact(&mut body).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => {
+                HttpError::BadRequest("body shorter than its content-length".into())
+            }
+            _ => HttpError::Io(e),
+        })?;
     }
     Ok(Some(Request {
         method,
@@ -299,6 +305,7 @@ mod tests {
             b"GET /x HTTP/1.1\r\nTruncated: yes",
             b"GET /jobs/\xff HTTP/1.1\r\n\r\n",
             b"GET /x HTTP/1.1\r\nX-Name: caf\xc3\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
         ] {
             assert!(
                 matches!(parse(raw), Err(HttpError::BadRequest(_))),

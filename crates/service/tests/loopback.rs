@@ -16,7 +16,7 @@ use qdc_service::{
     validate_error, validate_job, validate_status, QuotaConfig, Server, ServiceConfig,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -82,11 +82,13 @@ impl TestServer {
     }
 }
 
-/// Sends one raw request (text or bytes) and returns `(status, body)`
-/// with chunked bodies reassembled.
+/// Sends one raw request (text or bytes), half-closes, and returns
+/// `(status, body)` with chunked bodies reassembled. The half-close
+/// means a request cut short reaches the server as end of stream.
 fn http(addr: &str, raw: impl AsRef<[u8]>) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(raw.as_ref()).expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("read");
     let text = String::from_utf8(response).expect("utf8 response");
@@ -372,6 +374,13 @@ fn loopback_rejections_are_structured_and_counted() {
     assert_eq!(status, 400, "{not_utf8}");
     validate_error(not_utf8.trim_end()).expect("error conforms");
     assert!(not_utf8.contains("\"error\":\"bad_request\""), "{not_utf8}");
+    let (status, short) = http(
+        &server.addr,
+        "POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+    );
+    assert_eq!(status, 400, "{short}");
+    validate_error(short.trim_end()).expect("error conforms");
+    assert!(short.contains("\"error\":\"bad_request\""), "{short}");
 
     // The admission rejections (quota, invalid spec) landed in alice's
     // counters; the malformed body and head never reached admission, so
