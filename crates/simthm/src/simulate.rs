@@ -104,7 +104,7 @@ pub struct ThreePartyAudit {
     pub david_bits: u64,
     /// Maximum Carol+David paid bits in any single round.
     pub max_paid_per_round: u64,
-    /// The theorem's per-round budget `6·k·B`.
+    /// The theorem's per-round budget `6·k·B`, saturated at `u64::MAX`.
     pub per_round_budget: u64,
     /// Whether every audited round stayed within the budget.
     pub within_budget: bool,
@@ -122,9 +122,9 @@ impl ThreePartyAudit {
     }
 
     /// The theorem's total budget `O(B log L) · rounds` with the explicit
-    /// constant 6.
+    /// constant 6, saturated at `u64::MAX`.
     pub fn total_budget(&self) -> u64 {
-        self.per_round_budget * self.rounds as u64
+        self.per_round_budget.saturating_mul(self.rounds as u64)
     }
 }
 
@@ -149,7 +149,11 @@ pub fn audit_trace(
     trace: &TrafficTrace,
     bandwidth: usize,
 ) -> ThreePartyAudit {
-    let budget = 6 * net.highway_count() as u64 * bandwidth as u64;
+    // A budget past `u64::MAX` bounds nothing a run can pay, so it
+    // saturates instead of wrapping to a small number.
+    let budget = 6u64
+        .saturating_mul(net.highway_count() as u64)
+        .saturating_mul(bandwidth as u64);
     let mut carol_bits = 0u64;
     let mut david_bits = 0u64;
     let mut max_paid = 0u64;

@@ -7,7 +7,9 @@ use qdc::congest::{
 };
 use qdc::core::theorems;
 use qdc::graph::{generate, predicates, GraphBuilder, NodeId};
-use qdc::simthm::{audit_trace, Party, SimulationNetwork};
+use qdc::harness::json::Json;
+use qdc::harness::{execute_point, PointSpec};
+use qdc::simthm::{audit_trace, Party, SimThmPoint, SimulationNetwork};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -108,6 +110,30 @@ fn audit_budget_holds_across_network_sizes() {
         // The budget must be Θ(B log L), not Θ(ΓB): paid traffic cannot
         // scale with the number of paths.
         assert!(audit.per_round_budget <= 6 * 8 * (l.ilog2() as u64 + 1));
+    }
+}
+
+#[test]
+fn audit_budget_saturates_at_huge_bandwidths() {
+    // Γ = 4, L = 9 has k = 3 highways, so 6·k·B is 18·2^62 and 18·2^63,
+    // both past u64::MAX. Wrapped, the budgets read 2^63 and 0, and the
+    // second refused a run that paid a few bits a round.
+    for bandwidth in [1usize << 62, 1 << 63] {
+        let point = PointSpec::SimThm(SimThmPoint {
+            gamma: 4,
+            l: 9,
+            bandwidth,
+        });
+        let (record, trace) = execute_point(0, &point).expect("the point runs");
+        let extra = |key| record.extra.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+        assert_eq!(extra("per_round_budget"), Some(&Json::Num(u64::MAX)));
+        assert_eq!(record.accept, Some(true), "B = {bandwidth}");
+
+        let net = SimulationNetwork::build_even_tracks(4, 9);
+        let audit = audit_trace(&net, &trace.expect("simthm points are traced"), bandwidth);
+        assert_eq!(audit.per_round_budget, u64::MAX);
+        assert!(audit.within_budget && audit.rounds > 1);
+        assert_eq!(audit.total_budget(), u64::MAX);
     }
 }
 
