@@ -56,6 +56,16 @@
 //! [`check`] adds the refusal of more records than the grid has points,
 //! and [`resume`] is that check for a writer: it is the only code that
 //! truncates a journal. Read-only callers use [`recover`] or [`check`].
+//!
+//! # Commit watch
+//!
+//! A reader that follows a live journal waits on a [`CommitWatch`]
+//! instead of re-reading the file on a timer. The journaled runner
+//! publishes the journal's durable length there: the recovered length
+//! once it has opened the file, then the new length after each batch's
+//! `sync_data`. Every published length is a record boundary whose bytes
+//! are synced, so what a reader takes from below it survives a power
+//! cut.
 
 use crate::point::{metrics_from_json, FAILURE_TABLE, RECORD_TABLE};
 use crate::runner::Aggregate;
@@ -63,6 +73,7 @@ use crate::spec::{CampaignSpec, FAILURE_SCHEMA, POINT_SCHEMA};
 use qdc_congest::json::{self, Json};
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Append-only journal writer: one `write_all` per line and one
 /// `sync_data` per batch, as described in the module docs.
@@ -121,6 +132,67 @@ impl Journal {
     /// durability only needs `sync_data`).
     pub fn sync_all(&mut self) -> std::io::Result<()> {
         self.file.sync_all()
+    }
+}
+
+/// What a [`CommitWatch`] has published.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Committed {
+    /// Bytes of the journal known to be synced: a record boundary.
+    pub len: u64,
+    /// Whether the run is over: nothing more will be published.
+    pub closed: bool,
+}
+
+/// A journal's durable length and a closed flag under one mutex, with a
+/// condvar that every change notifies (see the module docs). The run's
+/// owner closes the watch once the run has returned.
+#[derive(Debug, Default)]
+pub struct CommitWatch {
+    committed: Mutex<Committed>,
+    changed: Condvar,
+}
+
+impl CommitWatch {
+    /// Publishes `len` durable bytes and wakes every waiter.
+    pub fn publish(&self, len: u64) {
+        self.update(|c| c.len = len);
+    }
+
+    /// Marks the run over and wakes every waiter.
+    pub fn close(&self) {
+        self.update(|c| c.closed = true);
+    }
+
+    /// Wakes every waiter without publishing anything, so each re-checks
+    /// its condition. A waiter whose condition also reads a flag set
+    /// elsewhere (a cancel) checks it under this watch's mutex, and this
+    /// notifies under the same mutex, so a wake-up made after the flag is
+    /// set is never lost.
+    pub fn wake(&self) {
+        self.update(|_| {});
+    }
+
+    /// Blocks until `ready` holds for what is published, and returns it.
+    pub fn wait_until(&self, mut ready: impl FnMut(Committed) -> bool) -> Committed {
+        *self
+            .changed
+            .wait_while(self.lock(), |c| !ready(*c))
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A panic cannot leave a [`Committed`] half-written, so a poisoned
+    /// lock is recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, Committed> {
+        self.committed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn update(&self, change: impl FnOnce(&mut Committed)) {
+        let mut committed = self.lock();
+        change(&mut committed);
+        self.changed.notify_all();
     }
 }
 

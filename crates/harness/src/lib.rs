@@ -51,7 +51,7 @@ pub mod spec_io;
 /// `qdc_harness::json`; code in the workspace uses `qdc_congest::json`.
 pub use qdc_congest::json;
 
-pub use journal::{recover, Journal, Recovery};
+pub use journal::{recover, CommitWatch, Committed, Journal, Recovery};
 pub use point::{
     execute_point, failure_json, record_json, stream_telemetry_archives, stream_telemetry_path,
     validate_failure_line, validate_record_line, PointFailure, PointRecord, StreamTelemetry,

@@ -52,7 +52,7 @@
 //! contiguous prefix, and reports `interrupted: true` — the journal is
 //! always resumable.
 
-use crate::journal::{self, Journal};
+use crate::journal::{self, CommitWatch, Journal};
 use crate::point::{
     execute_point_sharded, failure_json, record_json, stream_telemetry_path, PointFailure,
     PointRecord, Staged, TelemetryMode,
@@ -699,6 +699,11 @@ pub struct JournalConfig {
     /// Include the volatile wall-clock fields in records and telemetry
     /// archives. `false` is the byte-identical deterministic form.
     pub with_wall: bool,
+    /// Publish the journal's durable length here: the recovered length
+    /// once the journal is open, then the new length after each batch's
+    /// `sync_data`. A caller that serves the journal while it grows
+    /// waits on it; `None` publishes nothing.
+    pub watch: Option<Arc<CommitWatch>>,
 }
 
 /// Why a journaled campaign run failed (beyond ordinary point failures,
@@ -771,7 +776,8 @@ pub struct JournalOutcome {
 /// or the run returns), archives land *before* their journal line, and
 /// `config.resume` recovers an interrupted journal and executes only
 /// the missing tail — byte-identical (in the deterministic form) to an
-/// uninterrupted run at any thread count.
+/// uninterrupted run at any thread count. `config.watch`, when given,
+/// follows the journal's durable length; it is never ahead of a sync.
 pub fn run_campaign_journaled(
     spec: &CampaignSpec,
     options: &RunOptions,
@@ -783,12 +789,13 @@ pub fn run_campaign_journaled(
     let points = spec.points();
     let start = std::time::Instant::now();
 
-    let (mut aggregate, recovered) = if config.resume {
+    let (mut aggregate, recovered, mut durable) = if config.resume {
         let recovery = journal::resume(Path::new(&config.out_path), spec)?
             .map_err(CampaignRunError::Corrupt)?;
-        (recovery.aggregate, recovery.committed)
+        let kept = recovery.kept_bytes as u64;
+        (recovery.aggregate, recovery.committed, kept)
     } else {
-        (Aggregate::default(), 0)
+        (Aggregate::default(), 0, 0)
     };
 
     let mut journal = if config.resume {
@@ -796,6 +803,14 @@ pub fn run_campaign_journaled(
     } else {
         Journal::create(&config.out_path)
     }?;
+    if let Some(watch) = &config.watch {
+        // A process killed between a batch's writes and its sync leaves
+        // recovered lines that are written but not yet durable.
+        if durable > 0 {
+            journal.sync_all()?;
+        }
+        watch.publish(durable);
+    }
     if let Some(dir) = &config.telemetry_dir {
         std::fs::create_dir_all(dir)?;
     }
@@ -834,6 +849,10 @@ pub fn run_campaign_journaled(
         // surfaces: a refusal mid-batch leaves the journal holding
         // exactly the records before it, all synced.
         journal.append_lines(lines.iter().map(String::as_str))?;
+        if let Some(watch) = &config.watch {
+            durable += lines.iter().map(|l| l.len() as u64 + 1).sum::<u64>();
+            watch.publish(durable);
+        }
         encoded
     })?;
     journal.sync_all()?;
@@ -1288,6 +1307,88 @@ mod tests {
             reference.deterministic_jsonl(),
             "resumed journal matches the in-memory deterministic form"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn runner_watch_starts_at_the_recovered_length_and_trails_every_sync() {
+        use crate::journal::Committed;
+        let spec = builtin("simthm_smoke").expect("builtin");
+        let reference = run_campaign(&spec, &RunOptions::default())
+            .expect("reference")
+            .deterministic_jsonl();
+        let dir = std::env::temp_dir().join(format!("qdc_runner_watch_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let out_path = dir.join("watched.jsonl");
+        // A journal cut two bytes into its second line: resume keeps one.
+        let first = reference.find('\n').expect("a line") + 1;
+        std::fs::write(&out_path, &reference[..first + 2]).expect("writes");
+        let watch = Arc::new(CommitWatch::default());
+        let config = JournalConfig {
+            out_path: out_path.to_string_lossy().into_owned(),
+            resume: true,
+            watch: Some(Arc::clone(&watch)),
+            ..JournalConfig::default()
+        };
+
+        // A cancelled run opens the journal and commits nothing, so all
+        // it publishes is the recovered length.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        run_campaign_journaled(&spec, &RunOptions::default(), &config, &cancelled).expect("runs");
+        // A condition that always holds reads what is published now.
+        let now = || watch.wait_until(|_| true);
+        let recovered = Committed {
+            len: first as u64,
+            closed: false,
+        };
+        assert_eq!(now(), recovered);
+
+        // Every length a reader is woken with is on disk as whole lines
+        // of the reference, and the last is the whole journal.
+        let seen = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut seen = vec![now().len];
+                loop {
+                    let last = *seen.last().expect("seeded");
+                    let now = watch.wait_until(|c| c.len > last || c.closed);
+                    if now.len > last {
+                        let on_disk = std::fs::read(&out_path).expect("journal exists");
+                        let len = now.len as usize;
+                        assert!(on_disk.len() >= len, "published {len} of {}", on_disk.len());
+                        assert_eq!(on_disk[..len], reference.as_bytes()[..len]);
+                        assert!(reference[..len].ends_with('\n'), "a record boundary");
+                        seen.push(now.len);
+                    }
+                    if now.closed {
+                        return seen;
+                    }
+                }
+            });
+            run_campaign_journaled(&spec, &RunOptions::default(), &config, &CancelToken::new())
+                .expect("resumes");
+            watch.close();
+            reader.join().expect("reader")
+        });
+        assert_eq!(seen.first(), Some(&(first as u64)));
+        assert_eq!(seen.last(), Some(&(reference.len() as u64)));
+
+        // A batch whose write or sync fails is never published: the watch
+        // keeps the length the run started from.
+        #[cfg(target_os = "linux")]
+        if Path::new("/dev/full").exists() {
+            let watch = Arc::new(CommitWatch::default());
+            let config = JournalConfig {
+                out_path: "/dev/full".into(),
+                watch: Some(Arc::clone(&watch)),
+                ..JournalConfig::default()
+            };
+            let err =
+                run_campaign_journaled(&spec, &RunOptions::default(), &config, &CancelToken::new())
+                    .expect_err("a full device refuses the first batch");
+            assert!(matches!(err, CampaignRunError::Io(_)), "{err}");
+            assert_eq!(watch.wait_until(|_| true), Committed::default());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

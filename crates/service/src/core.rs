@@ -8,7 +8,10 @@
 //! of the call sequence, which is what makes the admission policy
 //! directly unit- and property-testable: the HTTP layer in
 //! [`crate::server`] is a thin adapter that translates requests into
-//! these calls under one mutex.
+//! these calls under one mutex. Each live job also owns a
+//! [`CommitWatch`], created when the job is admitted or restored and
+//! closed when the core lets it go; the core hands the watches out and
+//! never waits on one.
 //!
 //! # Admission policy
 //!
@@ -30,8 +33,9 @@
 //! Completed and interrupted jobs stop counting against quotas, so a
 //! client's budget frees up as its work drains.
 
-use qdc_harness::{CampaignError, CampaignSpec};
+use qdc_harness::{CampaignError, CampaignSpec, CommitWatch};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Per-client and global admission limits.
 #[derive(Clone, Copy, Debug)]
@@ -173,6 +177,8 @@ pub struct ServiceCore {
     next_id: u64,
     queue: VecDeque<Job>,
     running: BTreeMap<u64, Job>,
+    /// The commit watch of every live job, queued or running.
+    watches: BTreeMap<u64, Arc<CommitWatch>>,
     clients: BTreeMap<String, ClientStats>,
     interrupted: u64,
 }
@@ -218,6 +224,18 @@ impl ServiceCore {
         queued.then_some(JobState::Queued)
     }
 
+    /// A live job's commit watch, which its run publishes the journal's
+    /// durable length on; `None` once the job has finished, and for an
+    /// id the core never admitted.
+    pub fn watch(&self, id: u64) -> Option<Arc<CommitWatch>> {
+        self.watches.get(&id).cloned()
+    }
+
+    /// Every live job's commit watch, in id order.
+    pub fn watches(&self) -> impl Iterator<Item = &CommitWatch> {
+        self.watches.values().map(|w| &**w)
+    }
+
     /// Per-client lifetime counters, in key order.
     pub fn clients(&self) -> impl Iterator<Item = (&str, &ClientStats)> {
         self.clients.iter().map(|(k, v)| (k.as_str(), v))
@@ -258,6 +276,7 @@ impl ServiceCore {
                 stats.submitted += 1;
                 let id = self.next_id;
                 self.next_id += 1;
+                self.watches.insert(id, Arc::default());
                 self.queue.push_back(Job {
                     id,
                     client: client.to_string(),
@@ -322,6 +341,7 @@ impl ServiceCore {
         if completed {
             stats.completed += 1;
         } else {
+            self.watches.insert(job.id, Arc::default());
             self.queue.push_back(job);
         }
     }
@@ -340,6 +360,7 @@ impl ServiceCore {
     pub fn abort_queued(&mut self, id: u64) {
         let pos = self.queue.iter().position(|j| j.id == id);
         if let Some(job) = pos.and_then(|pos| self.queue.remove(pos)) {
+            self.let_go(id);
             if let Some(stats) = self.clients.get_mut(&job.client) {
                 stats.submitted = stats.submitted.saturating_sub(1);
             }
@@ -347,13 +368,14 @@ impl ServiceCore {
     }
 
     /// Records a finished run and lets the job go: from here on only
-    /// the data dir holds it. `interrupted = false` counts it completed,
-    /// `true` interrupted, its journal a resumable prefix that a restart
-    /// re-enqueues.
+    /// the data dir holds it, and its watch is closed. `interrupted =
+    /// false` counts it completed, `true` interrupted, its journal a
+    /// resumable prefix that a restart re-enqueues.
     pub fn finish(&mut self, id: u64, interrupted: bool) {
         let Some(job) = self.running.remove(&id) else {
             return;
         };
+        self.let_go(id);
         if interrupted {
             self.interrupted += 1;
         } else {
@@ -361,6 +383,14 @@ impl ServiceCore {
                 .get_mut(&job.client)
                 .expect("submitting created the entry")
                 .completed += 1;
+        }
+    }
+
+    /// Drops a job's watch once it is closed: a waiter that still holds
+    /// it wakes to find nothing more will be published.
+    fn let_go(&mut self, id: u64) {
+        if let Some(watch) = self.watches.remove(&id) {
+            watch.close();
         }
     }
 }
@@ -589,6 +619,39 @@ mod tests {
         assert_eq!(core.queued_jobs("bob"), 0);
         assert_eq!(core.active_points("bob"), 0);
         assert_eq!(core.count_in_state(JobState::Completed), 2);
+    }
+
+    #[test]
+    fn core_live_jobs_hold_a_watch_until_let_go() {
+        let mut core = ServiceCore::new(QuotaConfig::default());
+        let done = core.submit("alice", smoke(), false).expect("admits");
+        let aborted = core.submit("alice", smoke(), false).expect("admits");
+        for (id, completed) in [(7, false), (8, true)] {
+            let job = Job {
+                id,
+                client: "bob".into(),
+                spec: smoke(),
+                telemetry: false,
+            };
+            core.restore(job, completed);
+        }
+        assert_eq!(core.watches().count(), 3, "admitted and restored live jobs");
+        assert!(core.watch(8).is_none(), "a completed job is not live");
+
+        let watch = core.watch(done).expect("live");
+        assert_eq!(core.take_next().expect("dispatch").id, done);
+        watch.publish(10);
+        core.finish(done, false);
+        let now = watch.wait_until(|_| true);
+        assert_eq!(now.len, 10);
+        assert!(now.closed, "letting a job go closes its watch");
+        assert!(core.watch(done).is_none(), "and drops it");
+
+        let watch = core.watch(aborted).expect("live");
+        core.abort_queued(aborted);
+        assert!(watch.wait_until(|_| true).closed);
+        assert_eq!(core.watches().count(), 1);
+        assert!(core.watch(7).is_some());
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! * [`core`] — the deterministic scheduler: bounded FIFO queue,
 //!   per-client quotas ([`QuotaConfig`]), live jobs' state
-//!   ([`JobState`]), structured rejections ([`SubmitError`]). A plain
-//!   library; property tests drive it directly.
+//!   ([`JobState`]) and commit watches, structured rejections
+//!   ([`SubmitError`]). A plain library; property tests drive it
+//!   directly.
 //! * [`scan`] — the startup data-dir scan that makes the service
 //!   SIGKILL-durable: each journal goes through
 //!   [`qdc_harness::journal::resume`], the reader `campaign resume`
@@ -23,7 +24,8 @@
 //!   (one request per connection, chunked streaming out, hard size
 //!   limits in), testable against byte buffers.
 //! * [`server`] — the only socket code: accept loop, connection
-//!   threads, worker pool, graceful [`CancelToken`]-driven shutdown.
+//!   threads, worker pool, and one shutdown thread that turns the
+//!   [`CancelToken`] into wake-ups.
 //!
 //! The headline invariant carries over from the harness: a job's
 //! streamed `/records` bytes are **identical** to what a direct

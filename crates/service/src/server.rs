@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `/jobs` | POST | `qdc-job/v1` receipt (201), or a structured rejection |
 //! | `/jobs/<id>` | GET | `qdc-job/v1`, progress folded from the journal |
-//! | `/jobs/<id>/records` | GET | chunked JSONL long-poll tail of the journal |
+//! | `/jobs/<id>/records` | GET | chunked JSONL tail of the journal, woken by its commits |
 //! | `/jobs/<id>/telemetry` | GET | all telemetry archives, concatenated |
 //! | `/jobs/<id>/telemetry/<i>` | GET | one point's archive, byte-exact |
 //! | `/status` | GET | `qdc-service-status/v1` snapshot |
@@ -23,15 +23,27 @@
 //! socket. Each connection gets its own thread and a read timeout, so
 //! a stalled client costs one thread, not the accept loop.
 //!
+//! # Wake-ups
+//!
+//! Nothing on the request path sleeps on a timer. The accept blocks, a
+//! worker waits on the queue's condvar, and a records stream waits on
+//! its job's [`CommitWatch`], which the worker's run publishes after
+//! each batch's `sync_data` and closes once the core lets the job go.
+//! The only timed waits left are the shutdown thread's check of the
+//! [`CancelToken`] (see [`Server::run`]) and the backoff after an
+//! accept error.
+//!
 //! # Durability
 //!
 //! Every admitted job is persisted as `job_<id>.json` before its 201
 //! receipt is sent, and every result line is fsync'd by the journaled
-//! runner. A SIGKILL at any instant therefore loses at most work that
-//! was never acknowledged; on restart [`Server::bind`] rescans the data
-//! dir, truncates torn journal tails on record boundaries, re-enqueues
-//! incomplete jobs, and the resumed output is byte-identical to an
-//! uninterrupted run (the workers always run the deterministic form).
+//! runner before a running job's stream may send it, so a power cut
+//! cannot take back a line a client has read. A SIGKILL at any instant
+//! loses at most work that was never acknowledged; on restart
+//! [`Server::bind`] rescans the data dir, truncates torn journal tails
+//! on record boundaries, re-enqueues incomplete jobs, and the resumed
+//! output is byte-identical to an uninterrupted run (the workers always
+//! run the deterministic form).
 
 use crate::core::{Job, JobState, QuotaConfig, ServiceCore, SubmitError};
 use crate::http::{read_request, write_json_response, ChunkedWriter, HttpError, Request};
@@ -40,8 +52,8 @@ use crate::wire::{error_json, job_json, status_json, submit_error_json};
 use qdc_congest::json::{self, Json};
 use qdc_harness::{
     builtin, journal, run_campaign_journaled, spec_from_json, stream_telemetry_archives,
-    stream_telemetry_path, CampaignSpec, CancelToken, JournalConfig, Recovery, RunOptions,
-    TelemetryMode,
+    stream_telemetry_path, CampaignSpec, CancelToken, CommitWatch, Committed, JournalConfig,
+    Recovery, RunOptions, TelemetryMode,
 };
 use std::io::{self, BufReader, Read as _, Seek as _, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -78,13 +90,17 @@ impl Default for ServiceConfig {
     }
 }
 
+/// How often the shutdown thread checks the cancel token.
+const CANCEL_CHECK: Duration = Duration::from_millis(20);
+
 struct ServiceState {
     core: Mutex<ServiceCore>,
+    /// Wakes the workers: a job was queued, or the service is stopping.
     wake: Condvar,
     config: ServiceConfig,
     cancel: CancelToken,
-    /// The bound address, an unspecified IP mapped to loopback: where a
-    /// worker connects to wake the blocked accept loop for shutdown.
+    /// The bound address, an unspecified IP mapped to loopback: where
+    /// the shutdown thread connects to wake the blocked accept loop.
     addr: SocketAddr,
 }
 
@@ -157,25 +173,30 @@ impl Server {
     ///
     /// The accept blocks, so a request is served the moment it arrives.
     /// The cancel token is an atomic flag that a signal handler sets and
-    /// that therefore cannot wake anything, so the wake-up comes from a
-    /// worker: once its wait sees the cancel it connects to the bound
-    /// address, and the accept loop, which re-checks the token after
-    /// every accept, drops that connection and stops. Shutdown order
-    /// matters — stop accepting, let in-flight jobs reach their next
-    /// journal flush (the cancel token interrupts them between points),
-    /// join the workers, return. Queued jobs stay queued on disk; a
-    /// restart re-enqueues them.
+    /// that therefore cannot wake anything, so one shutdown thread
+    /// checks it every 20 ms and is the one thread that waits for it. On cancel it wakes every other waiter: the workers, every
+    /// open records stream (through its job's watch), and the accept
+    /// loop, by connecting to the bound address. It notifies each
+    /// condvar while holding the mutex its waiters check the token
+    /// under, so no wake-up is lost, and it needs no live worker.
+    /// Shutdown order matters — stop accepting, let in-flight jobs reach
+    /// their next journal flush (the cancel token interrupts them
+    /// between points), join the workers, return. Queued jobs stay
+    /// queued on disk; a restart re-enqueues them.
     pub fn run(self) -> io::Result<()> {
+        let spawn = |task: fn(&ServiceState)| {
+            let state = Arc::clone(&self.state);
+            std::thread::spawn(move || task(&state))
+        };
         let workers: Vec<_> = (0..self.state.config.workers.max(1))
-            .map(|_| {
-                let state = Arc::clone(&self.state);
-                std::thread::spawn(move || worker_loop(&state))
-            })
+            .map(|_| spawn(worker_loop))
             .collect();
+        let shutdown = spawn(shutdown_on_cancel);
 
         while !self.state.cancel.is_cancelled() {
             match self.listener.accept() {
-                // A worker's wake-up, or a client too late to be served.
+                // The shutdown thread's wake-up, or a client too late to
+                // be served.
                 Ok(_) if self.state.cancel.is_cancelled() => break,
                 Ok((stream, peer)) => {
                     let state = Arc::clone(&self.state);
@@ -189,12 +210,30 @@ impl Server {
             }
         }
 
-        self.state.wake.notify_all();
+        let _ = shutdown.join();
         for worker in workers {
             let _ = worker.join();
         }
         Ok(())
     }
+}
+
+/// Waits for the cancel token, then wakes the workers, every open
+/// records stream and the accept loop (see [`Server::run`]).
+fn shutdown_on_cancel(state: &ServiceState) {
+    while !state.cancel.is_cancelled() {
+        std::thread::sleep(CANCEL_CHECK);
+    }
+    {
+        let core = lock_core(state);
+        state.wake.notify_all();
+        for watch in core.watches() {
+            watch.wake();
+        }
+    }
+    // If the accept loop has already stopped, the refused connection is
+    // just as good.
+    let _ = TcpStream::connect(state.addr);
 }
 
 /// Pulls jobs FIFO until shutdown. Every run is the deterministic
@@ -203,24 +242,20 @@ impl Server {
 /// bytes equal to a direct `campaign <spec> --deterministic`.
 fn worker_loop(state: &ServiceState) {
     loop {
-        let job = {
+        let (job, watch) = {
             let mut core = lock_core(state);
             loop {
                 if state.cancel.is_cancelled() {
-                    drop(core);
-                    // Wake the accept loop; if it has already stopped,
-                    // the refused connection is just as good.
-                    let _ = TcpStream::connect(state.addr);
                     return;
                 }
                 if let Some(job) = core.take_next() {
-                    break job;
+                    let watch = core.watch(job.id);
+                    break (job, watch);
                 }
-                let (guard, _) = state
+                core = state
                     .wake
-                    .wait_timeout(core, Duration::from_millis(100))
+                    .wait(core)
                     .unwrap_or_else(PoisonError::into_inner);
-                core = guard;
             }
         };
 
@@ -232,6 +267,7 @@ fn worker_loop(state: &ServiceState) {
                 .then(|| telemetry_dir.to_string_lossy().into_owned()),
             resume: true,
             with_wall: false,
+            watch,
         };
         let options = RunOptions {
             threads: state.config.job_threads.max(1),
@@ -254,6 +290,8 @@ fn worker_loop(state: &ServiceState) {
                 true
             }
         };
+        // Letting the job go closes its watch: its streams drain the
+        // final journal and end.
         lock_core(state).finish(job.id, interrupted);
     }
 }
@@ -507,54 +545,77 @@ fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()
     }
 }
 
-/// `GET /jobs/<id>/records` — long-poll tail of the journal as chunked
-/// JSONL. Emits only whole committed lines (everything up to the last
-/// newline on disk), polls while the core holds the job, and terminates
-/// once it has let the job go and the tail is drained. Reads the file,
-/// never the worker: back-pressure from a slow client stops *this*
-/// thread at the socket, nothing else.
+/// `GET /jobs/<id>/records` — the journal as chunked JSONL, whole
+/// lines only. While the core holds the job, the stream waits on its
+/// commit watch and sends each published durable length as it comes,
+/// so a record goes out once its batch is synced and never before. It
+/// ends once the core has let the job go and the final journal is
+/// drained to its last newline, or at shutdown with what was durable.
+/// Reads the file, never the worker: back-pressure from a slow client
+/// stops *this* thread at the socket, nothing else.
 fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
     let (doc_path, records_path, _) = job_paths(&state.config.data_dir, id);
     // The document is on disk before the job's id is ever sent.
     if !doc_path.is_file() {
         return not_found(w, &format!("no job {id}"));
     }
+    // Taken before the file is read: without a watch the job is
+    // finished and its journal final.
+    let watch = lock_core(state).watch(id);
     let mut chunks = ChunkedWriter::begin(w, 200, "application/jsonl")?;
-    let mut offset = 0u64;
-    loop {
-        // Read the state *before* the file: bytes committed after this
-        // check are caught on the next loop, and once the core has let
-        // the job go the file is final.
-        let terminal = lock_core(state).state(id).is_none();
-        // Re-open each poll (the journal does not exist until the worker
-        // starts the job) but read only from the last streamed boundary:
-        // total I/O over the life of a streaming client is linear in the
-        // journal, not quadratic. Bytes streamed so far never change —
-        // recovery only ever truncates a torn *partial* trailing line,
-        // and `offset` always sits on a committed newline boundary.
-        let mut tail = Vec::new();
-        if let Ok(mut file) = std::fs::File::open(&records_path) {
-            if file.seek(io::SeekFrom::Start(offset)).is_ok() {
-                let _ = file.read_to_end(&mut tail);
-            }
+    let mut sent = 0u64;
+    if let Some(watch) = watch {
+        let last = stream_durable(state, &watch, &records_path, &mut chunks)?;
+        if !last.closed {
+            // Shutdown: stop at what is durable.
+            return chunks.finish();
         }
-        // Emit only whole lines; a partial trailing line stays unsent
-        // (and is re-read next poll — at most one record of rework).
-        let committed = tail
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        if committed > 0 {
-            chunks.chunk(&tail[..committed])?;
-            offset += committed as u64;
+        sent = last.len;
+    }
+    // Read only from the last streamed boundary, and only whole lines:
+    // a torn tail stays unsent.
+    let mut tail = Vec::new();
+    if let Ok(mut file) = std::fs::File::open(&records_path) {
+        if file.seek(io::SeekFrom::Start(sent)).is_ok() {
+            let _ = file.read_to_end(&mut tail);
         }
-        if terminal || state.cancel.is_cancelled() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
+    }
+    let whole = tail.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+    if whole > 0 {
+        chunks.chunk(&tail[..whole])?;
     }
     chunks.finish()
+}
+
+/// Sends a live job's journal up to each durable length its watch
+/// publishes, until the watch closes or the service is cancelled, and
+/// returns the last state it sent up to. Published lengths are record
+/// boundaries, so every chunk is whole lines, and the bytes below them
+/// never change.
+fn stream_durable(
+    state: &ServiceState,
+    watch: &CommitWatch,
+    records_path: &std::path::Path,
+    chunks: &mut ChunkedWriter<&mut TcpStream>,
+) -> io::Result<Committed> {
+    let mut sent = 0u64;
+    loop {
+        let now = watch.wait_until(|c| c.len > sent || c.closed || state.cancel.is_cancelled());
+        if now.len > sent {
+            let mut file = std::fs::File::open(records_path)?;
+            file.seek(io::SeekFrom::Start(sent))?;
+            let mut lines = Vec::new();
+            file.take(now.len - sent).read_to_end(&mut lines)?;
+            if lines.len() as u64 != now.len - sent {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            chunks.chunk(&lines)?;
+            sent = now.len;
+        }
+        if now.closed || state.cancel.is_cancelled() {
+            return Ok(now);
+        }
+    }
 }
 
 /// Job `id`'s telemetry directory, or `None` once the request is

@@ -123,6 +123,78 @@ fn get(addr: &str, path: &str) -> (u16, String) {
     http(addr, format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
 }
 
+/// An open `GET <path>` whose response is read as it arrives.
+struct OpenStream {
+    stream: TcpStream,
+    raw: Vec<u8>,
+}
+
+impl OpenStream {
+    fn get(addr: &str, path: &str) -> OpenStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        stream
+            .write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+            .expect("send");
+        OpenStream {
+            stream,
+            raw: Vec::new(),
+        }
+    }
+
+    /// The body of every whole chunk received so far.
+    fn whole_chunks(&self) -> String {
+        let text = std::str::from_utf8(&self.raw).expect("utf8 response");
+        let Some((_, mut body)) = text.split_once("\r\n\r\n") else {
+            return String::new();
+        };
+        let mut out = String::new();
+        while let Some((size_line, rest)) = body.split_once("\r\n") {
+            let size = usize::from_str_radix(size_line.trim(), 16).expect("hex chunk size");
+            if size == 0 || rest.len() < size + 2 {
+                break;
+            }
+            out.push_str(&rest[..size]);
+            body = &rest[size + 2..];
+        }
+        out
+    }
+
+    /// Reads until `done` holds for what has arrived.
+    fn read_until(&mut self, done: impl Fn(&OpenStream) -> bool) {
+        while !done(self) {
+            let mut buf = [0u8; 4096];
+            let n = self.stream.read(&mut buf).expect("read");
+            assert!(n > 0, "the response ended early");
+            self.raw.extend_from_slice(&buf[..n]);
+        }
+    }
+
+    /// Reads until the response head is in: the server is serving it.
+    fn head(&mut self) {
+        self.read_until(|s| s.raw.windows(4).any(|w| w == b"\r\n\r\n"));
+    }
+
+    /// Reads until the body holds at least one whole line, and returns
+    /// the body so far.
+    fn first_lines(&mut self) -> String {
+        self.read_until(|s| !s.whole_chunks().is_empty());
+        self.whole_chunks()
+    }
+
+    /// Reads to the end of the response and returns its raw body, its
+    /// chunked framing intact.
+    fn rest(mut self) -> String {
+        self.stream.read_to_end(&mut self.raw).expect("read to end");
+        let text = String::from_utf8(self.raw).expect("utf8 response");
+        let (head, body) = text.split_once("\r\n\r\n").expect("head/body split");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        body.to_string()
+    }
+}
+
 /// Like [`get`], but keeps the chunked framing visible: returns the
 /// size of every chunk alongside the reassembled body. The framing is
 /// the evidence that the server streamed from disk in bounded windows
@@ -281,6 +353,45 @@ fn loopback_live_progress_folds_the_committed_prefix() {
     }
     assert!(observed > 0, "no running document with committed records");
     wait_terminal(&server.addr, 1);
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loopback_records_stream_a_running_job_as_it_commits() {
+    let dir = temp_dir("live_records");
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        throttle_ms: 150,
+        ..ServiceConfig::default()
+    });
+    let (status, receipt) = post(
+        &server.addr,
+        "/jobs",
+        "alice",
+        "{\"builtin\":\"simthm_smoke\"}",
+    );
+    assert_eq!(status, 201, "{receipt}");
+    let direct = run_campaign(
+        &builtin("simthm_smoke").expect("builtin"),
+        &RunOptions::default(),
+    )
+    .expect("runs")
+    .deterministic_jsonl();
+
+    // Record 0 reaches the client while the job is still live.
+    let mut records = OpenStream::get(&server.addr, "/jobs/1/records");
+    let first = records.first_lines();
+    let (status, job) = get(&server.addr, "/jobs/1");
+    assert_eq!(status, 200, "{job}");
+    assert!(
+        !job.contains("\"state\":\"completed\"") && !job.contains("\"state\":\"interrupted\""),
+        "record 0 arrived only after the job ended: {job}"
+    );
+    assert!(direct.starts_with(&first), "{first}");
+    // The whole stream is still the deterministic JSONL.
+    assert_eq!(dechunk(&records.rest()), direct);
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
@@ -607,6 +718,43 @@ fn loopback_requests_are_served_on_arrival() {
 }
 
 #[test]
+fn loopback_records_end_as_soon_as_a_job_commits() {
+    let dir = temp_dir("records_wake");
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        throttle_ms: 5,
+        ..ServiceConfig::default()
+    });
+    let body = "{\"name\":\"one\",\"grid\":{\"kind\":\"simthm\",\"gammas\":[4],\
+                \"lengths\":[9],\"bandwidth\":16}}";
+    // A stream that re-reads the journal on a timer adds its period to
+    // every cycle: the job's 5 ms throttle keeps it running past the
+    // stream's first read, so a 25 ms poll puts each cycle past 25 ms
+    // however fast the host is. One woken by the commit adds nothing;
+    // these cycles take about 8 ms in a debug build on a 2-vCPU host,
+    // 12 ms with both CPUs saturated.
+    let mut cycles: Vec<Duration> = (1..=20)
+        .map(|id| {
+            let started = Instant::now();
+            let (status, receipt) = post(&server.addr, "/jobs", "alice", body);
+            assert_eq!(status, 201, "{receipt}");
+            let (status, records) = get(&server.addr, &format!("/jobs/{id}/records"));
+            assert_eq!(status, 200);
+            assert_eq!(records.lines().count(), 1, "{records}");
+            started.elapsed()
+        })
+        .collect();
+    cycles.sort();
+    let median = cycles[cycles.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "submit to last record took {median:?} at the median: {cycles:?}"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn loopback_idle_wildcard_server_stops_promptly_on_cancel() {
     let dir = temp_dir("wildcard");
     let (server, warnings) = TestServer::start_on(
@@ -621,6 +769,50 @@ fn loopback_idle_wildcard_server_stops_promptly_on_cancel() {
     // wake-up must find it through the unspecified address.
     std::thread::sleep(Duration::from_millis(100));
     server.stop_within(Duration::from_secs(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loopback_shutdown_ends_open_records_streams() {
+    let dir = temp_dir("stream_shutdown");
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        workers: 1,
+        throttle_ms: 150,
+        ..ServiceConfig::default()
+    });
+    for _ in 0..2 {
+        let (status, receipt) = post(
+            &server.addr,
+            "/jobs",
+            "alice",
+            "{\"builtin\":\"simthm_smoke\"}",
+        );
+        assert_eq!(status, 201, "{receipt}");
+    }
+    let direct = run_campaign(
+        &builtin("simthm_smoke").expect("builtin"),
+        &RunOptions::default(),
+    )
+    .expect("runs")
+    .deterministic_jsonl();
+    // Job 1 runs and has sent a record; job 2 waits behind it in the
+    // queue, so only the shutdown can end its stream.
+    let mut running = OpenStream::get(&server.addr, "/jobs/1/records");
+    running.first_lines();
+    let mut queued = OpenStream::get(&server.addr, "/jobs/2/records");
+    queued.head();
+    server.stop_within(Duration::from_secs(2));
+    for (id, stream) in [(1, running), (2, queued)] {
+        let body = stream.rest();
+        assert!(body.ends_with("0\r\n\r\n"), "job {id}: {body:?}");
+        let lines = dechunk(&body);
+        assert!(
+            lines.is_empty() || lines.ends_with('\n'),
+            "job {id}: a torn line: {lines:?}"
+        );
+        assert!(direct.starts_with(&lines), "job {id}: {lines}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
