@@ -498,22 +498,84 @@ pub struct RunReport {
     pub bits_corrupted: u64,
 }
 
-/// One delivered message in a [`TrafficTrace`]: a 12-byte record of two
-/// `u32` node ids and a `u32` bit count. A trace holds one per delivery
-/// (441 284 in a Γ = 35, L = 129 Theorem 3.5 point), so a `usize` count
-/// padding the record to 16 bytes would cost a quarter of the trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One delivered message in a [`TrafficTrace`]: an 8-byte record of the
+/// crossed edge and the payload's bit count. A trace holds one per
+/// delivery (441 284 in a Γ = 35, L = 129 Theorem 3.5 point), so the
+/// record's size sets the trace's.
+///
+/// The sender and receiver are not stored: they are the edge's
+/// endpoints, which the [`Graph`] the run was on holds once. The top bit
+/// of the edge word says which way the message ran (set when it left the
+/// edge's larger endpoint), and [`ends`](TracedMessage::ends) reads the
+/// pair back. So an edge index must stay below 2^31 and a payload at or
+/// below `u32::MAX` bits; recording either past its bound panics rather
+/// than wrapping.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct TracedMessage {
-    /// Sender.
-    pub from: NodeId,
-    /// Receiver.
-    pub to: NodeId,
+    edge: u32,
+    bits: u32,
+}
+
+impl TracedMessage {
+    /// The edge word's direction bit.
+    const REVERSED: u32 = 1 << 31;
+
+    fn new(edge: EdgeId, from: NodeId, to: NodeId, bits: usize) -> Self {
+        let bits = u32::try_from(bits).expect("a traced message carries at most u32::MAX bits");
+        assert!(
+            edge.0 < Self::REVERSED,
+            "a traced edge index is below 2^31 (the top bit holds the direction)"
+        );
+        // A graph stores each edge as `(u, v)` with `u < v`.
+        let reversed = if from > to { Self::REVERSED } else { 0 };
+        TracedMessage {
+            edge: edge.0 | reversed,
+            bits,
+        }
+    }
+
+    /// The edge the message crossed.
+    pub fn edge(&self) -> EdgeId {
+        EdgeId(self.edge & !Self::REVERSED)
+    }
+
     /// Payload size in bits.
-    pub bits: u32,
+    pub fn bits(&self) -> u32 {
+        self.bits
+    }
+
+    /// The `(sender, receiver)` pair, read from `graph`, which must be
+    /// the graph the traced run was on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge is out of range for `graph`.
+    pub fn ends(&self, graph: &Graph) -> (NodeId, NodeId) {
+        let (u, v) = graph.endpoints(self.edge());
+        if self.reversed() {
+            (v, u)
+        } else {
+            (u, v)
+        }
+    }
+
+    fn reversed(&self) -> bool {
+        self.edge & Self::REVERSED != 0
+    }
+}
+
+impl std::fmt::Debug for TracedMessage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TracedMessage")
+            .field("edge", &self.edge())
+            .field("reversed", &self.reversed())
+            .field("bits", &self.bits)
+            .finish()
+    }
 }
 
 /// Per-round record of every delivered message: a [`Telemetry`] sink
-/// that keeps the `from`/`to`/`bits` of each
+/// that keeps the edge, direction and bit count of each
 /// [`on_delivery`](Telemetry::on_delivery) and counts each
 /// [`on_chaos_drop`](Telemetry::on_chaos_drop). Drive it with any
 /// observed entry point ([`Simulator::run_observed`],
@@ -524,8 +586,10 @@ pub struct TracedMessage {
 /// `on_start`) — the same delivery schedule [`Stepper::step`] walks one
 /// round at a time.
 ///
-/// Each delivery is one 12-byte [`TracedMessage`]. Recording a payload
-/// of more than `u32::MAX` bits panics rather than wrapping the count.
+/// Each delivery is one 8-byte [`TracedMessage`], whose endpoints
+/// [`TracedMessage::ends`] reads back from the run's graph. Recording a
+/// payload of more than `u32::MAX` bits, or a delivery over an edge
+/// index of 2^31 or more, panics rather than wrapping.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrafficTrace {
     /// `rounds[r]` lists the messages delivered in round `r + 1`.
@@ -543,10 +607,10 @@ impl Telemetry for TrafficTrace {
         self.dropped.push(0);
     }
 
-    fn on_delivery(&mut self, _round: usize, _edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
-        let bits = u32::try_from(bits).expect("a traced message carries at most u32::MAX bits");
+    fn on_delivery(&mut self, _round: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        let message = TracedMessage::new(edge, from, to, bits);
         let round = self.rounds.last_mut().expect("span is open");
-        round.push(TracedMessage { from, to, bits });
+        round.push(message);
     }
 
     fn on_chaos_drop(&mut self, _round: usize, _edge: EdgeId, _from: NodeId, _to: NodeId) {
@@ -1957,12 +2021,22 @@ mod tests {
         sync::<crate::telemetry::TelemetryReport>();
     }
 
-    /// A trace record is two `u32` node ids and a `u32` bit count, with
-    /// no padding: a wider `bits` would grow every audited trace by a
-    /// third.
+    /// A trace record is the edge word and a `u32` bit count, with no
+    /// padding: storing the two node ids instead of the edge would grow
+    /// every audited trace by half.
     #[test]
-    fn traced_message_is_a_12_byte_record() {
-        assert_eq!(std::mem::size_of::<TracedMessage>(), 12);
+    fn traced_message_is_an_8_byte_record() {
+        assert_eq!(std::mem::size_of::<TracedMessage>(), 8);
+    }
+
+    /// The edge word's top bit holds the direction, so an edge index
+    /// that needs it cannot be traced.
+    #[test]
+    #[should_panic(expected = "a traced edge index is below 2^31")]
+    fn traffic_trace_refuses_an_edge_index_at_2_pow_31() {
+        let mut trace = TrafficTrace::default();
+        trace.on_round_start(1);
+        trace.on_delivery(1, EdgeId(1 << 31), NodeId(0), NodeId(1), 8);
     }
 
     /// Only a 64-bit `usize` can name a count past `u32::MAX`.

@@ -8,10 +8,13 @@
 //! of the call sequence, which is what makes the admission policy
 //! directly unit- and property-testable: the HTTP layer in
 //! [`crate::server`] is a thin adapter that translates requests into
-//! these calls under one mutex. Each live job also owns a
-//! [`CommitWatch`], created when the job is admitted or restored and
-//! closed when the core lets it go; the core hands the watches out and
-//! never waits on one.
+//! these calls under one mutex. A job can be admitted *held*
+//! ([`ServiceCore::submit_held`]): it is queued and counted like any
+//! other, but no worker gets it until it is released, so the server
+//! can persist its document without holding the mutex. Each live job
+//! also owns a [`CommitWatch`], created when the job is admitted or
+//! restored and closed when the core lets it go; the core hands the
+//! watches out and never waits on one.
 //!
 //! # Admission policy
 //!
@@ -34,7 +37,7 @@
 //! client's budget frees up as its work drains.
 
 use qdc_harness::{CampaignError, CampaignSpec, CommitWatch};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Per-client and global admission limits.
@@ -176,6 +179,9 @@ pub struct ServiceCore {
     quotas: QuotaConfig,
     next_id: u64,
     queue: VecDeque<Job>,
+    /// Queued jobs that [`take_next`](ServiceCore::take_next) skips
+    /// until they are released.
+    held: BTreeSet<u64>,
     running: BTreeMap<u64, Job>,
     /// The commit watch of every live job, queued or running.
     watches: BTreeMap<u64, Arc<CommitWatch>>,
@@ -265,6 +271,23 @@ impl ServiceCore {
         spec: CampaignSpec,
         telemetry: bool,
     ) -> Result<u64, SubmitError> {
+        let id = self.submit_held(client, spec, telemetry)?;
+        self.release(id);
+        Ok(id)
+    }
+
+    /// Admits a job as [`submit`](ServiceCore::submit) does, but holds
+    /// it back from dispatch until [`release`](ServiceCore::release).
+    /// A held job is queued: it counts against the queue bound, the
+    /// client's queue slots and its point quota, and reads
+    /// [`JobState::Queued`]. [`abort_queued`](ServiceCore::abort_queued)
+    /// rolls it back.
+    pub fn submit_held(
+        &mut self,
+        client: &str,
+        spec: CampaignSpec,
+        telemetry: bool,
+    ) -> Result<u64, SubmitError> {
         let decision = self.admit(client, &spec);
         let stats = self.clients.entry(client.to_string()).or_default();
         match decision {
@@ -277,6 +300,7 @@ impl ServiceCore {
                 let id = self.next_id;
                 self.next_id += 1;
                 self.watches.insert(id, Arc::default());
+                self.held.insert(id);
                 self.queue.push_back(Job {
                     id,
                     client: client.to_string(),
@@ -286,6 +310,11 @@ impl ServiceCore {
                 Ok(id)
             }
         }
+    }
+
+    /// Lets the workers have a held job; a no-op for any other id.
+    pub fn release(&mut self, id: u64) {
+        self.held.remove(&id);
     }
 
     /// The admission checks alone (no mutation).
@@ -346,10 +375,11 @@ impl ServiceCore {
         }
     }
 
-    /// Dispatches the oldest queued job to a worker (FIFO), marking it
-    /// running. `None` when the queue is empty.
+    /// Dispatches the oldest queued job that is not held to a worker
+    /// (FIFO), marking it running. `None` when no such job is queued.
     pub fn take_next(&mut self) -> Option<Job> {
-        let job = self.queue.pop_front()?;
+        let pos = self.queue.iter().position(|j| !self.held.contains(&j.id))?;
+        let job = self.queue.remove(pos)?;
         self.running.insert(job.id, job.clone());
         Some(job)
     }
@@ -360,6 +390,7 @@ impl ServiceCore {
     pub fn abort_queued(&mut self, id: u64) {
         let pos = self.queue.iter().position(|j| j.id == id);
         if let Some(job) = pos.and_then(|pos| self.queue.remove(pos)) {
+            self.held.remove(&id);
             self.let_go(id);
             if let Some(stats) = self.clients.get_mut(&job.client) {
                 stats.submitted = stats.submitted.saturating_sub(1);
@@ -676,6 +707,69 @@ mod tests {
             Some(JobState::Running),
             "running jobs are untouched"
         );
+    }
+
+    #[test]
+    fn core_held_jobs_are_queued_and_counted_but_never_dispatched() {
+        let mut core = ServiceCore::new(tiny_quotas());
+        let held = core.submit_held("alice", smoke(), false).expect("admits");
+        assert_eq!(core.state(held), Some(JobState::Queued));
+        assert_eq!(core.count_in_state(JobState::Queued), 1);
+        assert_eq!(core.queue_depth(), 1);
+        assert_eq!(core.queued_jobs("alice"), 1);
+        assert_eq!(core.active_points("alice"), 4);
+        assert!(core.take_next().is_none(), "a held job is not dispatched");
+        // It takes one of alice's two queue slots and one of the three
+        // global ones.
+        let next = core.submit("alice", smoke(), false).expect("admits");
+        let err = core.submit("alice", smoke(), false).expect_err("slots");
+        assert_eq!(err, SubmitError::ClientQueueFull { queued: 2, max: 2 });
+        let bob = core.submit("bob", smoke(), false).expect("admits");
+        let err = core.submit("carol", smoke(), false).expect_err("queue");
+        assert_eq!(err, SubmitError::QueueFull { depth: 3, max: 3 });
+        // Released jobs behind it dispatch in order; it waits.
+        assert_eq!(core.take_next().expect("released").id, next);
+        assert_eq!(core.take_next().expect("released").id, bob);
+        assert!(core.take_next().is_none());
+        core.release(held);
+        assert_eq!(core.take_next().expect("released").id, held);
+
+        // It counts against the point quota too.
+        let mut core = ServiceCore::new(QuotaConfig {
+            max_points_per_client: 4,
+            ..QuotaConfig::default()
+        });
+        core.submit_held("alice", smoke(), false).expect("admits");
+        let err = core.submit("alice", smoke(), false).expect_err("points");
+        assert_eq!(
+            err,
+            SubmitError::QuotaExceeded {
+                requested: 4,
+                active: 4,
+                max: 4
+            }
+        );
+    }
+
+    #[test]
+    fn core_aborting_a_held_job_rolls_the_admission_back() {
+        let mut core = ServiceCore::new(QuotaConfig::default());
+        let id = core.submit_held("alice", smoke(), false).expect("admits");
+        let watch = core.watch(id).expect("live");
+        core.abort_queued(id);
+        assert!(watch.wait_until(|_| true).closed, "its watch is closed");
+        assert!(core.watch(id).is_none());
+        assert_eq!(core.state(id), None);
+        assert_eq!(core.queue_depth(), 0);
+        assert_eq!(core.active_points("alice"), 0);
+        let stats = core.clients().next().expect("tracked").1;
+        assert_eq!(stats.submitted, 0, "the submitted count is restored");
+        // A late release of the aborted id changes nothing.
+        core.release(id);
+        assert!(core.take_next().is_none());
+        // Its id is not reused.
+        let next = core.submit("alice", smoke(), false).expect("admits");
+        assert!(next > id);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Everything here is testable against in-memory byte buffers; the
 //! only socket code in the crate lives in [`crate::server`].
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Longest accepted request line + header block, in bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -204,22 +204,38 @@ pub fn status_text(status: u16) -> &'static str {
 /// Writes a complete fixed-length JSON response and flushes it. The
 /// body is sent exactly as given plus a trailing newline (every body
 /// this service emits is a single JSON document; the newline makes
-/// `curl | python3 -m json.tool` pipelines clean).
+/// `curl | python3 -m json.tool` pipelines clean). Head and body go out
+/// in one write: on an unbuffered socket every write is its own send.
 pub fn write_json_response(w: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
     let reason = status_text(status);
-    write!(
-        w,
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}\n",
         body.len() + 1
-    )?;
+    );
+    w.write_all(response.as_bytes())?;
     w.flush()
+}
+
+/// Writes every byte of `bufs`, in order, with as few vectored writes as
+/// the writer allows: one when it takes them all at once.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// An in-progress chunked response: the streaming endpoint writes the
 /// headers once, then any number of byte chunks, then the terminator.
 /// Each chunk is flushed immediately — a tailing client sees lines as
-/// they commit, not when the response ends.
+/// they commit, not when the response ends. The head and each chunk go
+/// out in one write, the chunk's payload uncopied.
 pub struct ChunkedWriter<W: Write> {
     inner: W,
 }
@@ -228,11 +244,11 @@ impl<W: Write> ChunkedWriter<W> {
     /// Writes the response head and returns the chunk writer.
     pub fn begin(mut inner: W, status: u16, content_type: &str) -> io::Result<ChunkedWriter<W>> {
         let reason = status_text(status);
-        write!(
-            inner,
+        let head = format!(
             "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
              Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-        )?;
+        );
+        inner.write_all(head.as_bytes())?;
         inner.flush()?;
         Ok(ChunkedWriter { inner })
     }
@@ -243,9 +259,13 @@ impl<W: Write> ChunkedWriter<W> {
         if bytes.is_empty() {
             return Ok(());
         }
-        write!(self.inner, "{:x}\r\n", bytes.len())?;
-        self.inner.write_all(bytes)?;
-        self.inner.write_all(b"\r\n")?;
+        let size = format!("{:x}\r\n", bytes.len());
+        let mut bufs = [
+            IoSlice::new(size.as_bytes()),
+            IoSlice::new(bytes),
+            IoSlice::new(b"\r\n"),
+        ];
+        write_all_vectored(&mut self.inner, &mut bufs)?;
         self.inner.flush()
     }
 
@@ -367,6 +387,92 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 201 Created\r\n"), "{text}");
         assert!(text.contains("Content-Length: 12\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}\n"), "{text}");
+    }
+
+    /// Records what a response writes and counts its write calls. Each
+    /// call takes at most `room` bytes, like a socket whose send buffer
+    /// has that much space.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        room: usize,
+    }
+
+    impl CountingWriter {
+        fn with_room(room: usize) -> Self {
+            CountingWriter {
+                bytes: Vec::new(),
+                writes: 0,
+                room,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.room - taken);
+                self.bytes.extend_from_slice(&buf[..take]);
+                taken += take;
+            }
+            Ok(taken)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A chunked response of two lines and a 64 KiB telemetry window.
+    fn chunked_response(w: &mut CountingWriter, window: &[u8]) -> Vec<usize> {
+        let mut writes = Vec::new();
+        let mut chunks = ChunkedWriter::begin(&mut *w, 200, "application/jsonl").expect("head");
+        for bytes in [&b"line one\n"[..], b"", b"line two\n", window] {
+            chunks.chunk(bytes).expect("chunk");
+            writes.push(chunks.inner.writes);
+        }
+        chunks.finish().expect("terminator");
+        writes.push(w.writes);
+        writes
+    }
+
+    #[test]
+    fn http_sends_each_response_head_and_chunk_with_one_write() {
+        let mut w = CountingWriter::with_room(usize::MAX);
+        write_json_response(&mut w, 201, "{\"ok\":true}").expect("writes");
+        assert_eq!(w.writes, 1, "head and body in one write");
+        assert_eq!(
+            String::from_utf8(w.bytes).expect("utf8"),
+            "HTTP/1.1 201 Created\r\nContent-Type: application/json\r\n\
+             Content-Length: 12\r\nConnection: close\r\n\r\n{\"ok\":true}\n"
+        );
+
+        let window = vec![b'x'; 64 * 1024];
+        let mut w = CountingWriter::with_room(usize::MAX);
+        // Head, first chunk, nothing for the empty one, then one write
+        // per chunk and one for the terminator.
+        assert_eq!(chunked_response(&mut w, &window), [2, 2, 3, 4, 5]);
+        let mut expected = b"HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\n\
+            Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+            9\r\nline one\n\r\n9\r\nline two\n\r\n10000\r\n"
+            .to_vec();
+        expected.extend_from_slice(&window);
+        expected.extend_from_slice(b"\r\n0\r\n\r\n");
+        assert_eq!(w.bytes, expected);
+
+        // A writer that takes 7 bytes a call gets the same bytes.
+        let mut short = CountingWriter::with_room(7);
+        chunked_response(&mut short, &window);
+        assert_eq!(short.bytes, expected);
+        let mut short = CountingWriter::with_room(7);
+        write_json_response(&mut short, 404, "{}").expect("writes");
+        let mut whole = CountingWriter::with_room(usize::MAX);
+        write_json_response(&mut whole, 404, "{}").expect("writes");
+        assert_eq!(short.bytes, whole.bytes);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! # Back-pressure and isolation
 //!
 //! Admission control happens *before* any work: the queue and quota
-//! checks in [`ServiceCore::submit`] run under one mutex and reject
+//! checks in [`ServiceCore::submit_held`] run under one mutex and reject
 //! with a structured `qdc-service-error/v1` body. A slow reader can
 //! never block a worker, because the streaming endpoint reads only the
 //! committed journal *file* — workers append through the fsync
@@ -36,16 +36,18 @@
 //! # Durability
 //!
 //! Every admitted job is persisted as `job_<id>.json` before its 201
-//! receipt is sent, and every result line is fsync'd by the journaled
-//! runner before a running job's stream may send it, so a power cut
-//! cannot take back a line a client has read. A SIGKILL at any instant
-//! loses at most work that was never acknowledged; on restart
-//! [`Server::bind`] rescans the data dir, truncates torn journal tails
-//! on record boundaries, re-enqueues incomplete jobs, and the resumed
-//! output is byte-identical to an uninterrupted run (the workers always
-//! run the deterministic form).
+//! receipt is sent. The core holds the job back from the workers while
+//! the document is written and synced outside its mutex, and rolls the
+//! admission back if that fails. Every result line is fsync'd by the
+//! journaled runner before a running job's stream may send it, so a
+//! power cut cannot take back a line a client has read. A SIGKILL at
+//! any instant loses at most work that was never acknowledged; on
+//! restart [`Server::bind`] rescans the data dir, truncates torn journal
+//! tails on record boundaries, re-enqueues incomplete jobs, and the
+//! resumed output is byte-identical to an uninterrupted run (the
+//! workers always run the deterministic form).
 
-use crate::core::{Job, JobState, QuotaConfig, ServiceCore, SubmitError};
+use crate::core::{Job, JobState, QuotaConfig, ServiceCore};
 use crate::http::{read_request, write_json_response, ChunkedWriter, HttpError, Request};
 use crate::scan::{finished_state, job_doc_json, job_paths, parse_job_doc, scan_data_dir};
 use crate::wire::{error_json, job_json, status_json, submit_error_json};
@@ -448,50 +450,58 @@ fn submit(
         }
     };
 
-    let outcome: Result<String, Rejection> = {
-        let mut core = lock_core(state);
-        match core.submit(&client, spec.clone(), telemetry) {
-            Err(e) => Err(Rejection::Submit(e)),
-            Ok(id) => {
-                // Persist the submission before acknowledging it: once
-                // the 201 is on the wire, a restart must find the job.
-                let job = Job {
-                    id,
-                    client,
-                    spec,
-                    telemetry,
-                };
-                let (doc_path, _, _) = job_paths(&state.config.data_dir, id);
-                match persist_job_doc(&doc_path, &job) {
-                    // Its id is new to the data dir, so it has no journal.
-                    Ok(()) => Ok(job_json(&job, JobState::Queued, &Recovery::default())),
-                    Err(e) => {
-                        // Roll the admission back: an unpersisted job
-                        // would vanish on restart despite its receipt.
-                        core.abort_queued(id);
-                        Err(Rejection::Storage(e))
-                    }
-                }
-            }
+    let admitted = lock_core(state).submit_held(&client, spec.clone(), telemetry);
+    let held = match admitted {
+        Ok(id) => HeldJob { state, id },
+        Err(e) => {
+            let (status, body) = submit_error_json(&e);
+            return write_json_response(w, status, &body);
         }
     };
-    match outcome {
-        Ok(body) => {
-            state.wake.notify_one();
-            write_json_response(w, 201, &body)
-        }
-        Err(Rejection::Storage(e)) => storage_failure(w, &format!("could not persist job: {e}")),
-        Err(Rejection::Submit(e)) => {
-            let (status, body) = submit_error_json(&e);
-            write_json_response(w, status, &body)
-        }
+    // Persist the submission before acknowledging it: once the 201 is
+    // on the wire, a restart must find the job. The flush runs outside
+    // the core lock; until the job is released no worker can take it.
+    let job = Job {
+        id: held.id,
+        client,
+        spec,
+        telemetry,
+    };
+    let (doc_path, _, _) = job_paths(&state.config.data_dir, job.id);
+    if let Err(e) = persist_job_doc(&doc_path, &job) {
+        // An unpersisted job would vanish on restart despite its
+        // receipt, so the admission is rolled back before the reply.
+        drop(held);
+        return storage_failure(w, &format!("could not persist job: {e}"));
+    }
+    held.release();
+    // Its id is new to the data dir, so it has no journal.
+    let receipt = job_json(&job, JobState::Queued, &Recovery::default());
+    write_json_response(w, 201, &receipt)
+}
+
+/// A job admitted held while its document is persisted outside the
+/// core lock. Dropping it rolls the admission back, so every exit from
+/// the submit path but [`release`](HeldJob::release), a panic included,
+/// leaves the core as if the job had never been submitted.
+struct HeldJob<'a> {
+    state: &'a ServiceState,
+    id: u64,
+}
+
+impl HeldJob<'_> {
+    /// Hands the persisted job to the workers.
+    fn release(self) {
+        lock_core(self.state).release(self.id);
+        self.state.wake.notify_one();
+        std::mem::forget(self);
     }
 }
 
-/// Either admission failed, or admission succeeded but persistence did.
-enum Rejection {
-    Submit(SubmitError),
-    Storage(io::Error),
+impl Drop for HeldJob<'_> {
+    fn drop(&mut self) {
+        lock_core(self.state).abort_queued(self.id);
+    }
 }
 
 fn persist_job_doc(path: &std::path::Path, job: &Job) -> io::Result<()> {
@@ -694,15 +704,32 @@ fn telemetry_point(state: &ServiceState, id: u64, index: u64, w: &mut TcpStream)
 mod tests {
     use super::*;
 
-    #[test]
-    fn server_survives_a_poisoned_core_lock() {
-        let state = ServiceState {
+    fn state_with(config: ServiceConfig) -> ServiceState {
+        ServiceState {
             core: Mutex::new(ServiceCore::new(QuotaConfig::default())),
             wake: Condvar::new(),
-            config: ServiceConfig::default(),
+            config,
             cancel: CancelToken::new(),
             addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
-        };
+        }
+    }
+
+    /// Serves one raw request on a loopback socket and returns the reply.
+    fn serve_one(state: &ServiceState, request: &[u8]) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let mut client =
+            TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+        client.write_all(request).expect("sends");
+        let (stream, peer) = listener.accept().expect("accepts");
+        handle_connection(state, stream, peer).expect("serves");
+        let mut response = String::new();
+        client.read_to_string(&mut response).expect("reads");
+        response
+    }
+
+    #[test]
+    fn server_survives_a_poisoned_core_lock() {
+        let state = state_with(ServiceConfig::default());
         std::thread::scope(|s| {
             let holder = s.spawn(|| {
                 let _core = state.core.lock();
@@ -712,16 +739,33 @@ mod tests {
         });
         assert!(state.core.is_poisoned());
 
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let mut client =
-            TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
-        client
-            .write_all(b"GET /status HTTP/1.1\r\nHost: t\r\n\r\n")
-            .expect("sends");
-        let (stream, peer) = listener.accept().expect("accepts");
-        handle_connection(&state, stream, peer).expect("serves");
-        let mut response = String::new();
-        client.read_to_string(&mut response).expect("reads");
+        let response = serve_one(&state, b"GET /status HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    }
+
+    #[test]
+    fn server_rolls_back_a_job_it_cannot_persist() {
+        // A data dir that does not exist: creating the job document fails.
+        let state = state_with(ServiceConfig {
+            data_dir: PathBuf::from("no-such-service-dir/for-this-test"),
+            ..ServiceConfig::default()
+        });
+        let body = br#"{"builtin":"simthm_smoke"}"#;
+        let mut request = format!(
+            "POST /jobs HTTP/1.1\r\nX-QDC-Client: alice\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
+        let response = serve_one(&state, &request);
+        assert!(response.starts_with("HTTP/1.1 500"), "{response}");
+        assert!(response.contains("could not persist job"), "{response}");
+
+        let mut core = lock_core(&state);
+        assert_eq!(core.queue_depth(), 0, "the admission is rolled back");
+        assert_eq!(core.watches().count(), 0);
+        let stats = core.clients().next().expect("the client is known").1;
+        assert_eq!((stats.submitted, stats.rejected), (0, 0));
+        assert!(core.take_next().is_none());
     }
 }

@@ -139,7 +139,9 @@ pub(crate) fn payer(net: &SimulationNetwork, from: NodeId, to: NodeId, t: usize)
 }
 
 /// Audits a traced run on the simulation network against the Theorem 3.5
-/// cost model. `bandwidth` is the CONGEST `B` used for the run.
+/// cost model. `bandwidth` is the CONGEST `B` used for the run, and the
+/// trace must come from a run on `net`'s graph, which its records'
+/// endpoints are read from.
 ///
 /// A message sent at the end of round `r` (delivered in `r + 1`) is paid
 /// by its sender's owner at time `r` when the receiver's owner at time
@@ -160,8 +162,9 @@ pub fn audit_trace(
     for (r, msgs) in trace.rounds.iter().enumerate() {
         let mut paid = 0u64;
         for m in msgs {
-            let bits = u64::from(m.bits);
-            match payer(net, m.from, m.to, r) {
+            let bits = u64::from(m.bits());
+            let (from, to) = m.ends(net.graph());
+            match payer(net, from, to, r) {
                 Some(Party::Carol) => carol_bits += bits,
                 Some(Party::David) => david_bits += bits,
                 _ => continue,

@@ -66,9 +66,10 @@ impl NodeAlgorithm for MinFlood {
     }
 }
 
-/// Asserts no directed edge of `trace` carries more than `budget`
-/// charged bits in any single round.
+/// Asserts no directed edge of `trace`, a run on `graph`, carries more
+/// than `budget` charged bits in any single round.
 fn assert_per_edge_cap(
+    graph: &qdc::graph::Graph,
     trace: &qdc::congest::TrafficTrace,
     charge: usize,
     budget: usize,
@@ -76,7 +77,8 @@ fn assert_per_edge_cap(
     for (r, round) in trace.rounds.iter().enumerate() {
         let mut per_edge: HashMap<(u32, u32), usize> = HashMap::new();
         for m in round {
-            *per_edge.entry((m.from.0, m.to.0)).or_default() += m.bits as usize * charge;
+            let (from, to) = m.ends(graph);
+            *per_edge.entry((from.0, to.0)).or_default() += m.bits() as usize * charge;
         }
         for (&(from, to), &bits) in &per_edge {
             prop_assert!(
@@ -136,7 +138,7 @@ proptest! {
             &mut trace,
         );
         prop_assert!(report.completed);
-        assert_per_edge_cap(&trace, charge, budget)?;
+        assert_per_edge_cap(&g, &trace, charge, budget)?;
     }
 
     /// Contract 1, chaos: seeded drops and corruption can only shrink
@@ -169,12 +171,12 @@ proptest! {
                 &mut trace,
             )
             .expect("lossy flood reaches quiescence");
-        assert_per_edge_cap(&trace, charge, budget)?;
+        assert_per_edge_cap(&g, &trace, charge, budget)?;
         // Corruption flips bits in place, never widening a payload: the
         // per-message width bound survives verbatim.
         for round in &trace.rounds {
             for m in round {
-                prop_assert!(m.bits as usize * charge <= budget);
+                prop_assert!(m.bits() as usize * charge <= budget);
             }
         }
         let _ = report;

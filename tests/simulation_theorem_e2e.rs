@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use qdc::congest::{
-    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TrafficTrace,
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TracedMessage,
+    TrafficTrace,
 };
 use qdc::core::theorems;
 use qdc::graph::{generate, predicates, GraphBuilder, NodeId};
@@ -135,6 +136,30 @@ fn audit_budget_saturates_at_huge_bandwidths() {
         assert!(audit.within_budget && audit.rounds > 1);
         assert_eq!(audit.total_budget(), u64::MAX);
     }
+}
+
+/// `simthm_grid`'s largest point, Γ = 35 and L = 129, keeps the largest
+/// trace a campaign holds. Its record count is deterministic, and the
+/// bytes its rounds reserve bound the trace's share of a grid run's
+/// peak memory: the 638 976 slots come to 5.1 MB at 8 bytes a record
+/// and would come to 7.7 MB, past this bound, at 12.
+#[test]
+fn simthm_grid_largest_trace_is_8_bytes_a_record() {
+    let point = PointSpec::SimThm(SimThmPoint {
+        gamma: 35,
+        l: 129,
+        bandwidth: 32,
+    });
+    let (_, trace) = execute_point(0, &point).expect("the point runs");
+    let trace = trace.expect("simthm points are traced");
+    let records: usize = trace.rounds.iter().map(Vec::len).sum();
+    assert_eq!(records, 441_284);
+    let reserved: usize = trace.rounds.iter().map(Vec::capacity).sum();
+    let reserved_bytes = reserved * std::mem::size_of::<TracedMessage>();
+    assert!(
+        reserved_bytes < 2 * records * 8,
+        "{reserved} slots take {reserved_bytes} bytes"
+    );
 }
 
 #[test]

@@ -63,7 +63,7 @@ proptest! {
         let mut trace = TrafficTrace::default();
         let (_, report) = sim.run_observed(|_| Echo { fired: false }, 10, &mut trace);
         let traced_msgs: usize = trace.rounds.iter().map(Vec::len).sum();
-        let traced_bits: usize = trace.rounds.iter().flatten().map(|m| m.bits as usize).sum();
+        let traced_bits: usize = trace.rounds.iter().flatten().map(|m| m.bits() as usize).sum();
         prop_assert_eq!(traced_msgs as u64, report.messages_sent);
         prop_assert_eq!(traced_bits as u64, report.bits_sent);
         prop_assert_eq!(report.messages_sent, 2 * g.edge_count() as u64);

@@ -1,6 +1,6 @@
 //! Property tests for the telemetry layer: observation never perturbs.
 //!
-//! Two contracts on random connected graphs and seeds:
+//! Three contracts on random connected graphs and seeds:
 //!
 //! 1. **Fault-free differential**: `run_observed` with a
 //!    [`TrafficTrace`] and a [`RoundProfiler`] riding together produces
@@ -14,6 +14,11 @@
 //!    byte-identical to that sink riding alone, and messages, bits,
 //!    drops and corrupted bits agree exactly across the `RunReport`, the
 //!    trace, the profile and the stream footer.
+//! 3. **Trace decoding**: a [`TrafficTrace`] keeps each delivery as its
+//!    edge, direction and bit count, and reading the endpoints back from
+//!    the graph gives exactly the `(edge, from, to, bits)` the engine
+//!    reported to `on_delivery`, round by round, with and without drops,
+//!    a crash and corruption.
 //!
 //! The CI chaos job re-runs these under several `QDC_CHAOS_SEED` values;
 //! the seed perturbs every generated case while each individual run stays
@@ -23,9 +28,10 @@ use proptest::prelude::*;
 use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
     read_aggregate, ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo,
-    NullTelemetry, Outbox, RoundProfiler, Simulator, StreamSink, TelemetryReport, TrafficTrace,
+    NullTelemetry, Outbox, RoundProfiler, Simulator, StreamSink, Telemetry, TelemetryReport,
+    TrafficTrace,
 };
-use qdc::graph::{generate, NodeId};
+use qdc::graph::{generate, EdgeId, NodeId};
 
 /// CI-provided seed perturbation (defaults to 0 for local runs).
 fn env_seed() -> u64 {
@@ -56,6 +62,21 @@ impl NodeAlgorithm for MinFlood {
     }
     fn is_terminated(&self) -> bool {
         true
+    }
+}
+
+/// Every `on_delivery` as the engine reported it, `(edge, from, to,
+/// bits)`, one list per round: the oracle a decoded trace must equal.
+#[derive(Default)]
+struct Deliveries(Vec<Vec<(EdgeId, NodeId, NodeId, usize)>>);
+
+impl Telemetry for Deliveries {
+    fn on_round_start(&mut self, _: usize) {
+        self.0.push(Vec::new());
+    }
+    fn on_delivery(&mut self, _: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        let round = self.0.last_mut().expect("span is open");
+        round.push((edge, from, to, bits));
     }
 }
 
@@ -167,7 +188,7 @@ proptest! {
         prop_assert_eq!(&read, &footer);
         let totals = read.totals;
         let traced_messages = trace.rounds.iter().map(Vec::len).sum::<usize>() as u64;
-        let traced_bits: u64 = trace.rounds.iter().flatten().map(|m| m.bits as u64).sum();
+        let traced_bits: u64 = trace.rounds.iter().flatten().map(|m| u64::from(m.bits())).sum();
         let traced_dropped: u64 = trace.dropped.iter().sum();
         let t = profile.totals();
         let profiled = (profile.rounds.len() as u64, t.messages, t.bits, t.dropped);
@@ -249,6 +270,54 @@ proptest! {
                 "round {}: histogram mass must equal live capacity",
                 r.round
             );
+        }
+    }
+
+    /// The compact trace loses nothing: decoding each record's endpoints
+    /// from the graph gives back what the engine passed to
+    /// `on_delivery`, round by round, fault-free and under drops, a
+    /// crash and corruption (both sinks ride the same run).
+    #[test]
+    fn telemetry_trace_decodes_to_the_engines_deliveries(
+        n in 4usize..20,
+        extra in 0usize..8,
+        seed in 0u64..200,
+        drop in 0.0f64..=0.25,
+    ) {
+        let g = generate::random_connected(n, n + extra, seed ^ env_seed());
+        let sim = Simulator::new(&g, CongestConfig::classical(16));
+        let make = |info: &NodeInfo| MinFlood { label: 1000 + info.id.0 as u64 };
+        let chaos = ChaosConfig {
+            seed: seed ^ env_seed().rotate_left(41),
+            drop_prob: drop,
+            crash_schedule: vec![(NodeId(n as u32 - 1), 2)],
+            corrupt_prob: 0.1,
+            max_rounds_watchdog: 100,
+        };
+        for faulty in [false, true] {
+            let mut sinks = (TrafficTrace::default(), Deliveries::default());
+            if faulty {
+                // A watchdog trip still leaves both sinks a whole record.
+                let _ = sim.try_run_observed(make, &chaos, &mut sinks);
+            } else {
+                sim.run_observed(make, 100, &mut sinks);
+            }
+            let (trace, seen) = sinks;
+            let decoded: Vec<Vec<_>> = trace
+                .rounds
+                .iter()
+                .map(|round| {
+                    round
+                        .iter()
+                        .map(|m| {
+                            let (from, to) = m.ends(&g);
+                            (m.edge(), from, to, m.bits() as usize)
+                        })
+                        .collect()
+                })
+                .collect();
+            prop_assert!(seen.0.iter().any(|round| !round.is_empty()));
+            prop_assert_eq!(decoded, seen.0, "faulty = {}", faulty);
         }
     }
 }
