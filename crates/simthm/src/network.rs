@@ -226,9 +226,10 @@ impl SimulationNetwork {
     }
 
     /// The simulation horizon of Theorem 3.5: ownership sets stay disjoint
-    /// for `t ≤ L/2 − 2`.
+    /// for `t ≤ L/2 − 2`. At `L = 3` no round fits that premise, and the
+    /// horizon saturates at 0 (as at `L = 5`).
     pub fn horizon(&self) -> usize {
-        self.l / 2 - 2
+        (self.l / 2).saturating_sub(2)
     }
 
     /// Which party owns node `v` at time `t` (Equations 36–38, extended

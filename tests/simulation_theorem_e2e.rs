@@ -3,13 +3,14 @@
 
 use proptest::prelude::*;
 use qdc::congest::{
-    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator, TracedMessage,
-    TrafficTrace,
+    CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox, Simulator,
+    TracedMessage, TrafficTrace,
 };
 use qdc::core::theorems;
 use qdc::graph::{generate, predicates, GraphBuilder, NodeId};
 use qdc::harness::json::Json;
 use qdc::harness::{execute_point, PointSpec};
+use qdc::simthm::campaign::run_point;
 use qdc::simthm::{audit_trace, Party, SimThmPoint, SimulationNetwork};
 
 proptest! {
@@ -160,6 +161,24 @@ fn simthm_grid_largest_trace_is_8_bytes_a_record() {
         reserved_bytes < 2 * records * 8,
         "{reserved} slots take {reserved_bytes} bytes"
     );
+}
+
+/// At L = 3 no round fits the theorem's premise `t ≤ L/2 − 2`, so the
+/// horizon saturates at 0 and the point runs no round, as at L = 5.
+/// `L/2 − 2` once wrapped there: a debug build panicked and a release
+/// campaign recorded a horizon of `u64::MAX` and ran past the premise.
+#[test]
+fn simthm_points_at_l3_and_l5_run_no_round() {
+    for l in [3, 5] {
+        let point = SimThmPoint {
+            gamma: 4,
+            l,
+            bandwidth: 16,
+        };
+        let (outcome, _) = run_point(&point, |_| NullTelemetry);
+        assert_eq!(outcome.horizon, 0, "L = {l}");
+        assert_eq!(outcome.metrics.rounds, 0, "L = {l}");
+    }
 }
 
 #[test]
