@@ -92,11 +92,6 @@ impl ChaosConfig {
         }
     }
 
-    /// Whether this config can ever alter a delivery.
-    pub fn is_fault_free(&self) -> bool {
-        self.drop_prob == 0.0 && self.corrupt_prob == 0.0 && self.crash_schedule.is_empty()
-    }
-
     /// Validates the probabilities.
     ///
     /// Returns [`SimError::InvalidChaosConfig`] if either probability is
@@ -146,16 +141,17 @@ pub enum FaultAction {
 }
 
 /// The executable form of a [`ChaosConfig`]: one seeded RNG stream plus
-/// per-node crash state, consulted by the round engine (and by the
-/// three-party replay in `qdc-simthm`) at delivery time.
+/// per-node crash state, consulted by the round engine at delivery time.
 ///
 /// Determinism contract: callers must (1) call
 /// [`begin_round`](FaultPlan::begin_round) exactly once per synchronous
 /// round before any delivery, and (2) call
-/// [`filter`](FaultPlan::filter) for every in-flight message in the
-/// engine's fixed delivery order (ascending sender id, then ascending
-/// port). Any harness that follows the same discipline stays in
-/// lockstep with the simulator under the same config.
+/// [`decide`](FaultPlan::decide) (or [`filter`](FaultPlan::filter)) for
+/// every in-flight message in the engine's fixed delivery order
+/// (ascending sender id, then ascending port). The engine follows it
+/// with `decide`; a plan that follows it with `filter` on copies of the
+/// sent messages predicts every delivery of the engine under the same
+/// config.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     rng: ChaCha8Rng,
@@ -229,11 +225,6 @@ impl FaultPlan {
         self.round
     }
 
-    /// Whether node `v` has crash-stopped.
-    pub fn is_crashed(&self, v: NodeId) -> bool {
-        self.crashed[v.index()]
-    }
-
     /// Decides the fate of one `bits`-bit in-flight message `from → to`
     /// without materialising its payload. Fault counters update exactly
     /// as for [`filter`](FaultPlan::filter), and the RNG draws are
@@ -272,6 +263,10 @@ impl FaultPlan {
     ///
     /// This is [`decide`](FaultPlan::decide) applied to a materialised
     /// `Message` — the two share one implementation and one RNG stream.
+    /// It is the message-level reference of `decide`: the round engine
+    /// applies `decide`'s actions to its bit-packed payload slab, and
+    /// the tier-1 `chaos_properties` tests check those deliveries
+    /// against `filter` on the sent messages.
     pub fn filter(&mut self, from: NodeId, to: NodeId, msg: &mut Message) -> bool {
         match self.decide(from, to, msg.bit_len()) {
             FaultAction::Drop => false,
@@ -334,11 +329,11 @@ mod tests {
         };
         let mut plan = FaultPlan::new(&cfg, 3);
         plan.begin_round(); // round 1: not yet crashed
-        assert!(!plan.is_crashed(NodeId(1)));
+        assert!(plan.crashes_this_round().is_empty());
         let mut m = msg(4);
         assert!(plan.filter(NodeId(1), NodeId(0), &mut m));
         plan.begin_round(); // round 2: crash activates
-        assert!(plan.is_crashed(NodeId(1)));
+        assert_eq!(plan.crashes_this_round(), &[NodeId(1)]);
         assert!(!plan.filter(NodeId(1), NodeId(0), &mut m)); // sender dead
         assert!(!plan.filter(NodeId(2), NodeId(1), &mut m)); // receiver dead
         assert!(plan.filter(NodeId(2), NodeId(0), &mut m)); // bystanders fine
@@ -460,7 +455,6 @@ mod tests {
     fn chaos_config_validation_rejects_bad_probabilities() {
         let mut cfg = ChaosConfig::fault_free(10);
         assert!(cfg.validate().is_ok());
-        assert!(cfg.is_fault_free());
         cfg.drop_prob = 1.5;
         assert!(matches!(
             cfg.validate(),

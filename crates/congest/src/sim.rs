@@ -283,36 +283,12 @@ impl Inbox {
         self.msgs.iter().filter(|m| m.is_some()).count()
     }
 
-    /// Builds an inbox from raw per-port slots — for harnesses that drive
-    /// a [`NodeAlgorithm`] outside the simulator (e.g. the three-party
-    /// replay in `qdc-simthm`).
+    /// Builds an inbox from raw per-port slots, for code that calls a
+    /// [`NodeAlgorithm`]'s `on_round` outside the simulator (e.g. an
+    /// algorithm in `qdc-algos` that runs its round logic at start with
+    /// an empty inbox).
     pub fn from_slots(slots: Vec<Option<Message>>) -> Self {
         Inbox { msgs: slots }
-    }
-
-    /// Recovers the raw per-port slots, so harness loops can reuse one
-    /// allocation round after round instead of rebuilding inboxes.
-    pub fn into_slots(self) -> Vec<Option<Message>> {
-        self.msgs
-    }
-
-    /// Empties every slot in place, keeping the allocation.
-    pub fn clear(&mut self) {
-        for slot in &mut self.msgs {
-            *slot = None;
-        }
-    }
-
-    /// Places `msg` in `port`'s slot — for harnesses that route messages
-    /// themselves into a reused inbox. A message already in the slot is
-    /// silently replaced (harnesses enforce the one-message-per-edge
-    /// discipline on the sending side).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port >= degree`.
-    pub fn put(&mut self, port: usize, msg: Message) {
-        self.msgs[port] = Some(msg);
     }
 }
 
@@ -425,30 +401,6 @@ impl Outbox {
     /// Number of ports.
     pub fn port_count(&self) -> usize {
         self.msgs.len()
-    }
-
-    /// A detached outbox for harnesses that drive a [`NodeAlgorithm`]
-    /// outside the simulator. The same budget discipline applies
-    /// (violations via [`send`](Outbox::send) panic; use
-    /// [`try_send`](Outbox::try_send) to handle them).
-    pub fn detached(ports: usize, budget_bits: usize) -> Self {
-        Outbox::from_slots(vec![None; ports], budget_bits, 1, true)
-    }
-
-    /// A detached outbox reusing an already-emptied slot vector (as
-    /// returned by [`into_slots`](Outbox::into_slots) after the messages
-    /// were taken), so harness loops keep one allocation per node.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if any slot is still occupied.
-    pub fn detached_reusing(slots: Vec<Option<Message>>, budget_bits: usize) -> Self {
-        Outbox::from_slots(slots, budget_bits, 1, true)
-    }
-
-    /// Extracts the queued messages from a detached outbox.
-    pub fn into_slots(self) -> Vec<Option<Message>> {
-        self.msgs
     }
 }
 
@@ -626,10 +578,6 @@ pub struct Simulator<'g> {
     graph: &'g Graph,
     config: CongestConfig,
     infos: Vec<NodeInfo>,
-    /// `back_port[u][p]` is the port on which `u`'s neighbor over port
-    /// `p` sees `u` — precomputed so delivery routes each message in
-    /// O(1) instead of scanning the receiver's neighbor list.
-    back_port: Vec<Vec<usize>>,
     /// `slot_base[u] + p` is the directed-slot index of `u`'s port `p`
     /// in the engine's columnar offset tables (prefix sums of degrees,
     /// `Σ deg = 2·|E|` slots total).
@@ -693,7 +641,6 @@ impl<'g> Simulator<'g> {
             graph,
             config,
             infos,
-            back_port,
             slot_base,
             slot_dst,
         }
@@ -712,13 +659,6 @@ impl<'g> Simulator<'g> {
     /// Per-node topology information (what node `v` is told at start).
     pub fn info(&self, v: NodeId) -> &NodeInfo {
         &self.infos[v.index()]
-    }
-
-    /// The port on which `u`'s neighbor over port `port` sees `u` — the
-    /// precomputed O(1) reverse of [`NodeInfo::port_to`], for harnesses
-    /// that route messages themselves.
-    pub fn back_port(&self, u: NodeId, port: usize) -> usize {
-        self.back_port[u.index()][port]
     }
 
     /// Runs the algorithm to termination or `max_rounds`, whichever comes
@@ -1671,7 +1611,7 @@ mod tests {
 
     #[test]
     fn try_send_reports_each_violation_without_panicking() {
-        let mut out = Outbox::detached(2, 8);
+        let mut out = Outbox::from_slots(vec![None; 2], 8, 1, true);
         assert_eq!(
             out.try_send(0, Message::from_uint(0x1FF, 9)),
             Err(SimError::BudgetExceeded { bits: 9, budget: 8 })
@@ -1686,8 +1626,8 @@ mod tests {
             Err(SimError::DoublePortSend { port: 0 })
         );
         // Failed sends queue nothing; the successful one queued once.
-        let slots = out.into_slots();
-        assert_eq!(slots.iter().filter(|s| s.is_some()).count(), 1);
+        assert_eq!(out.queued, 1);
+        assert_eq!(out.msgs.iter().filter(|s| s.is_some()).count(), 1);
     }
 
     /// An adversarial node using the *panicking* API: under `try_run`

@@ -387,21 +387,6 @@ impl StreamAggregate {
         *self = next;
         Ok(())
     }
-
-    /// Serializes the header line (with trailing newline).
-    pub fn header_jsonl(&self) -> String {
-        let mut out = String::new();
-        write_header_line(&mut out, &self.header);
-        out
-    }
-
-    /// Serializes the footer line (with trailing newline): the totals
-    /// object plus both sketches in canonical rank order.
-    pub fn footer_jsonl(&self) -> String {
-        let mut out = String::new();
-        write_footer_line(&mut out, self);
-        out
-    }
 }
 
 fn write_header_line(out: &mut String, h: &StreamHeader) {
@@ -932,8 +917,11 @@ mod tests {
         assert_eq!((nodes[2].index, nodes[2].bits), (2, 2));
         // The archive has exactly header + 2 rounds + footer.
         assert_eq!(text.lines().count(), 4);
-        assert!(text.starts_with(&agg.header_jsonl()));
-        assert!(text.ends_with(&agg.footer_jsonl()));
+        let (mut header, mut footer) = (String::new(), String::new());
+        write_header_line(&mut header, &agg.header);
+        write_footer_line(&mut footer, &agg);
+        assert!(text.starts_with(&header));
+        assert!(text.ends_with(&footer));
     }
 
     #[test]
@@ -1012,7 +1000,12 @@ mod tests {
         assert!(text.contains(",\"qsplit\":[0,0]"), "{text}");
         let back = read_aggregate(text.as_bytes()).expect("parses");
         assert_eq!(back, agg);
-        assert_eq!(back.footer_jsonl(), agg.footer_jsonl());
+        let footer = |a: &StreamAggregate| {
+            let mut out = String::new();
+            write_footer_line(&mut out, a);
+            out
+        };
+        assert_eq!(footer(&back), footer(&agg));
 
         // Mutating the footer's qsplit away from the round-line sum, or
         // malforming it, must be rejected.

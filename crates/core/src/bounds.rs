@@ -38,11 +38,6 @@ pub fn elkin_upper(w: f64, alpha: f64, diameter: usize) -> f64 {
     w / alpha + diameter as f64
 }
 
-/// The best-of-both upper bound of Figure 3: `min(W/α, √n) + D`.
-pub fn mst_combined_upper(n: usize, diameter: usize, w: f64, alpha: f64) -> f64 {
-    (w / alpha).min((n as f64).sqrt()) + diameter as f64
-}
-
 /// Figure 3's first crossover: below `W = α·√n` the Elkin branch wins.
 pub fn fig3_first_crossover(n: usize, alpha: f64) -> f64 {
     alpha * (n as f64).sqrt()
@@ -53,48 +48,6 @@ pub fn fig3_first_crossover(n: usize, alpha: f64) -> f64 {
 /// out).
 pub fn fig3_second_crossover(n: usize, alpha: f64) -> f64 {
     alpha * n as f64
-}
-
-/// One row of the Figure 3 data: `W`, lower bound, both upper-bound
-/// branches.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Fig3Point {
-    /// Weight aspect ratio.
-    pub w: f64,
-    /// Theorem 3.8 lower bound (quantum, with entanglement).
-    pub lower: f64,
-    /// Elkin `O(W/α + D)` branch.
-    pub upper_elkin: f64,
-    /// Kutten–Peleg `Õ(√n + D)` branch.
-    pub upper_exact: f64,
-}
-
-/// Samples the Figure 3 curves geometrically over `[w_min, w_max]`.
-pub fn fig3_series(
-    n: usize,
-    bandwidth: usize,
-    diameter: usize,
-    alpha: f64,
-    w_min: f64,
-    w_max: f64,
-    points: usize,
-) -> Vec<Fig3Point> {
-    assert!(
-        points >= 2 && w_min > 0.0 && w_max > w_min,
-        "bad sweep range"
-    );
-    let ratio = (w_max / w_min).powf(1.0 / (points - 1) as f64);
-    (0..points)
-        .map(|i| {
-            let w = w_min * ratio.powi(i as i32);
-            Fig3Point {
-                w,
-                lower: optimization_lower_bound(n, bandwidth, w, alpha),
-                upper_elkin: elkin_upper(w, alpha, diameter),
-                upper_exact: sqrt_n_plus_d_upper(n, diameter),
-            }
-        })
-        .collect()
 }
 
 /// One row of the Figure 2 table: a problem, the classical-era bound and
@@ -181,30 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn fig3_series_shape() {
-        let pts = fig3_series(1 << 12, 16, 12, 2.0, 2.0, 1e7, 30);
-        assert_eq!(pts.len(), 30);
-        // Lower bound is monotone nondecreasing in W and saturates.
-        for pair in pts.windows(2) {
-            assert!(pair[1].lower >= pair[0].lower - 1e-12);
-        }
-        assert!((pts.last().unwrap().lower - verification_lower_bound(1 << 12, 16)).abs() < 1e-9);
-        // The exact branch is flat; Elkin's grows.
-        assert_eq!(pts[0].upper_exact, pts[29].upper_exact);
-        assert!(pts[29].upper_elkin > pts[0].upper_elkin);
-        // Before the first crossover Elkin wins, after it the exact wins.
-        let cross = fig3_first_crossover(1 << 12, 2.0);
-        for p in &pts {
-            if p.w < cross / 4.0 {
-                assert!(p.upper_elkin <= p.upper_exact, "W = {}", p.w);
-            }
-            if p.w > cross * 4.0 {
-                assert!(p.upper_exact <= p.upper_elkin, "W = {}", p.w);
-            }
-        }
-    }
-
-    #[test]
     fn fig2_rows_are_consistent() {
         let rows = fig2_rows(1 << 12, 16);
         assert_eq!(rows.len(), 3);
@@ -218,6 +147,5 @@ mod tests {
     fn upper_bounds_behave() {
         assert!(sqrt_n_plus_d_upper(1 << 12, 10) > 64.0);
         assert!(elkin_upper(100.0, 2.0, 5) == 55.0);
-        assert_eq!(mst_combined_upper(1 << 12, 0, 1e9, 2.0), 64.0);
     }
 }

@@ -278,26 +278,6 @@ pub fn diameter(host: &Graph) -> Option<u64> {
     Some(best)
 }
 
-/// Two-sweep diameter lower bound (exact on trees), cheap for large graphs:
-/// BFS from `start`, then BFS from the farthest node found.
-pub fn double_sweep_diameter_lower_bound(host: &Graph, start: NodeId) -> u64 {
-    let full = host.full_subgraph();
-    let d1 = bfs_distances(host, &full, start);
-    let far = d1
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != UNREACHABLE)
-        .max_by_key(|&(_, &d)| d)
-        .map(|(i, _)| NodeId::from(i))
-        .unwrap_or(start);
-    let d2 = bfs_distances(host, &full, far);
-    d2.iter()
-        .copied()
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,11 +397,5 @@ mod tests {
         assert_eq!(diameter(&Graph::cycle(6)), Some(3));
         assert_eq!(diameter(&Graph::complete(6)), Some(1));
         assert_eq!(diameter(&Graph::from_edges(3, &[(0, 1)])), None);
-    }
-
-    #[test]
-    fn double_sweep_is_exact_on_paths() {
-        let g = Graph::path(9);
-        assert_eq!(double_sweep_diameter_lower_bound(&g, NodeId(4)), 8);
     }
 }

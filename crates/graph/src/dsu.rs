@@ -76,12 +76,6 @@ impl DisjointSets {
         self.find(a) == self.find(b)
     }
 
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r]
-    }
-
     /// Current number of disjoint sets.
     pub fn set_count(&self) -> usize {
         self.sets
@@ -103,7 +97,6 @@ mod tests {
         assert_eq!(d.set_count(), 2);
         assert!(d.same_set(0, 2));
         assert!(!d.same_set(0, 4));
-        assert_eq!(d.set_size(3), 4);
     }
 
     #[test]

@@ -13,34 +13,6 @@ pub fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
-/// Erdős–Rényi G(n, p). Not guaranteed connected.
-pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
-    let mut r = rng(seed);
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if r.gen_bool(p) {
-                b.add_edge(NodeId::from(u), NodeId::from(v));
-            }
-        }
-    }
-    b.build()
-}
-
-/// A uniformly random labelled tree on `n` nodes via a random Prüfer-like
-/// attachment: node `i` attaches to a uniform earlier node. (Not the
-/// uniform distribution over trees, but deterministic, connected, and with
-/// the degree spread the experiments need.)
-pub fn random_tree(n: usize, seed: u64) -> Graph {
-    let mut r = rng(seed);
-    let mut b = GraphBuilder::new(n);
-    for i in 1..n {
-        let j = r.gen_range(0..i);
-        b.add_edge(NodeId::from(j), NodeId::from(i));
-    }
-    b.build()
-}
-
 /// A connected graph: random tree plus `extra` random non-tree edges.
 pub fn random_connected(n: usize, extra: usize, seed: u64) -> Graph {
     let mut r = rng(seed);
@@ -142,30 +114,6 @@ pub fn random_bits(n: usize, seed: u64) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::predicates;
-
-    #[test]
-    fn gnp_is_deterministic() {
-        let a = gnp(20, 0.3, 42);
-        let b = gnp(20, 0.3, 42);
-        assert_eq!(a.edge_count(), b.edge_count());
-        let c = gnp(20, 0.3, 43);
-        // Overwhelmingly likely to differ.
-        assert!(
-            a.edge_count() != c.edge_count() || {
-                let ae: Vec<_> = a.edges().map(|e| a.endpoints(e)).collect();
-                let ce: Vec<_> = c.edges().map(|e| c.endpoints(e)).collect();
-                ae != ce
-            }
-        );
-    }
-
-    #[test]
-    fn random_tree_is_spanning_tree() {
-        for seed in 0..5 {
-            let g = random_tree(30, seed);
-            assert!(predicates::is_spanning_tree(&g, &g.full_subgraph()));
-        }
-    }
 
     #[test]
     fn random_connected_is_connected_with_extra_edges() {

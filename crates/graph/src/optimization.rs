@@ -300,144 +300,6 @@ pub fn shallow_light_tree(
 }
 
 // ---------------------------------------------------------------------------
-// Tree-packing minimum cut (Karger-style).
-// ---------------------------------------------------------------------------
-
-/// Given a rooted spanning tree, the minimum over tree edges of the
-/// weight of the cut obtained by deleting that edge (the best
-/// "1-respecting" cut). Karger's theorem: for enough trees sampled from
-/// a (here: randomized-MST) packing, some near-minimum cut 1-respects one
-/// of them — the idea behind the distributed min-cut algorithms
-/// (Ghaffari–Kuhn and successors) the paper cites as upper bounds.
-///
-/// Returns `None` if the graph has fewer than 2 nodes or `tree` is not a
-/// spanning tree.
-pub fn tree_respecting_min_cut(
-    graph: &Graph,
-    weights: &EdgeWeights,
-    tree: &Subgraph,
-) -> Option<u64> {
-    if graph.node_count() < 2 || !crate::predicates::is_spanning_tree(graph, tree) {
-        return None;
-    }
-    let n = graph.node_count();
-    let root = NodeId(0);
-    // Root the tree; compute a postorder.
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut order = Vec::with_capacity(n);
-    let mut stack = vec![root];
-    let mut seen = vec![false; n];
-    seen[root.index()] = true;
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        for &(e, v) in graph.incident(u) {
-            if tree.contains(e) && !seen[v.index()] {
-                seen[v.index()] = true;
-                parent[v.index()] = Some(u);
-                stack.push(v);
-            }
-        }
-    }
-    // Euler intervals for subtree tests.
-    let mut tin = vec![0usize; n];
-    let mut tout = vec![0usize; n];
-    {
-        let mut timer = 0usize;
-        // order is a preorder from the stack DFS; recompute tin/tout with
-        // an explicit two-phase DFS.
-        let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
-        while let Some((u, processed)) = stack.pop() {
-            if processed {
-                tout[u.index()] = timer;
-                continue;
-            }
-            tin[u.index()] = timer;
-            timer += 1;
-            stack.push((u, true));
-            for &(e, v) in graph.incident(u) {
-                if tree.contains(e) && parent[v.index()] == Some(u) {
-                    stack.push((v, false));
-                }
-            }
-        }
-    }
-    let in_subtree = |v: NodeId, s: NodeId| {
-        tin[s.index()] <= tin[v.index()] && tout[v.index()] <= tout[s.index()]
-    };
-
-    // For each non-root node s, cut(subtree(s)) = Σ incident weights of
-    // subtree nodes − 2 × internal weight. Aggregate bottom-up.
-    let mut inc = vec![0u64; n];
-    for e in graph.edges() {
-        let (u, v) = graph.endpoints(e);
-        inc[u.index()] += weights.weight(e);
-        inc[v.index()] += weights.weight(e);
-    }
-    // subtree sums of incident weight, bottom-up over the preorder
-    // reversed (children appear after parents in `order`).
-    let mut sub_inc = inc.clone();
-    for &u in order.iter().rev() {
-        if let Some(p) = parent[u.index()] {
-            sub_inc[p.index()] += sub_inc[u.index()];
-        }
-    }
-    // cut(subtree(s)) = sub_inc(s) − 2·internal(s), where an edge is
-    // internal iff both endpoints lie in the subtree (Euler-interval
-    // containment test; the O(n·m) scan is fine at experiment scale).
-    let mut best = u64::MAX;
-    for s in graph.nodes() {
-        if s == root {
-            continue;
-        }
-        let mut internal = 0u64;
-        for e in graph.edges() {
-            let (u, v) = graph.endpoints(e);
-            if in_subtree(u, s) && in_subtree(v, s) {
-                internal += weights.weight(e);
-            }
-        }
-        let cut = sub_inc[s.index()] - 2 * internal;
-        best = best.min(cut);
-    }
-    Some(best)
-}
-
-/// Karger-style sampled minimum cut: sample `k` spanning trees by
-/// computing MSTs under independently perturbed weights, take the best
-/// 1-respecting cut of each. Always an upper bound on the true minimum
-/// cut; equals it with high probability for enough samples.
-pub fn sampled_min_cut(graph: &Graph, weights: &EdgeWeights, k: usize, seed: u64) -> Option<u64> {
-    use rand::Rng;
-    if graph.node_count() < 2 {
-        return None;
-    }
-    let mut rng = crate::generate::rng(seed);
-    let mut best: Option<u64> = None;
-    for _ in 0..k.max(1) {
-        // Perturb: random weights biased by inverse true weight so heavy
-        // edges (less likely in small cuts) tend to enter the tree.
-        let perturbed: Vec<u64> = graph
-            .edges()
-            .map(|e| {
-                let w = weights.weight(e);
-                rng.gen_range(1..=1_000_000u64) / w.max(1)
-            })
-            .map(|w| w.max(1))
-            .collect();
-        let pw = EdgeWeights::from_vec(graph, perturbed);
-        let mst = kruskal_mst(graph, &pw);
-        if mst.edges.len() != graph.node_count() - 1 {
-            return None; // disconnected
-        }
-        let tree = Subgraph::from_edges(graph, mst.edges.iter().copied());
-        if let Some(cut) = tree_respecting_min_cut(graph, weights, &tree) {
-            best = Some(best.map_or(cut, |b: u64| b.min(cut)));
-        }
-    }
-    best
-}
-
-// ---------------------------------------------------------------------------
 // Generalized Steiner forest.
 // ---------------------------------------------------------------------------
 
@@ -643,66 +505,6 @@ mod tests {
         let (empty, zero) = steiner_forest(&g, &w, &[vec![NodeId(3)]]);
         assert_eq!(zero, 0);
         assert_eq!(empty.edge_count(), 0);
-    }
-
-    #[test]
-    fn tree_respecting_cut_on_cycle() {
-        // On a cycle, deleting one tree edge of a Hamiltonian-path tree
-        // yields cuts of weight 2 (unit weights).
-        let g = Graph::cycle(6);
-        let w = EdgeWeights::uniform(&g);
-        let mut tree = g.full_subgraph();
-        tree.remove(crate::EdgeId(5));
-        assert_eq!(tree_respecting_min_cut(&g, &w, &tree), Some(2));
-    }
-
-    #[test]
-    fn tree_respecting_cut_rejects_non_trees() {
-        let g = Graph::cycle(4);
-        let w = EdgeWeights::uniform(&g);
-        assert_eq!(tree_respecting_min_cut(&g, &w, &g.full_subgraph()), None);
-    }
-
-    #[test]
-    fn sampled_min_cut_matches_stoer_wagner() {
-        for seed in 0..6 {
-            let g = generate::random_connected(12, 14, seed + 60);
-            let w = generate::random_weights(&g, 8, seed + 70);
-            let exact = crate::algorithms::stoer_wagner_min_cut(&g, &w).unwrap();
-            let sampled = sampled_min_cut(&g, &w, 30, seed).unwrap();
-            // Sampled cuts are real cuts, hence ≥ the minimum…
-            assert!(sampled >= exact, "seed {seed}: {sampled} < {exact}");
-            // …and with 30 samples on 12 nodes they find it.
-            assert_eq!(sampled, exact, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn sampled_min_cut_finds_planted_bridge() {
-        // Two dense blobs joined by one light edge: the cut is obvious
-        // and every sampled tree 1-respects it.
-        let g = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 0),
-                (0, 2),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 4),
-                (5, 7),
-                (3, 4),
-            ],
-        );
-        let mut w = EdgeWeights::uniform(&g);
-        for e in g.edges() {
-            w.set(e, 10);
-        }
-        w.set(g.find_edge(NodeId(3), NodeId(4)).unwrap(), 1);
-        assert_eq!(sampled_min_cut(&g, &w, 10, 1), Some(1));
     }
 
     #[test]

@@ -140,21 +140,6 @@ impl Subgraph {
             bits: self.bits.iter().map(|&b| !b).collect(),
         }
     }
-
-    /// Per-node indicator strings as the paper distributes them: node `u`
-    /// learns, for each incident edge, whether it is in `M`.
-    ///
-    /// Returns, for each node, its incident `(edge, in_m)` view.
-    pub fn node_views(&self, host: &Graph) -> Vec<Vec<(EdgeId, bool)>> {
-        host.nodes()
-            .map(|u| {
-                host.incident(u)
-                    .iter()
-                    .map(|&(e, _)| (e, self.contains(e)))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -212,19 +197,6 @@ mod tests {
         let c = s.complement();
         assert_eq!(c.edge_count(), 2);
         assert!(!c.contains(EdgeId(2)));
-    }
-
-    #[test]
-    fn node_views_are_consistent() {
-        let g = Graph::cycle(4);
-        let mut s = Subgraph::empty(&g);
-        s.insert(EdgeId(0));
-        let views = s.node_views(&g);
-        // The two endpoints of e0 see it as present; consistency of the
-        // indicator variables x_{u,v} = x_{v,u} of Appendix A.2.
-        let (u, v) = g.endpoints(EdgeId(0));
-        assert!(views[u.index()].iter().any(|&(e, b)| e == EdgeId(0) && b));
-        assert!(views[v.index()].iter().any(|&(e, b)| e == EdgeId(0) && b));
     }
 
     #[test]

@@ -20,9 +20,6 @@
 //!   that the Carol/David-paid traffic stays within the `6kB`-per-round
 //!   budget the proof of Theorem 3.5 uses. [`audited_flood`] is the one
 //!   audited workload every Theorem 3.5 experiment runs;
-//! * [`replay`] — the simulation *performed*: three parties holding only
-//!   their owned node states re-execute the algorithm, exchanging exactly
-//!   the entitled messages, and reproduce the direct run bit for bit;
 //! * [`campaign`] — the grid-sweep adapter: one Γ×L parameter point run
 //!   deterministically, under any telemetry sink, for the `qdc-harness`
 //!   campaign runner.
@@ -32,7 +29,6 @@
 
 pub mod campaign;
 pub mod network;
-pub mod replay;
 pub mod simulate;
 
 pub use campaign::{SimThmOutcome, SimThmPoint};

@@ -133,7 +133,7 @@ impl ThreePartyAudit {
 /// differs (it must be told the message to keep simulating). Messages
 /// inside one party are free, and so is everything the server sends
 /// (Definition 3.1), so the answer is Carol, David or `None`.
-pub(crate) fn payer(net: &SimulationNetwork, from: NodeId, to: NodeId, t: usize) -> Option<Party> {
+fn payer(net: &SimulationNetwork, from: NodeId, to: NodeId, t: usize) -> Option<Party> {
     let sender = net.owner(from, t);
     (sender != Party::Server && sender != net.owner(to, t + 1)).then_some(sender)
 }

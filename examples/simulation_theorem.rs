@@ -1,6 +1,6 @@
 //! The Quantum Simulation Theorem in action: run a real distributed
-//! algorithm on the hard network, and watch Carol, David and the server
-//! re-enact it with O(B log L) communication per round.
+//! algorithm on the hard network, and audit what Carol and David pay to
+//! simulate it with the server: O(B log L) bits per round.
 //!
 //! ```sh
 //! cargo run --release --example simulation_theorem
