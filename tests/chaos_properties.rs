@@ -220,7 +220,8 @@ proptest! {
             );
             for v in g.nodes() {
                 expected[v.index()].sort_by_key(|e| e.1);
-                let got: Vec<_> = nodes[v.index()].received.iter().filter(|e| e.0 == r).cloned().collect();
+                let received = nodes[v.index()].received.iter();
+                let got: Vec<_> = received.filter(|e| e.0 == r).cloned().collect();
                 prop_assert_eq!(&got, &expected[v.index()], "node {} inbox in round {}", v, r);
             }
         }

@@ -165,8 +165,6 @@ fn simthm_grid_largest_trace_is_8_bytes_a_record() {
 
 /// At L = 3 no round fits the theorem's premise `t ≤ L/2 − 2`, so the
 /// horizon saturates at 0 and the point runs no round, as at L = 5.
-/// `L/2 − 2` once wrapped there: a debug build panicked and a release
-/// campaign recorded a horizon of `u64::MAX` and ran past the premise.
 #[test]
 fn simthm_points_at_l3_and_l5_run_no_round() {
     for l in [3, 5] {
