@@ -53,17 +53,11 @@ pub fn gv_log2_size_bound(n: usize, d: usize) -> f64 {
 /// pairwise Hamming distance.
 #[derive(Clone, Debug)]
 pub struct BinaryCode {
-    n: usize,
     min_distance: usize,
     words: Vec<Vec<bool>>,
 }
 
 impl BinaryCode {
-    /// Block length.
-    pub fn block_length(&self) -> usize {
-        self.n
-    }
-
     /// Certified minimum distance.
     pub fn min_distance(&self) -> usize {
         self.min_distance
@@ -120,7 +114,6 @@ pub fn greedy_lexicographic_code(n: usize, d: usize) -> BinaryCode {
         }
     }
     BinaryCode {
-        n,
         min_distance: d,
         words,
     }
@@ -149,7 +142,6 @@ pub fn greedy_random_code(
         }
     }
     BinaryCode {
-        n,
         min_distance: d,
         words,
     }
@@ -230,7 +222,6 @@ mod tests {
     #[test]
     fn code_accessors() {
         let code = greedy_lexicographic_code(4, 2);
-        assert_eq!(code.block_length(), 4);
         assert_eq!(code.min_distance(), 2);
         assert!(!code.is_empty());
     }

@@ -3,13 +3,10 @@
 //! A **1-fooling set** for `f` is a set `F` of input pairs with
 //! `f(x, y) = 1` for every `(x, y) ∈ F`, and for every two pairs
 //! `(x, y), (x′, y′) ∈ F`, `f(x, y′) = 0` or `f(x′, y) = 0` (Section 6).
-//! Fooling sets certify:
-//!
-//! * the classic deterministic bound `D(f) ≥ log₂|F|`;
-//! * the Klauck–de Wolf one-sided-error *quantum* bound
-//!   `Q*₀,½(f) ≥ (log₂ fool¹(f))/4 − 1/2`, which the paper routes through
-//!   Lemma 3.2 to get the same bound in the **Server model**
-//!   (`(1−ε)·4^{−2Q} ≤ 1/fool¹(f)`).
+//! Fooling sets certify the Klauck–de Wolf one-sided-error *quantum*
+//! bound `Q*₀,½(f) ≥ (log₂ fool¹(f))/4 − 1/2`, which the paper routes
+//! through Lemma 3.2 to get the same bound in the **Server model**
+//! (`(1−ε)·4^{−2Q} ≤ 1/fool¹(f)`).
 
 use crate::codes::BinaryCode;
 use crate::problems::TwoPartyFunction;
@@ -80,15 +77,6 @@ impl FoolingSet {
         Ok(())
     }
 
-    /// Deterministic communication lower bound `⌈log₂|F|⌉` bits.
-    pub fn deterministic_bound(&self) -> usize {
-        if self.pairs.len() <= 1 {
-            0
-        } else {
-            self.log2_size().ceil() as usize
-        }
-    }
-
     /// The Klauck–de Wolf one-sided-error quantum bound
     /// `Q*₀,½ ≥ (log₂|F|)/4 − 1/2` (in bits; can be ≤ 0 for tiny sets).
     pub fn kdw_quantum_bound(&self) -> f64 {
@@ -129,21 +117,6 @@ pub fn gap_equality_fooling_set(code: &BinaryCode, delta: usize) -> FoolingSet {
     )
 }
 
-/// The classic fooling set for Set Disjointness on `n` bits:
-/// `{(S, complement(S)) : S ⊆ [n]}`, of size `2ⁿ`. For testability the
-/// size is capped by enumerating only `2^min(n, cap)` subsets (prefix
-/// subsets), which is still a valid fooling set.
-pub fn disjointness_fooling_set(n: usize, cap: usize) -> FoolingSet {
-    let k = n.min(cap).min(20);
-    let mut pairs = Vec::with_capacity(1 << k);
-    for s in 0u64..(1 << k) {
-        let x: Vec<bool> = (0..n).map(|i| i < k && s >> i & 1 == 1).collect();
-        let y: Vec<bool> = x.iter().map(|&b| !b).collect();
-        pairs.push((x, y));
-    }
-    FoolingSet::from_pairs(pairs)
-}
-
 /// The diagonal fooling set for exact Equality: `{(x, x)}` over all
 /// `2^min(n, cap)` prefix-supported strings.
 pub fn equality_fooling_set(n: usize, cap: usize) -> FoolingSet {
@@ -160,22 +133,13 @@ pub fn equality_fooling_set(n: usize, cap: usize) -> FoolingSet {
 mod tests {
     use super::*;
     use crate::codes::greedy_lexicographic_code;
-    use crate::problems::{Disjointness, Equality, GapEquality};
+    use crate::problems::{Equality, GapEquality};
 
     #[test]
     fn equality_fooling_set_is_valid() {
         let fs = equality_fooling_set(8, 6);
         assert_eq!(fs.len(), 64);
         assert!(fs.verify(&Equality::new(8)).is_ok());
-        assert_eq!(fs.deterministic_bound(), 6);
-    }
-
-    #[test]
-    fn disjointness_fooling_set_is_valid() {
-        let fs = disjointness_fooling_set(10, 8);
-        assert_eq!(fs.len(), 256);
-        assert!(fs.verify(&Disjointness::new(10)).is_ok());
-        assert_eq!(fs.deterministic_bound(), 8);
     }
 
     #[test]
@@ -232,6 +196,5 @@ mod tests {
         let large = equality_fooling_set(12, 12);
         assert!(large.kdw_quantum_bound() > small.kdw_quantum_bound());
         assert!(large.server_model_bound(0.25) > small.server_model_bound(0.25));
-        assert_eq!(FoolingSet::default().deterministic_bound(), 0);
     }
 }

@@ -4,18 +4,14 @@
 //!
 //! * concrete **problems** — Equality, Set Disjointness, Inner Product,
 //!   `IPmod3` and the gap version `δ-Eq` (Section 6) — in [`problems`];
-//! * executable **two-party protocols** with bit-exact cost accounting in
-//!   [`twoparty`];
 //! * the **Server model** (Definition 3.1: Carol, David, and a server that
-//!   talks for free) in [`server`], including the classical
-//!   two-party ⇄ server equivalence simulation sketched in Section 3.1;
+//!   talks for free) in [`server`], with bit-exact costs and the classical
+//!   two-party ⇄ server equivalence simulation sketched in Section 3.1,
+//!   whose transcripts are the [`twoparty`] records;
 //! * **fooling sets** and the one-sided quantum bound of Klauck–de Wolf
 //!   used for `δ-Eq` in [`fooling`];
 //! * greedy **Gilbert–Varshamov codes** (the fooling-set raw material,
 //!   Section 6) in [`codes`];
-//! * **communication matrices and rank bounds** (log-rank over GF(2) and
-//!   the reals) in [`rank`], and **protocol trees with their rectangle
-//!   decomposition** (the KN97 foundations) in [`trees`];
 //! * the **spectral quantities of Appendix B.3** (the strongly balanced
 //!   4×4 gadget matrix with ‖A_g‖ = 2√2, Paturi's degree bound, and the
 //!   composed `IPmod3` lower bound) in [`norms`].
@@ -39,7 +35,5 @@ pub mod codes;
 pub mod fooling;
 pub mod norms;
 pub mod problems;
-pub mod rank;
 pub mod server;
-pub mod trees;
 pub mod twoparty;

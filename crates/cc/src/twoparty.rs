@@ -1,14 +1,11 @@
-//! Executable two-party protocols with bit-exact cost accounting.
+//! The two-party record: who sent each bit, and what it cost.
 //!
 //! The standard model (Kushilevitz–Nisan, referenced as \[KN97\] by the
 //! paper): Alice holds `x`, Bob holds `y`, they alternate messages, and
-//! the cost is the total number of bits exchanged. Protocols here are
-//! state machines producing explicit transcripts, so tests can check both
-//! correctness and cost, and the Server-model equivalence simulation can
-//! replay them.
-
-use crate::problems::TwoPartyFunction;
-use rand::Rng;
+//! the cost is the total number of bits exchanged.
+//! [`crate::server::simulate_in_two_party`] reports its runs as a
+//! [`TwoPartyRun`], whose explicit transcript lets tests check that the
+//! two-party cost equals the Server-model cost bit for bit.
 
 /// Which party moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,267 +33,5 @@ impl TwoPartyRun {
     /// Total communication cost in bits.
     pub fn total_bits(&self) -> usize {
         self.alice_bits + self.bob_bits
-    }
-}
-
-/// A two-party protocol for some boolean function.
-pub trait TwoPartyProtocol {
-    /// Runs on `(x, y)` with the given randomness source (public coins).
-    fn run<R: Rng + ?Sized>(&self, x: &[bool], y: &[bool], rng: &mut R) -> TwoPartyRun;
-
-    /// Worst-case communication in bits (for cost assertions).
-    fn worst_case_bits(&self) -> usize;
-}
-
-/// The trivial deterministic protocol: Alice sends all of `x`, Bob
-/// computes `f(x, y)` and sends the answer back. Cost `n + 1`. Works for
-/// any total function; it is the upper bound every lower bound is
-/// compared against.
-#[derive(Clone, Debug)]
-pub struct TrivialProtocol<F> {
-    f: F,
-}
-
-impl<F: TwoPartyFunction> TrivialProtocol<F> {
-    /// Wraps `f`.
-    pub fn new(f: F) -> Self {
-        TrivialProtocol { f }
-    }
-}
-
-impl<F: TwoPartyFunction> TwoPartyProtocol for TrivialProtocol<F> {
-    fn run<R: Rng + ?Sized>(&self, x: &[bool], y: &[bool], _rng: &mut R) -> TwoPartyRun {
-        let mut transcript: Vec<(Party, bool)> = x.iter().map(|&b| (Party::Alice, b)).collect();
-        let output = self.f.evaluate(x, y);
-        transcript.push((Party::Bob, output));
-        TwoPartyRun {
-            output,
-            alice_bits: x.len(),
-            bob_bits: 1,
-            transcript,
-        }
-    }
-
-    fn worst_case_bits(&self) -> usize {
-        self.f.input_bits() + 1
-    }
-}
-
-/// Public-coin randomized Equality: `k` rounds of random-inner-product
-/// fingerprinting. Each round, a shared random string `r` is drawn; Alice
-/// sends `⟨x, r⟩ mod 2`, Bob compares with `⟨y, r⟩ mod 2` and replies
-/// with the comparison. One-sided error: if `x = y` the protocol always
-/// accepts; if `x ≠ y` each round catches the difference with probability
-/// 1/2, so it errs with probability `2^{-k}`. Cost `2k` bits.
-#[derive(Clone, Copy, Debug)]
-pub struct FingerprintEquality {
-    n: usize,
-    repetitions: usize,
-}
-
-impl FingerprintEquality {
-    /// Equality on `n`-bit strings with `repetitions` fingerprint rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repetitions == 0`.
-    pub fn new(n: usize, repetitions: usize) -> Self {
-        assert!(repetitions > 0, "need at least one repetition");
-        FingerprintEquality { n, repetitions }
-    }
-
-    /// Error probability on unequal inputs: `2^{-repetitions}`.
-    pub fn error_probability(&self) -> f64 {
-        2f64.powi(-(self.repetitions as i32))
-    }
-}
-
-impl TwoPartyProtocol for FingerprintEquality {
-    fn run<R: Rng + ?Sized>(&self, x: &[bool], y: &[bool], rng: &mut R) -> TwoPartyRun {
-        assert_eq!(x.len(), self.n, "x has wrong length");
-        assert_eq!(y.len(), self.n, "y has wrong length");
-        let mut transcript = Vec::new();
-        let mut alice_bits = 0;
-        let mut bob_bits = 0;
-        let mut equal = true;
-        for _ in 0..self.repetitions {
-            // Public coin: both parties see the same random string.
-            let r: Vec<bool> = (0..self.n).map(|_| rng.gen()).collect();
-            let ax = x.iter().zip(&r).filter(|&(&a, &b)| a && b).count() % 2 == 1;
-            let by = y.iter().zip(&r).filter(|&(&a, &b)| a && b).count() % 2 == 1;
-            transcript.push((Party::Alice, ax));
-            alice_bits += 1;
-            let agree = ax == by;
-            transcript.push((Party::Bob, agree));
-            bob_bits += 1;
-            if !agree {
-                equal = false;
-                break;
-            }
-        }
-        TwoPartyRun {
-            output: equal,
-            alice_bits,
-            bob_bits,
-            transcript,
-        }
-    }
-
-    fn worst_case_bits(&self) -> usize {
-        2 * self.repetitions
-    }
-}
-
-/// Deterministic block protocol for Inner Product mod 3: Alice streams
-/// `x` in `w`-bit blocks; Bob accumulates partial inner products and
-/// finally announces the 2-bit residue. Cost `n + 2`. (No deterministic
-/// protocol can do substantially better — that is Theorem 6.1.)
-#[derive(Clone, Copy, Debug)]
-pub struct StreamingIpMod3 {
-    n: usize,
-}
-
-impl StreamingIpMod3 {
-    /// `IPmod3` protocol on `n`-bit inputs.
-    pub fn new(n: usize) -> Self {
-        StreamingIpMod3 { n }
-    }
-}
-
-impl TwoPartyProtocol for StreamingIpMod3 {
-    fn run<R: Rng + ?Sized>(&self, x: &[bool], y: &[bool], _rng: &mut R) -> TwoPartyRun {
-        assert_eq!(x.len(), self.n, "x has wrong length");
-        assert_eq!(y.len(), self.n, "y has wrong length");
-        let mut transcript: Vec<(Party, bool)> = x.iter().map(|&b| (Party::Alice, b)).collect();
-        let residue = x.iter().zip(y).filter(|&(&a, &b)| a && b).count() % 3;
-        transcript.push((Party::Bob, residue & 1 == 1));
-        transcript.push((Party::Bob, residue & 2 == 2));
-        TwoPartyRun {
-            output: residue == 0,
-            alice_bits: self.n,
-            bob_bits: 2,
-            transcript,
-        }
-    }
-
-    fn worst_case_bits(&self) -> usize {
-        self.n + 2
-    }
-}
-
-/// Empirical error rate of a protocol against the truth function over
-/// random inputs — used to validate randomized protocols' stated error.
-pub fn measure_error<P, F, R>(protocol: &P, truth: &F, trials: usize, rng: &mut R) -> f64
-where
-    P: TwoPartyProtocol,
-    F: TwoPartyFunction,
-    R: Rng + ?Sized,
-{
-    let n = truth.input_bits();
-    let mut errors = 0usize;
-    let mut counted = 0usize;
-    for _ in 0..trials {
-        let x: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-        let y: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-        if !truth.in_promise(&x, &y) {
-            continue;
-        }
-        counted += 1;
-        let run = protocol.run(&x, &y, rng);
-        if run.output != truth.evaluate(&x, &y) {
-            errors += 1;
-        }
-    }
-    if counted == 0 {
-        0.0
-    } else {
-        errors as f64 / counted as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::problems::{Equality, InnerProduct, IpMod3};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn trivial_protocol_is_exact_with_stated_cost() {
-        let p = TrivialProtocol::new(InnerProduct::new(6));
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        for _ in 0..30 {
-            let x: Vec<bool> = (0..6).map(|_| rng.gen()).collect();
-            let y: Vec<bool> = (0..6).map(|_| rng.gen()).collect();
-            let run = p.run(&x, &y, &mut rng);
-            assert_eq!(run.output, InnerProduct::new(6).evaluate(&x, &y));
-            assert_eq!(run.total_bits(), 7);
-            assert_eq!(run.transcript.len(), 7);
-        }
-        assert_eq!(p.worst_case_bits(), 7);
-    }
-
-    #[test]
-    fn fingerprint_equality_never_rejects_equal_inputs() {
-        let p = FingerprintEquality::new(32, 10);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        for _ in 0..50 {
-            let x: Vec<bool> = (0..32).map(|_| rng.gen()).collect();
-            let run = p.run(&x, &x.clone(), &mut rng);
-            assert!(run.output, "one-sided error: equal inputs always accepted");
-        }
-    }
-
-    #[test]
-    fn fingerprint_equality_error_rate_matches_bound() {
-        // With 1 repetition the error on unequal inputs is exactly 1/2 in
-        // expectation over the coin (for x ≠ y, ⟨x−y, r⟩ is balanced).
-        let p = FingerprintEquality::new(16, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let x: Vec<bool> = (0..16).map(|_| rng.gen()).collect();
-        let mut y = x.clone();
-        y[5] = !y[5];
-        let mut wrong = 0;
-        for _ in 0..4000 {
-            if p.run(&x, &y, &mut rng).output {
-                wrong += 1;
-            }
-        }
-        let rate = wrong as f64 / 4000.0;
-        assert!((rate - 0.5).abs() < 0.05, "round error rate {rate}");
-        assert!((p.error_probability() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fingerprint_cost_is_logarithmic_not_linear() {
-        let p = FingerprintEquality::new(1 << 16, 20);
-        assert_eq!(p.worst_case_bits(), 40);
-        // Versus the trivial protocol's 65537 bits.
-        assert!(
-            p.worst_case_bits() < TrivialProtocol::new(Equality::new(1 << 16)).worst_case_bits()
-        );
-    }
-
-    #[test]
-    fn measured_error_of_fingerprinting_is_small() {
-        let p = FingerprintEquality::new(12, 8);
-        let truth = Equality::new(12);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let err = measure_error(&p, &truth, 2000, &mut rng);
-        assert!(err < 0.02, "measured error {err}");
-    }
-
-    #[test]
-    fn streaming_ipmod3_is_exact() {
-        let p = StreamingIpMod3::new(9);
-        let f = IpMod3::new(9);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for _ in 0..50 {
-            let x: Vec<bool> = (0..9).map(|_| rng.gen()).collect();
-            let y: Vec<bool> = (0..9).map(|_| rng.gen()).collect();
-            let run = p.run(&x, &y, &mut rng);
-            assert_eq!(run.output, f.evaluate(&x, &y));
-            assert_eq!(run.total_bits(), 11);
-        }
     }
 }

@@ -152,14 +152,6 @@ pub fn theorem38_certificate(
     cert
 }
 
-/// Sanity relation between the certificate and the closed-form curve:
-/// both scale the same way (used in tests and the harness).
-pub fn certificate_tracks_curve(n: usize, bandwidth: usize) -> (f64, f64) {
-    let cert = theorem36_certificate(n, bandwidth, &CompositionConstants::default());
-    let curve = crate::bounds::verification_lower_bound(n, bandwidth);
-    (cert.rounds, curve)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,8 +170,11 @@ mod tests {
 
     #[test]
     fn certificate_and_curve_agree_in_shape() {
-        let (c1, f1) = certificate_tracks_curve(1 << 14, 16);
-        let (c2, f2) = certificate_tracks_curve(1 << 18, 16);
+        let c = CompositionConstants::default();
+        let c1 = theorem36_certificate(1 << 14, 16, &c).rounds;
+        let c2 = theorem36_certificate(1 << 18, 16, &c).rounds;
+        let f1 = crate::bounds::verification_lower_bound(1 << 14, 16);
+        let f2 = crate::bounds::verification_lower_bound(1 << 18, 16);
         let cert_growth = c2 / c1;
         let curve_growth = f2 / f1;
         assert!(

@@ -3,40 +3,18 @@
 //!
 //! The paper notes that Hamiltonian-cycle hardness transfers by cheap
 //! deterministic reductions to spanning tree, connectivity and
-//! s-t connectivity in the communication setting. This module makes those
-//! reductions executable on the gadget instances:
+//! s-t connectivity in the communication setting. Ham → ST is
+//! [`crate::ham_to_st`]; this module reads the Gap-Eq gadget instances
+//! as the other two:
 //!
-//! * **Ham → ST**: after the (free) degree-2 check, deleting one fixed
-//!   edge turns "is a Hamiltonian cycle" into "is a spanning tree";
 //! * **Gap-Eq → Gap-Connectivity**: the [`crate::gapeq_to_ham`] instance
 //!   *is* a connectivity instance — connected iff `x = y`, and `Δ(x, y)`
 //!   mismatches leave it exactly `Δ` edge-additions away from connected;
 //! * **Gap-Eq → s-t connectivity**: the two end caps of the same instance
 //!   are connected iff `x = y`.
 
-use crate::gapeq_ham::{gapeq_to_ham, node_count_for};
-use crate::instance::TwoPartyGraphInstance;
-use qdc_graph::{EdgeId, NodeId, Subgraph};
-
-/// The Ham → ST instance: the same graph with one designated edge
-/// removed from the evaluated subgraph. For inputs where every node has
-/// degree 2 (all gadget instances), the remainder is a spanning tree iff
-/// the original was a Hamiltonian cycle.
-///
-/// Returns `(subgraph-with-edge-removed, removed-edge)`.
-///
-/// # Panics
-///
-/// Panics if the instance has no edges.
-pub fn ham_to_st_instance(inst: &TwoPartyGraphInstance) -> (Subgraph, EdgeId) {
-    let mut sub = inst.full_subgraph();
-    let removed = *inst
-        .carol_edges()
-        .first()
-        .expect("gadget instances have Carol edges");
-    sub.remove(removed);
-    (sub, removed)
-}
+use crate::gapeq_ham::node_count_for;
+use qdc_graph::NodeId;
 
 /// The s-t pair for the Gap-Eq instance's s-t connectivity reading: the
 /// left cap node and the right cap node (`x = y` ⟺ they share the single
@@ -46,46 +24,19 @@ pub fn gapeq_st_pair(n_bits: usize) -> (NodeId, NodeId) {
     (NodeId::from(base), NodeId::from(base + 2))
 }
 
-/// Convenience: builds the Gap-Eq instance together with its
-/// connectivity/s-t-connectivity reading.
-pub fn gapeq_connectivity_instance(
-    x: &[bool],
-    y: &[bool],
-) -> (TwoPartyGraphInstance, NodeId, NodeId) {
-    let inst = gapeq_to_ham(x, y);
-    let (s, t) = gapeq_st_pair(x.len());
-    (inst, s, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ipmod3_to_ham;
+    use crate::gapeq_to_ham;
     use qdc_graph::{generate, predicates};
-
-    #[test]
-    fn ham_to_st_instance_flips_correctly() {
-        for seed in 0..6 {
-            let x = generate::random_bits(24, seed);
-            let y = generate::random_bits(24, seed + 50);
-            let inst = ipmod3_to_ham(&x, &y);
-            let was_ham = predicates::is_hamiltonian_cycle(inst.graph(), &inst.full_subgraph());
-            let (st_sub, removed) = ham_to_st_instance(&inst);
-            assert!(!st_sub.contains(removed));
-            assert_eq!(
-                predicates::is_spanning_tree(inst.graph(), &st_sub),
-                was_ham,
-                "seed {seed}"
-            );
-        }
-    }
 
     #[test]
     fn gapeq_connectivity_reads_equality() {
         let n = 20;
         let x = generate::random_bits(n, 7);
+        let (s, t) = gapeq_st_pair(n);
         // Equal: connected (spanning).
-        let (inst, s, t) = gapeq_connectivity_instance(&x, &x.clone());
+        let inst = gapeq_to_ham(&x, &x.clone());
         let sub = inst.full_subgraph();
         assert!(predicates::is_spanning_connected_subgraph(
             inst.graph(),
@@ -97,7 +48,7 @@ mod tests {
         for j in 0..4 {
             y[5 * j] = !y[5 * j];
         }
-        let (inst, s, t) = gapeq_connectivity_instance(&x, &y);
+        let inst = gapeq_to_ham(&x, &y);
         let sub = inst.full_subgraph();
         assert!(!predicates::st_connected(inst.graph(), &sub, s, t));
         assert_eq!(

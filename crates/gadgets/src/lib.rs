@@ -15,8 +15,8 @@
 //!   irrelevant to the Ω(βn) gap);
 //! * [`ham_to_st`] — the Ham → spanning-tree reduction used in the proof
 //!   of Theorem 3.6 (check degrees, delete one edge);
-//! * [`corollaries`] — the Corollary 3.10 transfers: the same instances
-//!   read as spanning-tree, connectivity and s-t-connectivity problems.
+//! * [`corollaries`] — the Corollary 3.10 transfers: the Gap-Eq
+//!   instances read as connectivity and s-t-connectivity problems.
 //!
 //! The gadget wirings are our own (the paper's figures pin down only the
 //! boundary interface); every stated invariant — Observation 7.1,

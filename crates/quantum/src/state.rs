@@ -164,11 +164,6 @@ impl StateVector {
         self.apply_controlled(crate::gates::X, control, target);
     }
 
-    /// Controlled-Z (symmetric in its arguments).
-    pub fn apply_cz(&mut self, a: usize, b: usize) {
-        self.apply_controlled(crate::gates::Z, a, b);
-    }
-
     /// Measures qubit `q` in the computational basis, collapsing the state.
     /// Returns the observed bit.
     ///
@@ -374,17 +369,6 @@ mod tests {
         s.apply_single(gates::X, 0);
         s.apply_controlled(gates::X, 0, 1);
         assert!((s.probability_of(0b11) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn cz_is_symmetric() {
-        let mut a = StateVector::zeros(2);
-        a.apply_single(gates::H, 0);
-        a.apply_single(gates::H, 1);
-        let mut b = a.clone();
-        a.apply_cz(0, 1);
-        b.apply_cz(1, 0);
-        assert!((a.fidelity(&b) - 1.0).abs() < EPS);
     }
 
     #[test]
