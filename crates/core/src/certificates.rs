@@ -3,13 +3,15 @@
 //!
 //! The proofs of Theorems 3.6 and 3.8 are numeric compositions: a
 //! Server-model bound `Q ≥ c′·Γ` (Theorem 3.4), a simulation cost
-//! `Q ≤ c·B·log₂L·T` for any `T ≤ L/2 − 2` (Theorem 3.5), and a choice
+//! `Q ≤ c·B·log₂L·T` for any `T` up to the horizon `⌊L/2⌋ − 2` in whole
+//! rounds ([`qdc_simthm::network::horizon`], Theorem 3.5), and a choice
 //! of `(L, Γ)` making the two collide unless `T` is large. A
 //! [`BoundCertificate`] carries that whole derivation as data: every
 //! inequality evaluated, every constant explicit, so the final `Ω(·)`
 //! value is auditable step by step (and printable by the harnesses).
 
 use crate::theorems::{theorem36_params, theorem38_params, TheoremParams};
+use qdc_simthm::network::horizon;
 
 /// The explicit constants of the composition.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -65,31 +67,30 @@ fn compose(
     consts: &CompositionConstants,
     statement: String,
 ) -> BoundCertificate {
-    let l = params.l as f64;
     let gamma = params.gamma as f64;
     let log_l = ((params.l.max(3) - 1) as f64).log2().max(1.0);
     let server_bound = consts.server_constant * gamma;
     let per_round = consts.simulation_constant * bandwidth as f64 * log_l;
-    // If T ≤ L/2 − 2, simulation gives Q ≤ per_round · T, so
-    // Q ≥ server_bound forces T ≥ server_bound / per_round — unless that
-    // already exceeds the horizon, in which case the horizon itself is
-    // the bound (the algorithm cannot finish within it at all).
-    let horizon = (l / 2.0 - 2.0).max(1.0);
+    // If T is within the horizon (T ≤ L/2 − 2 in whole rounds, 0 for
+    // L < 6), simulation gives Q ≤ per_round · T, so Q ≥ server_bound
+    // forces T ≥ server_bound / per_round — unless that already exceeds
+    // the horizon, in which case the horizon itself is the bound (the
+    // algorithm cannot finish within it at all).
+    let horizon = horizon(params.l);
     let t_from_collision = server_bound / per_round;
-    let rounds = t_from_collision.min(horizon).max(0.0);
+    let rounds = t_from_collision.min(horizon as f64).max(0.0);
     let steps = vec![
         format!(
             "Theorem 3.4 (Server hardness): Q*(Ham_Γ) ≥ c′·Γ = {:.4}·{} = {:.2} qubits",
             consts.server_constant, params.gamma, server_bound
         ),
         format!(
-            "Theorem 3.5 (simulation): any T ≤ L/2−2 = {:.0} yields a Server protocol of \
-             ≤ c·B·log₂(L−1)·T = {:.1}·T qubits",
-            horizon, per_round
+            "Theorem 3.5 (simulation): any T ≤ L/2−2 = {horizon} yields a Server protocol of \
+             ≤ c·B·log₂(L−1)·T = {per_round:.1}·T qubits"
         ),
         format!(
-            "collision: {:.1}·T ≥ {:.2} forces T ≥ {:.3}; capped by the horizon {:.0}",
-            per_round, server_bound, t_from_collision, horizon
+            "collision: {per_round:.1}·T ≥ {server_bound:.2} forces T ≥ {t_from_collision:.3}; \
+             capped by the horizon {horizon}"
         ),
     ];
     BoundCertificate {
@@ -195,11 +196,12 @@ mod tests {
         assert!(rel < 0.05, "relative gap {rel}");
         assert_eq!(big_w.steps.len(), 4); // the §9.2 reduction step added
         assert!(big_w.rounds > 0.0);
-        // The small-W certificate is positive too and its derivation is
-        // well-formed (the binding branch depends on the constants; the
-        // sound statement is T ≥ min(horizon, collision)).
+        // At W = 128 the parameters give L = 4, where Theorem 3.5 grants
+        // no round (T ≤ L/2 − 2 = 0), so the sound statement
+        // T ≥ min(horizon, collision) concludes 0.
         let small_w = theorem38_certificate(n, 16, 128.0, 2.0, &c);
-        assert!(small_w.rounds > 0.0);
+        assert_eq!(small_w.params.l, 4);
+        assert_eq!(small_w.rounds, 0.0);
         assert!(small_w.render().contains("§9.2 reduction"));
     }
 
@@ -217,14 +219,31 @@ mod tests {
 
     #[test]
     fn bound_never_exceeds_horizon() {
-        // Pathological constants cannot push the bound past the horizon
-        // (L/2 − 2, floored at 1 for degenerate L).
+        // Pathological constants cannot push the bound past the horizon.
         let crazy = CompositionConstants {
             server_constant: 1e9,
             simulation_constant: 1e-9,
         };
         let cert = theorem36_certificate(1 << 12, 16, &crazy);
-        let horizon = (cert.params.l as f64 / 2.0 - 2.0).max(1.0);
-        assert!(cert.rounds <= horizon + 1e-9);
+        assert!(cert.rounds <= horizon(cert.params.l) as f64 + 1e-9);
+    }
+
+    #[test]
+    fn odd_l_horizon_is_whole_rounds() {
+        // The Theorem 3.8 row at n = 2^18, W = 256 has L = 7: the horizon
+        // is ⌊7/2⌋ − 2 = 1 round, not 1.5 (nor the 2 that rounding printed).
+        let cert = theorem38_certificate(1 << 18, 16, 256.0, 2.0, &Default::default());
+        assert_eq!(cert.params.l, 7);
+        assert_eq!(cert.rounds, 1.0);
+        assert!(
+            cert.steps[2].contains("T ≤ L/2−2 = 1 yields"),
+            "{}",
+            cert.steps[2]
+        );
+        assert!(
+            cert.steps[3].ends_with("capped by the horizon 1"),
+            "{}",
+            cert.steps[3]
+        );
     }
 }

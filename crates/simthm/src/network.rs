@@ -13,6 +13,14 @@ pub enum Party {
     Server,
 }
 
+/// The simulation horizon of Theorem 3.5 on paths of `l` nodes, in whole
+/// rounds: ownership sets stay disjoint for `t ≤ L/2 − 2`, so the last
+/// round that fits is `⌊L/2⌋ − 2`. For `L < 6` no round fits and the
+/// horizon is 0 (the subtraction saturates below `L = 4`).
+pub fn horizon(l: usize) -> usize {
+    (l / 2).saturating_sub(2)
+}
+
 /// The simulation network `N(Γ, L)` of Theorem 3.5.
 ///
 /// `Γ` **paths** of `L` nodes each, **boundary cliques** joining all track
@@ -225,11 +233,10 @@ impl SimulationNetwork {
         4 * self.k + 8
     }
 
-    /// The simulation horizon of Theorem 3.5: ownership sets stay disjoint
-    /// for `t ≤ L/2 − 2`. At `L = 3` no round fits that premise, and the
-    /// horizon saturates at 0 (as at `L = 5`).
+    /// The simulation horizon of Theorem 3.5 on this network: the
+    /// module's [`horizon`](fn@horizon) of its length `L`.
     pub fn horizon(&self) -> usize {
-        (self.l / 2).saturating_sub(2)
+        horizon(self.l)
     }
 
     /// Which party owns node `v` at time `t` (Equations 36–38, extended
@@ -374,6 +381,19 @@ mod tests {
         }
         let without = algorithms::diameter(&b.build()).unwrap();
         assert!(with * 3 < without, "highways: {with}, without: {without}");
+    }
+
+    #[test]
+    fn horizon_is_the_last_whole_round_within_l_over_2_minus_2() {
+        for l in 3..=64 {
+            let h = horizon(l);
+            // h ≤ L/2 − 2 < h + 1, doubled to stay in integers.
+            let fits = |t: usize| 2 * (t + 2) <= l;
+            assert!(h == 0 || fits(h), "L = {l}: horizon {h} too late");
+            assert!(!fits(h + 1), "L = {l}: horizon {h} too early");
+        }
+        assert_eq!(horizon(7), 1);
+        assert_eq!(horizon(8), 2);
     }
 
     #[test]
