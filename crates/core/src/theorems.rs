@@ -79,11 +79,14 @@ pub fn decide_connected_from_mst(mst_weight: u64, n: usize, alpha: f64) -> bool 
 
 /// Verifies the §9.2 separation analytically: connected `M` gives MST
 /// weight exactly `n−1`; a `δ`-far `M` forces weight at least
-/// `(n−1−δ) + δ·W`. Returns the two weights.
-pub fn thm38_weight_separation(n: usize, delta: usize, w: u64) -> (u64, u64) {
-    let connected = n as u64 - 1;
-    let far = (n as u64 - 1 - delta as u64) + delta as u64 * w;
-    (connected, far)
+/// `(n−1−δ) + δ·W`. Returns the two weights, or `None` when `n = 0`,
+/// when `δ ≥ n` (no `n−1−δ` light edges) or when the far weight
+/// exceeds `u64::MAX`.
+pub fn thm38_weight_separation(n: usize, delta: usize, w: u64) -> Option<(u64, u64)> {
+    let connected = (n as u64).checked_sub(1)?;
+    let light = connected.checked_sub(delta as u64)?;
+    let far = (delta as u64).checked_mul(w)?.checked_add(light)?;
+    Some((connected, far))
 }
 
 #[cfg(test)]
@@ -183,10 +186,20 @@ mod tests {
 
     #[test]
     fn separation_formula() {
-        let (conn, far) = thm38_weight_separation(100, 5, 1_000);
+        let (conn, far) = thm38_weight_separation(100, 5, 1_000).expect("in range");
         assert_eq!(conn, 99);
         assert_eq!(far, 94 + 5_000);
         assert!(far as f64 > 2.0 * 99.0);
+    }
+
+    #[test]
+    fn separation_is_none_where_it_would_wrap() {
+        // n − 1 below 0, n − 1 − δ below 0, and δ·W past u64::MAX.
+        assert_eq!(thm38_weight_separation(0, 0, 1), None);
+        assert_eq!(thm38_weight_separation(4, 5, 2), None);
+        assert_eq!(thm38_weight_separation(3, 2, u64::MAX), None);
+        // δ = n − 1 leaves no light edge: the far weight is δ·W.
+        assert_eq!(thm38_weight_separation(4, 3, 10), Some((3, 30)));
     }
 
     #[test]
