@@ -71,11 +71,10 @@ fn compose(
     let log_l = ((params.l.max(3) - 1) as f64).log2().max(1.0);
     let server_bound = consts.server_constant * gamma;
     let per_round = consts.simulation_constant * bandwidth as f64 * log_l;
-    // If T is within the horizon (T ≤ L/2 − 2 in whole rounds, 0 for
-    // L < 6), simulation gives Q ≤ per_round · T, so Q ≥ server_bound
-    // forces T ≥ server_bound / per_round — unless that already exceeds
-    // the horizon, in which case the horizon itself is the bound (the
-    // algorithm cannot finish within it at all).
+    // If T is within the horizon, simulation gives Q ≤ per_round · T, so
+    // Q ≥ server_bound forces T ≥ server_bound / per_round — unless that
+    // already exceeds the horizon, in which case the horizon itself is
+    // the bound (the algorithm cannot finish within it at all).
     let horizon = horizon(params.l);
     let t_from_collision = server_bound / per_round;
     let rounds = t_from_collision.min(horizon as f64).max(0.0);
@@ -230,8 +229,8 @@ mod tests {
 
     #[test]
     fn odd_l_horizon_is_whole_rounds() {
-        // The Theorem 3.8 row at n = 2^18, W = 256 has L = 7: the horizon
-        // is ⌊7/2⌋ − 2 = 1 round, not 1.5 (nor the 2 that rounding printed).
+        // The Theorem 3.8 row at n = 2^18, W = 256 has L = 7, whose horizon
+        // is ⌊7/2⌋ − 2 = 1 whole round.
         let cert = theorem38_certificate(1 << 18, 16, 256.0, 2.0, &Default::default());
         assert_eq!(cert.params.l, 7);
         assert_eq!(cert.rounds, 1.0);
