@@ -57,9 +57,13 @@ fn is_production(rel: &Path) -> bool {
     }
 }
 
+fn is_word_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
 fn word_counts(text: &str) -> HashMap<&str, usize> {
     let mut counts = HashMap::new();
-    for word in text.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+    for word in text.split(|c: char| !is_word_char(c)) {
         *counts.entry(word).or_insert(0) += 1;
     }
     counts
@@ -102,8 +106,10 @@ fn every_public_fn_outside_the_keep_list_is_used() {
             else {
                 continue;
             };
-            let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'));
-            let name = &rest[..end.unwrap_or(rest.len())];
+            let name = rest
+                .split(|c: char| !is_word_char(c))
+                .next()
+                .unwrap_or(rest);
             if total[name] == own[name] && prod_counts[name] == 1 {
                 unused.insert(name, rel.display().to_string());
             }
