@@ -89,7 +89,8 @@ pub use chaos::{ChaosConfig, FaultAction, FaultPlan, FaultStats};
 pub use message::Message;
 pub use sim::{
     ChannelKind, CongestConfig, Inbox, NodeAlgorithm, NodeInfo, Outbox, RunOptions, RunReport,
-    SimError, Simulator, StepSummary, Stepper, TracedMessage, TrafficTrace, WatchdogReport,
+    SimError, Simulator, StepSummary, Stepper, TracedMessage, TracedRound, TracedRoundIter,
+    TrafficTrace, WatchdogReport,
 };
 pub use stream::{
     read_aggregate, StreamAggregate, StreamHeader, StreamReader, StreamRecord, StreamSink,

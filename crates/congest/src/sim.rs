@@ -450,10 +450,8 @@ pub struct RunReport {
     pub bits_corrupted: u64,
 }
 
-/// One delivered message in a [`TrafficTrace`]: an 8-byte record of the
-/// crossed edge and the payload's bit count. A trace holds one per
-/// delivery (441 284 in a Γ = 35, L = 129 Theorem 3.5 point), so the
-/// record's size sets the trace's.
+/// One delivered message in a [`TrafficTrace`]: the crossed edge and the
+/// payload's bit count, as a [`TracedRound`] hands it out when iterated.
 ///
 /// The sender and receiver are not stored: they are the edge's
 /// endpoints, which the [`Graph`] the run was on holds once. The top bit
@@ -526,6 +524,107 @@ impl std::fmt::Debug for TracedMessage {
     }
 }
 
+/// The messages delivered in one round of a [`TrafficTrace`], in
+/// delivery order, at 4 bytes a delivery while they share a bit count.
+///
+/// The round keeps each delivery's `u32` edge word and one bit count for
+/// the whole round. A flood sends every label at one width, so that is
+/// all a fault-free Theorem 3.5 round needs: 441 284 deliveries of a
+/// Γ = 35, L = 129 point fit in 2.56 MB of reserved edge words. The
+/// first delivery whose count differs (a payload that chaos truncated)
+/// gives the round a column with each delivery's own count.
+///
+/// Iterating a round yields each delivery as a [`TracedMessage`].
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct TracedRound {
+    /// One [`TracedMessage`] edge word per delivery.
+    edges: Vec<u32>,
+    /// Every delivery's bit count while `counts` is empty.
+    bits: u32,
+    /// Each delivery's bit count once they differ, else empty.
+    counts: Vec<u32>,
+}
+
+impl TracedRound {
+    fn push(&mut self, message: TracedMessage) {
+        if self.edges.is_empty() {
+            self.bits = message.bits;
+        } else if self.counts.is_empty() && message.bits != self.bits {
+            self.counts = vec![self.bits; self.edges.len()];
+        }
+        if !self.counts.is_empty() {
+            self.counts.push(message.bits);
+        }
+        self.edges.push(message.edge);
+    }
+
+    /// Number of messages delivered in the round.
+    pub fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Whether the round delivered nothing.
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// The round's messages in delivery order.
+    pub fn iter(&self) -> TracedRoundIter<'_> {
+        TracedRoundIter {
+            round: self,
+            next: 0,
+        }
+    }
+
+    /// Bytes the round's columns have reserved: 4 per edge-word slot,
+    /// plus 4 per count slot once the counts differ.
+    pub fn reserved_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() * (self.edges.capacity() + self.counts.capacity())
+    }
+}
+
+impl std::fmt::Debug for TracedRound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a TracedRound {
+    type Item = TracedMessage;
+    type IntoIter = TracedRoundIter<'a>;
+
+    fn into_iter(self) -> TracedRoundIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`TracedRound`]'s messages, from
+/// [`TracedRound::iter`].
+#[derive(Clone, Debug)]
+pub struct TracedRoundIter<'a> {
+    round: &'a TracedRound,
+    next: usize,
+}
+
+impl Iterator for TracedRoundIter<'_> {
+    type Item = TracedMessage;
+
+    fn next(&mut self) -> Option<TracedMessage> {
+        let round = self.round;
+        let edge = *round.edges.get(self.next)?;
+        let bits = round.counts.get(self.next).copied().unwrap_or(round.bits);
+        self.next += 1;
+        Some(TracedMessage { edge, bits })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.round.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for TracedRoundIter<'_> {}
+
 /// Per-round record of every delivered message: a [`Telemetry`] sink
 /// that keeps the edge, direction and bit count of each
 /// [`on_delivery`](Telemetry::on_delivery) and counts each
@@ -538,14 +637,16 @@ impl std::fmt::Debug for TracedMessage {
 /// `on_start`) — the same delivery schedule [`Stepper::step`] walks one
 /// round at a time.
 ///
-/// Each delivery is one 8-byte [`TracedMessage`], whose endpoints
-/// [`TracedMessage::ends`] reads back from the run's graph. Recording a
-/// payload of more than `u32::MAX` bits, or a delivery over an edge
-/// index of 2^31 or more, panics rather than wrapping.
+/// Each delivery takes one 4-byte edge word in a [`TracedRound`], and a
+/// round whose deliveries carry different bit counts 4 more bytes each.
+/// [`TracedMessage::ends`] reads a delivery's endpoints back from the
+/// run's graph. Recording a payload of more than `u32::MAX` bits, or a
+/// delivery over an edge index of 2^31 or more, panics rather than
+/// wrapping.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrafficTrace {
     /// `rounds[r]` lists the messages delivered in round `r + 1`.
-    pub rounds: Vec<Vec<TracedMessage>>,
+    pub rounds: Vec<TracedRound>,
     /// `dropped[r]` counts the messages the fault layer removed in round
     /// `r + 1` (all zeros on fault-free runs). Same indexing as
     /// [`rounds`](TrafficTrace::rounds), so trace consumers can line up
@@ -555,7 +656,7 @@ pub struct TrafficTrace {
 
 impl Telemetry for TrafficTrace {
     fn on_round_start(&mut self, _round: usize) {
-        self.rounds.push(Vec::new());
+        self.rounds.push(TracedRound::default());
         self.dropped.push(0);
     }
 
@@ -1835,7 +1936,7 @@ mod tests {
             .try_run_observed(make, &chaos, &mut trace)
             .expect("completes");
         assert_eq!(batch_report, traced_report);
-        let traced_delivered: usize = trace.rounds.iter().map(Vec::len).sum();
+        let traced_delivered: usize = trace.rounds.iter().map(TracedRound::len).sum();
         assert_eq!(traced_delivered as u64, traced_report.messages_sent);
         let traced_dropped: u64 = trace.dropped.iter().sum();
         assert_eq!(traced_dropped, traced_report.messages_dropped);
@@ -1961,12 +2062,53 @@ mod tests {
         sync::<crate::telemetry::TelemetryReport>();
     }
 
-    /// A trace record is the edge word and a `u32` bit count, with no
-    /// padding: storing the two node ids instead of the edge would grow
-    /// every audited trace by half.
+    /// A round whose deliveries share a bit count keeps only their edge
+    /// words: 4 bytes a slot, and no count column at all.
     #[test]
-    fn traced_message_is_an_8_byte_record() {
-        assert_eq!(std::mem::size_of::<TracedMessage>(), 8);
+    fn traced_round_of_one_width_reserves_4_bytes_a_slot() {
+        let mut trace = TrafficTrace::default();
+        trace.on_round_start(1);
+        for e in 0..9 {
+            trace.on_delivery(1, EdgeId(e), NodeId(e + 1), NodeId(e), 12);
+        }
+        let round = &trace.rounds[0];
+        assert_eq!(round.len(), 9);
+        assert_eq!(round.counts.capacity(), 0);
+        assert_eq!(round.reserved_bytes(), 4 * round.edges.capacity());
+        assert!(round.iter().all(|m| m.bits() == 12));
+    }
+
+    /// Once a delivery's count differs from the round's, every delivery
+    /// keeps its own, and the round reads back exactly what was recorded.
+    #[test]
+    fn traced_round_with_mixed_counts_reads_back_every_delivery() {
+        let g = Graph::cycle(5);
+        let sent = [
+            (0, 1, 8),
+            (1, 2, 8),
+            (3, 2, 3),
+            (4, 0, 0),
+            (0, 4, 8),
+            (2, 1, 0),
+        ];
+        let mut trace = TrafficTrace::default();
+        trace.on_round_start(1);
+        for &(from, to, bits) in &sent {
+            let (from, to) = (NodeId(from), NodeId(to));
+            let edge = g.find_edge(from, to).expect("a cycle edge");
+            trace.on_delivery(1, edge, from, to, bits);
+        }
+        let round = &trace.rounds[0];
+        assert_eq!(round.counts.len(), sent.len());
+        let read: Vec<_> = round
+            .iter()
+            .map(|m| {
+                let (from, to) = m.ends(&g);
+                (from.0, to.0, m.bits() as usize)
+            })
+            .collect();
+        assert_eq!(read, sent);
+        assert_eq!(round.iter().len(), sent.len());
     }
 
     /// The edge word's top bit holds the direction, so an edge index

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use qdc::congest::{
     CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox, Simulator,
-    TracedMessage, TrafficTrace,
+    TracedRound, TrafficTrace,
 };
 use qdc::core::theorems;
 use qdc::graph::{generate, predicates, GraphBuilder, NodeId};
@@ -142,10 +142,10 @@ fn audit_budget_saturates_at_huge_bandwidths() {
 /// `simthm_grid`'s largest point, Γ = 35 and L = 129, keeps the largest
 /// trace a campaign holds. Its record count is deterministic, and the
 /// bytes its rounds reserve bound the trace's share of a grid run's
-/// peak memory: the 638 976 slots come to 5.1 MB at 8 bytes a record
-/// and would come to 7.7 MB, past this bound, at 12.
+/// peak memory: the 638 976 slots come to 2.6 MB at 4 bytes a record
+/// and would come to 5.1 MB, past this bound, at 8.
 #[test]
-fn simthm_grid_largest_trace_is_8_bytes_a_record() {
+fn simthm_grid_largest_trace_is_4_bytes_a_record() {
     let point = PointSpec::SimThm(SimThmPoint {
         gamma: 35,
         l: 129,
@@ -153,13 +153,12 @@ fn simthm_grid_largest_trace_is_8_bytes_a_record() {
     });
     let (_, trace) = execute_point(0, &point).expect("the point runs");
     let trace = trace.expect("simthm points are traced");
-    let records: usize = trace.rounds.iter().map(Vec::len).sum();
+    let records: usize = trace.rounds.iter().map(TracedRound::len).sum();
     assert_eq!(records, 441_284);
-    let reserved: usize = trace.rounds.iter().map(Vec::capacity).sum();
-    let reserved_bytes = reserved * std::mem::size_of::<TracedMessage>();
+    let reserved_bytes: usize = trace.rounds.iter().map(TracedRound::reserved_bytes).sum();
     assert!(
-        reserved_bytes < 2 * records * 8,
-        "{reserved} slots take {reserved_bytes} bytes"
+        reserved_bytes < 2 * records * 4,
+        "the rounds reserve {reserved_bytes} bytes"
     );
 }
 

@@ -3,7 +3,9 @@
 //! LE-lists across crates.
 
 use proptest::prelude::*;
-use qdc::congest::{topology, BitString, CongestConfig, Message, Simulator, TrafficTrace};
+use qdc::congest::{
+    topology, BitString, CongestConfig, Message, Simulator, TracedRound, TrafficTrace,
+};
 use qdc::graph::{algorithms, generate, NodeId};
 use qdc::quantum::density::{entanglement_entropy, DensityMatrix};
 use qdc::quantum::StateVector;
@@ -62,7 +64,7 @@ proptest! {
         let sim = Simulator::new(&g, CongestConfig::classical(8));
         let mut trace = TrafficTrace::default();
         let (_, report) = sim.run_observed(|_| Echo { fired: false }, 10, &mut trace);
-        let traced_msgs: usize = trace.rounds.iter().map(Vec::len).sum();
+        let traced_msgs: usize = trace.rounds.iter().map(TracedRound::len).sum();
         let traced_bits: usize = trace.rounds.iter().flatten().map(|m| m.bits() as usize).sum();
         prop_assert_eq!(traced_msgs as u64, report.messages_sent);
         prop_assert_eq!(traced_bits as u64, report.bits_sent);

@@ -29,7 +29,7 @@ use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
     read_aggregate, ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo,
     NullTelemetry, Outbox, RoundProfiler, Simulator, StreamSink, Telemetry, TelemetryReport,
-    TrafficTrace,
+    TracedRound, TrafficTrace,
 };
 use qdc::graph::{generate, EdgeId, NodeId};
 
@@ -187,7 +187,7 @@ proptest! {
         let read = read_aggregate(archive.as_slice()).expect("the archive parses");
         prop_assert_eq!(&read, &footer);
         let totals = read.totals;
-        let traced_messages = trace.rounds.iter().map(Vec::len).sum::<usize>() as u64;
+        let traced_messages = trace.rounds.iter().map(TracedRound::len).sum::<usize>() as u64;
         let traced_bits: u64 = trace.rounds.iter().flatten().map(|m| u64::from(m.bits())).sum();
         let traced_dropped: u64 = trace.dropped.iter().sum();
         let t = profile.totals();
