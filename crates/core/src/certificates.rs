@@ -84,7 +84,7 @@ fn compose(
             consts.server_constant, params.gamma, server_bound
         ),
         format!(
-            "Theorem 3.5 (simulation): any T ≤ L/2−2 = {horizon} yields a Server protocol of \
+            "Theorem 3.5 (simulation): any T ≤ ⌊L/2⌋−2 = {horizon} yields a Server protocol of \
              ≤ c·B·log₂(L−1)·T = {per_round:.1}·T qubits"
         ),
         format!(
@@ -235,7 +235,7 @@ mod tests {
         assert_eq!(cert.params.l, 7);
         assert_eq!(cert.rounds, 1.0);
         assert!(
-            cert.steps[2].contains("T ≤ L/2−2 = 1 yields"),
+            cert.steps[2].contains("T ≤ ⌊L/2⌋−2 = 1 yields"),
             "{}",
             cert.steps[2]
         );

@@ -38,7 +38,7 @@ pub struct SimThmOutcome {
     pub node_count: u64,
     /// Highway count `k` of the realized network.
     pub highways: u64,
-    /// The Theorem 3.5 horizon `L/2 − 2` the run was capped at.
+    /// The Theorem 3.5 horizon `⌊L/2⌋ − 2` the run was capped at.
     pub horizon: u64,
     /// Total bits Carol and David paid under the ownership schedule.
     pub paid_bits: u64,
@@ -62,7 +62,7 @@ pub struct SimThmOutcome {
 /// classification. The sink never changes the outcome: it is
 /// byte-identical observed or not.
 ///
-/// The run is capped at the horizon `L/2 − 2` — Theorem 3.5 only speaks
+/// The run is capped at the horizon `⌊L/2⌋ − 2` — Theorem 3.5 only speaks
 /// about runs within it, so `metrics.completed` is usually `false`, and
 /// that is the expected shape, not a failure.
 ///

@@ -108,7 +108,7 @@ pub struct ThreePartyAudit {
     pub per_round_budget: u64,
     /// Whether every audited round stayed within the budget.
     pub within_budget: bool,
-    /// The horizon `L/2 − 2` up to which ownership sets are disjoint.
+    /// The horizon `⌊L/2⌋ − 2` up to which ownership sets are disjoint.
     pub horizon: usize,
     /// Whether the whole run finished within the horizon (the premise of
     /// Theorem 3.5).
@@ -202,7 +202,7 @@ pub struct AuditedFlood {
 /// budget `bandwidth` and audits it: the Theorem 3.5 experiment.
 ///
 /// Labels are node ids of [`id_width`] bits. The run is traced, capped
-/// at the horizon `L/2 − 2` (Theorem 3.5 speaks only about runs within
+/// at the horizon `⌊L/2⌋ − 2` (Theorem 3.5 speaks only about runs within
 /// it, so `report.completed` is usually false), and `sink` observes it
 /// beside the trace. The sink never changes the result.
 ///

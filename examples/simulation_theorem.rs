@@ -16,7 +16,7 @@ fn main() {
     let bandwidth = 32;
 
     println!(
-        "network N: Γ = {}, L = {}, k = {} highways, {} nodes, horizon L/2−2 = {}",
+        "network N: Γ = {}, L = {}, k = {} highways, {} nodes, horizon ⌊L/2⌋−2 = {}",
         net.path_count(),
         net.length(),
         net.highway_count(),
