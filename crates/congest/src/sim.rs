@@ -531,8 +531,9 @@ impl std::fmt::Debug for TracedMessage {
 /// the whole round. A flood sends every label at one width, so that is
 /// all a fault-free Theorem 3.5 round needs: 441 284 deliveries of a
 /// Γ = 35, L = 129 point fit in 2.56 MB of reserved edge words. The
-/// first delivery whose count differs (a payload that chaos truncated)
-/// gives the round a column with each delivery's own count.
+/// first delivery whose count differs (a payload that chaos truncated,
+/// or an algorithm sending several widths) gives the round a column with
+/// each delivery's own count.
 ///
 /// Iterating a round yields each delivery as a [`TracedMessage`].
 #[derive(Clone, Default, PartialEq, Eq)]
